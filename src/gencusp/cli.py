@@ -13,22 +13,18 @@ import sys
 
 import numpy as np
 
-from .cusp_groups import (
-    BlownUpWeylPoint,
-    build_marked_cusp,
-    lie_algebra_phi,
-)
+from .cusp_groups import BlownUpWeylPoint, build_marked_cusp
 from .invariants import (
     CharacterData,
     CompleteInvariant,
     WeightData,
     complete_invariant,
     eta_distance,
+    limit_demo_rows,
     realize_weight_data,
     recover_psi_from_invariant,
     weight_data,
 )
-from .linalg import expm
 from .shape import CubicPoly, ShapeInvariant, cubic_from_weights, recover_cusp_from_shape, shape_invariant
 from . import dim3
 
@@ -284,41 +280,6 @@ def cmd_mesh(args):
     return 0
 
 
-def limit_demo_rows(kappa, m_max, n):
-    """Convergence table of the diagonalizable family (lam0 = 1/m) toward its
-    lam0 = 0 limit with kappa fixed: generator and invariant distances."""
-    kappa = np.asarray(kappa, dtype=float)
-    if np.any(kappa <= 0) or np.any(kappa > 1):
-        raise ValidationError("kappa entries must lie in (0, 1]")
-    order = np.argsort(-kappa)  # descending kappa gives ascending lambda
-    kap = kappa[order]
-    limit_point = BlownUpWeylPoint(n, np.zeros(n), kap)
-    limit_gens = [
-        expm(lie_algebra_phi(limit_point, col)) for col in np.eye(n - 1)
-    ]
-    limit_eta = complete_invariant(build_marked_cusp(limit_point))
-    rows = []
-    m = 10
-    while m <= m_max:
-        lam = np.concatenate([[1.0 / m], (1.0 / m) / kap])
-        p = BlownUpWeylPoint(n, lam, kap)
-        gens = [expm(lie_algebra_phi(p, col)) for col in np.eye(n - 1)]
-        gen_dist = max(
-            float(np.max(np.abs(a - b))) for a, b in zip(gens, limit_gens)
-        )
-        inv_dist = eta_distance(complete_invariant(build_marked_cusp(p)), limit_eta)
-        rows.append(
-            {
-                "m": m,
-                "lambda0": 1.0 / m,
-                "generator_distance": gen_dist,
-                "invariant_distance": inv_dist,
-            }
-        )
-        m *= 10
-    return rows
-
-
 def cmd_limit_demo(args):
     try:
         kappa = [float(t) for t in args.kappa.split(",")]
@@ -327,6 +288,8 @@ def cmd_limit_demo(args):
     n = args.n if args.n else len(kappa) + 1
     if len(kappa) != n - 1:
         raise ValidationError("kappa: expected n-1=%d entries, got %d" % (n - 1, len(kappa)))
+    if not all(0 < k <= 1 for k in kappa):
+        raise ValidationError("kappa entries must lie in (0, 1]")
     rows = limit_demo_rows(kappa, args.m_max, n)
     lines = ["%12s %16s %20s %20s" % ("m", "lambda0", "generator_distance", "invariant_distance")]
     for row in rows:

@@ -16,9 +16,10 @@ from .cusp_groups import (
     PsiParameter,
     build_marked_cusp,
     lambda_to_psi,
+    lie_algebra_phi,
     rho,
 )
-from .linalg import check_symmetric, maxerr, newton_to_elementary, unimodular
+from .linalg import check_symmetric, expm, maxerr, newton_to_elementary, unimodular
 
 __all__ = [
     "CharacterData",
@@ -41,6 +42,7 @@ __all__ = [
     "unprojectivize_character",
     "middle_weight",
     "stratum_dim",
+    "limit_demo_rows",
 ]
 
 WEIGHT_EPS = 1e-10
@@ -167,8 +169,8 @@ def horosphere_metric(cusp, method="closed"):
     """Unimodular second-order part of the height function at the basepoint.
 
     "closed" evaluates M^T (I + kappa kappa^T) M with M the effective
-    marking; "fit" extracts the Hessian from the polynomial jet of the
-    sampled height function (no closed form used).
+    marking; "fit" takes the quadratic part of the exact series jet of the
+    height function (no closed form used).
     """
     if method == "closed":
         kap = cusp.params.kappa
@@ -177,10 +179,7 @@ def horosphere_metric(cusp, method="closed"):
     if method == "fit":
         from .shape import fit_height_jet
 
-        q_raw, _ = fit_height_jet(cusp)
-        if np.min(np.linalg.eigvalsh(q_raw)) <= 0:
-            raise ValueError("fitted height Hessian is not positive definite")
-        return unimodular(q_raw)
+        return unimodular(fit_height_jet(cusp)[0])
     raise ValueError("unknown method %r" % (method,))
 
 
@@ -502,3 +501,38 @@ def stratum_dim(n, t):
         return n * n - n
     u = n - 1 - t
     return t + ((n - 1) ** 2 - 1) - u * (u - 1) // 2
+
+
+def limit_demo_rows(kappa, m_max, n):
+    """Convergence table of the diagonalizable family (lam0 = 1/m) toward its
+    lam0 = 0 limit with kappa fixed: generator and invariant distances."""
+    kappa = np.asarray(kappa, dtype=float)
+    if np.any(kappa <= 0) or np.any(kappa > 1):
+        raise ValueError("kappa entries must lie in (0, 1]")
+    order = np.argsort(-kappa)  # descending kappa gives ascending lambda
+    kap = kappa[order]
+    limit_point = BlownUpWeylPoint(n, np.zeros(n), kap)
+    limit_gens = [
+        expm(lie_algebra_phi(limit_point, col)) for col in np.eye(n - 1)
+    ]
+    limit_eta = complete_invariant(build_marked_cusp(limit_point))
+    rows = []
+    m = 10
+    while m <= m_max:
+        lam = np.concatenate([[1.0 / m], (1.0 / m) / kap])
+        p = BlownUpWeylPoint(n, lam, kap)
+        gens = [expm(lie_algebra_phi(p, col)) for col in np.eye(n - 1)]
+        gen_dist = max(
+            float(np.max(np.abs(a - b))) for a, b in zip(gens, limit_gens)
+        )
+        inv_dist = eta_distance(complete_invariant(build_marked_cusp(p)), limit_eta)
+        rows.append(
+            {
+                "m": m,
+                "lambda0": 1.0 / m,
+                "generator_distance": gen_dist,
+                "invariant_distance": inv_dist,
+            }
+        )
+        m *= 10
+    return rows

@@ -1,12 +1,11 @@
 """The shape invariant [q + c]: forward computation by three independent
-routes (height-jet fit, closed-form calibration, weighted cubes of weights),
-harmonic/radial analysis, and the inverse map from shapes back to marked
-cusps via constrained maximization on the q-unit sphere.
+routes (exact series height jet, closed-form calibration, weighted cubes of
+weights), harmonic/radial analysis, and the inverse map from shapes back to
+marked cusps via constrained maximization on the q-unit sphere.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -26,6 +25,7 @@ __all__ = [
     "CubicPoly",
     "ShapeInvariant",
     "SphereMaxima",
+    "height_jet",
     "height_at",
     "fit_height_jet",
     "theta_calibration",
@@ -176,80 +176,59 @@ class ShapeInvariant:
         return max(dq, dc)
 
 
-@lru_cache(maxsize=512)
-def _height_frame(cusp):
-    """Tangent frame at the basepoint and the sign making heights positive."""
-    n = cusp.n
-    cols = [g[:n, n] for g in cusp.generators]
-    u = np.column_stack(cols)
+def _height_covector(gens, base):
+    """Cofactor covector h of the tangent frame u = [G_i base], so that
+    det[u, w] = h . w, oriented so that heights rise from the basepoint.
+
+    Returned with a zero last slot, as a covector on homogeneous coordinates:
+    the generators have a zero bottom row, so h . x reads the affine chart.
+    """
+    n = len(base) - 1
+    u = (gens @ base)[:, :n].T
     sing = np.linalg.svd(u, compute_uv=False)
     if sing[-1] < 1e-12 * max(1.0, sing[0]):
         raise ValueError("degenerate tangent frame: cusp data is not strictly convex")
-    probe = orbit_point(cusp, 1e-3 * np.ones(n - 1))
-    raw = np.linalg.det(np.column_stack([u, probe]))
-    if raw == 0.0:
-        raise ValueError("cannot orient the tangent frame")
-    return u, (1.0 if raw > 0 else -1.0)
+    cof = [(-1.0) ** (k + n - 1) * np.linalg.det(np.delete(u, k, axis=0)) for k in range(n)]
+    h = np.append(cof, 0.0)
+    # the quadratic jet of a convex orbit is definite, so its trace has its sign
+    return h if np.einsum("a,iab,ibc,c->", h, gens, gens, base) > 0 else -h
+
+
+def height_jet(gens, base):
+    """Exact 2- and 3-jet of the height of the orbit v -> exp(A(v)) base,
+    A(v) = sum_i v_i G_i, over its tangent hyperplane at ``base``.
+
+    The height is the frame determinant det[u, exp(A(v)) base], linear in its
+    last column, so the degree-k term is h . A(v)^k base / k! exactly:
+    q_ij = (1/2) sym(h G_i G_j base) and c_ijk = (1/6) sym(h G_i G_j G_k base).
+    Returns (quadratic form matrix, CubicPoly), unnormalized, with q positive
+    definite.
+    """
+    gens = np.asarray(gens, dtype=float)
+    base = np.asarray(base, dtype=float)
+    h = _height_covector(gens, base)
+    left, right = h @ gens, gens @ base
+    d2 = left @ right.T
+    q = 0.25 * (d2 + d2.T)
+    if np.min(np.linalg.eigvalsh(q)) <= 0:
+        raise ValueError("height jet is not definite: the orbit is not strictly convex")
+    return q, CubicPoly(len(gens), np.einsum("ia,jab,kb->ijk", left, gens, right) / 6.0)
 
 
 def height_at(cusp, v):
     """Height of the orbit point over the tangent hyperplane at the basepoint,
     as the frame determinant; the sign makes heights non-negative near 0."""
-    u, sign = _height_frame(cusp)
-    return sign * float(np.linalg.det(np.column_stack([u, orbit_point(cusp, v)])))
+    h = _height_covector(np.asarray(cusp.generators), np.eye(cusp.n + 1)[cusp.n])
+    return float(h[: cusp.n] @ orbit_point(cusp, v))
 
 
-def _monomial_exponents(dim, degrees):
-    out = []
-    for deg in degrees:
-        for idx in combinations_with_replacement(range(dim), deg):
-            exps = [0] * dim
-            for i in idx:
-                exps[i] += 1
-            out.append(tuple(exps))
-    return out
-
-
-def fit_height_jet(cusp, radius=1e-2, oversample=5, degrees=(2, 3, 4, 5)):
-    """2- and 3-jet of the height function by weighted least squares on a
-    sample ball (degrees 4 and 5 are fitted too, purely to absorb the Taylor
-    tail; repeated finite differencing would lose too many digits).
+def fit_height_jet(cusp):
+    """2- and 3-jet of the height function of the cusp's orbit of the origin,
+    computed exactly by ``height_jet`` (no sampling, no fitting).
 
     Returns (quadratic form matrix, CubicPoly), unnormalized.
     """
-    dim = cusp.n - 1
-    exps = _monomial_exponents(dim, degrees)
-    n_samples = oversample * len(exps)
-    rng = np.random.default_rng(12345)
-    half = (n_samples + 1) // 2
-    dirs = rng.standard_normal((half, dim))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    radii = rng.uniform(0.3, 1.0, half) ** (1.0 / dim)
-    pts = np.vstack([dirs * radii[:, None], -dirs * radii[:, None]])
-    heights = np.array([height_at(cusp, radius * p) for p in pts])
-    design = np.empty((len(pts), len(exps)))
-    for j, e in enumerate(exps):
-        col = np.ones(len(pts))
-        for var, k in enumerate(e):
-            if k:
-                col = col * pts[:, var] ** k
-        design[:, j] = col
-    coeffs, *_ = np.linalg.lstsq(design, heights, rcond=None)
-    q = np.zeros((dim, dim))
-    mono3 = {}
-    for e, val in zip(exps, coeffs):
-        deg = sum(e)
-        val = val / radius ** deg
-        if deg == 2:
-            vars_ = [i for i, k in enumerate(e) for _ in range(k)]
-            i, j = vars_
-            if i == j:
-                q[i, i] = val
-            else:
-                q[i, j] = q[j, i] = val / 2.0
-        elif deg == 3:
-            mono3[e] = val
-    return q, CubicPoly.from_monomials(dim, mono3)
+    return height_jet(cusp.generators, np.eye(cusp.n + 1)[cusp.n])
 
 
 def theta_calibration(p):
@@ -267,7 +246,7 @@ def theta_calibration(p):
 def shape_invariant(cusp, method="fit"):
     """Canonical shape invariant of a marked cusp.
 
-    "fit" extracts the jet of the sampled height function; "closed" composes
+    "fit" takes the exact series jet of the height function; "closed" composes
     the model calibration with the effective marking.  Both are normalized to
     det q = 1, so they agree as functions.
     """
@@ -524,16 +503,14 @@ def _psi_fractions_from_gram(gram):
     return fractions
 
 
-def recover_cusp_from_shape(shape, tol=1e-5, seed=0, ortho_tol=ORTHO_TOL):
+def recover_cusp_from_shape(shape, tol=1e-5, seed=0):
     """Invert the shape invariant: a marked cusp whose canonical shape matches
     ``shape`` to ``tol``.
 
     Branches on the geometry of the sphere maxima: pairwise q-orthogonal
     positive maxima give the non-diagonalizable model (lambda_i = 3 * value);
     a full set of n pairwise-negative maxima gives the diagonalizable one.
-    Anything else is rejected as not a cusp shape.  ``ortho_tol`` is the
-    branch tolerance on the pairwise q-inner products; widen it for shapes
-    carrying fit noise.
+    Anything else is rejected as not a cusp shape.
     """
     dim = shape.q.shape[0]
     n = dim + 1
@@ -553,7 +530,7 @@ def recover_cusp_from_shape(shape, tol=1e-5, seed=0, ortho_tol=ORTHO_TOL):
         raise ValueError("no positive local maxima: not a cusp shape")
     gram_plus = kplus @ shape.q @ kplus.T
     off_plus = gram_plus[~np.eye(len(kplus), dtype=bool)]
-    if len(kplus) <= dim and (len(off_plus) == 0 or np.max(np.abs(off_plus)) <= ortho_tol):
+    if len(kplus) <= dim and (len(off_plus) == 0 or np.max(np.abs(off_plus)) <= ORTHO_TOL):
         # non-diagonalizable: values are lambda/3, maxima are q-orthonormal
         order = np.argsort(kplus_vals)
         lam_pos = 3.0 * kplus_vals[order]
@@ -568,7 +545,7 @@ def recover_cusp_from_shape(shape, tol=1e-5, seed=0, ortho_tol=ORTHO_TOL):
         return _verified(cusp, shape, tol)
     gram_all = found.points @ shape.q @ found.points.T
     off_all = gram_all[~np.eye(len(found.points), dtype=bool)]
-    if len(found.points) == n and np.all(off_all < -ortho_tol):
+    if len(found.points) == n and np.all(off_all < -ORTHO_TOL):
         fractions = _psi_fractions_from_gram(gram_all)
         if np.any(fractions <= 0) or abs(np.sum(fractions) - 1.0) > 1e-3:
             raise ValueError("maxima geometry inconsistent with a diagonalizable cusp")

@@ -1,0 +1,27 @@
+"""The traced benchmark rebinds every (module, name) pair listed in
+perfbench/spans.py:TRACED by looking it up on gencusp.<module>; a name
+removed or renamed in the library would crash every traced run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _traced():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TRACED
+
+
+def test_traced_names_resolve():
+    traced = _traced()
+    assert traced
+    missing = [
+        "%s.%s" % (mod, name)
+        for mod, name in traced
+        if not callable(getattr(importlib.import_module("gencusp." + mod), name, None))
+    ]
+    assert missing == []
