@@ -160,7 +160,7 @@ def _shape_from_dict(data, dim, path):
     return ShapeInvariant(q, CubicPoly.from_monomials(q.shape[0], mono))
 
 
-def invariants_payload(cusp, tol=1e-8):
+def invariants_payload(cusp):
     eta = complete_invariant(cusp)
     nu = weight_data(cusp)
     s = shape_invariant(cusp, "closed")
@@ -193,7 +193,7 @@ def invariants_payload(cusp, tol=1e-8):
 
 def cmd_invariants(args):
     cusp = parse_cusp_params(_load_json(args.cusp), args.cusp)
-    payload = invariants_payload(cusp, tol=args.tol)
+    payload = invariants_payload(cusp)
     if payload["cross_check"]["cubic_routes_residual"] > 1e-5:
         raise RuntimeError(
             "invariant cross-check failed: cubic route residual %g"
@@ -310,9 +310,9 @@ def make_parser():
     # given before it (set_defaults would mutate the shared parent actions)
     def global_flags(p):
         p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                       help="comparison tolerance (default 1e-8)")
+                       help="eta_distance threshold of conjugate (default 1e-8)")
         p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                       help="seed for all randomness (default 0)")
+                       help="seed of recover shape and verify (default 0)")
         return p
 
     parser = global_flags(_Parser(prog="gencusp", description=__doc__))

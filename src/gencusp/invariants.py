@@ -8,7 +8,6 @@ never by pointwise sampling (exp blowup makes pointwise comparison fragile).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .cusp_groups import (
     BlownUpWeylPoint,
@@ -46,6 +45,15 @@ __all__ = [
 ]
 
 WEIGHT_EPS = 1e-10
+
+# weights_of's Newton-identity cross-check: probe count, seed, tolerance.
+_CHARACTER_PROBES = 3
+_CHARACTER_SEED = 20
+_CHARACTER_CHECK_TOL = 1e-7
+
+# middle_weight's probe seed and its relative tolerance on probe values.
+_MIDDLE_SEED = 7
+_MIDDLE_TOL = 1e-9
 
 
 class MiddleWeightTie(ValueError):
@@ -127,7 +135,7 @@ class WeightData:
         return int(np.sum(norms > WEIGHT_EPS * max(1.0, np.max(norms))))
 
 
-def weights_of(cusp, check_tol=1e-7, probes=3, seed=20):
+def weights_of(cusp):
     """All n+1 affine weight covectors, read off the diagonals of the cached
     upper-triangular generators.
 
@@ -139,11 +147,11 @@ def weights_of(cusp, check_tol=1e-7, probes=3, seed=20):
     w = np.zeros((n + 1, n - 1))
     for i, g in enumerate(cusp.generators):
         w[:, i] = np.diag(g)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CHARACTER_SEED)
     # probe scale keeps every eigenvalue exp(xi(v)) moderate, else the
     # power-sum route loses all digits
     wmax = max(1.0, float(np.max(np.abs(w))))
-    for _ in range(probes):
+    for _ in range(_CHARACTER_PROBES):
         v = rng.standard_normal(n - 1)
         v *= 0.5 / (wmax * max(1.0, np.linalg.norm(v)))
         a = rho(cusp, v)
@@ -157,10 +165,10 @@ def weights_of(cusp, check_tol=1e-7, probes=3, seed=20):
         coeffs = np.poly(eig)  # [1, -e1, e2, ...]
         elem_direct = np.array([(-1.0) ** k * coeffs[k] for k in range(1, n + 2)])
         err = maxerr(elem, elem_direct)
-        if err > check_tol:
+        if err > _CHARACTER_CHECK_TOL:
             raise ValueError(
                 "character cross-check failed: Newton-identity coefficients "
-                "deviate by %g (tolerance %g)" % (err, check_tol)
+                "deviate by %g (tolerance %g)" % (err, _CHARACTER_CHECK_TOL)
             )
     return CharacterData(w)
 
@@ -183,39 +191,88 @@ def horosphere_metric(cusp, method="closed"):
     raise ValueError("unknown method %r" % (method,))
 
 
-def complete_invariant(cusp, metric_method="closed"):
-    return CompleteInvariant(weights_of(cusp), horosphere_metric(cusp, metric_method))
+def complete_invariant(cusp):
+    return CompleteInvariant(weights_of(cusp), horosphere_metric(cusp))
+
+
+def linear_sum_assignment(cost):
+    """Exact minimum-sum assignment of a square cost matrix: ``(rows, cols)``
+    with ``rows = arange(k)`` and ``cols[i]`` the column given to row i, so
+    ``cost[rows, cols].sum()`` is minimal.
+
+    Shortest augmenting paths with dual potentials (the Hungarian method,
+    Kuhn 1955), O(k^3) over Python lists: k is n + 1 weight rows, small
+    enough that numpy's per-call overhead would dominate.  Non-finite costs
+    raise ValueError; a NaN would otherwise never let a path close.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError("cost matrix must be square, got shape %r" % (c.shape,))
+    if not np.all(np.isfinite(c)):
+        raise ValueError("cost matrix contains non-finite entries")
+    k = c.shape[0]
+    a = c.tolist()
+    inf = float("inf")
+    # 1-based rows and columns; column 0 is the root of each augmenting tree
+    u = [0.0] * (k + 1)
+    v = [0.0] * (k + 1)
+    owner = [0] * (k + 1)  # owner[j]: row matched to column j, 0 if free
+    way = [0] * (k + 1)
+    for i in range(1, k + 1):
+        owner[0] = i
+        j0 = 0
+        minv = [inf] * (k + 1)
+        used = [False] * (k + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            row = a[i0 - 1]
+            ui = u[i0]
+            delta = inf
+            j1 = 0
+            for j in range(1, k + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - ui - v[j]
+                    if reduced < minv[j]:
+                        minv[j] = reduced
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(k + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    cols = [0] * k
+    for j in range(1, k + 1):
+        cols[owner[j] - 1] = j - 1
+    return np.arange(k), np.array(cols, dtype=np.intp)
 
 
 def _match_multisets(a, b):
-    """Max covector deviation under optimal assignment (greedy nearest
-    neighbor first, full assignment when greedy is ambiguous)."""
+    """Largest covector deviation (max-abs norm) between matched rows, under
+    the assignment that minimizes the sum of the deviations."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         return np.inf
     cost = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
-    # greedy nearest neighbor
-    free = list(range(a.shape[0]))
-    worst = 0.0
-    ambiguous = False
-    for i in range(a.shape[0]):
-        row = cost[i, free]
-        k = int(np.argmin(row))
-        best = row[k]
-        if np.sum(row <= best + 1e-9) > 1:
-            ambiguous = True
-        worst = max(worst, best)
-        free.pop(k)
-    if not ambiguous:
-        return float(worst)
     rows, cols = linear_sum_assignment(cost)
     return float(np.max(cost[rows, cols]))
 
 
 def eta_distance(e1, e2):
-    """Distance between complete invariants: matched weight deviation plus
-    metric deviation (both relative above magnitude one)."""
+    """Distance between complete invariants: the larger of the metric
+    deviation and the weight deviation, which is the max over the weight
+    pairs matched by the min-sum assignment (both relative above magnitude
+    one)."""
     scale = max(1.0, float(np.max(np.abs(e2.character.weights))))
     dw = _match_multisets(e1.character.weights, e2.character.weights) / scale
     return max(dw, maxerr(e1.metric, e2.metric))
@@ -321,9 +378,9 @@ def marked_psi_normal_form(p):
     return PsiParameter(n, s * psi0, ordered=True)
 
 
-def weight_data(cusp, metric_method="closed"):
+def weight_data(cusp):
     linear, _ = _split_weights(weights_of(cusp).weights)
-    return WeightData(linear, horosphere_metric(cusp, metric_method))
+    return WeightData(linear, horosphere_metric(cusp))
 
 
 def weights_equation_residual(w):
@@ -454,7 +511,7 @@ def projectivize_character(cd):
     return CharacterData(cd.weights - mu, affine=False), mu
 
 
-def middle_weight(weights, tol=1e-9, seed=7):
+def middle_weight(weights):
     """The unique weight value xi with xi(v) <= max of the others for all v,
     tested on cube vertices and random probes; ties between distinct values
     raise MiddleWeightTie."""
@@ -463,7 +520,7 @@ def middle_weight(weights, tol=1e-9, seed=7):
     probes = []
     for mask in range(2 ** dim):
         probes.append([1000.0 if mask >> i & 1 else -1000.0 for i in range(dim)])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_MIDDLE_SEED)
     for _ in range(64):
         z = rng.standard_normal(dim)
         probes.append(1000.0 * z / np.linalg.norm(z))
@@ -473,7 +530,7 @@ def middle_weight(weights, tol=1e-9, seed=7):
     passing = []
     for i in range(k):
         others = np.delete(vals, i, axis=1)
-        if np.all(vals[:, i] <= np.max(others, axis=1) + tol * scale):
+        if np.all(vals[:, i] <= np.max(others, axis=1) + _MIDDLE_TOL * scale):
             passing.append(i)
     if not passing:
         raise ValueError("no middle weight found")

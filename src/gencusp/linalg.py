@@ -16,12 +16,8 @@ __all__ = [
     "cholesky_upper",
     "unimodular",
     "check_symmetric",
-    "is_positive_definite",
     "maxerr",
 ]
-
-# Relative above magnitude 1, absolute below; default tolerance 1e-9.
-DEFAULT_TOL = 1e-9
 
 # Switch f_1, f_2, h, g to their Taylor branch below this |s*t|; the closed
 # forms lose every digit to cancellation as s -> 0.
@@ -138,11 +134,6 @@ def check_symmetric(q, tol=1e-12):
     if np.max(np.abs(q - q.T)) > tol * scale:
         raise ValueError("matrix is not symmetric within %g" % tol)
     return 0.5 * (q + q.T)
-
-
-def is_positive_definite(q):
-    q = check_symmetric(q)
-    return bool(np.min(np.linalg.eigvalsh(q)) > 0.0)
 
 
 def cholesky_upper(q, tol=1e-12):

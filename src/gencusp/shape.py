@@ -412,7 +412,12 @@ def sphere_local_maxima(q, c, seed=0, restarts=None, dedup_tol=1e-6):
     # area-uniform on the q-sphere: push the round sphere through q^(-1/2)
     draws = rng.standard_normal((n_restarts, m))
     draws /= np.linalg.norm(draws, axis=1)[:, None]
-    x = draws @ _inv_sqrt(q)
+    inv_sqrt = _inv_sqrt(q)
+    x = draws @ inv_sqrt
+    # the degenerate-Hessian test below measures c in a q-orthonormal frame:
+    # in the caller's coordinates an ill-conditioned q inflates c's
+    # coefficients by orders of magnitude and hides genuine maxima
+    frame_scale = c.compose_linear(inv_sqrt).coeff_norm()
     step = np.full(n_restarts, 0.5)
     vals = c(x)
     for _ in range(200):
@@ -432,11 +437,10 @@ def sphere_local_maxima(q, c, seed=0, restarts=None, dedup_tol=1e-6):
         step[~better] *= 0.5
         step = np.maximum(step, 1e-6)
     # cluster ascent endpoints, then polish one representative per cluster
-    order = np.argsort(-vals)
-    reps = []
-    for i in order:
-        if all(np.max(np.abs(x[i] - r)) > 1e-3 for r in reps):
-            reps.append(x[i])
+    reps = x[:0]
+    for i in np.argsort(-vals):
+        if np.all(np.max(np.abs(reps - x[i]), axis=1) > 1e-3):
+            reps = np.vstack([reps, x[i]])
     points, values = [], []
     any_converged = False
     for r in reps:
@@ -452,7 +456,7 @@ def sphere_local_maxima(q, c, seed=0, restarts=None, dedup_tol=1e-6):
         # points on a degenerate critical manifold carry a near-zero Hessian
         # whose sign is set by how far Newton stalled from the manifold;
         # genuine maxima curve at the scale of c (gap of several orders)
-        if np.max(np.abs(evals)) < 1e-4 * max(1.0, scale):
+        if np.max(np.abs(evals)) < 1e-4 * max(1.0, frame_scale):
             continue
         if all(np.max(np.abs(xr - p)) > dedup_tol for p in points):
             points.append(xr)
@@ -517,6 +521,11 @@ def recover_cusp_from_shape(shape, tol=1e-5, seed=0):
     if n < 3:
         raise ValueError("shape recovery requires n >= 3")
     found = sphere_local_maxima(shape.q, shape.c, seed=seed)
+    if len(found.points) < n and not _q_orthogonal(shape.q, found.points[found.values > 0]):
+        # a diagonalizable pattern short of its n maxima: a small basin
+        # escaped the multistart.  Ten times the restarts from the same seed
+        # repeat every start, so this search finds a superset.
+        found = sphere_local_maxima(shape.q, shape.c, seed=seed, restarts=10 * (100 + 20 * dim))
     # a cubic at the noise floor of the requested tolerance is the standard
     # cusp: its shape matches with c = 0, which the final check re-verifies
     if found.degenerate or shape.c.coeff_norm() <= 0.1 * tol:
@@ -528,10 +537,9 @@ def recover_cusp_from_shape(shape, tol=1e-5, seed=0):
     kplus_vals = found.values[pos]
     if len(kplus) == 0:
         raise ValueError("no positive local maxima: not a cusp shape")
-    gram_plus = kplus @ shape.q @ kplus.T
-    off_plus = gram_plus[~np.eye(len(kplus), dtype=bool)]
-    if len(kplus) <= dim and (len(off_plus) == 0 or np.max(np.abs(off_plus)) <= ORTHO_TOL):
+    if len(kplus) <= dim and _q_orthogonal(shape.q, kplus):
         # non-diagonalizable: values are lambda/3, maxima are q-orthonormal
+        kplus, kplus_vals = _complete_orthogonal_maxima(shape, kplus, kplus_vals, tol, seed)
         order = np.argsort(kplus_vals)
         lam_pos = 3.0 * kplus_vals[order]
         t = len(lam_pos)
@@ -572,6 +580,37 @@ def recover_cusp_from_shape(shape, tol=1e-5, seed=0):
         "local-maxima pattern matches neither the orthogonal nor the "
         "diagonalizable branch: not a cusp shape"
     )
+
+
+def _q_orthogonal(q, points):
+    """Whether the points are pairwise q-orthogonal (within ORTHO_TOL)."""
+    gram = points @ q @ points.T
+    off = gram[~np.eye(len(points), dtype=bool)]
+    return len(off) == 0 or np.max(np.abs(off)) <= ORTHO_TOL
+
+
+def _complete_orthogonal_maxima(shape, points, values, tol, seed):
+    """Add the positive maxima the multistart missed in the orthogonal branch.
+
+    There c = sum_j value_j (x_j^T q x)^3 over the q-orthonormal maxima x_j,
+    so the cubic left after subtracting the found terms has exactly the
+    missing x_j as its positive maxima, and the largest of them has the
+    largest basin, which a search finds (a small lambda's basin is often
+    missed).  Stops once the remainder is at the noise floor of ``tol`` or
+    has no positive maximum.
+    """
+    floor = 0.1 * tol * max(1.0, shape.c.coeff_norm())
+    while len(points) < shape.q.shape[0]:
+        found = CubicPoly.from_covector_cubes(points @ shape.q, values)
+        rest = CubicPoly(shape.c.dim, shape.c.tensor - found.tensor)
+        if rest.coeff_norm() <= floor:
+            break
+        more = sphere_local_maxima(shape.q, rest, seed=seed)
+        if more.degenerate or len(more.values) == 0 or more.values[0] <= 0:
+            break
+        points = np.vstack([points, more.points[:1]])
+        values = np.append(values, more.values[0])
+    return points, values
 
 
 def _complement_q_orthonormal(q, vectors):

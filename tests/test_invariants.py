@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.optimize
 
+import gencusp
 from gencusp.cusp_groups import (
     BlownUpWeylPoint,
     PsiParameter,
@@ -10,11 +17,14 @@ from gencusp.cusp_groups import (
 )
 from gencusp.invariants import (
     CharacterData,
+    CompleteInvariant,
     MiddleWeightTie,
     are_conjugate,
     complete_invariant,
+    eta_distance,
     frame_to_weight_data,
     horosphere_metric,
+    linear_sum_assignment,
     marked_psi_normal_form,
     middle_weight,
     projectivize_character,
@@ -260,3 +270,68 @@ def test_stratum_dims():
 def test_character_data_requires_zero_weight():
     with pytest.raises(ValueError):
         CharacterData(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+
+def _weight_like_cost(rng, k):
+    # weight multisets: repeated zero rows, and a column shared by all but
+    # tiny perturbations, so many matchings tie or nearly tie
+    d = int(rng.integers(1, 7))
+    a = rng.standard_normal((k, d))
+    a[rng.integers(0, k, 2)] = 0.0
+    b = a[rng.permutation(k)] + rng.standard_normal((k, d)) * 10.0 ** -rng.integers(3, 15)
+    b[:, 0] = b[rng.integers(0, k), 0]
+    return np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
+
+
+def test_linear_sum_assignment_matches_scipy_oracle():
+    rng = np.random.default_rng(0)
+    for k in range(1, 10):
+        for _ in range(40):
+            for cost in (
+                rng.standard_normal((k, k)) * rng.uniform(0.01, 100),
+                rng.integers(0, 4, (k, k)).astype(float),
+                _weight_like_cost(rng, k),
+            ):
+                rows, cols = linear_sum_assignment(cost)
+                assert np.array_equal(rows, np.arange(k))
+                assert sorted(cols.tolist()) == list(range(k))
+                r2, c2 = scipy.optimize.linear_sum_assignment(cost)
+                best = cost[r2, c2].sum()
+                assert abs(cost[rows, cols].sum() - best) <= 1e-12 * max(1.0, abs(best))
+
+
+def test_linear_sum_assignment_rejects_bad_input():
+    with pytest.raises(ValueError):
+        linear_sum_assignment(np.zeros((2, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            linear_sum_assignment(np.array([[0.0, 1.0], [bad, 0.0]]))
+
+
+def test_eta_distance_rejects_nan_weight():
+    # a NaN covector must not read as a match (nor hang the solver)
+    eta = complete_invariant(_cusp([0.5, 1, 2], [0.5, 0.25]))
+    w = np.array(eta.character.weights)
+    w[0] = np.nan
+    broken = CompleteInvariant(CharacterData(w), eta.metric)
+    for pair in ((broken, eta), (eta, broken)):
+        with pytest.raises(ValueError):
+            eta_distance(*pair)
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(gencusp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, gencusp.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

@@ -269,6 +269,36 @@ def test_recover_roundtrip_sweep():
             assert are_conjugate(rec, c, tol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "lam, kap, marking, orth",
+    [
+        # q with condition number ~1e3: the maxima's Hessians are small in
+        # the caller's coordinates, though not in a q-orthonormal frame
+        ([0, 0.93, 1.7], [0, 0], [[-0.62, 1.07], [-2.24, 5.47]], True),
+        # orthogonal branch with a small lambda: its maximum's basin is tiny
+        (
+            [0, 0.34, 1.19, 2.11, 2.28],
+            [0, 0, 0, 0],
+            [[0.55, -0.15, 1.55, -0.48], [0.47, 0.39, 1.04, -0.18],
+             [0.27, 1.07, -0.17, -1.26], [0.58, 0.66, -1.07, -0.08]],
+            True,
+        ),
+        # diagonalizable branch whose fifth maximum has a small basin
+        (
+            [0.32, 0.87, 2.29, 2.34, 2.41],
+            [0.32 / 0.87, 0.32 / 2.29, 0.32 / 2.34, 0.32 / 2.41],
+            [[-0.96, -0.06, 0.13, -0.28], [-1.72, 0.22, -0.23, 0.44],
+             [-0.15, 0.05, -1.17, 0.22], [-0.73, -1.14, -0.42, -0.3]],
+            False,
+        ),
+    ],
+)
+def test_recover_finds_every_maximum(lam, kap, marking, orth):
+    src = _cusp(lam, kap, np.array(marking), orthonormalized=orth)
+    rec = recover_cusp_from_shape(shape_invariant(src, "closed"))
+    assert are_conjugate(rec, src, tol=1e-6)
+
+
 def test_recover_from_fitted_shape():
     # recovery works on the series-jet route's shapes at the default tolerances
     rng = np.random.default_rng(99)
