@@ -247,9 +247,7 @@ def cmd_recover(args):
     else:
         block = data.get("shape", data)
         dim = len(_require(block, "q", "matrix", args.source))
-        cusp = recover_cusp_from_shape(
-            _shape_from_dict(block, dim, args.source), seed=args.seed
-        )
+        cusp = recover_cusp_from_shape(_shape_from_dict(block, dim, args.source))
     _write(canonical_json(cusp_to_dict(cusp)), args.out)
     return 0
 
@@ -312,7 +310,7 @@ def make_parser():
         p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                        help="eta_distance threshold of conjugate (default 1e-8)")
         p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                       help="seed of recover shape and verify (default 0)")
+                       help="seed of verify (default 0)")
         return p
 
     parser = global_flags(_Parser(prog="gencusp", description=__doc__))

@@ -455,8 +455,10 @@ def realize_weight_data(w, tol=1e-8):
     nonzero = norms > WEIGHT_EPS * scale
     t = int(np.sum(nonzero))
     if varpi > tol * scale:
-        if t < n:
-            raise ValueError("varpi > 0 with a zero weight is unrealizable")
+        # the smallest weight may read as zero: as lambda0 -> 0 its dual
+        # norm N_0 ~ lambda0^4 sinks below WEIGHT_EPS while varpi ~ lambda0^2
+        # is still resolved.  Data no cusp realizes fails the weights
+        # equation above (a truly zero weight pairs to 0, not -varpi).
         vk = ((norms[0] + varpi) / varpi) ** (1.0 / dim)
         lam = np.sqrt((norms + varpi) / vk)
         kap = lam[0] / lam[1:]

@@ -1,7 +1,12 @@
 """The shape invariant [q + c]: forward computation by three independent
 routes (exact series height jet, closed-form calibration, weighted cubes of
-weights), harmonic/radial analysis, and the inverse map from shapes back to
-marked cusps via constrained maximization on the q-unit sphere.
+weights), harmonic/radial analysis, the local maxima of c on the q-unit
+sphere, and the inverse map from shapes back to marked cusps.
+
+The inverse is linear algebra, not a search: in a q-orthonormal frame the
+cubic, lifted by one coordinate with the weights-equation constant varpi,
+is an orthogonally decomposable tensor whose orthogonal vectors are the
+lifted weights; varpi itself comes from the commutators of c's slices.
 """
 
 from collections import namedtuple
@@ -10,15 +15,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .cusp_groups import (
-    BlownUpWeylPoint,
-    PsiParameter,
-    build_marked_cusp,
-    lambda_to_psi,
-    orbit_point,
-    psi_to_lambda,
-)
-from .invariants import WeightData
+from .cusp_groups import BlownUpWeylPoint, PsiParameter, build_marked_cusp, orbit_point
+from .invariants import WeightData, realize_weight_data
 from .linalg import check_symmetric, cholesky_upper, maxerr, unimodular
 
 __all__ = [
@@ -40,9 +38,16 @@ __all__ = [
     "recover_cusp_from_shape",
 ]
 
-# Pairwise q-inner products of positive maxima below this mean "orthogonal
-# type" in recovery; the diagonalizable case has all of them strictly negative.
-ORTHO_TOL = 1e-6
+# sphere_local_maxima: multistart size (base plus per dimension) and the
+# radius within which two polished maxima count as one.
+_BASE_RESTARTS = 100
+_RESTARTS_PER_DIM = 20
+_DEDUP_TOL = 1e-6
+
+# recover_cusp_from_shape: the roundoff multiple of its noise floor and the
+# tensor power steps that polish the eigenvectors of its slice.
+_LIFT_ROUNDOFF = 64.0
+_POWER_STEPS = 3
 
 
 def _multiplicity(idx):
@@ -393,21 +398,22 @@ def _newton_polish(q, c, x0, scale, iters=60):
     return x, alpha, fnorm <= 1e-10 * scale
 
 
-def sphere_local_maxima(q, c, seed=0, restarts=None, dedup_tol=1e-6):
+def sphere_local_maxima(q, c, seed=0):
     """All local maxima of the cubic c restricted to the q-unit sphere.
 
     Multi-start projected gradient ascent followed by Newton refinement of
     the Lagrange system; maxima are the converged critical points whose
     projected Hessian is negative definite (eigenvalues < -1e-8), deduplicated
-    within dedup_tol.  A zero cubic is flagged degenerate (c constant on the
-    sphere).
+    within _DEDUP_TOL.  A zero cubic is flagged degenerate (c constant on the
+    sphere).  Shape recovery does not use it; it is the independent search
+    that the battery checks against the closed-form maxima.
     """
     q = check_symmetric(q)
     m = q.shape[0]
     scale = c.coeff_norm()
     if scale < 1e-14:
         return SphereMaxima(np.zeros((0, m)), np.zeros(0), True)
-    n_restarts = restarts if restarts is not None else 100 + 20 * m
+    n_restarts = _BASE_RESTARTS + _RESTARTS_PER_DIM * m
     rng = np.random.default_rng(seed)
     # area-uniform on the q-sphere: push the round sphere through q^(-1/2)
     draws = rng.standard_normal((n_restarts, m))
@@ -458,7 +464,7 @@ def sphere_local_maxima(q, c, seed=0, restarts=None, dedup_tol=1e-6):
         # genuine maxima curve at the scale of c (gap of several orders)
         if np.max(np.abs(evals)) < 1e-4 * max(1.0, frame_scale):
             continue
-        if all(np.max(np.abs(xr - p)) > dedup_tol for p in points):
+        if all(np.max(np.abs(xr - p)) > _DEDUP_TOL for p in points):
             points.append(xr)
             values.append(float(c(xr)))
     if not any_converged:
@@ -471,159 +477,82 @@ def sphere_local_maxima(q, c, seed=0, restarts=None, dedup_tol=1e-6):
     return SphereMaxima(pts, vls, False)
 
 
-def _diag_model_maxima(p_model):
-    """Closed-form local maxima (points on the canonical q-sphere, values) of
-    the canonical shape of a diagonalizable model, via the kernel-restricted
-    diagonal calibration transported through the model coordinates."""
-    n = p_model.n
-    lam = p_model.lam
-    psi_arr = lambda_to_psi(p_model).psi  # slot i<n-1 <-> lam[i+1], slot n-1 <-> lam[0]
-    s_tot = float(np.sum(psi_arr))
-    shape = ShapeInvariant.canonical(*theta_calibration(p_model))
-    pts, vals = [], []
-    for j in range(n):
-        w = s_tot * np.eye(n)[j] - psi_arr[j] * np.ones(n)
-        v = w[: n - 1] / lam[1:]
-        v = v / np.sqrt(float(v @ shape.q @ v))
-        pts.append(v)
-        vals.append(float(shape.c(v)))
-    return shape, np.array(pts), np.array(vals)
-
-
-def _psi_fractions_from_gram(gram):
-    """psi_i / s from the pairwise inner products of the diagonal-case maxima:
-    p_i = a_ij a_ik / (a_ij a_ik - a_jk), averaged over the (j,k) choices."""
-    n = gram.shape[0]
-    fractions = np.zeros(n)
-    for i in range(n):
-        acc = []
-        for j in range(n):
-            for k in range(j + 1, n):
-                if i in (j, k):
-                    continue
-                prod = gram[i, j] * gram[i, k]
-                acc.append(prod / (prod - gram[j, k]))
-        fractions[i] = np.mean(acc)
-    return fractions
-
-
-def recover_cusp_from_shape(shape, tol=1e-5, seed=0):
+def recover_cusp_from_shape(shape, tol=1e-5):
     """Invert the shape invariant: a marked cusp whose canonical shape matches
-    ``shape`` to ``tol``.
+    ``shape`` to ``tol``, by one odeco lift (Robeva 2016; Anandkumar et al.
+    2014) and no search.
 
-    Branches on the geometry of the sphere maxima: pairwise q-orthogonal
-    positive maxima give the non-diagonalizable model (lambda_i = 3 * value);
-    a full set of n pairwise-negative maxima gives the diagonalizable one.
-    Anything else is rejected as not a cusp shape.
+    In the q-orthonormal frame y = q^(1/2) x the weights route reads
+    c(y) = (1/3) sum_i (a_i . y)^3 / (N_i + varpi) with a_i . a_j = -varpi
+    and |a_i|^2 = N_i.  The lifted vectors b_i = (a_i, sqrt(varpi)) of R^n
+    are pairwise orthogonal and sum_i b_i b_i^T / |b_i|^2 = I, so
+    T(y, s) = c(y) + sqrt(varpi) s |y|^2 + (sqrt(varpi)/3) s^3
+    = (1/3) sum_i |b_i| (u_i . (y, s))^3 is orthogonally decomposable with
+    unit vectors u_i = b_i / |b_i|.  varpi comes first, in closed form: the
+    slices C_k = c(., ., e_k) satisfy [C_k, C_l] = -(varpi/9)(e_k e_l^T -
+    e_l e_k^T).  One slice T(., ., w) then has the u_i as eigenvectors, a few
+    tensor power steps polish them, b_i = 3 T(u_i, u_i, u_i) u_i, and the
+    weights xi_i = a_i^T q^(1/2) go to ``realize_weight_data``.  The
+    orthogonal (non-diagonalizable) branch is varpi = 0, where the s slot
+    is a null direction.  The rebuilt cusp's shape must match to ``tol``.
     """
     dim = shape.q.shape[0]
     n = dim + 1
     if n < 3:
         raise ValueError("shape recovery requires n >= 3")
-    found = sphere_local_maxima(shape.q, shape.c, seed=seed)
-    if len(found.points) < n and not _q_orthogonal(shape.q, found.points[found.values > 0]):
-        # a diagonalizable pattern short of its n maxima: a small basin
-        # escaped the multistart.  Ten times the restarts from the same seed
-        # repeat every start, so this search finds a superset.
-        found = sphere_local_maxima(shape.q, shape.c, seed=seed, restarts=10 * (100 + 20 * dim))
     # a cubic at the noise floor of the requested tolerance is the standard
     # cusp: its shape matches with c = 0, which the final check re-verifies
-    if found.degenerate or shape.c.coeff_norm() <= 0.1 * tol:
+    if shape.c.coeff_norm() <= 0.1 * tol:
         marking = cholesky_upper(shape.q)
         cusp = build_marked_cusp(BlownUpWeylPoint(n, np.zeros(n), np.zeros(dim)), marking)
         return _verified(cusp, shape, tol)
-    pos = found.values > 0
-    kplus = found.points[pos]
-    kplus_vals = found.values[pos]
-    if len(kplus) == 0:
-        raise ValueError("no positive local maxima: not a cusp shape")
-    if len(kplus) <= dim and _q_orthogonal(shape.q, kplus):
-        # non-diagonalizable: values are lambda/3, maxima are q-orthonormal
-        kplus, kplus_vals = _complete_orthogonal_maxima(shape, kplus, kplus_vals, tol, seed)
-        order = np.argsort(kplus_vals)
-        lam_pos = 3.0 * kplus_vals[order]
-        t = len(lam_pos)
-        lam = np.concatenate([np.zeros(n - t), lam_pos])
-        frame = np.zeros((dim, dim))
-        frame[:, n - 1 - t:] = kplus[order].T
-        comp = _complement_q_orthonormal(shape.q, kplus)
-        frame[:, : dim - t] = comp
-        marking = np.linalg.inv(frame)
-        cusp = build_marked_cusp(BlownUpWeylPoint(n, lam, np.zeros(dim)), marking)
-        return _verified(cusp, shape, tol)
-    gram_all = found.points @ shape.q @ found.points.T
-    off_all = gram_all[~np.eye(len(found.points), dtype=bool)]
-    if len(found.points) == n and np.all(off_all < -ORTHO_TOL):
-        fractions = _psi_fractions_from_gram(gram_all)
-        if np.any(fractions <= 0) or abs(np.sum(fractions) - 1.0) > 1e-3:
-            raise ValueError("maxima geometry inconsistent with a diagonalizable cusp")
-        fractions = fractions / np.sum(fractions)
-        p_model = psi_to_lambda(PsiParameter(n, np.sort(fractions)[::-1], ordered=True))
-        model_shape, model_pts, model_vals = _diag_model_maxima(p_model)
-        target_order = np.argsort(-found.values)
-        model_order = np.argsort(-model_vals)
-        tv = found.values[target_order]
-        mv = model_vals[model_order]
-        # a slot with psi_i = s/2 has value exactly zero in both sets; skip it
-        usable = np.abs(mv) > 1e-6 * np.max(np.abs(mv))
-        ratios = tv[usable] / mv[usable]
-        if np.any(ratios <= 0) or maxerr(ratios, np.full(len(ratios), np.mean(ratios))) > 1e-3:
-            raise ValueError("maxima values inconsistent with a diagonalizable cusp")
-        s_scale = float(np.mean(ratios)) ** -2.0  # canonical cubic scales as s^(-1/2)
-        params = BlownUpWeylPoint(n, p_model.lam / np.sqrt(s_scale), p_model.kappa)
-        x_target = found.points[target_order].T
-        x_model = model_pts[model_order].T
-        marking = x_model @ np.linalg.pinv(x_target)
-        cusp = build_marked_cusp(params, marking)
-        return _verified(cusp, shape, tol)
-    raise ValueError(
-        "local-maxima pattern matches neither the orthogonal nor the "
-        "diagonalizable branch: not a cusp shape"
-    )
-
-
-def _q_orthogonal(q, points):
-    """Whether the points are pairwise q-orthogonal (within ORTHO_TOL)."""
-    gram = points @ q @ points.T
-    off = gram[~np.eye(len(points), dtype=bool)]
-    return len(off) == 0 or np.max(np.abs(off)) <= ORTHO_TOL
-
-
-def _complete_orthogonal_maxima(shape, points, values, tol, seed):
-    """Add the positive maxima the multistart missed in the orthogonal branch.
-
-    There c = sum_j value_j (x_j^T q x)^3 over the q-orthonormal maxima x_j,
-    so the cubic left after subtracting the found terms has exactly the
-    missing x_j as its positive maxima, and the largest of them has the
-    largest basin, which a search finds (a small lambda's basin is often
-    missed).  Stops once the remainder is at the noise floor of ``tol`` or
-    has no positive maximum.
-    """
-    floor = 0.1 * tol * max(1.0, shape.c.coeff_norm())
-    while len(points) < shape.q.shape[0]:
-        found = CubicPoly.from_covector_cubes(points @ shape.q, values)
-        rest = CubicPoly(shape.c.dim, shape.c.tensor - found.tensor)
-        if rest.coeff_norm() <= floor:
-            break
-        more = sphere_local_maxima(shape.q, rest, seed=seed)
-        if more.degenerate or len(more.values) == 0 or more.values[0] <= 0:
-            break
-        points = np.vstack([points, more.points[:1]])
-        values = np.append(values, more.values[0])
-    return points, values
-
-
-def _complement_q_orthonormal(q, vectors):
-    """A q-orthonormal basis of the q-orthogonal complement of the span."""
-    dim = q.shape[0]
-    k = len(vectors)
-    if k == dim:
-        return np.zeros((dim, 0))
-    half = cholesky_upper(q)  # half^T half = q
-    image = vectors @ half.T  # rows: half @ v_i, orthonormal in the standard sense
-    _, _, vt = np.linalg.svd(np.atleast_2d(image))
-    comp_std = vt[k:].T  # standard-orthonormal complement columns
-    return np.linalg.solve(half, comp_std)
+    evals, evecs = np.linalg.eigh(shape.q)
+    root = (evecs * np.sqrt(evals)) @ evecs.T
+    cy = shape.c.compose_linear((evecs / np.sqrt(evals)) @ evecs.T).tensor
+    size = 3.0 * float(np.max(np.abs(cy)))  # the largest |b_i|, roughly
+    # Noise floor, relative to size.  The frame change amplifies roundoff in
+    # c by about cond(q)^(3/2), one factor cond(q)^(1/2) per tensor slot;
+    # without that factor, markings R diag(1, 3e3) R^T fail.  It is at least
+    # realize_weight_data's default 1e-8: shapes read back from 12-digit
+    # JSON carry noise of ~1e-12, and a weight this small moves c by less.
+    floor = max(_LIFT_ROUNDOFF * np.finfo(float).eps * (evals[-1] / evals[0]) ** 1.5, 1e-8)
+    # comm[k, l] is the (k, l) entry of [C_k, C_l], each one -varpi/9
+    comm = np.einsum("kak,all->kl", cy, cy) - np.einsum("kal,alk->kl", cy, cy)
+    varpi = -9.0 * float(np.mean(comm[~np.eye(dim, dtype=bool)]))
+    # varpi is a dual pairing of weights, so it is measured against |b|^2.
+    # A negative one has no real orthogonal lift.  Within the floor it is
+    # noise around varpi = 0 and snaps there: its square root would couple
+    # the s slot to every null direction at the much larger sqrt(noise).
+    if varpi < -floor * size ** 2:
+        raise ValueError("slice commutators give varpi = %g < 0: not a cusp shape" % varpi)
+    if varpi <= floor * size ** 2:
+        varpi = 0.0
+    # T = c + sqrt(varpi) s |y|^2 + (sqrt(varpi)/3) s^3, with s the last slot
+    lifted = np.zeros((n, n, n))
+    lifted[:dim, :dim, :dim] = cy
+    k = np.arange(n)
+    lifted[k, k, dim] = lifted[k, dim, k] = lifted[dim, k, k] = np.sqrt(varpi) / 3.0
+    # a fixed slice direction with no symmetry, so that the eigenvalues
+    # |b_i| (u_i . w) / 3 are distinct
+    _, vecs = np.linalg.eigh(lifted @ np.cos(np.arange(1.0, n + 1.0)))
+    # power-iterate only the non-null directions, those with a lifted
+    # coefficient 3 T(v, v, v) above the floor: a null one has no component
+    # of its own and would converge onto, and duplicate, a real u_i
+    coef = 3.0 * np.einsum("abc,ai,bi,ci->i", lifted, vecs, vecs, vecs)
+    u = vecs[:, np.abs(coef) > floor * size].T
+    for _ in range(_POWER_STEPS):
+        u = np.einsum("abc,ib,ic->ia", lifted, u, u)
+        u /= np.linalg.norm(u, axis=1)[:, None]
+    b = 3.0 * np.einsum("abc,ia,ib,ic->i", lifted, u, u, u)[:, None] * u
+    xi = np.zeros((n, dim))
+    xi[: len(b)] = b[:, :dim] @ root
+    # realize_weight_data tests the spread of the weights' dual pairings in
+    # absolute units; a snapped varpi leaves a spread below itself
+    try:
+        cusp = realize_weight_data(WeightData(xi, shape.q), tol=floor * max(1.0, size ** 2))
+    except ValueError as exc:
+        raise ValueError("lifted weights are unrealizable (%s): not a cusp shape" % exc) from None
+    return _verified(cusp, shape, tol)
 
 
 def _verified(cusp, shape, tol):

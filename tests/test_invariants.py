@@ -175,11 +175,29 @@ def test_realize_weight_data_roundtrip():
         assert maxerr(back.metric, wd.metric) < 1e-6
 
 
+def test_realize_lambda0_sweep():
+    # lambda0 -> 0 with kappa = lambda0 / lambda: N_0 ~ lambda0^4 falls below
+    # WEIGHT_EPS while varpi ~ lambda0^2 still takes the varpi > 0 branch
+    failures = []
+    for n in (3, 4, 5):
+        for lam0 in np.logspace(-8, np.log10(0.3), 51):
+            lam = np.concatenate([[lam0], np.linspace(1, 2, n - 1)])
+            c = _cusp(lam, lam0 / lam[1:])
+            try:
+                ok = are_conjugate(realize_weight_data(weight_data(c)), c, tol=1e-6)
+            except ValueError:
+                ok = False
+            if not ok:
+                failures.append((n, lam0))
+    assert failures == []
+
+
 def test_realize_rejects_bad_data():
-    # varpi > 0 together with a zero weight is unrealizable
+    # varpi > 0 together with a zero weight is unrealizable: the zero weight
+    # pairs to 0, not -varpi, with the others
     wd = weight_data(_cusp([1, 1, 1], [1, 1]))
     broken = type(wd)(np.vstack([wd.weights[:-1], np.zeros(2)]), wd.metric)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weights equation residual"):
         realize_weight_data(broken)
 
 
