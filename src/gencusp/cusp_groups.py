@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import expm, f_k, g_surface, h_log
+from .linalg import DET_TOL, expm, f_k, g_surface, h_log, nonzero
 
 __all__ = [
     "PsiParameter",
@@ -39,17 +39,15 @@ __all__ = [
     "radial_flow",
 ]
 
-# Entries below this (relative to the largest coordinate) count as zero when
-# computing the type; types must be stable under roundoff.
-TYPE_EPS = 1e-10
-
 _CONSTRAINT_TOL = 1e-12
+
+# Residual tolerance of flow_center's least-squares solve, and the relative
+# singular-value floor below which the solve is refused.
+_CENTER_TOL = 1e-8
 
 
 def _type_count(values):
-    v = np.asarray(values, dtype=float)
-    scale = max(1.0, float(np.max(v, initial=0.0)))
-    return int(np.sum(v > TYPE_EPS * scale))
+    return int(np.sum(nonzero(values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +69,7 @@ class PsiParameter:
         if np.any(psi < 0):
             raise ValueError("psi entries must be non-negative")
         scale = max(1.0, float(np.max(psi, initial=0.0)))
-        pos = psi > TYPE_EPS * scale
+        pos = nonzero(psi)
         t = int(np.sum(pos))
         if self.ordered:
             if np.any(np.diff(psi) > _CONSTRAINT_TOL * scale):
@@ -272,7 +270,7 @@ class MarkedCusp:
         if b.shape != (n - 1, n - 1):
             raise ValueError("marking must be (n-1)x(n-1)")
         det = abs(np.linalg.det(b))
-        if abs(det - 1.0) > 1e-9:
+        if abs(det - 1.0) > DET_TOL:
             raise ValueError("marking must have |det| = 1, got %g" % det)
         b = b.copy()
         b.setflags(write=False)
@@ -312,7 +310,7 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     det = abs(np.linalg.det(b))
     if det < 1e-12:
         raise ValueError("marking is singular (|det| = %g)" % det)
-    rescaled = abs(det - 1.0) > 1e-9
+    rescaled = abs(det - 1.0) > DET_TOL
     if rescaled:
         s = det ** (1.0 / (n - 1))
         b = b / s
@@ -393,9 +391,10 @@ def hypersurface_F(p, x):
     return acc + f_k(2, lam[0], -hsum)
 
 
-def flow_center(cusp, tol=1e-8):
+def flow_center(cusp):
     """Common affine fixed point of all generators (diagonalizable type only),
-    by least squares on the stacked (rho(e_i) - I)."""
+    by least squares on the stacked (rho(e_i) - I), to the relative residual
+    _CENTER_TOL = 1e-8."""
     n = cusp.n
     rows = []
     rhs = []
@@ -406,15 +405,15 @@ def flow_center(cusp, tol=1e-8):
     mat = np.vstack(rows)
     vec = np.concatenate(rhs)
     sing = np.linalg.svd(mat, compute_uv=False)
-    if sing[-1] < 1e-8 * max(1.0, sing[0]):
+    if sing[-1] < _CENTER_TOL * max(1.0, sing[0]):
         raise ValueError(
             "flow center is ill-conditioned (smallest singular value %g); "
             "lambda[0] is at or near zero" % sing[-1]
         )
     center, *_ = np.linalg.lstsq(mat, vec, rcond=None)
     resid = float(np.max(np.abs(mat @ center - vec)))
-    if resid > tol * max(1.0, float(np.max(np.abs(vec)))):
-        raise ValueError("flow center solve residual %g exceeds %g" % (resid, tol))
+    if resid > _CENTER_TOL * max(1.0, float(np.max(np.abs(vec)))):
+        raise ValueError("flow center solve residual %g exceeds %g" % (resid, _CENTER_TOL))
     return center
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cusp_groups import hypersurface_F
-from .linalg import cholesky_upper, g_surface
+from .linalg import cholesky_upper, g_surface, nonzero
 from .shape import CubicPoly, ShapeInvariant
 
 __all__ = [
@@ -24,6 +24,16 @@ __all__ = [
     "export_mesh_csv",
     "export_mesh_obj",
 ]
+
+# Slack of the cone condition |r| <= 3|h|, the same in every test of it.
+_CONE_SLACK = 1e-9
+
+# classify_stratum_3d's band: 3|h| - |r| within it is the cone's boundary,
+# and a Hessian covariant within it (relative) marks a perfect cube.
+_BOUNDARY_TOL = 1e-8
+
+# Half-width of the exported mesh grid, clipped to the surface domain.
+_MESH_SPAN = 2.0
 
 
 @dataclass(frozen=True)
@@ -47,7 +57,7 @@ class CuspCoords3D:
     def __post_init__(self):
         if self.w.imag <= 1e-12:
             raise ValueError("w must lie in the upper half plane")
-        if abs(self.r) > 3.0 * abs(self.h) + 1e-9:
+        if abs(self.r) > 3.0 * abs(self.h) + _CONE_SLACK:
             raise ValueError("|r| <= 3|h| violated: |r|=%g, 3|h|=%g"
                              % (abs(self.r), 3.0 * abs(self.h)))
 
@@ -101,16 +111,17 @@ def _mobius(m, z):
     return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
 
 
-def coords_from_shape(shape, tol=1e-8):
+def coords_from_shape(shape):
     """(w, h, r) of a 2-dimensional shape invariant: A = chol_upper(q) plays
     the role of A_w (so w is the Mobius image of i under A^-1), and (h, r)
-    decompose c composed with A^-1."""
+    decompose c composed with A^-1.  The cubic must lie in the cone
+    |r| <= 3|h| to _CONE_SLACK = 1e-9."""
     if shape.q.shape[0] != 2:
         raise ValueError("coords_from_shape needs a 2-dimensional shape (n = 3)")
     a = cholesky_upper(shape.q)
     w = _mobius(np.linalg.inv(a), 1j)
     split = decompose_cubic_2d(shape.c.compose_linear(np.linalg.inv(a)))
-    if abs(split.r) > 3.0 * abs(split.h) + tol:
+    if abs(split.r) > 3.0 * abs(split.h) + _CONE_SLACK:
         raise ValueError(
             "cubic lies outside the cone |r| <= 3|h| (|r|=%g, 3|h|=%g): "
             "not the shape of a 3-dimensional cusp" % (abs(split.r), 3 * abs(split.h))
@@ -140,24 +151,26 @@ def _hessian_covariant(c):
     ])
 
 
-def classify_stratum_3d(h, r, tol=1e-8):
-    """Stratum type of a point of the (h, r) cone.
+def classify_stratum_3d(h, r):
+    """Stratum type of a point of the (h, r) cone |r| <= 3|h| (to
+    _CONE_SLACK = 1e-9).
 
-    0: cone point; 3: interior (3|h| - |r| > tol); on the boundary, 1 when
-    the reconstructed cubic is a perfect cube of a linear form (vanishing
-    Hessian covariant), else 2.
+    0: cone point (h and r zero by ``linalg.nonzero``); 3: interior
+    (3|h| - |r| > _BOUNDARY_TOL = 1e-8); on the boundary, 1 when the
+    reconstructed cubic is a perfect cube of a linear form (Hessian covariant
+    within _BOUNDARY_TOL), else 2.
     """
     h, r = complex(h), complex(r)
-    if abs(r) > 3.0 * abs(h) + tol:
+    if abs(r) > 3.0 * abs(h) + _CONE_SLACK:
         raise ValueError("(h, r) lies outside the cone |r| <= 3|h|")
-    if abs(h) <= 1e-10 and abs(r) <= 1e-10:
+    if not np.any(nonzero([abs(h), abs(r)])):
         return 0
-    if 3.0 * abs(h) - abs(r) > tol:
+    if 3.0 * abs(h) - abs(r) > _BOUNDARY_TOL:
         return 3
     c = cubic_from_hr(h, r)
     cov = _hessian_covariant(c)
     scale = max(1.0, c.coeff_norm() ** 2)
-    return 1 if np.max(np.abs(cov)) <= tol * scale else 2
+    return 1 if np.max(np.abs(cov)) <= _BOUNDARY_TOL * scale else 2
 
 
 def surface_height_3d(lam, x1, x2):
@@ -173,7 +186,7 @@ def surface_height_3d(lam, x1, x2):
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (3,):
         raise ValueError("lambda must have 3 entries")
-    t = int(np.sum(lam > 1e-10 * max(1.0, np.max(lam))))
+    t = int(np.sum(nonzero(lam)))
     if t == 0:
         return 0.5 * (x1 * x1 + x2 * x2)
     if t == 1:
@@ -210,23 +223,25 @@ def surface_height_printed_row(t, lam, x1, x2):
     raise ValueError("printed rows exist for t in {1,2,3}")
 
 
-def _grid_points(p, grid, span=2.0):
-    """Sample grid inside the surface domain prod (-1/lam_i, inf)."""
+def _grid_points(p, grid):
+    """Sample grid on [-_MESH_SPAN, _MESH_SPAN]^2, clipped to 0.9 of the way
+    to the edge of the surface domain prod (-1/lam_i, inf)."""
     g1, g2 = grid
     los = []
     for ell in p.lam[1:]:
-        los.append(-min(span, 0.9 / ell) if ell > 0 else -span)
-    xs = np.linspace(los[0], span, g1)
-    ys = np.linspace(los[1], span, g2)
+        los.append(-min(_MESH_SPAN, 0.9 / ell) if ell > 0 else -_MESH_SPAN)
+    xs = np.linspace(los[0], _MESH_SPAN, g1)
+    ys = np.linspace(los[1], _MESH_SPAN, g2)
     return xs, ys
 
 
-def export_mesh_csv(p, grid, path, span=2.0):
-    """Write "x1,x2,y" rows sampling the canonical surface on a grid; values
-    are formatted with 17 significant digits so a re-read is bit-exact."""
+def export_mesh_csv(p, grid, path):
+    """Write "x1,x2,y" rows sampling the canonical surface on the grid of
+    ``_grid_points`` (half-width _MESH_SPAN = 2); values are formatted with
+    17 significant digits so a re-read is bit-exact."""
     if p.n != 3:
         raise ValueError("mesh export is for 3-dimensional cusps")
-    xs, ys = _grid_points(p, grid, span)
+    xs, ys = _grid_points(p, grid)
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("x1,x2,y\n")
@@ -239,12 +254,12 @@ def export_mesh_csv(p, grid, path, span=2.0):
     return len(xs) * len(ys)
 
 
-def export_mesh_obj(p, grid, path, span=2.0):
+def export_mesh_obj(p, grid, path):
     """Triangulated OBJ of the same grid: g1*g2 vertices and
     2(g1-1)(g2-1) faces, 1-based indices."""
     if p.n != 3:
         raise ValueError("mesh export is for 3-dimensional cusps")
-    xs, ys = _grid_points(p, grid, span)
+    xs, ys = _grid_points(p, grid)
     g1, g2 = len(xs), len(ys)
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:

@@ -18,7 +18,16 @@ from .cusp_groups import (
     lie_algebra_phi,
     rho,
 )
-from .linalg import check_symmetric, expm, maxerr, newton_to_elementary, unimodular
+from .linalg import (
+    check_symmetric,
+    check_unimodular,
+    expm,
+    maxerr,
+    newton_to_elementary,
+    nonzero,
+    sqrt_forms,
+    unimodular,
+)
 
 __all__ = [
     "CharacterData",
@@ -44,8 +53,6 @@ __all__ = [
     "limit_demo_rows",
 ]
 
-WEIGHT_EPS = 1e-10
-
 # weights_of's Newton-identity cross-check: probe count, seed, tolerance.
 _CHARACTER_PROBES = 3
 _CHARACTER_SEED = 20
@@ -54,6 +61,10 @@ _CHARACTER_CHECK_TOL = 1e-7
 # middle_weight's probe seed and its relative tolerance on probe values.
 _MIDDLE_SEED = 7
 _MIDDLE_TOL = 1e-9
+
+# frame_to_weight_data's slack on the unit diagonal and on the constant
+# pairwise inner products.
+_FRAME_TOL = 1e-8
 
 
 class MiddleWeightTie(ValueError):
@@ -82,8 +93,7 @@ class CharacterData:
         w = sort_weights(self.weights)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        norms = np.max(np.abs(w), axis=1, initial=0.0)
-        if self.affine and np.min(norms) > WEIGHT_EPS * max(1.0, np.max(norms)):
+        if self.affine and np.all(nonzero(np.max(np.abs(w), axis=1, initial=0.0))):
             raise ValueError("affine character data must contain a zero covector")
 
     def chi(self, v):
@@ -96,13 +106,7 @@ class CompleteInvariant:
     metric: np.ndarray
 
     def __post_init__(self):
-        q = check_symmetric(self.metric)
-        if abs(np.linalg.det(q) - 1.0) > 1e-9:
-            raise ValueError("metric must be unimodular")
-        if np.min(np.linalg.eigvalsh(q)) <= 0:
-            raise ValueError("metric must be positive definite")
-        q.setflags(write=False)
-        object.__setattr__(self, "metric", q)
+        object.__setattr__(self, "metric", check_unimodular(self.metric, "metric"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +135,7 @@ class WeightData:
 
     @property
     def type_t(self):
-        norms = np.max(np.abs(self.weights), axis=1, initial=0.0)
-        return int(np.sum(norms > WEIGHT_EPS * max(1.0, np.max(norms))))
+        return int(np.sum(nonzero(np.max(np.abs(self.weights), axis=1, initial=0.0))))
 
 
 def weights_of(cusp):
@@ -173,22 +176,16 @@ def weights_of(cusp):
     return CharacterData(w)
 
 
-def horosphere_metric(cusp, method="closed"):
-    """Unimodular second-order part of the height function at the basepoint.
+def horosphere_metric(cusp):
+    """Unimodular second-order part of the height function at the basepoint,
+    in closed form: M^T (I + kappa kappa^T) M with M the effective marking.
 
-    "closed" evaluates M^T (I + kappa kappa^T) M with M the effective
-    marking; "fit" takes the quadratic part of the exact series jet of the
-    height function (no closed form used).
+    The independent route is the quadratic part of the exact series jet,
+    ``unimodular(shape.fit_height_jet(cusp)[0])``.
     """
-    if method == "closed":
-        kap = cusp.params.kappa
-        m = cusp.effective_marking
-        return unimodular(m.T @ (np.eye(cusp.n - 1) + np.outer(kap, kap)) @ m)
-    if method == "fit":
-        from .shape import fit_height_jet
-
-        return unimodular(fit_height_jet(cusp)[0])
-    raise ValueError("unknown method %r" % (method,))
+    kap = cusp.params.kappa
+    m = cusp.effective_marking
+    return unimodular(m.T @ (np.eye(cusp.n - 1) + np.outer(kap, kap)) @ m)
 
 
 def complete_invariant(cusp):
@@ -288,17 +285,13 @@ def are_conjugate(c1, c2, tol=1e-8):
 def _split_weights(weights):
     """Linear-part weights (one zero affine row removed) and the nonzero ones."""
     w = np.asarray(weights, dtype=float)
-    norms = np.max(np.abs(w), axis=1, initial=0.0)
-    scale = max(1.0, float(np.max(norms)))
-    zero_rows = np.nonzero(norms <= WEIGHT_EPS * scale)[0]
+    live = nonzero(np.max(np.abs(w), axis=1, initial=0.0))
+    zero_rows = np.nonzero(~live)[0]
     if len(zero_rows) == 0:
         raise ValueError("weights contain no zero covector")
     keep = np.ones(len(w), dtype=bool)
     keep[zero_rows[0]] = False
-    linear = w[keep]
-    lin_norms = norms[keep]
-    nonzero = linear[lin_norms > WEIGHT_EPS * scale]
-    return linear, nonzero
+    return w[keep], w[keep & live]
 
 
 def recover_psi_from_invariant(eta):
@@ -316,13 +309,13 @@ def recover_psi_from_invariant(eta):
     n = w.shape[0] - 1
     if n < 3:
         raise ValueError("recovery requires n >= 3")
-    _, nonzero = _split_weights(w)
-    t = nonzero.shape[0]
+    _, live = _split_weights(w)
+    t = live.shape[0]
     if t == 0:
         return PsiParameter(n, np.zeros(n), ordered=True)
     qinv = np.linalg.inv(eta.metric)
     if t == n:
-        r = nonzero
+        r = live
         # left null vector of the n x (n-1) weight matrix: the relation
         # sum_i coeff_i * xi_i = 0 has all-positive coefficients
         uu, _ss, _vt = np.linalg.svd(r, full_matrices=True)
@@ -339,7 +332,7 @@ def recover_psi_from_invariant(eta):
         psi_n = det ** (1.0 / (n - 1))
         psi = (psi_n / coeff[j]) * coeff
         return PsiParameter(n, np.sort(psi)[::-1], ordered=True)
-    norms = np.einsum("ij,jk,ik->i", nonzero, qinv, nonzero)
+    norms = np.einsum("ij,jk,ik->i", live, qinv, live)
     y = np.log(np.sort(norms))  # ascending N <-> non-increasing psi
     a = np.full(t, 1.0 / (n - 1))
     a[-1] = (t + n) / (n - 1.0)
@@ -452,11 +445,9 @@ def realize_weight_data(w, tol=1e-8):
     norms = norms[order]
     varpi = max(w.varpi, 0.0)
     scale = max(1.0, float(np.max(norms)))
-    nonzero = norms > WEIGHT_EPS * scale
-    t = int(np.sum(nonzero))
     if varpi > tol * scale:
         # the smallest weight may read as zero: as lambda0 -> 0 its dual
-        # norm N_0 ~ lambda0^4 sinks below WEIGHT_EPS while varpi ~ lambda0^2
+        # norm N_0 ~ lambda0^4 sinks to roundoff while varpi ~ lambda0^2
         # is still resolved.  Data no cusp realizes fails the weights
         # equation above (a truly zero weight pairs to 0, not -varpi).
         vk = ((norms[0] + varpi) / varpi) ** (1.0 / dim)
@@ -468,39 +459,44 @@ def realize_weight_data(w, tol=1e-8):
         if maxerr(model_xi0, ws[0]) > 1e-6:
             raise ValueError("dependent weight inconsistent with the remaining ones")
         return build_marked_cusp(p, marking)
-    if t == n:
-        raise ValueError("n pairwise dual-orthogonal nonzero weights cannot fit in V")
+    mags = np.sqrt(np.maximum(norms, 0.0))
+    # At most n - 1 weights are nonzero here.  This couples the zero test to
+    # the varpi snap above: as lambda0 -> 0, varpi ~ lambda0^2 drops below
+    # tol and snaps to 0 while the dependent weight, of size ~ lambda0^2
+    # kappa, still reads as nonzero.  It is the smallest of the n and is
+    # taken as the zero one.  Data with n genuinely nonzero weights fails the
+    # weights equation instead: n vectors in R^(n-1) whose pairings all lie
+    # within tol of each other include a tiny one.
+    t = min(int(np.sum(nonzero(mags))), dim)
     lam = np.zeros(n)
-    lam[n - t:] = np.sqrt(norms[n - t:])
+    lam[n - t:] = mags[n - t:]
     p = BlownUpWeylPoint(n, lam, np.zeros(dim))
     # rows q_j = beta^(-1/2) xi_j / lam_j are orthonormal; complete and pull back
-    evals, evecs = np.linalg.eigh(beta)
-    sqrt_beta = (evecs * np.sqrt(evals)) @ evecs.T
-    inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
+    sqrt_beta, inv_sqrt, _ = sqrt_forms(beta)
     qrows = [(inv_sqrt @ ws[n - t + j]) / lam[n - t + j] for j in range(t)]
     omat = _complete_orthonormal(np.array(qrows).reshape(t, dim) if t else [], dim)
     marking = omat @ sqrt_beta
     return build_marked_cusp(p, marking)
 
 
-def frame_to_weight_data(a, vs, tol=1e-8):
+def frame_to_weight_data(a, vs):
     """Weight data from an upper-unipotent frame change and n vectors with
     constant pairwise inner product -varpi: weights xi_i = (A^T v_i)^T and
-    metric A^T A."""
+    metric A^T A.  Both conditions hold to _FRAME_TOL = 1e-8."""
     a = np.asarray(a, dtype=float)
     vs = np.asarray(vs, dtype=float)
     dim = a.shape[0]
     if a.shape != (dim, dim) or np.max(np.abs(np.tril(a, -1))) > 0 or maxerr(
         np.diag(a), np.ones(dim)
-    ) > tol:
+    ) > _FRAME_TOL:
         raise ValueError("frame matrix must be upper unipotent")
     if vs.shape != (dim + 1, dim):
         raise ValueError("need n = dim+1 vectors of length dim")
     gram = vs @ vs.T
     off = gram[~np.eye(dim + 1, dtype=bool)]
-    if np.max(np.abs(off - np.mean(off))) > tol * max(1.0, np.max(np.abs(gram))):
+    if np.max(np.abs(off - np.mean(off))) > _FRAME_TOL * max(1.0, np.max(np.abs(gram))):
         raise ValueError("pairwise inner products are not constant")
-    if np.mean(off) > tol:
+    if np.mean(off) > _FRAME_TOL:
         raise ValueError("pairwise inner products must be -varpi <= 0")
     weights = vs @ a
     return WeightData(weights, unimodular(a.T @ a))

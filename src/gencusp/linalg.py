@@ -2,12 +2,23 @@
 
 Everything here is pure and deterministic: a fixed-order scaling-and-squaring
 matrix exponential, the entire-function family f_k appearing in the closed-form
-orbit surfaces, Newton's identities, and an upper Cholesky factor.
+orbit surfaces, Newton's identities, an upper Cholesky factor, and the square
+roots of a positive-definite form.
+
+It also holds the library's tolerance policy for its two basic decisions:
+whether a magnitude is zero (``nonzero``: the type t of a cusp counts its
+nonzero weights) and whether a form is unimodular (``check_unimodular``).
 """
 
 import numpy as np
 
 __all__ = [
+    "ZERO",
+    "ROUNDOFF",
+    "DET_TOL",
+    "nonzero",
+    "check_unimodular",
+    "sqrt_forms",
     "expm",
     "f_k",
     "h_log",
@@ -19,9 +30,65 @@ __all__ = [
     "maxerr",
 ]
 
+# A magnitude is zero when it is at most ZERO times the largest magnitude it
+# is compared with (or times 1, when that is smaller).  Magnitudes are norms,
+# never squared norms: a weight of size m has dual norm m^2, which would sink
+# below the threshold at m = 1e-5.
+ZERO = 1e-10
+
+# Roundoff multiple for tests whose noise grows with cond(q): the unimodular
+# check here and the noise floor of the shape lift.
+ROUNDOFF = 64.0
+
+# Absolute slack of |det - 1| for a well-conditioned form, and of |det B| = 1
+# for a marking.
+DET_TOL = 1e-9
+
+# expm's Taylor order, and check_symmetric's input-validation slack relative
+# to the largest entry.
+_EXPM_ORDER = 14
+_SYMMETRY_TOL = 1e-12
+
 # Switch f_1, f_2, h, g to their Taylor branch below this |s*t|; the closed
 # forms lose every digit to cancellation as s -> 0.
 _SERIES_CUT = 1e-4
+
+
+def nonzero(mags):
+    """Mask of the magnitudes above ZERO * max(1, max(mags))."""
+    mags = np.asarray(mags, dtype=float)
+    return mags > ZERO * max(1.0, float(np.max(mags, initial=0.0)))
+
+
+def check_unimodular(q, what):
+    """Validate a unimodular positive-definite form; returns it symmetrized
+    and read-only.
+
+    ``what`` names the form in the error.  The determinant may miss 1 by
+    max(DET_TOL, ROUNDOFF * eps * cond(q)): its computed value carries
+    roundoff of about eps * cond(q), so an ill-conditioned form that is
+    unimodular to working precision passes.
+    """
+    q = check_symmetric(q)
+    evals = np.linalg.eigvalsh(q)
+    if evals[0] <= 0:
+        raise ValueError("%s must be positive definite" % what)
+    det = np.linalg.det(q)
+    slack = max(DET_TOL, ROUNDOFF * np.finfo(float).eps * evals[-1] / evals[0])
+    if abs(det - 1.0) > slack:
+        raise ValueError("%s must be unimodular (det %g)" % (what, det))
+    q.setflags(write=False)
+    return q
+
+
+def sqrt_forms(q):
+    """(q^(1/2), q^(-1/2), eigenvalues of q, ascending) of a positive-definite
+    form, from one eigendecomposition."""
+    evals, evecs = np.linalg.eigh(q)
+    if evals[0] <= 0:
+        raise ValueError("form is not positive definite")
+    root = np.sqrt(evals)
+    return (evecs * root) @ evecs.T, (evecs / root) @ evecs.T, evals
 
 
 def maxerr(a, b):
@@ -32,9 +99,9 @@ def maxerr(a, b):
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
 
 
-def expm(m, order=14):
-    """Matrix exponential by scaling-and-squaring with an order-``order``
-    truncated Taylor series (Horner form).
+def expm(m):
+    """Matrix exponential by scaling-and-squaring with a truncated Taylor
+    series of order _EXPM_ORDER = 14 (Horner form).
 
     The matrix is scaled so its inf-norm is <= 0.5 before the series is
     evaluated, which keeps the truncation error near roundoff for spectral
@@ -54,7 +121,7 @@ def expm(m, order=14):
     s = a / (2.0 ** nsq)
     acc = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(order, 0, -1):
+        for k in range(_EXPM_ORDER, 0, -1):
             acc = np.eye(n) + (s @ acc) / k
         for _ in range(nsq):
             acc = acc @ acc
@@ -125,24 +192,25 @@ def newton_to_elementary(power_sums):
     return np.array(e[1:])
 
 
-def check_symmetric(q, tol=1e-12):
-    """Validate symmetry of a form; returns the symmetrized matrix."""
+def check_symmetric(q):
+    """Validate symmetry of a form to _SYMMETRY_TOL = 1e-12 relative to its
+    largest entry; returns the symmetrized matrix."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (q.shape,))
     scale = max(1.0, float(np.max(np.abs(q))))
-    if np.max(np.abs(q - q.T)) > tol * scale:
-        raise ValueError("matrix is not symmetric within %g" % tol)
+    if np.max(np.abs(q - q.T)) > _SYMMETRY_TOL * scale:
+        raise ValueError("matrix is not symmetric within %g" % _SYMMETRY_TOL)
     return 0.5 * (q + q.T)
 
 
-def cholesky_upper(q, tol=1e-12):
+def cholesky_upper(q):
     """Unique upper-triangular A with positive diagonal and A^T A = Q.
 
-    Raises ValueError naming the failing pivot index (0-based) when Q is not
-    positive definite.
+    Q must be symmetric to check_symmetric's slack.  Raises ValueError naming
+    the failing pivot index (0-based) when Q is not positive definite.
     """
-    q = check_symmetric(q, tol)
+    q = check_symmetric(q)
     n = q.shape[0]
     low = np.zeros_like(q)
     for i in range(n):

@@ -17,7 +17,16 @@ import numpy as np
 
 from .cusp_groups import BlownUpWeylPoint, PsiParameter, build_marked_cusp, orbit_point
 from .invariants import WeightData, realize_weight_data
-from .linalg import check_symmetric, cholesky_upper, maxerr, unimodular
+from .linalg import (
+    ROUNDOFF,
+    check_symmetric,
+    check_unimodular,
+    cholesky_upper,
+    maxerr,
+    nonzero,
+    sqrt_forms,
+    unimodular,
+)
 
 __all__ = [
     "CubicPoly",
@@ -38,16 +47,26 @@ __all__ = [
     "recover_cusp_from_shape",
 ]
 
-# sphere_local_maxima: multistart size (base plus per dimension) and the
-# radius within which two polished maxima count as one.
+# sphere_local_maxima: multistart size (base plus per dimension), the Newton
+# steps that polish each representative, and the radius within which two
+# polished maxima count as one.
 _BASE_RESTARTS = 100
 _RESTARTS_PER_DIM = 20
+_NEWTON_ITERS = 60
 _DEDUP_TOL = 1e-6
 
-# recover_cusp_from_shape: the roundoff multiple of its noise floor and the
-# tensor power steps that polish the eigenvectors of its slice.
-_LIFT_ROUNDOFF = 64.0
+# recover_cusp_from_shape: the tensor power steps that polish the
+# eigenvectors of its slice, and the shape distance the rebuilt cusp must
+# reach.
 _POWER_STEPS = 3
+_RECOVER_TOL = 1e-5
+
+# J_psi_eval's slack on <psi, x> = 0, relative to |x| max(psi).
+_KERNEL_TOL = 1e-9
+
+# is_affine_sphere: largest radial part, relative to the cubic, that counts
+# as harmonic.
+_HARMONIC_TOL = 1e-8
 
 
 def _multiplicity(idx):
@@ -154,14 +173,9 @@ class ShapeInvariant:
     c: CubicPoly
 
     def __post_init__(self):
-        q = check_symmetric(self.q)
-        if abs(np.linalg.det(q) - 1.0) > 1e-9:
-            raise ValueError("q must be unimodular (det %g)" % np.linalg.det(q))
-        if np.min(np.linalg.eigvalsh(q)) <= 0:
-            raise ValueError("q must be positive definite")
+        q = check_unimodular(self.q, "q")
         if self.c.dim != q.shape[0]:
             raise ValueError("q and c dimensions differ")
-        q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
     @classmethod
@@ -265,15 +279,17 @@ def shape_invariant(cusp, method="fit"):
     raise ValueError("unknown method %r" % (method,))
 
 
-def J_psi_eval(psi, x, tol=1e-9):
+def J_psi_eval(psi, x):
     """Diagonal-model calibration (1/2)<p,x^2> + (1/6)<p,x^3> in the psi
-    inner product, for x in the kernel hyperplane of psi."""
+    inner product, for x in the kernel hyperplane of psi (to _KERNEL_TOL =
+    1e-9 relative to |x| max(psi))."""
     if not isinstance(psi, PsiParameter):
         psi = PsiParameter(len(psi), np.asarray(psi, float), ordered=False)
     x = np.asarray(x, dtype=float)
     w = psi.psi
     pairing = float(np.dot(w, x))
-    if abs(pairing) > tol * max(1.0, float(np.max(np.abs(x))) * float(np.max(w, initial=0.0))):
+    scale = max(1.0, float(np.max(np.abs(x))) * float(np.max(w, initial=0.0)))
+    if abs(pairing) > _KERNEL_TOL * scale:
         raise ValueError("x is not in the kernel of psi (<p,x>_psi = %g)" % pairing)
     return 0.5 * float(np.dot(w, x * x)) + float(np.dot(w, x * x * x)) / 6.0
 
@@ -296,36 +312,22 @@ def restricted_diag_calibration(psi):
     return q, CubicPoly(n - 1, t), basis
 
 
-def cubic_from_weights(wd, tol=1e-12):
+def cubic_from_weights(wd):
     """Shape invariant straight from weight data:
-    c = (1/3) sum_i xi_i^3 / (<xi_i,xi_i>* + varpi), zero weights dropped."""
+    c = (1/3) sum_i xi_i^3 / (<xi_i,xi_i>* + varpi), with the zero weights
+    (``linalg.nonzero`` on the dual norms) dropped.  Every kept denominator
+    exceeds the squared zero threshold, since varpi >= 0."""
     if not isinstance(wd, WeightData):
         raise TypeError("expected WeightData")
     beta = unimodular(wd.metric)
     qinv = np.linalg.inv(beta)
     w = wd.weights
     norms2 = np.einsum("ij,jk,ik->i", w, qinv, w)
-    varpi = max(wd.varpi, 0.0)
-    scale = max(1.0, float(np.max(norms2)))
-    covs, coeffs = [], []
-    for i in range(w.shape[0]):
-        if norms2[i] <= 1e-20 * scale:
-            continue
-        denom = norms2[i] + varpi
-        if denom <= tol * scale:
-            raise ValueError("weight %d has vanishing dual norm + varpi" % i)
-        covs.append(w[i])
-        coeffs.append(1.0 / (3.0 * denom))
-    if not covs:
+    live = nonzero(np.sqrt(np.maximum(norms2, 0.0)))
+    if not np.any(live):
         return ShapeInvariant(beta, CubicPoly.zero(w.shape[1]))
-    return ShapeInvariant(beta, CubicPoly.from_covector_cubes(np.array(covs), coeffs))
-
-
-def _inv_sqrt(q):
-    evals, evecs = np.linalg.eigh(q)
-    if np.min(evals) <= 0:
-        raise ValueError("form is not positive definite")
-    return (evecs / np.sqrt(evals)) @ evecs.T
+    coeffs = 1.0 / (3.0 * (norms2[live] + max(wd.varpi, 0.0)))
+    return ShapeInvariant(beta, CubicPoly.from_covector_cubes(w[live], coeffs))
 
 
 def radial_projection(q, c):
@@ -337,18 +339,19 @@ def radial_projection(q, c):
     """
     q = check_symmetric(q)
     m = q.shape[0]
-    lmat = _inv_sqrt(q)  # isometry from the standard form to q
+    lmat = sqrt_forms(q)[1]  # isometry from the standard form to q
     cl = c.compose_linear(lmat)
     trace_vec = 6.0 * np.einsum("iij->j", cl.tensor)
     return lmat @ (trace_vec / (2.0 * m + 4.0))
 
 
-def is_affine_sphere(cusp, tol=1e-8):
+def is_affine_sphere(cusp):
     """True when the boundary surface is an affine sphere, i.e. the cubic of
-    the shape invariant is harmonic with respect to its quadratic."""
+    the shape invariant is harmonic with respect to its quadratic (radial
+    part at most _HARMONIC_TOL = 1e-8 relative to the cubic)."""
     shape = shape_invariant(cusp, method="closed")
     scale = max(1.0, shape.c.coeff_norm())
-    return float(np.linalg.norm(radial_projection(shape.q, shape.c))) <= tol * scale
+    return float(np.linalg.norm(radial_projection(shape.q, shape.c))) <= _HARMONIC_TOL * scale
 
 
 def affine_normal_at_base(q, c):
@@ -371,10 +374,10 @@ def _tangent_basis(q, x):
     return vt[1:].T
 
 
-def _newton_polish(q, c, x0, scale, iters=60):
+def _newton_polish(q, c, x0, scale):
     x = x0.copy()
     alpha = float(x @ c.gradient(x))
-    for _ in range(iters):
+    for _ in range(_NEWTON_ITERS):
         g = c.gradient(x)
         qx = q @ x
         f1 = g - alpha * qx
@@ -418,7 +421,7 @@ def sphere_local_maxima(q, c, seed=0):
     # area-uniform on the q-sphere: push the round sphere through q^(-1/2)
     draws = rng.standard_normal((n_restarts, m))
     draws /= np.linalg.norm(draws, axis=1)[:, None]
-    inv_sqrt = _inv_sqrt(q)
+    inv_sqrt = sqrt_forms(q)[1]
     x = draws @ inv_sqrt
     # the degenerate-Hessian test below measures c in a q-orthonormal frame:
     # in the caller's coordinates an ill-conditioned q inflates c's
@@ -477,10 +480,10 @@ def sphere_local_maxima(q, c, seed=0):
     return SphereMaxima(pts, vls, False)
 
 
-def recover_cusp_from_shape(shape, tol=1e-5):
+def recover_cusp_from_shape(shape):
     """Invert the shape invariant: a marked cusp whose canonical shape matches
-    ``shape`` to ``tol``, by one odeco lift (Robeva 2016; Anandkumar et al.
-    2014) and no search.
+    ``shape`` to _RECOVER_TOL = 1e-5, by one odeco lift (Robeva 2016;
+    Anandkumar et al. 2014) and no search.
 
     In the q-orthonormal frame y = q^(1/2) x the weights route reads
     c(y) = (1/3) sum_i (a_i . y)^3 / (N_i + varpi) with a_i . a_j = -varpi
@@ -494,28 +497,28 @@ def recover_cusp_from_shape(shape, tol=1e-5):
     tensor power steps polish them, b_i = 3 T(u_i, u_i, u_i) u_i, and the
     weights xi_i = a_i^T q^(1/2) go to ``realize_weight_data``.  The
     orthogonal (non-diagonalizable) branch is varpi = 0, where the s slot
-    is a null direction.  The rebuilt cusp's shape must match to ``tol``.
+    is a null direction.  The rebuilt cusp's shape must match to
+    _RECOVER_TOL.
     """
     dim = shape.q.shape[0]
     n = dim + 1
     if n < 3:
         raise ValueError("shape recovery requires n >= 3")
-    # a cubic at the noise floor of the requested tolerance is the standard
+    # a cubic at the noise floor of the required tolerance is the standard
     # cusp: its shape matches with c = 0, which the final check re-verifies
-    if shape.c.coeff_norm() <= 0.1 * tol:
+    if shape.c.coeff_norm() <= 0.1 * _RECOVER_TOL:
         marking = cholesky_upper(shape.q)
         cusp = build_marked_cusp(BlownUpWeylPoint(n, np.zeros(n), np.zeros(dim)), marking)
-        return _verified(cusp, shape, tol)
-    evals, evecs = np.linalg.eigh(shape.q)
-    root = (evecs * np.sqrt(evals)) @ evecs.T
-    cy = shape.c.compose_linear((evecs / np.sqrt(evals)) @ evecs.T).tensor
+        return _verified(cusp, shape)
+    root, inv_root, evals = sqrt_forms(shape.q)
+    cy = shape.c.compose_linear(inv_root).tensor
     size = 3.0 * float(np.max(np.abs(cy)))  # the largest |b_i|, roughly
     # Noise floor, relative to size.  The frame change amplifies roundoff in
     # c by about cond(q)^(3/2), one factor cond(q)^(1/2) per tensor slot;
     # without that factor, markings R diag(1, 3e3) R^T fail.  It is at least
     # realize_weight_data's default 1e-8: shapes read back from 12-digit
     # JSON carry noise of ~1e-12, and a weight this small moves c by less.
-    floor = max(_LIFT_ROUNDOFF * np.finfo(float).eps * (evals[-1] / evals[0]) ** 1.5, 1e-8)
+    floor = max(ROUNDOFF * np.finfo(float).eps * (evals[-1] / evals[0]) ** 1.5, 1e-8)
     # comm[k, l] is the (k, l) entry of [C_k, C_l], each one -varpi/9
     comm = np.einsum("kak,all->kl", cy, cy) - np.einsum("kal,alk->kl", cy, cy)
     varpi = -9.0 * float(np.mean(comm[~np.eye(dim, dtype=bool)]))
@@ -552,15 +555,15 @@ def recover_cusp_from_shape(shape, tol=1e-5):
         cusp = realize_weight_data(WeightData(xi, shape.q), tol=floor * max(1.0, size ** 2))
     except ValueError as exc:
         raise ValueError("lifted weights are unrealizable (%s): not a cusp shape" % exc) from None
-    return _verified(cusp, shape, tol)
+    return _verified(cusp, shape)
 
 
-def _verified(cusp, shape, tol):
+def _verified(cusp, shape):
     got = shape_invariant(cusp, method="closed")
     resid = got.distance(shape)
-    if resid > tol:
+    if resid > _RECOVER_TOL:
         raise ValueError(
             "recovered cusp reproduces the shape only to %g (tolerance %g); "
-            "input is not a cusp shape" % (resid, tol)
+            "input is not a cusp shape" % (resid, _RECOVER_TOL)
         )
     return cusp

@@ -248,8 +248,8 @@ def _check_metric_identity(rng, samples, dims):
     for _ in range(samples):
         n = int(rng.choice(dims))
         c = random_cusp(rng, n, orthonormalized=False)
-        closed = horosphere_metric(c, "closed")
-        fitted = horosphere_metric(c, "fit")
+        closed = horosphere_metric(c)
+        fitted = unimodular(shape_mod.fit_height_jet(c)[0])
         worst = max(worst, maxerr(fitted, closed))
     return worst, samples
 

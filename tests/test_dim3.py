@@ -87,6 +87,11 @@ def test_coords_rejects_outside_cone():
     c = cubic_from_hr(0.05, 1.0)  # |r| > 3|h|
     with pytest.raises(ValueError):
         coords_from_shape(ShapeInvariant(np.eye(2), c))
+    # every cone test has one slack: a cubic 5e-9 over the cone fails the
+    # shape test itself, not only the coordinates' own check
+    c = cubic_from_hr(1.0, 3.0 + 5e-9)
+    with pytest.raises(ValueError, match="not the shape of a 3-dimensional cusp"):
+        coords_from_shape(ShapeInvariant(np.eye(2), c))
 
 
 def test_cone_containment_and_boundary():
@@ -143,6 +148,8 @@ def test_classify_stratum():
     assert classify_stratum_3d(w ** 3 / abs(w) ** 2, 3 * w) == 1
     with pytest.raises(ValueError):
         classify_stratum_3d(0.01, 1.0)
+    with pytest.raises(ValueError):
+        classify_stratum_3d(1.0, 3.0 + 5e-9)
 
 
 def test_classify_rotation_invariant():

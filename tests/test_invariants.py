@@ -40,6 +40,7 @@ from gencusp.invariants import (
 )
 from gencusp.linalg import maxerr, unimodular
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
+from gencusp.shape import fit_height_jet
 
 
 def _cusp(lam, kap, marking=None, **kw):
@@ -89,8 +90,7 @@ def test_horosphere_metric_fit_matches_closed():
     for orth in (False, True):
         for _ in range(5):
             c = random_cusp(rng, int(rng.integers(3, 6)), orthonormalized=orth)
-            assert maxerr(horosphere_metric(c, "fit"),
-                          horosphere_metric(c, "closed")) < 1e-10
+            assert maxerr(unimodular(fit_height_jet(c)[0]), horosphere_metric(c)) < 1e-10
 
 
 def test_metric_identity_closed_form():
@@ -176,19 +176,26 @@ def test_realize_weight_data_roundtrip():
 
 
 def test_realize_lambda0_sweep():
-    # lambda0 -> 0 with kappa = lambda0 / lambda: N_0 ~ lambda0^4 falls below
-    # WEIGHT_EPS while varpi ~ lambda0^2 still takes the varpi > 0 branch
-    failures = []
+    # lambda0 -> 0 with kappa = lambda0 / lambda, at 1e-6: N_0 ~ lambda0^4
+    # sinks to roundoff while varpi ~ lambda0^2 still takes the varpi > 0
+    # branch.  One small weight m on the varpi = 0 stratum, at the default
+    # 1e-8: its squared dual norm m^2 would read as zero and drop the type.
+    cases = []
     for n in (3, 4, 5):
         for lam0 in np.logspace(-8, np.log10(0.3), 51):
             lam = np.concatenate([[lam0], np.linspace(1, 2, n - 1)])
-            c = _cusp(lam, lam0 / lam[1:])
-            try:
-                ok = are_conjugate(realize_weight_data(weight_data(c)), c, tol=1e-6)
-            except ValueError:
-                ok = False
-            if not ok:
-                failures.append((n, lam0))
+            cases.append((_cusp(lam, lam0 / lam[1:]), 1e-6))
+        for m in (1e-5, 3e-6, 1e-6, 1e-7, 1e-9):
+            lam = np.concatenate([[0.0, m], np.linspace(1, 2, n - 2)])
+            cases.append((_cusp(lam, np.zeros(n - 1)), 1e-8))
+    failures = []
+    for c, tol in cases:
+        try:
+            ok = are_conjugate(realize_weight_data(weight_data(c)), c, tol=tol)
+        except ValueError:
+            ok = False
+        if not ok:
+            failures.append(c.params.lam)
     assert failures == []
 
 

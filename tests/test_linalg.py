@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from gencusp.linalg import (
+    check_unimodular,
     cholesky_upper,
     expm,
     f_k,
@@ -11,6 +12,8 @@ from gencusp.linalg import (
     h_log,
     maxerr,
     newton_to_elementary,
+    nonzero,
+    sqrt_forms,
     unimodular,
 )
 
@@ -117,3 +120,36 @@ def test_unimodular():
     assert abs(np.linalg.det(q) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         unimodular(np.diag([-1.0, 1.0]))
+
+
+def test_nonzero_is_relative_on_magnitudes():
+    assert list(nonzero([0.0, 1e-11, 2e-10, 1.0])) == [False, False, True, True]
+    assert list(nonzero([1e-3, 1e8])) == [False, True]
+    # a weight of size 1e-6 is nonzero; its squared dual norm would not be
+    assert list(nonzero([1e-6, 2.0])) == [True, True]
+
+
+def test_check_unimodular():
+    q = check_unimodular(np.diag([4.0, 0.25]), "q")
+    assert not q.flags.writeable
+    with pytest.raises(ValueError, match="q must be unimodular"):
+        check_unimodular(np.diag([4.0, 1.0]), "q")
+    with pytest.raises(ValueError, match="metric must be positive definite"):
+        check_unimodular(np.diag([-1.0, -1.0]), "metric")
+    # condition 9e8: the computed det misses 1 by more than 1e-9, within
+    # the roundoff that cond(q) explains
+    r = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    m = r @ np.diag([1.0, 3e4]) @ r.T
+    q = unimodular(m.T @ m)
+    assert abs(np.linalg.det(q) - 1.0) > 1e-8
+    check_unimodular(q, "q")
+
+
+def test_sqrt_forms():
+    q = np.array([[2.0, 0.3], [0.3, 0.55]])
+    root, inv_root, evals = sqrt_forms(q)
+    assert maxerr(root @ root, q) < 1e-14
+    assert maxerr(root @ inv_root, np.eye(2)) < 1e-14
+    assert maxerr(evals, np.linalg.eigvalsh(q)) < 1e-15
+    with pytest.raises(ValueError, match="not positive definite"):
+        sqrt_forms(np.diag([1.0, -1.0]))

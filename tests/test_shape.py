@@ -10,7 +10,7 @@ from gencusp.cusp_groups import (
     hypersurface_F,
     psi_to_lambda,
 )
-from gencusp.invariants import are_conjugate, weight_data
+from gencusp.invariants import are_conjugate, complete_invariant, weight_data
 from gencusp.linalg import maxerr
 from gencusp.sampling import random_cusp, random_marking
 from gencusp.shape import (
@@ -272,21 +272,26 @@ def test_recover_roundtrip_sweep():
 
 
 def test_recover_lambda0_sweep():
-    # lambda0 -> 0 with kappa = lambda0 / lambda: varpi ~ lambda0^2 runs from
-    # well resolved through the floor, while N_0 ~ lambda0^4 is below
-    # WEIGHT_EPS for lambda0 < ~3e-3
-    failures = []
+    # lambda0 -> 0 with kappa = lambda0 / lambda, at 1e-6: varpi ~ lambda0^2
+    # runs from well resolved through the floor, while N_0 ~ lambda0^4 sinks
+    # to roundoff.  One small weight m on the varpi = 0 stratum, at the
+    # default 1e-8: its squared dual norm m^2 would read as zero.
+    cases = []
     for n in (3, 4, 5):
         for lam0 in np.logspace(-8, np.log10(0.3), 51):
             lam = np.concatenate([[lam0], np.linspace(1, 2, n - 1)])
-            c = _cusp(lam, lam0 / lam[1:])
-            try:
-                ok = are_conjugate(recover_cusp_from_shape(shape_invariant(c, "closed")), c,
-                                   tol=1e-6)
-            except ValueError:
-                ok = False
-            if not ok:
-                failures.append((n, lam0))
+            cases.append((_cusp(lam, lam0 / lam[1:]), 1e-6))
+        for m in (1e-5, 3e-6, 1e-6, 1e-7, 1e-9):
+            lam = np.concatenate([[0.0, m], np.linspace(1, 2, n - 2)])
+            cases.append((_cusp(lam, np.zeros(n - 1)), 1e-8))
+    failures = []
+    for c, tol in cases:
+        try:
+            ok = are_conjugate(recover_cusp_from_shape(shape_invariant(c, "closed")), c, tol=tol)
+        except ValueError:
+            ok = False
+        if not ok:
+            failures.append(c.params.lam)
     assert failures == []
 
 
@@ -348,3 +353,19 @@ def test_recover_from_fitted_shape():
             c = random_cusp(rng, n, t=t)
             rec = recover_cusp_from_shape(shape_invariant(c, "fit"))
             assert are_conjugate(rec, c, tol=1e-6)
+
+
+@pytest.mark.parametrize("k", [1e4, 3e4])
+def test_ill_conditioned_forward_maps(k):
+    # q of condition ~k^2 computes its det with roundoff ~eps cond(q) above
+    # an absolute 1e-9; the forward maps must still construct and agree
+    worst = 0.0
+    for angle in (0.3, 0.7, 1.1):
+        for orth in (False, True):
+            for lam in ([0, 0.93, 1.7], [0, 0, 1.75], [0, 1, 2], [0.5, 1, 1.7]):
+                lam = np.asarray(lam, dtype=float)
+                kap = lam[0] / lam[1:] if lam[0] > 0 else np.zeros(2)
+                c = _cusp(lam, kap, _ill_marking(k, angle), orthonormalized=orth)
+                complete_invariant(c)
+                worst = max(worst, shape_invariant(c, "fit").distance(shape_invariant(c, "closed")))
+    assert worst < 1e-7
