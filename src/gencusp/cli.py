@@ -17,6 +17,7 @@ from .cusp_groups import BlownUpWeylPoint, build_marked_cusp
 from .invariants import (
     CharacterData,
     CompleteInvariant,
+    NotRealizable,
     WeightData,
     complete_invariant,
     eta_distance,
@@ -242,12 +243,15 @@ def cmd_recover(args):
             args.out,
         )
         return 0
-    if args.kind == "weights":
-        cusp = realize_weight_data(_nu_from_dict(data, args.source))
-    else:
-        block = data.get("shape", data)
-        dim = len(_require(block, "q", "matrix", args.source))
-        cusp = recover_cusp_from_shape(_shape_from_dict(block, dim, args.source))
+    try:
+        if args.kind == "weights":
+            cusp = realize_weight_data(_nu_from_dict(data, args.source))
+        else:
+            block = data.get("shape", data)
+            dim = len(_require(block, "q", "matrix", args.source))
+            cusp = recover_cusp_from_shape(_shape_from_dict(block, dim, args.source))
+    except NotRealizable as exc:
+        raise ValidationError("%s: %s" % (args.source, exc)) from exc
     _write(canonical_json(cusp_to_dict(cusp)), args.out)
     return 0
 
@@ -255,8 +259,7 @@ def cmd_recover(args):
 def cmd_verify(args):
     from .verify import run_battery
 
-    dims = tuple(int(d) for d in args.dims.split(","))
-    report = run_battery(seed=args.seed, samples=args.samples, dims=dims)
+    report = run_battery(seed=args.seed, samples=args.samples, dims=args.dims)
     _write(canonical_json(report), args.out)
     if not report["passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
@@ -271,6 +274,8 @@ def cmd_mesh(args):
         g1, g2 = (int(t) for t in args.grid.lower().split("x"))
     except ValueError as exc:
         raise ValidationError("grid: expected g1xg2, got %r" % args.grid) from exc
+    if min(g1, g2) < 2:
+        raise ValidationError("grid: each side must be at least 2, got %r" % args.grid)
     rows = dim3.export_mesh_csv(cusp.params, (g1, g2), args.out)
     if args.obj:
         dim3.export_mesh_obj(cusp.params, (g1, g2), args.obj)
@@ -302,12 +307,33 @@ def cmd_limit_demo(args):
     return 0
 
 
+def _nonnegative_float(text):
+    tol = float(text)
+    if not (np.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError("must be finite and >= 0, got %r" % text)
+    return tol
+
+
+def _positive_int(text):
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %r" % text)
+    return count
+
+
+def _dimension_list(text):
+    parts = [t.strip() for t in text.split(",")]
+    if not all(t.isdigit() and int(t) >= 3 for t in parts):
+        raise argparse.ArgumentTypeError("expected comma-separated integers >= 3, got %r" % text)
+    return tuple(int(t) for t in parts)
+
+
 def make_parser():
     # the global flags parse on either side of the subcommand; SUPPRESS plus
     # post-parse defaults keeps the subcommand pass from clobbering values
     # given before it (set_defaults would mutate the shared parent actions)
     def global_flags(p):
-        p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+        p.add_argument("--tol", type=_nonnegative_float, default=argparse.SUPPRESS,
                        help="eta_distance threshold of conjugate (default 1e-8)")
         p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                        help="seed of verify (default 0)")
@@ -342,8 +368,8 @@ def make_parser():
     p_rec.set_defaults(fn=cmd_recover)
 
     p_ver = add("verify", help="run the verification battery")
-    p_ver.add_argument("--samples", type=int, default=50)
-    p_ver.add_argument("--dims", default="3,4,5")
+    p_ver.add_argument("--samples", type=_positive_int, default=50)
+    p_ver.add_argument("--dims", type=_dimension_list, default="3,4,5")
     p_ver.add_argument("--out")
     p_ver.set_defaults(fn=cmd_verify)
 

@@ -263,6 +263,9 @@ class MarkedCusp:
     orthonormalized: bool = False
     rescaled: bool = False
     generators: tuple = field(init=False, repr=False)
+    # the complete invariant, filled by invariants.complete_invariant on
+    # first use; it lives and dies with this instance
+    _invariant: object = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         n = self.params.n

@@ -34,6 +34,7 @@ __all__ = [
     "CompleteInvariant",
     "WeightData",
     "MiddleWeightTie",
+    "NotRealizable",
     "weights_of",
     "horosphere_metric",
     "complete_invariant",
@@ -69,6 +70,11 @@ _FRAME_TOL = 1e-8
 
 class MiddleWeightTie(ValueError):
     """Two distinct weight values both satisfy the middle-weight condition."""
+
+
+class NotRealizable(ValueError):
+    """Input that no marked cusp realizes: weight data off the weights
+    equation, or a cubic off the shape cone."""
 
 
 def sort_weights(w):
@@ -189,7 +195,14 @@ def horosphere_metric(cusp):
 
 
 def complete_invariant(cusp):
-    return CompleteInvariant(weights_of(cusp), horosphere_metric(cusp))
+    """The pair (character, unimodular metric), memoized on the cusp:
+    ``weights_of`` and its Newton cross-check run once per cusp instance,
+    and ``weight_data`` and ``are_conjugate`` share the result."""
+    eta = cusp._invariant
+    if eta is None:
+        eta = CompleteInvariant(weights_of(cusp), horosphere_metric(cusp))
+        object.__setattr__(cusp, "_invariant", eta)
+    return eta
 
 
 def linear_sum_assignment(cost):
@@ -372,8 +385,9 @@ def marked_psi_normal_form(p):
 
 
 def weight_data(cusp):
-    linear, _ = _split_weights(weights_of(cusp).weights)
-    return WeightData(linear, horosphere_metric(cusp))
+    eta = complete_invariant(cusp)
+    linear, _ = _split_weights(eta.character.weights)
+    return WeightData(linear, eta.metric)
 
 
 def weights_equation_residual(w):
@@ -430,11 +444,12 @@ def realize_weight_data(w, tol=1e-8):
     off their dual norms and the marking is an isometry aligning them with
     coordinate covectors.  varpi > 0: all n weights are nonzero, lambda_i =
     sqrt((N_i + varpi)/vk) with vk^(n-1) = (N_0 + varpi)/varpi, and the
-    marking is determined by the n-1 largest weights.
+    marking is determined by the n-1 largest weights.  Data off the weights
+    equation raises ``NotRealizable``.
     """
     resid = weights_equation_residual(w)
     if resid > tol:
-        raise ValueError("weights equation residual %g exceeds %g" % (resid, tol))
+        raise NotRealizable("weights equation residual %g exceeds %g" % (resid, tol))
     beta = unimodular(w.metric)
     qinv = np.linalg.inv(beta)
     n = w.weights.shape[0]

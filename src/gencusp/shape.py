@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .cusp_groups import BlownUpWeylPoint, PsiParameter, build_marked_cusp, orbit_point
-from .invariants import WeightData, realize_weight_data
+from .invariants import NotRealizable, WeightData, realize_weight_data
 from .linalg import (
     ROUNDOFF,
     check_symmetric,
@@ -499,6 +499,11 @@ def recover_cusp_from_shape(shape):
     orthogonal (non-diagonalizable) branch is varpi = 0, where the s slot
     is a null direction.  The rebuilt cusp's shape must match to
     _RECOVER_TOL.
+
+    A cubic off the shape cone (varpi < 0, or lifted weights that do not
+    realize) raises ``NotRealizable``.  A rebuilt cusp that misses the shape
+    raises a plain ValueError: that is a numerical failure, seen on genuine
+    shapes of ill-conditioned markings.
     """
     dim = shape.q.shape[0]
     n = dim + 1
@@ -527,7 +532,7 @@ def recover_cusp_from_shape(shape):
     # noise around varpi = 0 and snaps there: its square root would couple
     # the s slot to every null direction at the much larger sqrt(noise).
     if varpi < -floor * size ** 2:
-        raise ValueError("slice commutators give varpi = %g < 0: not a cusp shape" % varpi)
+        raise NotRealizable("slice commutators give varpi = %g < 0: not a cusp shape" % varpi)
     if varpi <= floor * size ** 2:
         varpi = 0.0
     # T = c + sqrt(varpi) s |y|^2 + (sqrt(varpi)/3) s^3, with s the last slot
@@ -554,7 +559,7 @@ def recover_cusp_from_shape(shape):
     try:
         cusp = realize_weight_data(WeightData(xi, shape.q), tol=floor * max(1.0, size ** 2))
     except ValueError as exc:
-        raise ValueError("lifted weights are unrealizable (%s): not a cusp shape" % exc) from None
+        raise NotRealizable("lifted weights are unrealizable (%s): not a cusp shape" % exc) from None
     return _verified(cusp, shape)
 
 
@@ -563,7 +568,7 @@ def _verified(cusp, shape):
     resid = got.distance(shape)
     if resid > _RECOVER_TOL:
         raise ValueError(
-            "recovered cusp reproduces the shape only to %g (tolerance %g); "
-            "input is not a cusp shape" % (resid, _RECOVER_TOL)
+            "recovered cusp reproduces the shape only to %g (tolerance %g)"
+            % (resid, _RECOVER_TOL)
         )
     return cusp

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from gencusp.cli import main
 from gencusp.cusp_groups import BlownUpWeylPoint
@@ -123,6 +124,63 @@ def test_recover_weights_and_shape_roundtrip(tmp_path):
         assert main(["recover", kind, inv, "--out", out]) == 0
         rec = parse_cusp_params(json.loads(open(out).read()))
         assert are_conjugate(rec, c, tol=1e-4)
+
+
+def test_recover_unrealizable_input_is_validation_error(tmp_path, capsys):
+    # dual pairings -0.9, 0, 0 are not one constant: off the weights equation
+    nu = {"weights": [[-0.5, 0.9], [0.9, -0.5], [0.0, 0.0]], "beta": [[1.0, 0.0], [0.0, 1.0]]}
+    src = _write(tmp_path, "nu.json", {"nu": nu})
+    assert main(["recover", "weights", src]) == 1
+    assert "weights equation residual" in capsys.readouterr().err
+    # slice commutators give varpi < 0: off the shape cone
+    shape = {"q": [[1.0, 0.0], [0.0, 1.0]], "c": {"3,0": 1.0, "2,1": 1.8, "1,2": 1.8, "0,3": 1.0}}
+    src = _write(tmp_path, "shape.json", {"shape": shape})
+    assert main(["recover", "shape", src]) == 1
+    assert "not a cusp shape" in capsys.readouterr().err
+
+
+def test_recover_numerical_failure_still_exits_2(tmp_path, monkeypatch, capsys):
+    import gencusp.shape as shape_mod
+
+    src = _write(tmp_path, "p.json", _params([0.5, 1.0, 2.0], [0.5, 0.25]))
+    inv = str(tmp_path / "inv.json")
+    assert main(["invariants", src, "--out", inv]) == 0
+    # a genuine shape whose rebuilt cusp misses a zero tolerance
+    monkeypatch.setattr(shape_mod, "_RECOVER_TOL", 0.0)
+    assert main(["recover", "shape", inv]) == 2
+    assert "reproduces the shape only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_conjugate_rejects_bad_tol(tmp_path, tol):
+    a = _write(tmp_path, "a.json", _params([0.0, 0, 1], [0.5, 0.0]))
+    out = str(tmp_path / "res.json")
+    assert main(["conjugate", a, a, "--tol=" + tol, "--out", out]) == 1
+    assert main(["conjugate", a, a, "--tol", "0", "--out", out]) == 0
+    assert json.loads(open(out).read())["conjugate"] is True
+
+
+@pytest.mark.parametrize("flag", [
+    "--samples=0", "--samples=-3", "--dims=2", "--dims=3,4,1", "--dims=3,x", "--dims=",
+])
+def test_verify_rejects_bad_samples_and_dims(flag, capsys):
+    assert main(["verify", flag]) == 1
+    assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0x5", "5x1", "1x1", "-2x4"])
+def test_mesh_rejects_grid_below_2x2(tmp_path, grid):
+    src = _write(tmp_path, "p.json", _params([0.0, 1.0, 2.0], [0.0, 0.0]))
+    out = tmp_path / "mesh.csv"
+    assert main(["mesh", src, "--grid=" + grid, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_run_battery_repeats_in_process():
+    # no state leaks from one battery's cusps into the next
+    from gencusp.verify import run_battery
+
+    assert run_battery(seed=3, samples=2, dims=(3,)) == run_battery(seed=3, samples=2, dims=(3,))
 
 
 def test_verify_deterministic_and_green(tmp_path):

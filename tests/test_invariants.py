@@ -19,6 +19,7 @@ from gencusp.invariants import (
     CharacterData,
     CompleteInvariant,
     MiddleWeightTie,
+    WeightData,
     are_conjugate,
     complete_invariant,
     eta_distance,
@@ -37,6 +38,7 @@ from gencusp.invariants import (
     weights_equation_residual,
     weights_of,
     _match_multisets,
+    _split_weights,
 )
 from gencusp.linalg import maxerr, unimodular
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
@@ -72,6 +74,45 @@ def test_weights_newton_cross_check_trips_on_corruption():
     object.__setattr__(c, "generators", tuple(bad))
     with pytest.raises(ValueError, match="cross-check"):
         weights_of(c)
+
+
+def test_complete_invariant_is_memoized_per_cusp():
+    c = _cusp([0, 1, 2], [0, 0])
+    assert complete_invariant(c) is complete_invariant(c)
+    # a cusp that differs only in marking holds its own invariant
+    other = _cusp([0, 1, 2], [0, 0], marking=[[1.0, 0.5], [0.0, 1.0]])
+    assert complete_invariant(other) is not complete_invariant(c)
+    assert maxerr(complete_invariant(other).metric, complete_invariant(c).metric) > 0.1
+
+
+def test_weight_data_matches_uncached_route_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for n in range(3, 8):
+        for t in range(n + 1):
+            c = random_cusp(rng, n, t=t, orthonormalized=bool(t % 2))
+            expected = WeightData(_split_weights(weights_of(c).weights)[0], horosphere_metric(c))
+            got = weight_data(c)
+            assert np.array_equal(got.weights, expected.weights)
+            assert np.array_equal(got.metric, expected.metric)
+
+
+def test_weights_of_runs_once_per_cusp(monkeypatch):
+    # the Newton cross-check inside weights_of must still see every cusp
+    import gencusp.invariants as inv_mod
+
+    calls = []
+    orig = inv_mod.weights_of
+    monkeypatch.setattr(inv_mod, "weights_of", lambda c: calls.append(c) or orig(c))
+    a, b, d = (_cusp([0, 1, 2], [0, 0]), _cusp([1, 1, 1], [1, 1]), _cusp([0, 1, 3], [0, 0]))
+    weight_data(a)
+    complete_invariant(a)
+    assert not are_conjugate(a, b)
+    weight_data(b)
+    assert are_conjugate(b, b)
+    complete_invariant(d)
+    assert not are_conjugate(d, a)
+    weight_data(d)
+    assert calls == [a, b, d]
 
 
 def test_horosphere_metric_examples():
