@@ -10,6 +10,7 @@ so runs with the same seed are byte-identical.
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -32,6 +33,18 @@ from . import dim3
 
 class ValidationError(ValueError):
     pass
+
+
+@contextmanager
+def _invalid_input(path, kind=ValueError):
+    """Report a ``kind`` error raised on the data of ``path`` as a
+    validation error (exit 1)."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except kind as exc:
+        raise ValidationError("%s: %s" % (path, exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,11 +124,9 @@ def parse_cusp_params(data, path="<input>"):
             raise ValidationError("%s: B: expected an (n-1)x(n-1) matrix" % path)
         marking = np.array(b, dtype=float)
     orth = bool(data.get("orthonormalized", False))
-    try:
+    with _invalid_input(path):
         p = BlownUpWeylPoint(n, np.array(lam, dtype=float), np.array(kap, dtype=float))
         return build_marked_cusp(p, marking, orthonormalized=orth)
-    except ValueError as exc:
-        raise ValidationError("%s: %s" % (path, exc)) from exc
 
 
 def cusp_to_dict(cusp):
@@ -150,15 +161,18 @@ def _shape_to_dict(s):
     }
 
 
-def _shape_from_dict(data, dim, path):
-    q = np.array(_require(data, "q", "matrix", path), dtype=float)
-    mono = {}
-    for key, val in data.get("c", {}).items():
-        exps = tuple(int(t) for t in key.split(","))
-        if len(exps) != q.shape[0] or sum(exps) != 3:
-            raise ValidationError("%s: c: bad monomial key %r" % (path, key))
-        mono[exps] = float(val)
-    return ShapeInvariant(q, CubicPoly.from_monomials(q.shape[0], mono))
+def _shape_from_dict(data, path):
+    block = data.get("shape", data)
+    q = _require(block, "q", "matrix", path)
+    with _invalid_input(path):
+        q = np.array(q, dtype=float)
+        mono = {}
+        for key, val in block.get("c", {}).items():
+            exps = tuple(int(t) for t in key.split(","))
+            if len(exps) != q.shape[0] or sum(exps) != 3:
+                raise ValidationError("%s: c: bad monomial key %r" % (path, key))
+            mono[exps] = float(val)
+        return ShapeInvariant(q, CubicPoly.from_monomials(q.shape[0], mono))
 
 
 def invariants_payload(cusp):
@@ -217,42 +231,37 @@ def cmd_conjugate(args):
     return 0
 
 
+def _weights_block(data, key, path, build):
+    """``build(weights, beta)`` on the ``key`` block of an invariants file
+    (or on the file itself when it holds just that block)."""
+    block = data.get(key, data)
+    w = _require(block, "weights", "matrix", path)
+    beta = _require(block, "beta", "matrix", path)
+    with _invalid_input(path):
+        return build(np.array(w, dtype=float), np.array(beta, dtype=float))
+
+
 def _eta_from_dict(data, path):
-    block = data.get("eta", data)
-    w = np.array(_require(block, "weights", "matrix", path), dtype=float)
-    beta = np.array(_require(block, "beta", "matrix", path), dtype=float)
-    return CompleteInvariant(CharacterData(w), beta)
+    return _weights_block(data, "eta", path, lambda w, beta: CompleteInvariant(CharacterData(w), beta))
 
 
 def _nu_from_dict(data, path):
-    block = data.get("nu", data)
-    w = np.array(_require(block, "weights", "matrix", path), dtype=float)
-    beta = np.array(_require(block, "beta", "matrix", path), dtype=float)
-    return WeightData(w, beta)
+    return _weights_block(data, "nu", path, WeightData)
 
 
 def cmd_recover(args):
     data = _load_json(args.source)
-    if args.kind == "psi":
-        eta = _eta_from_dict(data, args.source)
-        psi = recover_psi_from_invariant(eta)
-        _write(
-            canonical_json(
-                {"psi": [_round12(v) for v in psi.psi], "type": int(psi.type_t)}
-            ),
-            args.out,
-        )
-        return 0
-    try:
-        if args.kind == "weights":
-            cusp = realize_weight_data(_nu_from_dict(data, args.source))
+    # data no cusp has is a validation error; a genuine invariant whose
+    # rebuilt cusp misses it stays a numerical failure (exit 2)
+    with _invalid_input(args.source, NotRealizable):
+        if args.kind == "psi":
+            psi = recover_psi_from_invariant(_eta_from_dict(data, args.source))
+            out = {"psi": [_round12(v) for v in psi.psi], "type": int(psi.type_t)}
+        elif args.kind == "weights":
+            out = cusp_to_dict(realize_weight_data(_nu_from_dict(data, args.source)))
         else:
-            block = data.get("shape", data)
-            dim = len(_require(block, "q", "matrix", args.source))
-            cusp = recover_cusp_from_shape(_shape_from_dict(block, dim, args.source))
-    except NotRealizable as exc:
-        raise ValidationError("%s: %s" % (args.source, exc)) from exc
-    _write(canonical_json(cusp_to_dict(cusp)), args.out)
+            out = cusp_to_dict(recover_cusp_from_shape(_shape_from_dict(data, args.source)))
+    _write(canonical_json(out), args.out)
     return 0
 
 
@@ -293,6 +302,8 @@ def cmd_limit_demo(args):
         raise ValidationError("kappa: expected n-1=%d entries, got %d" % (n - 1, len(kappa)))
     if not all(0 < k <= 1 for k in kappa):
         raise ValidationError("kappa entries must lie in (0, 1]")
+    if args.m_max < 10:
+        raise ValidationError("m-max must be at least 10 (the first row), got %d" % args.m_max)
     rows = limit_demo_rows(kappa, args.m_max, n)
     lines = ["%12s %16s %20s %20s" % ("m", "lambda0", "generator_distance", "invariant_distance")]
     for row in rows:

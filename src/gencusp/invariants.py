@@ -19,7 +19,6 @@ from .cusp_groups import (
     rho,
 )
 from .linalg import (
-    check_symmetric,
     check_unimodular,
     expm,
     maxerr,
@@ -74,7 +73,8 @@ class MiddleWeightTie(ValueError):
 
 class NotRealizable(ValueError):
     """Input that no marked cusp realizes: weight data off the weights
-    equation, or a cubic off the shape cone."""
+    equation, a complete invariant whose weights admit no positive relation,
+    or a cubic off the shape cone."""
 
 
 def sort_weights(w):
@@ -125,10 +125,8 @@ class WeightData:
     def __post_init__(self):
         w = sort_weights(self.weights)
         w.setflags(write=False)
-        q = check_symmetric(self.metric)
-        q.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "metric", q)
+        object.__setattr__(self, "metric", check_unimodular(self.metric, "metric"))
 
     @property
     def varpi(self):
@@ -316,7 +314,8 @@ def recover_psi_from_invariant(eta):
     x_i = log psi_i (psi non-increasing, N non-decreasing); the system matrix
     is nonsingular for every t >= 1.  For t = n the weights satisfy a unique
     positive linear relation whose coefficients are psi up to one scale,
-    fixed by the |det| = 1 marking normalization.
+    fixed by the |det| = 1 marking normalization; weights with no positive
+    relation, or degenerate ones, raise ``NotRealizable``.
     """
     w = eta.character.weights
     n = w.shape[0] - 1
@@ -336,12 +335,12 @@ def recover_psi_from_invariant(eta):
         if np.max(coeff) < -np.min(coeff):
             coeff = -coeff
         if np.min(coeff) <= 0:
-            raise ValueError("weight relation is not positive; not a valid invariant")
+            raise NotRealizable("weight relation is not positive; not a valid invariant")
         j = int(np.argmax(coeff))
         rows = np.delete(np.arange(n), j)
         det = abs(np.linalg.det(r[rows]))
         if det <= 0:
-            raise ValueError("weight covectors are degenerate")
+            raise NotRealizable("weight covectors are degenerate")
         psi_n = det ** (1.0 / (n - 1))
         psi = (psi_n / coeff[j]) * coeff
         return PsiParameter(n, np.sort(psi)[::-1], ordered=True)
@@ -450,7 +449,7 @@ def realize_weight_data(w, tol=1e-8):
     resid = weights_equation_residual(w)
     if resid > tol:
         raise NotRealizable("weights equation residual %g exceeds %g" % (resid, tol))
-    beta = unimodular(w.metric)
+    beta = w.metric
     qinv = np.linalg.inv(beta)
     n = w.weights.shape[0]
     dim = n - 1
@@ -577,7 +576,7 @@ def limit_demo_rows(kappa, m_max, n):
     """Convergence table of the diagonalizable family (lam0 = 1/m) toward its
     lam0 = 0 limit with kappa fixed: generator and invariant distances."""
     kappa = np.asarray(kappa, dtype=float)
-    if np.any(kappa <= 0) or np.any(kappa > 1):
+    if not np.all((kappa > 0) & (kappa <= 1)):
         raise ValueError("kappa entries must lie in (0, 1]")
     order = np.argsort(-kappa)  # descending kappa gives ascending lambda
     kap = kappa[order]

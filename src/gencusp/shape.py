@@ -25,7 +25,6 @@ from .linalg import (
     maxerr,
     nonzero,
     sqrt_forms,
-    unimodular,
 )
 
 __all__ = [
@@ -319,7 +318,7 @@ def cubic_from_weights(wd):
     exceeds the squared zero threshold, since varpi >= 0."""
     if not isinstance(wd, WeightData):
         raise TypeError("expected WeightData")
-    beta = unimodular(wd.metric)
+    beta = wd.metric
     qinv = np.linalg.inv(beta)
     w = wd.weights
     norms2 = np.einsum("ij,jk,ik->i", w, qinv, w)

@@ -1,13 +1,18 @@
 """The verification battery: every structural identity and completeness
 round trip in the library, packaged as named deterministic checks.
 
-Each check draws its own generator from (seed, check name), measures a worst
-residual over its samples, and passes when the residual clears its threshold.
+Each check draws its own generator from (seed, check name) and passes when
+its combined residual clears its threshold.  A sampled check measures one
+sample, ``fn(rng, i, dims)`` for sample i: its residual, or its failure count
+when the threshold is zero.  The registered entry runs it over the samples
+and combines the values from 0.0 by max (residuals) or by sum (counts).
 Detection checks (which assert that a *discrepancy* is present) pass when the
 measured deviation exceeds a floor instead.
 """
 
+import operator
 import zlib
+from functools import reduce
 
 import numpy as np
 
@@ -20,6 +25,7 @@ from .cusp_groups import (
     lie_algebra_zeta,
     lie_algebra_phi,
     orbit_point,
+    preferred_sqrt,
     rho,
 )
 from .invariants import (
@@ -46,7 +52,11 @@ __all__ = ["run_battery", "CHECKS"]
 CHECKS = []
 
 
-def _register(name, anchor, threshold, detection=False):
+def _register(name, anchor, threshold, detection=False, whole=False):
+    """Register a check.  The decorated function measures one sample unless
+    ``whole`` is set, in which case it is itself the stored
+    ``fn(rng, samples, dims) -> (residual, count)``."""
+
     def deco(fn):
         CHECKS.append(
             {
@@ -54,12 +64,23 @@ def _register(name, anchor, threshold, detection=False):
                 "anchor": anchor,
                 "threshold": threshold,
                 "detection": detection,
-                "fn": fn,
+                "fn": fn if whole else _over_samples(fn, threshold),
             }
         )
         return fn
 
     return deco
+
+
+def _over_samples(sample, threshold):
+    # start from 0.0: some per-sample residuals are negative (margins under a
+    # bound), and the check reports the worst of them clipped at zero
+    combine = operator.add if threshold == 0 else max
+
+    def fn(rng, samples, dims):
+        return reduce(combine, (sample(rng, i, dims) for i in range(samples)), 0.0), samples
+
+    return fn
 
 
 def _rng_for(seed, name):
@@ -71,73 +92,57 @@ def _rng_for(seed, name):
 
 
 @_register("expm-similarity", "conjugation-equivariance-of-exp", 1e-10)
-def _check_expm_similarity(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        k = int(rng.integers(3, 7))
-        m = rng.standard_normal((k, k))
-        # norm-bounded, not just spectral-radius-bounded: the similarity
-        # residual is amplified by exp(|M|) times cond(P)
-        m *= rng.uniform(0.5, 2.0) / np.linalg.norm(m, np.inf)
-        for _ in range(64):
-            p = rng.standard_normal((k, k))
-            if np.linalg.cond(p) <= 1e3 and abs(np.linalg.det(p)) > 1e-6:
-                break
-        lhs = expm(p @ m @ np.linalg.inv(p))
-        rhs = p @ expm(m) @ np.linalg.inv(p)
-        worst = max(worst, maxerr(lhs, rhs))
-    return worst, samples
+def _check_expm_similarity(rng, i, dims):
+    k = int(rng.integers(3, 7))
+    m = rng.standard_normal((k, k))
+    # norm-bounded, not just spectral-radius-bounded: the similarity
+    # residual is amplified by exp(|M|) times cond(P)
+    m *= rng.uniform(0.5, 2.0) / np.linalg.norm(m, np.inf)
+    for _ in range(64):
+        p = rng.standard_normal((k, k))
+        if np.linalg.cond(p) <= 1e3 and abs(np.linalg.det(p)) > 1e-6:
+            break
+    lhs = expm(p @ m @ np.linalg.inv(p))
+    rhs = p @ expm(m) @ np.linalg.inv(p)
+    return maxerr(lhs, rhs)
 
 
 @_register("expm-triangular", "triangular-structure-preservation", 1e-12)
-def _check_expm_triangular(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        k = int(rng.integers(3, 7))
-        t = np.triu(rng.standard_normal((k, k)))
-        e = expm(t)
-        below = np.max(np.abs(np.tril(e, -1)))
-        diag = maxerr(np.diag(e), np.exp(np.diag(t)))
-        worst = max(worst, below, diag)
-    return worst, samples
+def _check_expm_triangular(rng, i, dims):
+    k = int(rng.integers(3, 7))
+    t = np.triu(rng.standard_normal((k, k)))
+    e = expm(t)
+    below = np.max(np.abs(np.tril(e, -1)))
+    return max(below, maxerr(np.diag(e), np.exp(np.diag(t))))
 
 
 @_register("fk-series-continuity", "fk-small-argument-branch", 1e-12)
-def _check_fk_continuity(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        s = rng.uniform(-1e-3, 1e-3)
-        t = rng.uniform(-10, 10)
-        for k in (1, 2):
-            bound = abs(s) * abs(t) ** (k + 1) * np.exp(abs(s * t))
-            delta = abs(f_k(k, s, t) - f_k(k, 0.0, t))
-            worst = max(worst, delta - bound)
-    return worst, samples
+def _check_fk_continuity(rng, i, dims):
+    s = rng.uniform(-1e-3, 1e-3)
+    t = rng.uniform(-10, 10)
+    excess = []
+    for k in (1, 2):
+        bound = abs(s) * abs(t) ** (k + 1) * np.exp(abs(s * t))
+        excess.append(abs(f_k(k, s, t) - f_k(k, 0.0, t)) - bound)
+    return max(excess)
 
 
 @_register("newton-identities", "power-sums-to-elementary", 1e-9)
-def _check_newton(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        k = int(rng.integers(2, 8))
-        roots = rng.uniform(-2, 2, k)
-        p = [float(np.sum(roots ** j)) for j in range(1, k + 1)]
-        e = newton_to_elementary(p)
-        coeffs = np.poly(roots)
-        expected = [(-1.0) ** j * coeffs[j] for j in range(1, k + 1)]
-        worst = max(worst, maxerr(e, expected))
-    return worst, samples
+def _check_newton(rng, i, dims):
+    k = int(rng.integers(2, 8))
+    roots = rng.uniform(-2, 2, k)
+    p = [float(np.sum(roots ** j)) for j in range(1, k + 1)]
+    e = newton_to_elementary(p)
+    coeffs = np.poly(roots)
+    return maxerr(e, [(-1.0) ** j * coeffs[j] for j in range(1, k + 1)])
 
 
 @_register("cholesky-roundtrip", "upper-factor-uniqueness", 1e-10)
-def _check_cholesky(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        k = int(rng.integers(2, 6))
-        a = np.triu(rng.standard_normal((k, k)))
-        np.fill_diagonal(a, rng.uniform(0.5, 2.0, k))
-        worst = max(worst, maxerr(cholesky_upper(a.T @ a), a))
-    return worst, samples
+def _check_cholesky(rng, i, dims):
+    k = int(rng.integers(2, 6))
+    a = np.triu(rng.standard_normal((k, k)))
+    np.fill_diagonal(a, rng.uniform(0.5, 2.0, k))
+    return maxerr(cholesky_upper(a.T @ a), a)
 
 
 # ---------------------------------------------------------------------------
@@ -145,84 +150,65 @@ def _check_cholesky(rng, samples, dims):
 
 
 @_register("model-commutativity", "abelian-image", 1e-9)
-def _check_commute(rng, samples, dims):
-    worst = 0.0
-    for i in range(samples):
-        n = int(rng.choice(dims))
-        c = random_cusp(rng, n)
-        v, w = rng.uniform(-1.5, 1.5, (2, n - 1))
-        a, b = rho(c, v), rho(c, w)
-        worst = max(worst, maxerr(a @ b, b @ a))
-    return worst, samples
+def _check_commute(rng, i, dims):
+    n = int(rng.choice(dims))
+    c = random_cusp(rng, n)
+    v, w = rng.uniform(-1.5, 1.5, (2, n - 1))
+    a, b = rho(c, v), rho(c, w)
+    return maxerr(a @ b, b @ a)
 
 
 @_register("zeta-scaling-identity", "scaling-reparametrization", 1e-12)
-def _check_zeta_scaling(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        t = int(rng.integers(0, n + 1))
-        psi = np.zeros(n)
-        psi[:t] = rng.uniform(0.3, 2.0, t)
-        s = rng.uniform(0.3, 3.0)
-        r = min(t, n - 1)
-        v = rng.uniform(-2, 2, n - 1)
-        scaled = v.copy()
-        scaled[:r] *= s
-        lhs = expm(lie_algebra_zeta(s * psi, v))
-        rhs = expm(lie_algebra_zeta(psi, scaled))
-        worst = max(worst, maxerr(lhs, rhs))
-    return worst, samples
+def _check_zeta_scaling(rng, i, dims):
+    n = int(rng.choice(dims))
+    t = int(rng.integers(0, n + 1))
+    psi = np.zeros(n)
+    psi[:t] = rng.uniform(0.3, 2.0, t)
+    s = rng.uniform(0.3, 3.0)
+    r = min(t, n - 1)
+    v = rng.uniform(-2, 2, n - 1)
+    scaled = v.copy()
+    scaled[:r] *= s
+    lhs = expm(lie_algebra_zeta(s * psi, v))
+    rhs = expm(lie_algebra_zeta(psi, scaled))
+    return maxerr(lhs, rhs)
 
 
 @_register("diagonal-limit", "boundary-of-diagonalizable-family", 0.2)
-def _check_dn_limit(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        kap = rng.uniform(0.1, 1.0, n - 1)
-        v = rng.uniform(-1, 1, n - 1)
-        limit = lie_algebra_phi(BlownUpWeylPoint(n, np.zeros(n), kap), v)
-        limit = expm(limit)
-        errs = []
-        for m in (10.0, 100.0, 1000.0):
-            lam = np.concatenate([[1.0 / m], 1.0 / (m * kap)])
-            p = BlownUpWeylPoint(n, lam, kap, flavor="diagonal")
-            errs.append(maxerr(expm(lie_algebra_phi(p, v)), limit))
-        # discrepancy O(lambda_0): each decade shrinks it ~10x
-        worst = max(worst, errs[1] / errs[0], errs[2] / errs[1])
-    return worst, samples
+def _check_dn_limit(rng, i, dims):
+    n = int(rng.choice(dims))
+    kap = rng.uniform(0.1, 1.0, n - 1)
+    v = rng.uniform(-1, 1, n - 1)
+    limit = expm(lie_algebra_phi(BlownUpWeylPoint(n, np.zeros(n), kap), v))
+    errs = []
+    for m in (10.0, 100.0, 1000.0):
+        lam = np.concatenate([[1.0 / m], 1.0 / (m * kap)])
+        p = BlownUpWeylPoint(n, lam, kap, flavor="diagonal")
+        errs.append(maxerr(expm(lie_algebra_phi(p, v)), limit))
+    # discrepancy O(lambda_0): each decade shrinks it ~10x
+    return max(errs[1] / errs[0], errs[2] / errs[1])
 
 
 @_register("orbit-on-surface", "orbit-graph-identity", 1e-9)
-def _check_orbit_surface(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        c = random_cusp(rng, n)
-        v = rng.uniform(-1.2, 1.2, n - 1)
-        pt = orbit_point(c, v)
-        worst = max(worst, abs(pt[0] - hypersurface_F(c.params, pt[1:])) /
-                    max(1.0, abs(pt[0])))
-    return worst, samples
+def _check_orbit_surface(rng, i, dims):
+    n = int(rng.choice(dims))
+    c = random_cusp(rng, n)
+    pt = orbit_point(c, rng.uniform(-1.2, 1.2, n - 1))
+    return abs(pt[0] - hypersurface_F(c.params, pt[1:])) / max(1.0, abs(pt[0]))
 
 
 @_register("lambda-scaling-character", "lambda-scale-conjugacy", 1e-12)
-def _check_tconj(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        p = random_blownup_point(rng, n)
-        s = rng.uniform(0.4, 2.5)
-        ps = p.scaled(s)
-        c1 = build_marked_cusp(p)
-        c2 = build_marked_cusp(ps)
-        v = rng.uniform(-1, 1, n - 1)
-        chi1 = character_closed_form(c1, s * v)
-        chi2 = character_closed_form(c2, v)
-        worst = max(worst, abs(chi1 - chi2) / max(1.0, abs(chi1)))
-        worst = max(worst, maxerr(horosphere_metric(c1), horosphere_metric(c2)))
-    return worst, samples
+def _check_tconj(rng, i, dims):
+    n = int(rng.choice(dims))
+    p = random_blownup_point(rng, n)
+    s = rng.uniform(0.4, 2.5)
+    c1 = build_marked_cusp(p)
+    c2 = build_marked_cusp(p.scaled(s))
+    v = rng.uniform(-1, 1, n - 1)
+    chi1 = character_closed_form(c1, s * v)
+    chi2 = character_closed_form(c2, v)
+    return max(abs(chi1 - chi2) / max(1.0, abs(chi1)),
+               maxerr(horosphere_metric(c1), horosphere_metric(c2)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,87 +216,68 @@ def _check_tconj(rng, samples, dims):
 
 
 @_register("character-closed-form", "trace-formula", 1e-8)
-def _check_character(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        c = random_cusp(rng, n)
-        v = rng.uniform(-1.5, 1.5, n - 1)
-        tr = float(np.trace(rho(c, v)))
-        chi = character_closed_form(c, v)
-        worst = max(worst, abs(tr - chi) / max(1.0, abs(chi)))
-    return worst, samples
+def _check_character(rng, i, dims):
+    n = int(rng.choice(dims))
+    c = random_cusp(rng, n)
+    v = rng.uniform(-1.5, 1.5, n - 1)
+    tr = float(np.trace(rho(c, v)))
+    chi = character_closed_form(c, v)
+    return abs(tr - chi) / max(1.0, abs(chi))
 
 
 @_register("metric-identity", "hessian-vs-marking-form", 1e-10)
-def _check_metric_identity(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        c = random_cusp(rng, n, orthonormalized=False)
-        closed = horosphere_metric(c)
-        fitted = unimodular(shape_mod.fit_height_jet(c)[0])
-        worst = max(worst, maxerr(fitted, closed))
-    return worst, samples
+def _check_metric_identity(rng, i, dims):
+    n = int(rng.choice(dims))
+    c = random_cusp(rng, n, orthonormalized=False)
+    return maxerr(unimodular(shape_mod.fit_height_jet(c)[0]), horosphere_metric(c))
 
 
 @_register("eta-conjugation-invariance", "invariance-under-affine-conjugacy", 1e-8)
-def _check_eta_invariance(rng, samples, dims):
+def _check_eta_invariance(rng, i, dims):
+    n = int(rng.choice(dims))
+    c = random_cusp(rng, n)
+    eta = complete_invariant(c)
+    lin = random_marking(rng, n, cond_max=10.0)
+    p = np.eye(n + 1)
+    p[:n, :n] = lin
+    p[:n, n] = rng.uniform(-1, 1, n)
+    pinv = np.linalg.inv(p)
+    gens = [p @ g @ pinv for g in c.generators]
+    base = p[:, n].copy()
     worst = 0.0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        c = random_cusp(rng, n)
-        eta = complete_invariant(c)
-        lin = random_marking(rng, n, cond_max=10.0)
-        p = np.eye(n + 1)
-        p[:n, :n] = lin
-        p[:n, n] = rng.uniform(-1, 1, n)
-        pinv = np.linalg.inv(p)
-        gens = [p @ g @ pinv for g in c.generators]
-        base = p[:, n].copy()
-        # character probes
-        for _ in range(3):
-            v = rng.uniform(-1, 1, n - 1)
-            a = np.zeros((n + 1, n + 1))
-            for vi, g in zip(v, gens):
-                a += vi * g
-            tr = float(np.trace(expm(a)))
-            worst = max(worst, abs(tr - eta.character.chi(v)) / max(1.0, abs(tr)))
-        beta_conj = unimodular(shape_mod.height_jet(gens, base)[0])
-        worst = max(worst, maxerr(beta_conj, eta.metric))
-    return worst, samples
+    # character probes
+    for _ in range(3):
+        v = rng.uniform(-1, 1, n - 1)
+        a = np.zeros((n + 1, n + 1))
+        for vi, g in zip(v, gens):
+            a += vi * g
+        tr = float(np.trace(expm(a)))
+        worst = max(worst, abs(tr - eta.character.chi(v)) / max(1.0, abs(tr)))
+    beta_conj = unimodular(shape_mod.height_jet(gens, base)[0])
+    return max(worst, maxerr(beta_conj, eta.metric))
 
 
 @_register("completeness-separation", "distinct-parameters-not-conjugate", 0.0)
-def _check_separation(rng, samples, dims):
-    failures = 0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        p1 = random_blownup_point(rng, n)
-        p2 = random_blownup_point(rng, n)
-        if np.max(np.abs(np.sort(p1.lam) - np.sort(p2.lam))) < 0.05:
-            continue
-        c1 = build_marked_cusp(p1, random_marking(rng, n - 1))
-        c2 = build_marked_cusp(p2, random_marking(rng, n - 1))
-        if are_conjugate(c1, c2):
-            failures += 1
-    return float(failures), samples
+def _check_separation(rng, i, dims):
+    n = int(rng.choice(dims))
+    p1 = random_blownup_point(rng, n)
+    p2 = random_blownup_point(rng, n)
+    if np.max(np.abs(np.sort(p1.lam) - np.sort(p2.lam))) < 0.05:
+        return 0
+    c1 = build_marked_cusp(p1, random_marking(rng, n - 1))
+    c2 = build_marked_cusp(p2, random_marking(rng, n - 1))
+    return int(are_conjugate(c1, c2))
 
 
 @_register("stabilizer-markings-conjugate", "marking-stabilizer", 0.0)
-def _check_stabilizer(rng, samples, dims):
-    failures = 0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        t = int(rng.integers(0, n))  # keep u >= 1 so O(u) is nontrivial
-        p = random_blownup_point(rng, n, t=t)
-        b = random_marking(rng, n - 1)
-        c1 = build_marked_cusp(p, b)
-        r = _stabilizer_sample(rng, p)
-        c2 = build_marked_cusp(p, r @ b)
-        if not are_conjugate(c1, c2):
-            failures += 1
-    return float(failures), samples
+def _check_stabilizer(rng, i, dims):
+    n = int(rng.choice(dims))
+    t = int(rng.integers(0, n))  # keep u >= 1 so O(u) is nontrivial
+    p = random_blownup_point(rng, n, t=t)
+    b = random_marking(rng, n - 1)
+    c1 = build_marked_cusp(p, b)
+    r = _stabilizer_sample(rng, p)
+    return int(not are_conjugate(c1, build_marked_cusp(p, r @ b)))
 
 
 def _stabilizer_sample(rng, p):
@@ -323,8 +290,6 @@ def _stabilizer_sample(rng, p):
     of the model composed with (R B) matches that of B exactly when R fixes
     the model weights (as a multiset) and the model metric.
     """
-    from .cusp_groups import preferred_sqrt
-
     n = p.n
     dim = n - 1
     u = p.unipotent_u
@@ -343,38 +308,27 @@ def _stabilizer_sample(rng, p):
 
 
 @_register("weights-equation", "pairwise-dual-pairing-constant", 1e-8)
-def _check_weights_equation(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        c = random_cusp(rng, n)
-        worst = max(worst, weights_equation_residual(weight_data(c)))
-    return worst, samples
+def _check_weights_equation(rng, i, dims):
+    n = int(rng.choice(dims))
+    return weights_equation_residual(weight_data(random_cusp(rng, n)))
 
 
 @_register("varpi-closed-form", "varpi-from-parameters", 1e-8)
-def _check_varpi(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        c = random_cusp(rng, n)
-        worst = max(worst, abs(weight_data(c).varpi - varpi_closed_form(c)))
-    return worst, samples
+def _check_varpi(rng, i, dims):
+    n = int(rng.choice(dims))
+    c = random_cusp(rng, n)
+    return abs(weight_data(c).varpi - varpi_closed_form(c))
 
 
 @_register("realization-roundtrip", "weight-data-completeness", 1e-6)
-def _check_realize(rng, samples, dims):
-    worst = 0.0
-    for i in range(samples):
-        n = int(rng.choice(dims))
-        if i % 2 == 0:
-            wd = weight_data(random_cusp(rng, n))
-        else:
-            wd = _random_weight_data(rng, n)
-        back = weight_data(realize_weight_data(wd))
-        worst = max(worst, _match_multisets(back.weights, wd.weights))
-        worst = max(worst, maxerr(back.metric, wd.metric))
-    return worst, samples
+def _check_realize(rng, i, dims):
+    n = int(rng.choice(dims))
+    if i % 2 == 0:
+        wd = weight_data(random_cusp(rng, n))
+    else:
+        wd = _random_weight_data(rng, n)
+    back = weight_data(realize_weight_data(wd))
+    return max(_match_multisets(back.weights, wd.weights), maxerr(back.metric, wd.metric))
 
 
 def _random_weight_data(rng, n):
@@ -402,7 +356,7 @@ def _random_weight_data(rng, n):
     return frame_to_weight_data(a, vs)
 
 
-@_register("psi-recovery-roundtrip", "parameter-from-invariant", 1e-7)
+@_register("psi-recovery-roundtrip", "parameter-from-invariant", 1e-7, whole=True)
 def _check_psi_recovery(rng, samples, dims):
     worst = 0.0
     count = 0
@@ -419,33 +373,26 @@ def _check_psi_recovery(rng, samples, dims):
 
 
 @_register("equal-slot-symmetry", "argmax-level-invariance", 0.0)
-def _check_equal_slot_symmetry(rng, samples, dims):
-    failures = 0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        a, b = np.sort(rng.uniform(0.4, 2.0, 2))
-        if abs(a - b) < 0.05:
-            continue
-        swap = np.eye(n - 1)
-        swap[[n - 3, n - 2]] = swap[[n - 2, n - 3]]
-        # permuting two equal positive slots fixes the invariant ...
-        lam_eq = np.zeros(n)
-        lam_eq[n - 2:] = [a, a]
-        p_eq = BlownUpWeylPoint(n, lam_eq, np.zeros(n - 1))
-        bmat = random_marking(rng, n - 1)
-        same = are_conjugate(
-            build_marked_cusp(p_eq, bmat), build_marked_cusp(p_eq, swap @ bmat)
-        )
-        # ... permuting two unequal ones changes it
-        lam_ne = np.zeros(n)
-        lam_ne[n - 2:] = [a, b]
-        p_ne = BlownUpWeylPoint(n, lam_ne, np.zeros(n - 1))
-        diff = are_conjugate(
-            build_marked_cusp(p_ne, bmat), build_marked_cusp(p_ne, swap @ bmat)
-        )
-        if not same or diff:
-            failures += 1
-    return float(failures), samples
+def _check_equal_slot_symmetry(rng, i, dims):
+    n = int(rng.choice(dims))
+    a, b = np.sort(rng.uniform(0.4, 2.0, 2))
+    if abs(a - b) < 0.05:
+        return 0
+    swap = np.eye(n - 1)
+    swap[[n - 3, n - 2]] = swap[[n - 2, n - 3]]
+    bmat = random_marking(rng, n - 1)
+
+    def swap_is_conjugate(top):
+        lam = np.zeros(n)
+        lam[n - 2:] = top
+        p = BlownUpWeylPoint(n, lam, np.zeros(n - 1))
+        return are_conjugate(build_marked_cusp(p, bmat), build_marked_cusp(p, swap @ bmat))
+
+    # permuting two equal positive slots fixes the invariant ...
+    same = swap_is_conjugate([a, a])
+    # ... permuting two unequal ones changes it
+    diff = swap_is_conjugate([a, b])
+    return int(not same or diff)
 
 
 # ---------------------------------------------------------------------------
@@ -453,157 +400,130 @@ def _check_equal_slot_symmetry(rng, samples, dims):
 
 
 @_register("shape-triple-route", "jet-vs-calibration-vs-weight-cubes", 1e-10)
-def _check_triple_route(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        c = random_cusp(rng, n)
-        s_fit = shape_mod.shape_invariant(c, "fit")
-        s_closed = shape_mod.shape_invariant(c, "closed")
-        s_weights = shape_mod.cubic_from_weights(weight_data(c))
-        worst = max(worst, s_fit.distance(s_closed))
-        worst = max(worst, s_weights.distance(s_closed))
-        worst = max(worst, s_fit.distance(s_weights))
-    return worst, samples
+def _check_triple_route(rng, i, dims):
+    n = int(rng.choice(dims))
+    c = random_cusp(rng, n)
+    s_fit = shape_mod.shape_invariant(c, "fit")
+    s_closed = shape_mod.shape_invariant(c, "closed")
+    s_weights = shape_mod.cubic_from_weights(weight_data(c))
+    return max(s_fit.distance(s_closed), s_weights.distance(s_closed),
+               s_fit.distance(s_weights))
 
 
 @_register("jet-hessian-fd", "second-derivative-cross-check", 1e-4)
-def _check_jet_fd(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        c = random_cusp(rng, n)
-        q_fit, _ = shape_mod.fit_height_jet(c)
-        hess = 2.0 * q_fit
-        step = 1e-3
-        dim = n - 1
-        fd = np.zeros((dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                vpp = step * (np.eye(dim)[i] + np.eye(dim)[j])
-                vpm = step * (np.eye(dim)[i] - np.eye(dim)[j])
-                fd[i, j] = (
-                    shape_mod.height_at(c, vpp)
-                    - shape_mod.height_at(c, vpm)
-                    - shape_mod.height_at(c, -vpm)
-                    + shape_mod.height_at(c, -vpp)
-                ) / (4 * step * step)
-        worst = max(worst, maxerr(hess, fd) / max(1.0, maxerr(fd, np.zeros_like(fd))))
-    return worst, samples
+def _check_jet_fd(rng, i, dims):
+    n = int(rng.choice(dims))
+    c = random_cusp(rng, n)
+    q_fit, _ = shape_mod.fit_height_jet(c)
+    hess = 2.0 * q_fit
+    step = 1e-3
+    dim = n - 1
+    fd = np.zeros((dim, dim))
+    for a in range(dim):
+        for b in range(dim):
+            vpp = step * (np.eye(dim)[a] + np.eye(dim)[b])
+            vpm = step * (np.eye(dim)[a] - np.eye(dim)[b])
+            fd[a, b] = (
+                shape_mod.height_at(c, vpp)
+                - shape_mod.height_at(c, vpm)
+                - shape_mod.height_at(c, -vpm)
+                + shape_mod.height_at(c, -vpp)
+            ) / (4 * step * step)
+    return maxerr(hess, fd) / max(1.0, maxerr(fd, np.zeros_like(fd)))
 
 
 @_register("sphere-maxima-closed-form", "local-maxima-closed-forms", 1e-6)
-def _check_maxima(rng, samples, dims):
-    worst = 0.0
-    for i in range(samples):
-        n = int(rng.choice(dims))
-        if i % 2 == 0:
-            psi = rng.uniform(0.4, 2.0, n)
-            q, c, _ = shape_mod.restricted_diag_calibration(
-                np.asarray(psi, dtype=float)
-            )
-            found = shape_mod.sphere_local_maxima(q, c, seed=int(rng.integers(1 << 30)))
-            if len(found.points) != n:
-                worst = max(worst, 1.0)
-                continue
-            s_tot = float(np.sum(psi))
-            expected = np.sort(
-                [
-                    (1.0 / np.sqrt(p)) * (1 - 2 * p / s_tot) / np.sqrt(1 - p / s_tot) / 6.0
-                    for p in psi
-                ]
-            )
-            worst = max(worst, maxerr(np.sort(found.values), expected))
-        else:
-            t = int(rng.integers(1, n))
-            p = random_blownup_point(rng, n, t=t)
-            p = BlownUpWeylPoint(n, p.lam, np.zeros(n - 1))  # the kappa = 0 model
-            c0 = build_marked_cusp(p)
-            s = shape_mod.shape_invariant(c0, "closed")
-            found = shape_mod.sphere_local_maxima(s.q, s.c, seed=int(rng.integers(1 << 30)))
-            pos = found.values > 0
-            vals = np.sort(found.values[pos])
-            expected = np.sort(p.lam[p.lam > 0] / 3.0)
-            if len(vals) != len(expected):
-                worst = max(worst, 1.0)
-                continue
-            worst = max(worst, maxerr(vals, expected))
-            gram = found.points[pos] @ s.q @ found.points[pos].T
-            off = gram[~np.eye(len(gram), dtype=bool)]
-            if len(off):
-                worst = max(worst, float(np.max(np.abs(off))))
-    return worst, samples
+def _check_maxima(rng, i, dims):
+    n = int(rng.choice(dims))
+    if i % 2 == 0:
+        psi = rng.uniform(0.4, 2.0, n)
+        q, c, _ = shape_mod.restricted_diag_calibration(np.asarray(psi, dtype=float))
+        found = shape_mod.sphere_local_maxima(q, c, seed=int(rng.integers(1 << 30)))
+        if len(found.points) != n:
+            return 1.0
+        s_tot = float(np.sum(psi))
+        expected = np.sort(
+            [
+                (1.0 / np.sqrt(p)) * (1 - 2 * p / s_tot) / np.sqrt(1 - p / s_tot) / 6.0
+                for p in psi
+            ]
+        )
+        return maxerr(np.sort(found.values), expected)
+    t = int(rng.integers(1, n))
+    p = random_blownup_point(rng, n, t=t)
+    p = BlownUpWeylPoint(n, p.lam, np.zeros(n - 1))  # the kappa = 0 model
+    s = shape_mod.shape_invariant(build_marked_cusp(p), "closed")
+    found = shape_mod.sphere_local_maxima(s.q, s.c, seed=int(rng.integers(1 << 30)))
+    pos = found.values > 0
+    vals = np.sort(found.values[pos])
+    expected = np.sort(p.lam[p.lam > 0] / 3.0)
+    if len(vals) != len(expected):
+        return 1.0
+    worst = maxerr(vals, expected)
+    gram = found.points[pos] @ s.q @ found.points[pos].T
+    off = gram[~np.eye(len(gram), dtype=bool)]
+    if len(off):
+        worst = max(worst, float(np.max(np.abs(off))))
+    return worst
 
 
 @_register("shape-recovery-roundtrip", "shape-completeness", 0.0)
-def _check_shape_recovery(rng, samples, dims):
-    failures = 0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        c = random_cusp(rng, n)
-        s = shape_mod.shape_invariant(c, "closed")
-        try:
-            rec = shape_mod.recover_cusp_from_shape(s)
-        except ValueError:
-            failures += 1
-            continue
-        if not are_conjugate(rec, c, tol=1e-6):
-            failures += 1
-    return float(failures), samples
+def _check_shape_recovery(rng, i, dims):
+    n = int(rng.choice(dims))
+    c = random_cusp(rng, n)
+    s = shape_mod.shape_invariant(c, "closed")
+    try:
+        rec = shape_mod.recover_cusp_from_shape(s)
+    except ValueError:
+        return 1
+    return int(not are_conjugate(rec, c, tol=1e-6))
+
+
+def _equal_lambda_or_random_point(rng, i, n):
+    """Every third sample lies on the equal-lambda family (all lambda zero,
+    or all equal with kappa = 1), the others are random points."""
+    if i % 3:
+        return random_blownup_point(rng, n)
+    s = rng.uniform(0.3, 2.0)
+    lam = np.full(n, s) if i % 6 else np.zeros(n)
+    kap = lam[0] / lam[1:] if lam[0] > 0 else np.zeros(n - 1)
+    return BlownUpWeylPoint(n, lam, kap)
 
 
 @_register("harmonic-iff-equal-lambda", "affine-sphere-criterion", 0.0)
-def _check_harmonic(rng, samples, dims):
-    failures = 0
-    for i in range(samples):
-        n = int(rng.choice(dims))
-        if i % 3 == 0:
-            s = rng.uniform(0.3, 2.0)
-            lam = np.full(n, s) if i % 6 else np.zeros(n)
-            kap = lam[0] / lam[1:] if lam[0] > 0 else np.zeros(n - 1)
-            p = BlownUpWeylPoint(n, lam, kap)
-        else:
-            p = random_blownup_point(rng, n)
-        c = build_marked_cusp(p, random_marking(rng, n - 1))
-        lam = p.lam
-        predicate = bool(
-            np.all(np.abs(lam - lam[0]) < 1e-12)
-        )  # all equal: either all zero or the equal diagonalizable family
-        if shape_mod.is_affine_sphere(c) != predicate:
-            failures += 1
-    return float(failures), samples
+def _check_harmonic(rng, i, dims):
+    n = int(rng.choice(dims))
+    p = _equal_lambda_or_random_point(rng, i, n)
+    c = build_marked_cusp(p, random_marking(rng, n - 1))
+    # all equal: either all zero or the equal diagonalizable family
+    predicate = bool(np.all(np.abs(p.lam - p.lam[0]) < 1e-12))
+    return int(shape_mod.is_affine_sphere(c) != predicate)
 
 
 @_register("shape-vs-eta-symmetry", "common-stabilizer", 0.0)
-def _check_oj_oeta(rng, samples, dims):
+def _check_oj_oeta(rng, i, dims):
+    n = int(rng.choice(dims))
+    t = int(rng.integers(0, n))
+    p = random_blownup_point(rng, n, t=t)
+    b = random_marking(rng, n - 1)
+    c0 = build_marked_cusp(p, b)
+    s0 = shape_mod.shape_invariant(c0, "closed")
+    eta0 = complete_invariant(c0)
+    binv = np.linalg.inv(b)
+    candidates = [binv @ _stabilizer_sample(rng, p) @ b]
+    perm = np.eye(n - 1)
+    j1, j2 = rng.choice(n - 1, 2, replace=False)
+    perm[[j1, j2]] = perm[[j2, j1]]
+    candidates.append(binv @ perm @ b)
+    candidates.append(random_marking(rng, n - 1))
     failures = 0
-    for _ in range(samples):
-        n = int(rng.choice(dims))
-        t = int(rng.integers(0, n))
-        p = random_blownup_point(rng, n, t=t)
-        b = random_marking(rng, n - 1)
-        c0 = build_marked_cusp(p, b)
-        s0 = shape_mod.shape_invariant(c0, "closed")
-        eta0 = complete_invariant(c0)
-        binv = np.linalg.inv(b)
-        candidates = [binv @ _stabilizer_sample(rng, p) @ b]
-        perm = np.eye(n - 1)
-        i, j = rng.choice(n - 1, 2, replace=False)
-        perm[[i, j]] = perm[[j, i]]
-        candidates.append(binv @ perm @ b)
-        candidates.append(random_marking(rng, n - 1))
-        for r in candidates:
-            cr = build_marked_cusp(p, b @ r)
-            sr = shape_mod.ShapeInvariant.canonical(
-                r.T @ s0.q @ r, s0.c.compose_linear(r)
-            )
-            j_preserved = sr.distance(s0) <= 1e-9
-            eta_preserved = (
-                eta_distance(complete_invariant(cr), eta0) <= 1e-9
-            )
-            if j_preserved != eta_preserved:
-                failures += 1
-    return float(failures), samples
+    for r in candidates:
+        cr = build_marked_cusp(p, b @ r)
+        sr = shape_mod.ShapeInvariant.canonical(r.T @ s0.q @ r, s0.c.compose_linear(r))
+        j_preserved = sr.distance(s0) <= 1e-9
+        eta_preserved = eta_distance(complete_invariant(cr), eta0) <= 1e-9
+        failures += int(j_preserved != eta_preserved)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -611,96 +531,59 @@ def _check_oj_oeta(rng, samples, dims):
 
 
 @_register("cone-containment", "radial-bounded-by-harmonic", 1e-8)
-def _check_cone(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        c = random_cusp(rng, 3)
-        s = shape_mod.shape_invariant(c, "closed")
-        coords = dim3.coords_from_shape(s)
-        worst = max(worst, abs(coords.r) - 3.0 * abs(coords.h))
-    return worst, samples
+def _check_cone(rng, i, dims):
+    coords = dim3.coords_from_shape(shape_mod.shape_invariant(random_cusp(rng, 3), "closed"))
+    return abs(coords.r) - 3.0 * abs(coords.h)
 
 
 @_register("boundary-iff-nondiagonalizable", "cone-boundary-stratum", 0.0)
-def _check_boundary(rng, samples, dims):
-    failures = 0
-    for _ in range(samples):
-        t = int(rng.integers(0, 4))
-        p = random_blownup_point(rng, 3, t=t)
-        c = random_cusp_from_point(rng, p)
-        s = shape_mod.shape_invariant(c, "closed")
-        coords = dim3.coords_from_shape(s)
-        on_boundary = abs(3.0 * abs(coords.h) - abs(coords.r)) <= 1e-6 * max(
-            1.0, abs(coords.h)
-        )
-        if on_boundary != (p.type_t < 3):
-            failures += 1
-    return float(failures), samples
-
-
-def random_cusp_from_point(rng, p):
-    return build_marked_cusp(p, random_marking(rng, p.n - 1))
+def _check_boundary(rng, i, dims):
+    t = int(rng.integers(0, 4))
+    p = random_blownup_point(rng, 3, t=t)
+    c = build_marked_cusp(p, random_marking(rng, 2))
+    coords = dim3.coords_from_shape(shape_mod.shape_invariant(c, "closed"))
+    on_boundary = abs(3.0 * abs(coords.h) - abs(coords.r)) <= 1e-6 * max(1.0, abs(coords.h))
+    return int(on_boundary != (p.type_t < 3))
 
 
 @_register("radial-zero-iff-sphere", "harmonic-cubic-criterion", 0.0)
-def _check_r_zero(rng, samples, dims):
-    failures = 0
-    for i in range(samples):
-        if i % 3 == 0:
-            s = rng.uniform(0.3, 2.0)
-            lam = np.full(3, s) if i % 6 else np.zeros(3)
-            kap = lam[0] / lam[1:] if lam[0] > 0 else np.zeros(2)
-            p = BlownUpWeylPoint(3, lam, kap)
-        else:
-            p = random_blownup_point(rng, 3)
-        c = random_cusp_from_point(rng, p)
-        coords = dim3.coords_from_shape(shape_mod.shape_invariant(c, "closed"))
-        r_zero = abs(coords.r) <= 1e-8 * max(1.0, abs(coords.h))
-        if r_zero != shape_mod.is_affine_sphere(c):
-            failures += 1
-    return float(failures), samples
+def _check_r_zero(rng, i, dims):
+    p = _equal_lambda_or_random_point(rng, i, 3)
+    c = build_marked_cusp(p, random_marking(rng, 2))
+    coords = dim3.coords_from_shape(shape_mod.shape_invariant(c, "closed"))
+    r_zero = abs(coords.r) <= 1e-8 * max(1.0, abs(coords.h))
+    return int(r_zero != shape_mod.is_affine_sphere(c))
 
 
 @_register("rotation-equivariance", "harmonic-radial-rotation-action", 1e-10)
-def _check_rotation(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        h = complex(*rng.uniform(-1, 1, 2))
-        r = complex(*rng.uniform(-1, 1, 2))
-        if abs(r) > 3 * abs(h):
-            h, r = r, h / 3.0
-        theta = rng.uniform(0, 2 * np.pi)
-        omega = np.exp(1j * theta)
-        rot = np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-        )
-        c = dim3.cubic_from_hr(h, r).compose_linear(rot)
-        split = dim3.decompose_cubic_2d(c)
-        worst = max(worst, abs(split.h - omega ** 3 * h), abs(split.r - omega * r))
-    return worst, samples
+def _check_rotation(rng, i, dims):
+    h = complex(*rng.uniform(-1, 1, 2))
+    r = complex(*rng.uniform(-1, 1, 2))
+    if abs(r) > 3 * abs(h):
+        h, r = r, h / 3.0
+    theta = rng.uniform(0, 2 * np.pi)
+    omega = np.exp(1j * theta)
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    split = dim3.decompose_cubic_2d(dim3.cubic_from_hr(h, r).compose_linear(rot))
+    return max(abs(split.h - omega ** 3 * h), abs(split.r - omega * r))
 
 
 @_register("strata-rotation-invariance", "stratum-classification-symmetry", 0.0)
-def _check_strata_rotation(rng, samples, dims):
-    failures = 0
-    for i in range(samples):
-        w = complex(*rng.uniform(-1, 1, 2))
-        if abs(w) < 0.1:
-            w = 1.0 + 0.5j
-        cases = [
-            (0.0, 0.0),
-            (w ** 3 / abs(w) ** 2, 3 * w),  # cube of a linear form
-            (w, 3 * w * np.exp(1j * rng.uniform(0.3, 2.0))),  # boundary, not a cube
-            (w, rng.uniform(0, 2.9) * w),  # interior
-        ]
-        h, r = cases[i % 4]
-        theta = rng.uniform(0, 2 * np.pi)
-        omega = np.exp(1j * theta)
-        t0 = dim3.classify_stratum_3d(h, r)
-        t1 = dim3.classify_stratum_3d(omega ** 3 * h, omega * r)
-        if t0 != t1 or t0 != i % 4:
-            failures += 1
-    return float(failures), samples
+def _check_strata_rotation(rng, i, dims):
+    w = complex(*rng.uniform(-1, 1, 2))
+    if abs(w) < 0.1:
+        w = 1.0 + 0.5j
+    cases = [
+        (0.0, 0.0),
+        (w ** 3 / abs(w) ** 2, 3 * w),  # cube of a linear form
+        (w, 3 * w * np.exp(1j * rng.uniform(0.3, 2.0))),  # boundary, not a cube
+        (w, rng.uniform(0, 2.9) * w),  # interior
+    ]
+    h, r = cases[i % 4]
+    omega = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    t0 = dim3.classify_stratum_3d(h, r)
+    t1 = dim3.classify_stratum_3d(omega ** 3 * h, omega * r)
+    return int(t0 != t1 or t0 != i % 4)
 
 
 def _surface_point(seed, t):
@@ -711,7 +594,7 @@ def _surface_point(seed, t):
     return p
 
 
-@_register("surface-rows-match-F", "closed-form-surface-heights", 1e-8)
+@_register("surface-rows-match-F", "closed-form-surface-heights", 1e-8, whole=True)
 def _check_surface_rows(rng, samples, dims):
     worst = 0.0
     for t in range(4):
@@ -735,7 +618,7 @@ def _check_surface_rows(rng, samples, dims):
 
 
 @_register("surface-printed-rows-differ", "printed-table-discrepancy", 1e-4,
-           detection=True)
+           detection=True, whole=True)
 def _check_surface_printed(rng, samples, dims):
     deviations = []
     for t in (1, 2, 3):
@@ -752,24 +635,15 @@ def _check_surface_printed(rng, samples, dims):
 
 
 @_register("coords-roundtrip", "three-dimensional-moduli-coordinates", 1e-8)
-def _check_coords_roundtrip(rng, samples, dims):
-    worst = 0.0
-    for _ in range(samples):
-        w = complex(rng.uniform(-1, 1), rng.uniform(0.3, 2.0))
-        h = complex(*rng.uniform(-1, 1, 2))
-        r = h * rng.uniform(0, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        coords = dim3.CuspCoords3D(w, h, r)
-        back = dim3.coords_from_shape(dim3.shape_from_coords(coords))
-        worst = max(
-            worst,
-            abs(back.w - w),
-            abs(back.h - h),
-            abs(back.r - r),
-        )
-    return worst, samples
+def _check_coords_roundtrip(rng, i, dims):
+    w = complex(rng.uniform(-1, 1), rng.uniform(0.3, 2.0))
+    h = complex(*rng.uniform(-1, 1, 2))
+    r = h * rng.uniform(0, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    back = dim3.coords_from_shape(dim3.shape_from_coords(dim3.CuspCoords3D(w, h, r)))
+    return max(abs(back.w - w), abs(back.h - h), abs(back.r - r))
 
 
-@_register("stratum-dimensions", "stratification-dimensions", 0.0)
+@_register("stratum-dimensions", "stratification-dimensions", 0.0, whole=True)
 def _check_stratum_dims(rng, samples, dims):
     bad = 0
     if [stratum_dim(3, t) for t in range(4)] != [2, 4, 5, 6]:
@@ -780,7 +654,7 @@ def _check_stratum_dims(rng, samples, dims):
     return float(bad), 9
 
 
-@_register("geometric-limit-decay", "diagonalizable-approximation-rate", 1.0)
+@_register("geometric-limit-decay", "diagonalizable-approximation-rate", 1.0, whole=True)
 def _check_limit_decay(rng, samples, dims):
     worst = 0.0
     for _ in range(max(1, samples // 10)):

@@ -151,6 +151,33 @@ def test_recover_numerical_failure_still_exits_2(tmp_path, monkeypatch, capsys):
     assert "reproduces the shape only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, block, key", [
+    ("psi", "eta", "beta"), ("weights", "nu", "beta"), ("shape", "shape", "q"),
+])
+def test_recover_rejects_non_unimodular_metric(tmp_path, capsys, kind, block, key):
+    # a type-3 cusp's invariants with the metric doubled: no cusp has them
+    src = _write(tmp_path, "p.json", _params([0.5, 1.0, 2.0], [0.5, 0.25]))
+    inv = tmp_path / "inv.json"
+    assert main(["invariants", src, "--out", str(inv)]) == 0
+    data = json.loads(inv.read_text())
+    data[block][key] = (2.0 * np.array(data[block][key])).tolist()
+    doubled = _write(tmp_path, "doubled.json", data)
+    assert main(["recover", kind, doubled]) == 1
+    assert "must be unimodular" in capsys.readouterr().err
+
+
+def test_recover_psi_rejects_weights_without_positive_relation(tmp_path, capsys):
+    eta = {"weights": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]],
+           "beta": [[1.0, 0.0], [0.0, 1.0]]}
+    assert main(["recover", "psi", _write(tmp_path, "eta.json", {"eta": eta})]) == 1
+    assert "not positive" in capsys.readouterr().err
+
+
+def test_recover_rejects_ragged_matrix(tmp_path):
+    nu = {"weights": [[1.0, 0.0], [0.0]], "beta": [[1.0, 0.0], [0.0, 1.0]]}
+    assert main(["recover", "weights", _write(tmp_path, "nu.json", {"nu": nu})]) == 1
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
 def test_conjugate_rejects_bad_tol(tmp_path, tol):
     a = _write(tmp_path, "a.json", _params([0.0, 0, 1], [0.5, 0.0]))
@@ -222,6 +249,50 @@ def test_verify_mutation_flags_varpi_check(monkeypatch):
     assert residual > check["threshold"]
 
 
+def test_count_check_reports_its_failure_count(monkeypatch):
+    import gencusp.shape as shape_mod
+    from gencusp.verify import CHECKS, _rng_for
+
+    def fail(shape):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(shape_mod, "recover_cusp_from_shape", fail)
+    check = next(c for c in CHECKS if c["name"] == "shape-recovery-roundtrip")
+    assert check["fn"](_rng_for(0, check["name"]), 3, (3,)) == (3.0, 3)
+
+
+def test_residual_check_starts_from_zero():
+    # fk-series-continuity measures delta minus its bound: negative on every
+    # sample, so the combined residual is the starting 0.0
+    from gencusp.verify import CHECKS, _rng_for
+
+    check = next(c for c in CHECKS if c["name"] == "fk-series-continuity")
+    assert check["fn"](_rng_for(0, check["name"]), 5, (3,)) == (0.0, 5)
+
+
+def test_run_battery_reports_a_check_that_raises_and_runs_the_rest(monkeypatch):
+    import gencusp.verify as verify_mod
+
+    orig = verify_mod.varpi_closed_form
+    calls = []
+
+    def raises_at_second_sample(c):
+        calls.append(c)
+        if len(calls) == 2:
+            raise RuntimeError("planted")
+        return orig(c)
+
+    monkeypatch.setattr(verify_mod, "varpi_closed_form", raises_at_second_sample)
+    report = verify_mod.run_battery(seed=0, samples=3, dims=(3,))
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert len(by_name) == len(verify_mod.CHECKS)
+    bad = by_name.pop("varpi-closed-form")
+    assert (bad["max_residual"], bad["samples"], bad["passed"]) == (9e99, 0, False)
+    assert bad["note"] == "RuntimeError: planted"
+    assert report["passed"] is False
+    assert all(c["passed"] and "note" not in c for c in by_name.values())
+
+
 def test_verify_exit_code_on_failure(monkeypatch, tmp_path):
     import gencusp.verify as verify_mod
 
@@ -257,6 +328,11 @@ def test_limit_demo(tmp_path, capsys):
     ratios = [a / b for a, b in zip(dists, dists[1:])]
     assert all(abs(r - 10) <= 1 for r in ratios)
     assert main(["limit-demo", "--kappa", "1,0"]) == 1  # kappa must be in (0,1]
+
+
+def test_limit_demo_rejects_m_max_below_first_row(capsys):
+    assert main(["limit-demo", "--kappa", "1,1", "--m-max", "9"]) == 1
+    assert "m-max" in capsys.readouterr().err
 
 
 def test_build_output_roundtrips_bit_exactly(tmp_path):

@@ -19,12 +19,14 @@ from gencusp.invariants import (
     CharacterData,
     CompleteInvariant,
     MiddleWeightTie,
+    NotRealizable,
     WeightData,
     are_conjugate,
     complete_invariant,
     eta_distance,
     frame_to_weight_data,
     horosphere_metric,
+    limit_demo_rows,
     linear_sum_assignment,
     marked_psi_normal_form,
     middle_weight,
@@ -247,6 +249,25 @@ def test_realize_rejects_bad_data():
     broken = type(wd)(np.vstack([wd.weights[:-1], np.zeros(2)]), wd.metric)
     with pytest.raises(ValueError, match="weights equation residual"):
         realize_weight_data(broken)
+
+
+def test_weight_data_requires_unimodular_metric():
+    # varpi reads the metric as given while realization and the weight
+    # cubes read it renormalized, so a doubled metric must not get in
+    wd = weight_data(_cusp([0.5, 1.0, 2.0], [0.5, 0.25]))
+    with pytest.raises(ValueError, match="metric must be unimodular"):
+        WeightData(wd.weights, 2.0 * wd.metric)
+
+
+def test_psi_recovery_rejects_weights_without_positive_relation():
+    w = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(NotRealizable, match="not positive"):
+        recover_psi_from_invariant(CompleteInvariant(CharacterData(w), np.eye(2)))
+
+
+def test_limit_demo_rows_rejects_nan_kappa():
+    with pytest.raises(ValueError, match="kappa entries must lie in"):
+        limit_demo_rows([float("nan"), 0.5], 100, 3)
 
 
 def test_frame_to_weight_data():

@@ -1,6 +1,8 @@
 """The traced benchmark rebinds every (module, name) pair listed in
 perfbench/spans.py:TRACED by looking it up on gencusp.<module>; a name
-removed or renamed in the library would crash every traced run."""
+removed or renamed in the library would crash every traced run.  Its
+`battery` workload also re-wraps each `verify.CHECKS[k]["fn"]` to time it,
+so those entries keep their fields and call signature."""
 
 import importlib
 import importlib.util
@@ -25,3 +27,14 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module("gencusp." + mod), name, None))
     ]
     assert missing == []
+
+
+def test_battery_check_entries_keep_their_contract():
+    from gencusp.verify import CHECKS, _rng_for
+
+    names = [c["name"] for c in CHECKS]
+    assert len(names) == len(set(names))
+    for c in CHECKS:
+        assert set(c) == {"name", "anchor", "threshold", "detection", "fn"}
+        residual, count = c["fn"](_rng_for(0, c["name"]), 2, (3,))
+        assert isinstance(residual, float) and isinstance(count, int), c["name"]
