@@ -14,21 +14,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
+# every other gencusp module is imported by the commands that use it, so a
+# command pays only for its own imports
 from .cusp_groups import BlownUpWeylPoint, build_marked_cusp
-from .invariants import (
-    CharacterData,
-    CompleteInvariant,
-    NotRealizable,
-    WeightData,
-    complete_invariant,
-    eta_distance,
-    limit_demo_rows,
-    realize_weight_data,
-    recover_psi_from_invariant,
-    weight_data,
-)
-from .shape import CubicPoly, ShapeInvariant, cubic_from_weights, recover_cusp_from_shape, shape_invariant
-from . import dim3
 
 
 class ValidationError(ValueError):
@@ -76,13 +64,21 @@ def _write(text, out):
 
 
 def _load_json(path):
+    """The JSON object held in ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise OSError("cannot read %r: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise ValidationError("%s: invalid JSON: %s" % (path, exc)) from exc
+    if not isinstance(data, dict):
+        raise ValidationError("%s: expected a JSON object, got %s" % (path, type(data).__name__))
+    return data
+
+
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _require(data, key, kind, path):
@@ -93,15 +89,11 @@ def _require(data, key, kind, path):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValidationError("%s: field %r must be an integer" % (path, key))
     elif kind == "vector":
-        if not isinstance(value, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        ):
+        if not isinstance(value, list) or not all(_is_real(v) for v in value):
             raise ValidationError("%s: field %r must be a list of reals" % (path, key))
     elif kind == "matrix":
         if not isinstance(value, list) or not all(
-            isinstance(row, list)
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)
-            for row in value
+            isinstance(row, list) and all(_is_real(v) for v in row) for row in value
         ):
             raise ValidationError("%s: field %r must be a matrix of reals" % (path, key))
     return value
@@ -161,13 +153,27 @@ def _shape_to_dict(s):
     }
 
 
+def _block(data, key, path):
+    """The ``key`` block of an invariants file, or the file itself when it
+    holds just that block."""
+    block = data.get(key, data)
+    if not isinstance(block, dict):
+        raise ValidationError("%s: field %r must be a JSON object" % (path, key))
+    return block
+
+
 def _shape_from_dict(data, path):
-    block = data.get("shape", data)
+    from .shape import CubicPoly, ShapeInvariant
+
+    block = _block(data, "shape", path)
     q = _require(block, "q", "matrix", path)
+    c = block.get("c", {})
+    if not isinstance(c, dict) or not all(_is_real(v) for v in c.values()):
+        raise ValidationError("%s: field 'c' must map monomial keys to reals" % path)
     with _invalid_input(path):
         q = np.array(q, dtype=float)
         mono = {}
-        for key, val in block.get("c", {}).items():
+        for key, val in c.items():
             exps = tuple(int(t) for t in key.split(","))
             if len(exps) != q.shape[0] or sum(exps) != 3:
                 raise ValidationError("%s: c: bad monomial key %r" % (path, key))
@@ -176,6 +182,9 @@ def _shape_from_dict(data, path):
 
 
 def invariants_payload(cusp):
+    from .invariants import complete_invariant, weight_data
+    from .shape import cubic_from_weights, shape_invariant
+
     eta = complete_invariant(cusp)
     nu = weight_data(cusp)
     s = shape_invariant(cusp, "closed")
@@ -195,7 +204,9 @@ def invariants_payload(cusp):
         "cross_check": {"cubic_routes_residual": _round12(s.distance(from_weights))},
     }
     if cusp.n == 3:
-        coords = dim3.coords_from_shape(s)
+        from .dim3 import coords_from_shape
+
+        coords = coords_from_shape(s)
         payload["coords3d"] = {
             "w": [_round12(coords.w.real), _round12(coords.w.imag)],
             "h": [_round12(coords.h.real), _round12(coords.h.imag)],
@@ -219,6 +230,8 @@ def cmd_invariants(args):
 
 
 def cmd_conjugate(args):
+    from .invariants import complete_invariant, eta_distance
+
     c1 = parse_cusp_params(_load_json(args.cusp1), args.cusp1)
     c2 = parse_cusp_params(_load_json(args.cusp2), args.cusp2)
     if c1.n != c2.n:
@@ -232,9 +245,8 @@ def cmd_conjugate(args):
 
 
 def _weights_block(data, key, path, build):
-    """``build(weights, beta)`` on the ``key`` block of an invariants file
-    (or on the file itself when it holds just that block)."""
-    block = data.get(key, data)
+    """``build(weights, beta)`` on the ``key`` block of an invariants file."""
+    block = _block(data, key, path)
     w = _require(block, "weights", "matrix", path)
     beta = _require(block, "beta", "matrix", path)
     with _invalid_input(path):
@@ -242,14 +254,20 @@ def _weights_block(data, key, path, build):
 
 
 def _eta_from_dict(data, path):
+    from .invariants import CharacterData, CompleteInvariant
+
     return _weights_block(data, "eta", path, lambda w, beta: CompleteInvariant(CharacterData(w), beta))
 
 
 def _nu_from_dict(data, path):
+    from .invariants import WeightData
+
     return _weights_block(data, "nu", path, WeightData)
 
 
 def cmd_recover(args):
+    from .invariants import NotRealizable, realize_weight_data, recover_psi_from_invariant
+
     data = _load_json(args.source)
     # data no cusp has is a validation error; a genuine invariant whose
     # rebuilt cusp misses it stays a numerical failure (exit 2)
@@ -260,6 +278,8 @@ def cmd_recover(args):
         elif args.kind == "weights":
             out = cusp_to_dict(realize_weight_data(_nu_from_dict(data, args.source)))
         else:
+            from .shape import recover_cusp_from_shape
+
             out = cusp_to_dict(recover_cusp_from_shape(_shape_from_dict(data, args.source)))
     _write(canonical_json(out), args.out)
     return 0
@@ -278,6 +298,8 @@ def cmd_verify(args):
 
 
 def cmd_mesh(args):
+    from . import dim3
+
     cusp = parse_cusp_params(_load_json(args.cusp), args.cusp)
     try:
         g1, g2 = (int(t) for t in args.grid.lower().split("x"))
@@ -304,6 +326,8 @@ def cmd_limit_demo(args):
         raise ValidationError("kappa entries must lie in (0, 1]")
     if args.m_max < 10:
         raise ValidationError("m-max must be at least 10 (the first row), got %d" % args.m_max)
+    from .invariants import limit_demo_rows
+
     rows = limit_demo_rows(kappa, args.m_max, n)
     lines = ["%12s %16s %20s %20s" % ("m", "lambda0", "generator_distance", "invariant_distance")]
     for row in rows:

@@ -380,17 +380,20 @@ def hypersurface_F(p, x):
     """Height of the canonical orbit surface over x in prod (-1/lam_i, inf):
 
         F = f_2(lam0, -sum_i kap_i h(lam_i, x_i)) + sum_i g(lam_i, x_i)
+
+    x holds points along its last axis, of length n - 1; the heights have
+    x's other axes (a scalar for one point).
     """
     n = p.n
     x = np.asarray(x, dtype=float)
-    if x.shape != (n - 1,):
+    if x.ndim < 1 or x.shape[-1] != n - 1:
         raise ValueError("x must have length n-1")
     lam, kap = p.lam, p.kappa
     acc = 0.0
     hsum = 0.0
     for i in range(n - 1):
-        acc += g_surface(lam[i + 1], x[i])
-        hsum += kap[i] * h_log(lam[i + 1], x[i])
+        acc += g_surface(lam[i + 1], x[..., i])
+        hsum += kap[i] * h_log(lam[i + 1], x[..., i])
     return acc + f_k(2, lam[0], -hsum)
 
 

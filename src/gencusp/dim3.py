@@ -235,6 +235,11 @@ def _grid_points(p, grid):
     return xs, ys
 
 
+def _grid_heights(p, xs, ys):
+    """hypersurface_F at every (xs[i], ys[j]), as a len(xs) x len(ys) array."""
+    return hypersurface_F(p, np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1))
+
+
 def export_mesh_csv(p, grid, path):
     """Write "x1,x2,y" rows sampling the canonical surface on the grid of
     ``_grid_points`` (half-width _MESH_SPAN = 2); values are formatted with
@@ -242,13 +247,12 @@ def export_mesh_csv(p, grid, path):
     if p.n != 3:
         raise ValueError("mesh export is for 3-dimensional cusps")
     xs, ys = _grid_points(p, grid)
+    heights = _grid_heights(p, xs, ys)
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("x1,x2,y\n")
-            for x1 in xs:
-                for x2 in ys:
-                    y = hypersurface_F(p, np.array([x1, x2]))
-                    fh.write("%.17g,%.17g,%.17g\n" % (x1, x2, y))
+            for x1, row in zip(xs, heights):
+                fh.write("".join("%.17g,%.17g,%.17g\n" % (x1, x2, y) for x2, y in zip(ys, row)))
     except OSError as exc:
         raise OSError("mesh CSV export failed for %r: %s" % (path, exc)) from exc
     return len(xs) * len(ys)
@@ -260,13 +264,12 @@ def export_mesh_obj(p, grid, path):
     if p.n != 3:
         raise ValueError("mesh export is for 3-dimensional cusps")
     xs, ys = _grid_points(p, grid)
+    heights = _grid_heights(p, xs, ys)
     g1, g2 = len(xs), len(ys)
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            for i, x1 in enumerate(xs):
-                for j, x2 in enumerate(ys):
-                    y = hypersurface_F(p, np.array([x1, x2]))
-                    fh.write("v %.17g %.17g %.17g\n" % (x1, x2, y))
+            for x1, row in zip(xs, heights):
+                fh.write("".join("v %.17g %.17g %.17g\n" % (x1, x2, y) for x2, y in zip(ys, row)))
             for i in range(g1 - 1):
                 for j in range(g2 - 1):
                     a = i * g2 + j + 1

@@ -53,9 +53,8 @@ __all__ = [
     "limit_demo_rows",
 ]
 
-# weights_of's Newton-identity cross-check: probe count, seed, tolerance.
+# weights_of's Newton-identity cross-check: probe count and tolerance.
 _CHARACTER_PROBES = 3
-_CHARACTER_SEED = 20
 _CHARACTER_CHECK_TOL = 1e-7
 
 # middle_weight's probe seed and its relative tolerance on probe values.
@@ -72,9 +71,11 @@ class MiddleWeightTie(ValueError):
 
 
 class NotRealizable(ValueError):
-    """Input that no marked cusp realizes: weight data off the weights
-    equation, a complete invariant whose weights admit no positive relation,
-    or a cubic off the shape cone."""
+    """Input that a recovery map rejects as data, not as a numerical failure:
+    what no marked cusp realizes (weight data off the weights equation, a
+    complete invariant whose weights admit no positive relation, a cubic off
+    the shape cone), and an invariant with n < 3, below the range of
+    ``recover_psi_from_invariant`` and ``recover_cusp_from_shape``."""
 
 
 def sort_weights(w):
@@ -149,17 +150,18 @@ def weights_of(cusp):
     As an independent cross-check, the characteristic polynomial at a few
     probe vectors is rebuilt from the traces of powers via Newton's
     identities and compared with the product of the eigenvalue factors.
+    The probes are fixed, with no seed: cos(1), cos(2), ..., cos(3(n - 1))
+    taken n - 1 at a time, each scaled as below.
     """
     n = cusp.n
     w = np.zeros((n + 1, n - 1))
     for i, g in enumerate(cusp.generators):
         w[:, i] = np.diag(g)
-    rng = np.random.default_rng(_CHARACTER_SEED)
+    probes = np.cos(np.arange(1.0, _CHARACTER_PROBES * (n - 1) + 1.0)).reshape(-1, n - 1)
     # probe scale keeps every eigenvalue exp(xi(v)) moderate, else the
     # power-sum route loses all digits
     wmax = max(1.0, float(np.max(np.abs(w))))
-    for _ in range(_CHARACTER_PROBES):
-        v = rng.standard_normal(n - 1)
+    for v in probes:
         v *= 0.5 / (wmax * max(1.0, np.linalg.norm(v)))
         a = rho(cusp, v)
         powers = []
@@ -320,7 +322,7 @@ def recover_psi_from_invariant(eta):
     w = eta.character.weights
     n = w.shape[0] - 1
     if n < 3:
-        raise ValueError("recovery requires n >= 3")
+        raise NotRealizable("recovery requires n >= 3, got n = %d" % n)
     _, live = _split_weights(w)
     t = live.shape[0]
     if t == 0:

@@ -54,6 +54,16 @@ _SYMMETRY_TOL = 1e-12
 _SERIES_CUT = 1e-4
 
 
+def _series_or_closed(z, series, closed):
+    """``series()`` where |z| < _SERIES_CUT, else ``closed()``, elementwise; a
+    scalar z gives a scalar.  Both branches are evaluated at every point with
+    floating-point warnings off: the branch a point does not take may divide
+    by zero or overflow there, and its value is discarded.  An overflow in
+    the branch taken still gives inf, without a warning."""
+    with np.errstate(all="ignore"):
+        return np.where(np.abs(z) < _SERIES_CUT, series(), closed())[()]
+
+
 def nonzero(mags):
     """Mask of the magnitudes above ZERO * max(1, max(mags))."""
     mags = np.asarray(mags, dtype=float)
@@ -131,50 +141,65 @@ def expm(m):
 
 
 def f_k(k, s, t):
-    """f_k(s,t) = sum_{j>=k} s^(j-k) t^j / j!  for k in {0,1,2}.
+    """f_k(s,t) = sum_{j>=k} s^(j-k) t^j / j!  for k in {0,1,2}, elementwise
+    in s and t.
 
     f_0 = exp(st); f_1 = (e^{st}-1)/s; f_2 = (e^{st}-1-st)/s^2, with the
     analytic values t and t^2/2 at s=0.
     """
     if k not in (0, 1, 2):
         raise ValueError("f_k defined for k in {0,1,2}, got %r" % (k,))
-    z = s * t
+    z = np.multiply(s, t)
     if k == 0:
-        return float(np.exp(z))
+        return np.exp(z)
     if k == 1:
-        if abs(z) < _SERIES_CUT:
-            return t * (1.0 + z * (1 / 2 + z * (1 / 6 + z * (1 / 24 + z * (1 / 120 + z / 720)))))
-        return t * np.expm1(z) / z
-    if abs(z) < _SERIES_CUT:
-        return t * t * (1 / 2 + z * (1 / 6 + z * (1 / 24 + z * (1 / 120 + z * (1 / 720 + z / 5040)))))
-    return t * t * (np.expm1(z) - z) / (z * z)
+        return _series_or_closed(
+            z,
+            lambda: t * (1.0 + z * (1 / 2 + z * (1 / 6 + z * (1 / 24 + z * (1 / 120 + z / 720))))),
+            lambda: t * np.expm1(z) / z,
+        )
+    return _series_or_closed(
+        z,
+        lambda: t * t * (1 / 2 + z * (1 / 6 + z * (1 / 24 + z * (1 / 120 + z * (1 / 720 + z / 5040))))),
+        lambda: t * t * (np.expm1(z) - z) / (z * z),
+    )
+
+
+def _domain_product(ell, x, name):
+    """ell * x, which must stay above -1 at every point."""
+    z = np.multiply(ell, x)
+    if np.any(z <= -1.0):
+        raise ValueError("%s domain violation: 1 + ell*x <= 0" % name)
+    return z
 
 
 def h_log(ell, x):
-    """Inverse of x = f_1(ell, v): h(ell,x) = log(1+ell*x)/ell, h(0,x) = x.
+    """Inverse of x = f_1(ell, v): h(ell,x) = log(1+ell*x)/ell, h(0,x) = x,
+    elementwise in ell and x.
 
     Defined for 1 + ell*x > 0.
     """
-    z = ell * x
-    if z <= -1.0:
-        raise ValueError("h_log domain violation: 1 + ell*x <= 0")
-    if abs(z) < _SERIES_CUT:
-        return x * (1.0 - z * (1 / 2 - z * (1 / 3 - z * (1 / 4 - z * (1 / 5 - z / 6)))))
-    return np.log1p(z) / ell
+    z = _domain_product(ell, x, "h_log")
+    return _series_or_closed(
+        z,
+        lambda: x * (1.0 - z * (1 / 2 - z * (1 / 3 - z * (1 / 4 - z * (1 / 5 - z / 6))))),
+        lambda: np.log1p(z) / ell,
+    )
 
 
 def g_surface(ell, x):
-    """g(ell,x) = (ell*x - log(1+ell*x))/ell^2, g(0,x) = x^2/2.
+    """g(ell,x) = (ell*x - log(1+ell*x))/ell^2, g(0,x) = x^2/2, elementwise
+    in ell and x.
 
     Strictly convex and proper in x on 1 + ell*x > 0; the per-coordinate
     height profile of the canonical orbit surfaces.
     """
-    z = ell * x
-    if z <= -1.0:
-        raise ValueError("g_surface domain violation: 1 + ell*x <= 0")
-    if abs(z) < _SERIES_CUT:
-        return x * x * (1 / 2 - z * (1 / 3 - z * (1 / 4 - z * (1 / 5 - z * (1 / 6 - z / 7)))))
-    return (z - np.log1p(z)) / (ell * ell)
+    z = _domain_product(ell, x, "g_surface")
+    return _series_or_closed(
+        z,
+        lambda: x * x * (1 / 2 - z * (1 / 3 - z * (1 / 4 - z * (1 / 5 - z * (1 / 6 - z / 7))))),
+        lambda: (z - np.log1p(z)) / (ell * ell),
+    )
 
 
 def newton_to_elementary(power_sums):

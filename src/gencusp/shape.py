@@ -507,7 +507,7 @@ def recover_cusp_from_shape(shape):
     dim = shape.q.shape[0]
     n = dim + 1
     if n < 3:
-        raise ValueError("shape recovery requires n >= 3")
+        raise NotRealizable("shape recovery requires n >= 3, got n = %d" % n)
     # a cubic at the noise floor of the required tolerance is the standard
     # cusp: its shape matches with c = 0, which the final check re-verifies
     if shape.c.coeff_norm() <= 0.1 * _RECOVER_TOL:

@@ -1,8 +1,14 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gencusp
 from gencusp.cli import main
 from gencusp.cusp_groups import BlownUpWeylPoint
 from gencusp.invariants import are_conjugate
@@ -171,6 +177,33 @@ def test_recover_psi_rejects_weights_without_positive_relation(tmp_path, capsys)
            "beta": [[1.0, 0.0], [0.0, 1.0]]}
     assert main(["recover", "psi", _write(tmp_path, "eta.json", {"eta": eta})]) == 1
     assert "not positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (["recover", "psi"], [1, 2]),
+    (["recover", "weights"], [1, 2]),
+    (["recover", "shape"], [1, 2]),
+    (["build"], 5),
+    (["recover", "weights"], {"nu": 5}),
+    (["recover", "psi"], {"eta": [[1.0, 0.0]]}),
+    (["recover", "shape"], {"shape": "q"}),
+    (["recover", "shape"], {"q": [[1.0, 0.0], [0.0, 1.0]], "c": [1.0]}),
+    (["recover", "shape"], {"q": [[1.0, 0.0], [0.0, 1.0]], "c": {"3,0": [1.0]}}),
+], ids=["psi-list", "weights-list", "shape-list", "build-int", "nu-int", "eta-list",
+        "shape-str", "c-list", "c-entry-list"])
+def test_non_object_json_is_validation_error(tmp_path, capsys, argv, obj):
+    src = _write(tmp_path, "bad.json", obj)
+    assert main(argv + [src]) == 1
+    assert src in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, data", [
+    ("psi", {"eta": {"weights": [[1.0], [0.0], [-1.0]], "beta": [[1.0]]}}),
+    ("shape", {"shape": {"q": [[1.0]], "c": {"3": 1.0}}}),
+])
+def test_recover_below_dimension_three_is_validation_error(tmp_path, capsys, kind, data):
+    assert main(["recover", kind, _write(tmp_path, "n2.json", data)]) == 1
+    assert "requires n >= 3" in capsys.readouterr().err
 
 
 def test_recover_rejects_ragged_matrix(tmp_path):
@@ -360,3 +393,75 @@ def test_invariant_json_round12_is_diff_clean(tmp_path):
     main(["invariants", src, "--out", out1])
     main(["invariants", src, "--out", out2])
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+def _loaded_modules(argv):
+    """Run ``gencusp.cli.main(argv)`` in a fresh interpreter; returns its exit
+    code and the gencusp, numpy.random and scipy modules it loaded."""
+    src = str(Path(gencusp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import json, sys\n"
+        "from gencusp.cli import main\n"
+        "code = main(json.loads(sys.argv[1]))\n"
+        "mods = [m for m in sys.modules if m.startswith('gencusp')"
+        " or m in ('numpy.random', 'scipy')]\n"
+        "print(json.dumps([code, sorted(mods)]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    code, mods = json.loads(out.stdout.splitlines()[-1])
+    return code, set(mods)
+
+
+_BASE = {"gencusp", "gencusp.cli", "gencusp.cusp_groups", "gencusp.linalg"}
+_INVARIANTS = _BASE | {"gencusp.invariants"}
+_SHAPE = _INVARIANTS | {"gencusp.shape"}
+_DIM3 = _SHAPE | {"gencusp.dim3"}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("imports")
+    files = {}
+    for n, lam, kap in ((3, [0.5, 1.0, 2.0], [0.5, 0.25]), (4, [0.0, 1.0, 2.0, 3.0], [0.0] * 3)):
+        files["p%d" % n] = _write(d, "p%d.json" % n, _params(lam, kap))
+        files["inv%d" % n] = str(d / ("inv%d.json" % n))
+        assert main(["invariants", files["p%d" % n], "--out", files["inv%d" % n]]) == 0
+    files["out"] = str(d / "out")
+    files["obj"] = str(d / "out.obj")
+    return files
+
+
+# each command loads only its own modules, and none loads numpy.random
+# (the Newton cross-check probes are fixed) or scipy
+@pytest.mark.parametrize("argv, expected", [
+    ("build p3", _BASE),
+    ("conjugate p3 p3", _INVARIANTS),
+    ("recover psi inv3", _INVARIANTS),
+    ("recover weights inv3", _INVARIANTS),
+    ("recover shape inv3", _SHAPE),
+    ("invariants p4", _SHAPE),
+    ("invariants p3", _DIM3),
+    ("mesh p3 --grid 3x3 --obj obj", _DIM3),
+    ("limit-demo --kappa 1,1 --m-max 100", _INVARIANTS),
+], ids=["build", "conjugate", "recover-psi", "recover-weights", "recover-shape",
+        "invariants-n4", "invariants-n3", "mesh", "limit-demo"])
+def test_command_loads_only_its_modules(cli_files, argv, expected):
+    argv = [cli_files.get(t, t) for t in argv.split()] + ["--out", cli_files["out"]]
+    assert _loaded_modules(argv) == (0, expected)
+
+
+def test_package_exports_resolve_lazily_to_their_submodules():
+    assert set(gencusp.__all__) <= set(dir(gencusp))
+    for name in gencusp.__all__:
+        module = importlib.import_module("gencusp." + gencusp._EXPORTS[name])
+        assert getattr(gencusp, name) is getattr(module, name), name
+    with pytest.raises(AttributeError):
+        gencusp.not_an_export

@@ -193,6 +193,14 @@ def test_hypersurface_anchors():
     assert hypersurface_F(p, np.zeros(2)) == 0.0
     with pytest.raises(ValueError):
         hypersurface_F(p, np.array([0.0, -1.5]))
+    # points along the last axis: the same heights, and one point off the
+    # domain rejects the batch
+    pts = np.array([[[0.0, 0.0], [0.4, -0.3]], [[0.0, np.e - 1], [-2.0, 0.5]]])
+    heights = hypersurface_F(p, pts)
+    assert heights.shape == (2, 2)
+    assert all(heights[i, j] == hypersurface_F(p, pts[i, j]) for i in range(2) for j in range(2))
+    with pytest.raises(ValueError):
+        hypersurface_F(p, np.array([[0.0, 0.5], [0.0, -1.5]]))
 
 
 def test_orbit_points_lie_on_surface():

@@ -10,6 +10,7 @@ from gencusp.dim3 import (
     decompose_cubic_2d,
     export_mesh_csv,
     export_mesh_obj,
+    _grid_points,
     shape_from_coords,
     surface_height_3d,
     surface_height_printed_row,
@@ -206,6 +207,28 @@ def test_mesh_csv_bit_exact(tmp_path):
     for line in lines[1:]:
         x1, x2, y = (float(t) for t in line.split(","))
         assert y == hypersurface_F(p, np.array([x1, x2]))
+
+
+@pytest.mark.parametrize("lam, kap", [
+    ([0.0, 0.0, 0.0], [0.3, 0.8]),
+    ([0.0, 0.0, 0.4], [0.6, 0.0]),
+    ([0.0, 0.3, 0.4], [0.0, 0.0]),
+    ([0.1, 0.2, 0.4], [0.5, 0.25]),
+])
+def test_mesh_rows_match_pointwise_heights(tmp_path, lam, kap):
+    # types 0..3 on a 9x5 grid of [-2, 2]^2 that holds the lines x1 = 0 and
+    # x2 = 0, where g and h take their series branch (f_2 too, at the origin)
+    p = BlownUpWeylPoint(3, np.array(lam), np.array(kap))
+    assert p.type_t == sum(v > 0 for v in lam)
+    csv, obj = tmp_path / "mesh.csv", tmp_path / "mesh.obj"
+    export_mesh_csv(p, (9, 5), str(csv))
+    export_mesh_obj(p, (9, 5), str(obj))
+    xs, ys = _grid_points(p, (9, 5))
+    assert xs[4] == ys[2] == 0.0
+    points = [(x1, x2, hypersurface_F(p, np.array([x1, x2]))) for x1 in xs for x2 in ys]
+    assert csv.read_text().splitlines()[1:] == ["%.17g,%.17g,%.17g" % pt for pt in points]
+    verts = [line for line in obj.read_text().splitlines() if line.startswith("v ")]
+    assert verts == ["v %.17g %.17g %.17g" % pt for pt in points]
 
 
 def test_mesh_csv_trivial_grid(tmp_path):
