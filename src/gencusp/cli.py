@@ -298,15 +298,18 @@ def cmd_verify(args):
 
 
 def cmd_mesh(args):
-    from . import dim3
-
     cusp = parse_cusp_params(_load_json(args.cusp), args.cusp)
+    if cusp.n != 3:
+        raise ValidationError("%s: mesh export is for 3-dimensional cusps, got n = %d"
+                              % (args.cusp, cusp.n))
     try:
         g1, g2 = (int(t) for t in args.grid.lower().split("x"))
     except ValueError as exc:
         raise ValidationError("grid: expected g1xg2, got %r" % args.grid) from exc
     if min(g1, g2) < 2:
         raise ValidationError("grid: each side must be at least 2, got %r" % args.grid)
+    from . import dim3
+
     rows = dim3.export_mesh_csv(cusp.params, (g1, g2), args.out)
     if args.obj:
         dim3.export_mesh_obj(cusp.params, (g1, g2), args.obj)

@@ -8,7 +8,6 @@ import numpy as np
 
 from .cusp_groups import hypersurface_F
 from .linalg import cholesky_upper, g_surface, nonzero
-from .shape import CubicPoly, ShapeInvariant
 
 __all__ = [
     "Cubic2D",
@@ -87,6 +86,8 @@ def decompose_cubic_2d(c):
 
 def cubic_from_hr(h, r):
     """Inverse of decompose_cubic_2d."""
+    from .shape import CubicPoly
+
     h, r = complex(h), complex(r)
     mono = {
         (3, 0): h.real + r.real,
@@ -131,6 +132,8 @@ def coords_from_shape(shape):
 
 def shape_from_coords(coords):
     """Inverse of coords_from_shape: q = A_w^T A_w, c = Re(hz^3+rz|z|^2) o A_w."""
+    from .shape import ShapeInvariant
+
     a = w_to_matrix(coords.w)
     c = cubic_from_hr(coords.h, coords.r).compose_linear(a)
     return ShapeInvariant(a.T @ a, c)

@@ -142,14 +142,6 @@ class CubicPoly:
         v = np.asarray(v, dtype=float)
         return np.einsum("ijk,...i,...j,...k->...", self.tensor, v, v, v)
 
-    def gradient(self, v):
-        v = np.asarray(v, dtype=float)
-        return 3.0 * np.einsum("ijk,...j,...k->...i", self.tensor, v, v)
-
-    def hessian(self, v):
-        v = np.asarray(v, dtype=float)
-        return 6.0 * np.einsum("ijk,k->ij", self.tensor, v)
-
     def compose_linear(self, a):
         """The cubic v -> c(A v)."""
         a = np.asarray(a, dtype=float)
@@ -363,120 +355,111 @@ def affine_normal_at_base(q, c):
 SphereMaxima = namedtuple("SphereMaxima", ["points", "values", "degenerate"])
 
 
-def _q_normalize(q, x):
-    return x / np.sqrt(np.einsum("...i,ij,...j->...", x, q, x))[..., None]
+def _cubic_and_gradient(t2, y):
+    """c and grad c at the rows of y, by one matmul with the (m*m, m)
+    reshape t2 of c's tensor: grad c(y) = 3 t(y, y, .)."""
+    grad = 3.0 * (y[:, :, None] * y[:, None, :]).reshape(len(y), -1) @ t2
+    return np.sum(grad * y, axis=1) / 3.0, grad
 
 
-def _tangent_basis(q, x):
-    normal = q @ x
-    _, _, vt = np.linalg.svd(normal[None, :])
-    return vt[1:].T
-
-
-def _newton_polish(q, c, x0, scale):
-    x = x0.copy()
-    alpha = float(x @ c.gradient(x))
-    for _ in range(_NEWTON_ITERS):
-        g = c.gradient(x)
-        qx = q @ x
-        f1 = g - alpha * qx
-        f2 = 0.5 * (float(x @ qx) - 1.0)
-        fnorm = max(np.max(np.abs(f1)), abs(f2))
-        if fnorm <= 1e-13 * scale:
-            return x, alpha, True
-        jac = np.zeros((len(x) + 1, len(x) + 1))
-        jac[: len(x), : len(x)] = c.hessian(x) - alpha * q
-        jac[: len(x), -1] = -qx
-        jac[-1, : len(x)] = qx
+def _newton_polish(t2, y0, scale):
+    """Newton on the Lagrange system grad c = alpha y, |y| = 1."""
+    m = len(y0)
+    y = y0.copy()
+    alpha = 3.0 * _cubic_and_gradient(t2, y[None])[0][0]
+    for it in range(_NEWTON_ITERS + 1):
+        f = np.append(_cubic_and_gradient(t2, y[None])[1][0] - alpha * y, 0.5 * (y @ y - 1.0))
+        fnorm = np.max(np.abs(f))
+        if fnorm <= 1e-13 * scale or it == _NEWTON_ITERS:
+            break
+        jac = np.zeros((m + 1, m + 1))
+        jac[:m, :m] = 6.0 * (t2 @ y).reshape(m, m) - alpha * np.eye(m)
+        jac[:m, m] = -y
+        jac[m, :m] = y
         try:
-            step = np.linalg.solve(jac, -np.concatenate([f1, [f2]]))
+            step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
-            return x, alpha, False
-        x = x + step[:-1]
-        alpha = alpha + step[-1]
-    g = c.gradient(x)
-    qx = q @ x
-    fnorm = max(np.max(np.abs(g - alpha * qx)), abs(0.5 * (float(x @ qx) - 1.0)))
-    return x, alpha, fnorm <= 1e-10 * scale
+            return y, alpha, False
+        y = y + step[:m]
+        alpha = alpha + step[m]
+    return y, alpha, fnorm <= 1e-10 * scale
 
 
 def sphere_local_maxima(q, c, seed=0):
     """All local maxima of the cubic c restricted to the q-unit sphere.
 
-    Multi-start projected gradient ascent followed by Newton refinement of
-    the Lagrange system; maxima are the converged critical points whose
-    projected Hessian is negative definite (eigenvalues < -1e-8), deduplicated
-    within _DEDUP_TOL.  A zero cubic is flagged degenerate (c constant on the
-    sphere).  Shape recovery does not use it; it is the independent search
-    that the battery checks against the closed-form maxima.
+    The search runs on the round unit sphere of the q-frame y = q^(1/2) x,
+    where c reads t(y) = c(q^(-1/2) y): multi-start projected gradient
+    ascent, then Newton refinement of the Lagrange system; maxima are the
+    converged critical points whose projected Hessian is negative definite
+    (eigenvalues < -1e-8), deduplicated within _DEDUP_TOL.  Every relative
+    test is against the one scale 6 max|t|.  A zero cubic is flagged
+    degenerate (c constant on the sphere).  Shape recovery does not use it;
+    it is the independent search that the battery checks against the
+    closed-form maxima.
     """
     q = check_symmetric(q)
     m = q.shape[0]
-    scale = c.coeff_norm()
+    if c.dim != m:
+        raise ValueError("q and c dimensions differ")
+    inv_sqrt = sqrt_forms(q)[1]
+    t2 = c.compose_linear(inv_sqrt).tensor.reshape(m * m, m)
+    scale = 6.0 * float(np.max(np.abs(t2)))
     if scale < 1e-14:
         return SphereMaxima(np.zeros((0, m)), np.zeros(0), True)
-    n_restarts = _BASE_RESTARTS + _RESTARTS_PER_DIM * m
     rng = np.random.default_rng(seed)
-    # area-uniform on the q-sphere: push the round sphere through q^(-1/2)
-    draws = rng.standard_normal((n_restarts, m))
-    draws /= np.linalg.norm(draws, axis=1)[:, None]
-    inv_sqrt = sqrt_forms(q)[1]
-    x = draws @ inv_sqrt
-    # the degenerate-Hessian test below measures c in a q-orthonormal frame:
-    # in the caller's coordinates an ill-conditioned q inflates c's
-    # coefficients by orders of magnitude and hides genuine maxima
-    frame_scale = c.compose_linear(inv_sqrt).coeff_norm()
-    step = np.full(n_restarts, 0.5)
-    vals = c(x)
+    # area-uniform on the round sphere
+    y = rng.standard_normal((_BASE_RESTARTS + _RESTARTS_PER_DIM * m, m))
+    y /= np.linalg.norm(y, axis=1)[:, None]
+    vals, grads = _cubic_and_gradient(t2, y)
+    step = np.full(len(y), 0.5)
+    live = np.arange(len(y))  # the starts still moving
     for _ in range(200):
-        grad = c.gradient(x)
-        normals = x @ q
-        coef = np.einsum("ri,ri->r", grad, normals) / np.einsum("ri,ri->r", normals, normals)
-        tang = grad - coef[:, None] * normals
-        gnorm = np.max(np.abs(tang), axis=1)
-        if np.all(gnorm < 1e-9 * scale):
+        tang = grads[live] - 3.0 * vals[live, None] * y[live]  # y . grad c = 3 c
+        moving = np.max(np.abs(tang), axis=1) >= 1e-9 * scale
+        live, tang = live[moving], tang[moving]
+        if not len(live):
             break
-        trial = _q_normalize(q, x + step[:, None] * tang)
-        tvals = c(trial)
-        better = tvals > vals
-        x[better] = trial[better]
-        vals[better] = tvals[better]
-        step[better] = np.minimum(step[better] * 1.3, 2.0)
-        step[~better] *= 0.5
-        step = np.maximum(step, 1e-6)
+        trial = y[live] + step[live, None] * tang
+        trial /= np.linalg.norm(trial, axis=1)[:, None]
+        tvals, tgrads = _cubic_and_gradient(t2, trial)
+        better = tvals > vals[live]
+        up, down = live[better], live[~better]
+        y[up], vals[up], grads[up] = trial[better], tvals[better], tgrads[better]
+        step[up] = np.minimum(step[up] * 1.3, 2.0)
+        step[down] = np.maximum(step[down] * 0.5, 1e-6)
     # cluster ascent endpoints, then polish one representative per cluster
-    reps = x[:0]
+    reps = y[:0]
     for i in np.argsort(-vals):
-        if np.all(np.max(np.abs(reps - x[i]), axis=1) > 1e-3):
-            reps = np.vstack([reps, x[i]])
+        if np.all(np.max(np.abs(reps - y[i]), axis=1) > 1e-3):
+            reps = np.vstack([reps, y[i]])
     points, values = [], []
     any_converged = False
     for r in reps:
-        xr, alpha, ok = _newton_polish(q, c, r, scale)
+        yr, alpha, ok = _newton_polish(t2, r, scale)
         if not ok:
             continue
         any_converged = True
-        basis = _tangent_basis(q, xr)
-        hess = basis.T @ (c.hessian(xr) - alpha * q) @ basis
+        basis = np.linalg.svd(yr[None, :])[2][1:].T  # tangent plane at yr
+        hess = basis.T @ (6.0 * (t2 @ yr).reshape(m, m) - alpha * np.eye(m)) @ basis
         evals = np.linalg.eigvalsh(hess)
         if np.max(evals) >= -1e-8:
             continue
         # points on a degenerate critical manifold carry a near-zero Hessian
         # whose sign is set by how far Newton stalled from the manifold;
         # genuine maxima curve at the scale of c (gap of several orders)
-        if np.max(np.abs(evals)) < 1e-4 * max(1.0, frame_scale):
+        if np.max(np.abs(evals)) < 1e-4 * max(1.0, scale):
             continue
-        if all(np.max(np.abs(xr - p)) > _DEDUP_TOL for p in points):
-            points.append(xr)
-            values.append(float(c(xr)))
+        if all(np.max(np.abs(yr - p)) > _DEDUP_TOL for p in points):
+            points.append(yr)
+            values.append(float(_cubic_and_gradient(t2, yr[None])[0][0]))
     if not any_converged:
         raise RuntimeError(
-            "sphere optimizer failed to converge; best candidates: %r" % (reps[:3],)
+            "sphere optimizer failed to converge; best candidates: %r" % (reps[:3] @ inv_sqrt.T,)
         )
-    order = np.argsort(-np.asarray(values)) if values else []
-    pts = np.array([points[i] for i in order]) if len(values) else np.zeros((0, m))
-    vls = np.array([values[i] for i in order])
-    return SphereMaxima(pts, vls, False)
+    order = np.argsort(-np.asarray(values))
+    pts = np.reshape(points, (-1, m))[order] @ inv_sqrt.T
+    return SphereMaxima(pts, np.asarray(values)[order], False)
 
 
 def recover_cusp_from_shape(shape):

@@ -600,10 +600,9 @@ def _check_surface_rows(rng, samples, dims):
     for t in range(4):
         p = _surface_point(101 + t, t)
         xs, ys = dim3._grid_points(p, (20, 20))
-        for x1 in xs:
-            for x2 in ys:
+        for x1, heights in zip(xs, dim3._grid_heights(p, xs, ys)):
+            for x2, f_true in zip(ys, heights):
                 f_row = dim3.surface_height_3d(p.lam, x1, x2)
-                f_true = hypersurface_F(p, np.array([x1, x2]))
                 worst = max(worst, abs(f_row - f_true) / max(1.0, abs(f_true)))
         # orbit oracle for the same row
         c = build_marked_cusp(p)
@@ -625,10 +624,10 @@ def _check_surface_printed(rng, samples, dims):
         p = _surface_point(202 + t, t)
         xs, ys = dim3._grid_points(p, (20, 20))
         dev = 0.0
-        for x1 in xs:
-            for x2 in ys:
+        for x1, heights in zip(xs, dim3._grid_heights(p, xs, ys)):
+            for x2, f_true in zip(ys, heights):
                 printed = dim3.surface_height_printed_row(t, p.lam, x1, x2)
-                dev = max(dev, abs(printed - hypersurface_F(p, np.array([x1, x2]))))
+                dev = max(dev, abs(printed - f_true))
         deviations.append(dev)
     # detection: every printed row deviates from the derived surface
     return float(np.min(deviations)), 3 * 400

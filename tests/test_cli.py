@@ -236,6 +236,17 @@ def test_mesh_rejects_grid_below_2x2(tmp_path, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam", [[0.0, 1.0], [0.0, 1.0, 2.0, 3.0]], ids=["n2", "n4"])
+def test_mesh_rejects_dimension_other_than_3(tmp_path, capsys, lam):
+    # out-of-range input is a validation error (exit 1), not a numerical one
+    src = _write(tmp_path, "p.json", _params(lam, [0.0] * (len(lam) - 1)))
+    out = tmp_path / "mesh.csv"
+    assert main(["mesh", src, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "mesh export is for 3-dimensional cusps, got n = %d" % len(lam) in err
+    assert not out.exists()
+
+
 def test_run_battery_repeats_in_process():
     # no state leaks from one battery's cusps into the next
     from gencusp.verify import run_battery
@@ -449,7 +460,7 @@ def cli_files(tmp_path_factory):
     ("recover shape inv3", _SHAPE),
     ("invariants p4", _SHAPE),
     ("invariants p3", _DIM3),
-    ("mesh p3 --grid 3x3 --obj obj", _DIM3),
+    ("mesh p3 --grid 3x3 --obj obj", _BASE | {"gencusp.dim3"}),
     ("limit-demo --kappa 1,1 --m-max 100", _INVARIANTS),
 ], ids=["build", "conjugate", "recover-psi", "recover-weights", "recover-shape",
         "invariants-n4", "invariants-n3", "mesh", "limit-demo"])

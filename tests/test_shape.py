@@ -11,7 +11,7 @@ from gencusp.cusp_groups import (
     psi_to_lambda,
 )
 from gencusp.invariants import are_conjugate, complete_invariant, weight_data
-from gencusp.linalg import maxerr
+from gencusp.linalg import expm, maxerr
 from gencusp.sampling import random_cusp, random_marking
 from gencusp.shape import (
     CubicPoly,
@@ -224,6 +224,33 @@ def test_sphere_maxima_diag_anchor():
 def test_sphere_maxima_degenerate_flag():
     out = sphere_local_maxima(np.eye(2), CubicPoly.zero(2))
     assert out.degenerate and len(out.points) == 0
+
+
+def test_sphere_maxima_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="q and c dimensions differ"):
+        sphere_local_maxima(np.eye(3), CubicPoly.zero(2))
+
+
+@pytest.mark.parametrize("angle", [0.3, 0.7, 1.1])
+@pytest.mark.parametrize(
+    "family", [[0, 0.93, 1.7, 2.6, 3.3], [0, 0, 1.75, 2.5, 3.2], [0, 1, 2, 3, 4]]
+)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sphere_maxima_ill_conditioned_q(n, family, angle):
+    # marking R diag(k^-1/2, 1, ..., k^1/2) R^T at k = 1e3, so cond q = 1e6;
+    # the kappa = 0 model's positive maxima are lambda_i / 3, lambda_i > 0
+    k, m = 1e3, n - 1
+    ones = np.ones((m, m))
+    r = expm(angle * (np.triu(ones, 1) - np.tril(ones, -1)))
+    d = np.ones(m)
+    d[0], d[-1] = k ** -0.5, k ** 0.5
+    lam = np.asarray(family[:n], dtype=float)
+    s = shape_invariant(_cusp(lam, np.zeros(m), r @ np.diag(d) @ r.T), "closed")
+    found = sphere_local_maxima(s.q, s.c)
+    vals = np.sort(found.values[found.values > 0])
+    expected = np.sort(lam[lam > 0] / 3.0)
+    assert len(vals) == len(expected)
+    assert np.max(np.abs(vals - expected)) < 1e-6
 
 
 def test_recover_standard_cusp():
