@@ -324,6 +324,8 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
 def rho(cusp, v):
     """Holonomy matrix of the marked cusp at v in V."""
     v = np.asarray(v, dtype=float)
+    if v.shape != (cusp.n - 1,):
+        raise ValueError("v must have length n-1=%d" % (cusp.n - 1))
     a = np.zeros((cusp.n + 1, cusp.n + 1))
     for vi, g in zip(v, cusp.generators):
         a += vi * g

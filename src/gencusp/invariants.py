@@ -16,7 +16,6 @@ from .cusp_groups import (
     build_marked_cusp,
     lambda_to_psi,
     lie_algebra_phi,
-    rho,
 )
 from .linalg import (
     check_unimodular,
@@ -151,7 +150,8 @@ def weights_of(cusp):
     probe vectors is rebuilt from the traces of powers via Newton's
     identities and compared with the product of the eigenvalue factors.
     The probes are fixed, with no seed: cos(1), cos(2), ..., cos(3(n - 1))
-    taken n - 1 at a time, each scaled as below.
+    taken n - 1 at a time, each scaled as below.  All probes run as one
+    batched pass: one stacked ``expm``, one ``newton_to_elementary``.
     """
     n = cusp.n
     w = np.zeros((n + 1, n - 1))
@@ -161,24 +161,22 @@ def weights_of(cusp):
     # probe scale keeps every eigenvalue exp(xi(v)) moderate, else the
     # power-sum route loses all digits
     wmax = max(1.0, float(np.max(np.abs(w))))
-    for v in probes:
-        v *= 0.5 / (wmax * max(1.0, np.linalg.norm(v)))
-        a = rho(cusp, v)
-        powers = []
-        ak = np.eye(n + 1)
-        for _k in range(n + 1):
-            ak = ak @ a
-            powers.append(np.trace(ak))
-        elem = newton_to_elementary(powers)
-        eig = np.exp(w @ v)
-        coeffs = np.poly(eig)  # [1, -e1, e2, ...]
-        elem_direct = np.array([(-1.0) ** k * coeffs[k] for k in range(1, n + 2)])
-        err = maxerr(elem, elem_direct)
-        if err > _CHARACTER_CHECK_TOL:
-            raise ValueError(
-                "character cross-check failed: Newton-identity coefficients "
-                "deviate by %g (tolerance %g)" % (err, _CHARACTER_CHECK_TOL)
-            )
+    probes *= 0.5 / (wmax * np.maximum(1.0, np.linalg.norm(probes, axis=1)))[:, None]
+    a = expm(np.tensordot(probes, cusp.generators, axes=1))
+    powers = [a]
+    for _k in range(n):
+        powers.append(powers[-1] @ a)
+    elem = newton_to_elementary(np.trace(np.stack(powers, axis=1), axis1=2, axis2=3))
+    # e_0..e_{n+1} of the eigenvalues, one root at a time
+    elem_direct = np.repeat(np.eye(1, n + 2), len(probes), axis=0)
+    for root in np.exp(probes @ w.T).T:
+        elem_direct[:, 1:] += root[:, None] * elem_direct[:, :-1]
+    err = maxerr(elem, elem_direct[:, 1:])
+    if err > _CHARACTER_CHECK_TOL:
+        raise ValueError(
+            "character cross-check failed: Newton-identity coefficients "
+            "deviate by %g (tolerance %g)" % (err, _CHARACTER_CHECK_TOL)
+        )
     return CharacterData(w)
 
 

@@ -111,33 +111,37 @@ def maxerr(a, b):
 
 def expm(m):
     """Matrix exponential by scaling-and-squaring with a truncated Taylor
-    series of order _EXPM_ORDER = 14 (Horner form).
+    series of order _EXPM_ORDER = 14 (Horner form), of one matrix or of each
+    matrix in a stack (..., k, k).
 
-    The matrix is scaled so its inf-norm is <= 0.5 before the series is
+    Each matrix is scaled so its inf-norm is <= 0.5 before the series is
     evaluated, which keeps the truncation error near roundoff for spectral
     radius up to ~50 and makes the result exact (to rounding) for nilpotent
-    matrices of degree below the series order.
+    matrices of degree below the series order.  The squarings are counted
+    per matrix, so a member of a stack gets the same bits as on its own.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("expm requires a square matrix, got shape %r" % (a.shape,))
     if not np.all(np.isfinite(a)):
         raise ValueError("expm requires finite entries")
-    n = a.shape[0]
-    norm = np.linalg.norm(a, np.inf)
-    nsq = 0
-    if norm > 0.5:
-        nsq = int(np.ceil(np.log2(norm / 0.5)))
-    s = a / (2.0 ** nsq)
-    acc = np.eye(n)
+    shape, k = a.shape, a.shape[-1]
+    a = a.reshape(-1, k, k)
+    eye = acc = np.eye(k)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(_EXPM_ORDER, 0, -1):
-            acc = np.eye(n) + (s @ acc) / k
-        for _ in range(nsq):
-            acc = acc @ acc
+        norm = np.sum(np.abs(a), axis=-1).max(axis=-1, initial=0.0)
+        # an inf-norm that overflows is capped, so nsq stays finite
+        norm = np.clip(norm, 0.5, 0.5 * np.finfo(float).max)
+        nsq = np.ceil(np.log2(norm / 0.5)).astype(int)
+        s = np.ldexp(a, -nsq[:, None, None])  # exact, and no 2^nsq to overflow
+        for j in range(_EXPM_ORDER, 0, -1):
+            acc = eye + (s @ acc) / j
+        for j in range(int(np.max(nsq, initial=0))):
+            sq = nsq > j
+            acc[sq] = acc[sq] @ acc[sq]
     if not np.all(np.isfinite(acc)):
         raise OverflowError("expm overflowed double precision (entries too large)")
-    return acc
+    return acc.reshape(shape)
 
 
 def f_k(k, s, t):
@@ -204,17 +208,22 @@ def g_surface(ell, x):
 
 def newton_to_elementary(power_sums):
     """Elementary symmetric polynomials e_1..e_m from power sums p_1..p_m
-    via Newton's identities: k*e_k = sum_{i=1}^k (-1)^(i-1) e_{k-i} p_i."""
-    p = [float(v) for v in power_sums]
-    if len(p) < 1:
+    via Newton's identities: k*e_k = sum_{i=1}^k (-1)^(i-1) e_{k-i} p_i,
+    along the last axis of a stack (..., m).  Each row runs over Python
+    floats: rows are short, and numpy's per-call overhead would dominate."""
+    p = np.asarray(power_sums, dtype=float)
+    if p.ndim < 1 or p.shape[-1] < 1:
         raise ValueError("need at least one power sum")
-    e = [1.0]
-    for k in range(1, len(p) + 1):
-        acc = 0.0
-        for i in range(1, k + 1):
-            acc += (-1.0) ** (i - 1) * e[k - i] * p[i - 1]
-        e.append(acc / k)
-    return np.array(e[1:])
+    out = []
+    for row in p.reshape(-1, p.shape[-1]).tolist():
+        e = [1.0]
+        for k in range(1, len(row) + 1):
+            acc = 0.0
+            for i in range(1, k + 1):
+                acc += (-1.0) ** (i - 1) * e[k - i] * row[i - 1]
+            e.append(acc / k)
+        out.append(e[1:])
+    return np.array(out).reshape(p.shape)
 
 
 def check_symmetric(q):

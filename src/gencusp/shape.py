@@ -352,6 +352,13 @@ def affine_normal_at_base(q, c):
     return np.concatenate([[1.0], -radial_projection(q, c) / (2.0 * m)])
 
 
+def _frame_noise(evals):
+    """Relative roundoff that the frame change y = q^(1/2) x leaves in a
+    cubic, from q's ascending eigenvalues: ROUNDOFF eps cond(q)^(3/2), one
+    factor cond(q)^(1/2) per tensor slot."""
+    return ROUNDOFF * np.finfo(float).eps * (evals[-1] / evals[0]) ** 1.5
+
+
 SphereMaxima = namedtuple("SphereMaxima", ["points", "values", "degenerate"])
 
 
@@ -393,16 +400,17 @@ def sphere_local_maxima(q, c, seed=0):
     ascent, then Newton refinement of the Lagrange system; maxima are the
     converged critical points whose projected Hessian is negative definite
     (eigenvalues < -1e-8), deduplicated within _DEDUP_TOL.  Every relative
-    test is against the one scale 6 max|t|.  A zero cubic is flagged
-    degenerate (c constant on the sphere).  Shape recovery does not use it;
-    it is the independent search that the battery checks against the
-    closed-form maxima.
+    test is against the one scale 6 max|t|; the one for a degenerate Hessian
+    also allows for the frame change's roundoff, ~eps cond(q)^(3/2).  A zero
+    cubic is flagged degenerate (c constant on the sphere).  Shape recovery
+    does not use it; it is the independent search that the battery checks
+    against the closed-form maxima.
     """
     q = check_symmetric(q)
     m = q.shape[0]
     if c.dim != m:
         raise ValueError("q and c dimensions differ")
-    inv_sqrt = sqrt_forms(q)[1]
+    _, inv_sqrt, qevals = sqrt_forms(q)
     t2 = c.compose_linear(inv_sqrt).tensor.reshape(m * m, m)
     scale = 6.0 * float(np.max(np.abs(t2)))
     if scale < 1e-14:
@@ -447,8 +455,10 @@ def sphere_local_maxima(q, c, seed=0):
             continue
         # points on a degenerate critical manifold carry a near-zero Hessian
         # whose sign is set by how far Newton stalled from the manifold;
-        # genuine maxima curve at the scale of c (gap of several orders)
-        if np.max(np.abs(evals)) < 1e-4 * max(1.0, scale):
+        # genuine maxima curve at the scale of c (gap of several orders).
+        # Frame-change noise delta (relative) in t makes critical points
+        # ~sqrt(delta) off the manifold, curving at ~sqrt(delta) * scale.
+        if np.max(np.abs(evals)) < max(1e-4, np.sqrt(_frame_noise(qevals))) * max(1.0, scale):
             continue
         if all(np.max(np.abs(yr - p)) > _DEDUP_TOL for p in points):
             points.append(yr)
@@ -500,12 +510,11 @@ def recover_cusp_from_shape(shape):
     root, inv_root, evals = sqrt_forms(shape.q)
     cy = shape.c.compose_linear(inv_root).tensor
     size = 3.0 * float(np.max(np.abs(cy)))  # the largest |b_i|, roughly
-    # Noise floor, relative to size.  The frame change amplifies roundoff in
-    # c by about cond(q)^(3/2), one factor cond(q)^(1/2) per tensor slot;
-    # without that factor, markings R diag(1, 3e3) R^T fail.  It is at least
-    # realize_weight_data's default 1e-8: shapes read back from 12-digit
-    # JSON carry noise of ~1e-12, and a weight this small moves c by less.
-    floor = max(ROUNDOFF * np.finfo(float).eps * (evals[-1] / evals[0]) ** 1.5, 1e-8)
+    # Noise floor, relative to size; without the frame-change factor,
+    # markings R diag(1, 3e3) R^T fail.  It is at least realize_weight_data's
+    # default 1e-8: shapes read back from 12-digit JSON carry noise of
+    # ~1e-12, and a weight this small moves c by less.
+    floor = max(_frame_noise(evals), 1e-8)
     # comm[k, l] is the (k, l) entry of [C_k, C_l], each one -varpi/9
     comm = np.einsum("kak,all->kl", cy, cy) - np.einsum("kal,alk->kl", cy, cy)
     varpi = -9.0 * float(np.mean(comm[~np.eye(dim, dtype=bool)]))

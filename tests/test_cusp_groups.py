@@ -157,6 +157,16 @@ def test_orbit_point_basics():
     assert maxerr(pt, np.concatenate([[0.5 * v @ v], v])) < 1e-15
 
 
+@pytest.mark.parametrize("v", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0])
+def test_rho_rejects_v_of_wrong_length(v):
+    # zip(v, generators) would stop at the shorter input and drop entries
+    c = build_marked_cusp(BlownUpWeylPoint(3, np.array([0.0, 1.0, 2.0]), np.zeros(2)))
+    with pytest.raises(ValueError, match=r"v must have length n-1=2"):
+        rho(c, v)
+    with pytest.raises(ValueError, match=r"v must have length n-1=2"):
+        orbit_point(c, v)
+
+
 def test_orbit_group_action_identity():
     rng = np.random.default_rng(2)
     c = random_cusp(rng, 4)

@@ -120,6 +120,34 @@ def test_weights_of_runs_once_per_cusp(monkeypatch):
     assert calls == [a, b, d]
 
 
+def test_weights_check_is_one_stacked_expm_per_cusp(monkeypatch):
+    # all three probes share one expm call; rho is not on the path
+    import gencusp.cusp_groups as cg_mod
+    import gencusp.invariants as inv_mod
+
+    rng = np.random.default_rng(12)
+    cusps = [random_cusp(rng, n) for n in range(3, 8)]
+    expm_calls, rho_calls = [], []
+    orig_expm, orig_rho = inv_mod.expm, cg_mod.rho
+    monkeypatch.setattr(inv_mod, "expm", lambda m: expm_calls.append(m.shape) or orig_expm(m))
+    monkeypatch.setattr(cg_mod, "rho", lambda *a: rho_calls.append(a) or orig_rho(*a))
+    for c in cusps:
+        complete_invariant(c)
+        weight_data(c)
+        assert are_conjugate(c, c)
+    assert expm_calls == [(3, n + 1, n + 1) for n in range(3, 8)]
+    assert rho_calls == []
+
+
+def test_weights_of_reads_the_generator_diagonals():
+    rng = np.random.default_rng(13)
+    for n in range(3, 8):
+        for t in range(n + 1):
+            c = random_cusp(rng, n, t=t, orthonormalized=bool(t % 2))
+            diag = np.column_stack([np.diag(g) for g in c.generators])
+            assert np.array_equal(weights_of(c).weights, CharacterData(diag).weights)
+
+
 def test_horosphere_metric_examples():
     assert maxerr(horosphere_metric(_cusp([0, 1, 2], [0, 0])), np.eye(2)) < 1e-14
     got = horosphere_metric(_cusp([0, 0, 0], [1, 0]))

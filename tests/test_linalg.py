@@ -50,6 +50,47 @@ def test_expm_rejects_bad_input():
         expm(np.diag([800.0, 0.0]))
 
 
+def _expm_stack():
+    # members that need 0, 0, 3 and 7 squarings: a zero matrix, a small
+    # one, a nilpotent shift and a large one
+    rng = np.random.default_rng(5)
+    return np.stack([
+        np.zeros((4, 4)),
+        0.1 * rng.standard_normal((4, 4)),
+        np.diag([3.0, 2.0, 1.0], 1),
+        20.0 * rng.standard_normal((4, 4)),
+    ])
+
+
+def test_expm_stack_matches_each_member_bit_for_bit():
+    stack = _expm_stack()
+    each = np.stack([expm(m) for m in stack])
+    assert np.array_equal(expm(stack), each)
+    assert np.array_equal(expm(stack.reshape(2, 2, 4, 4)), each.reshape(2, 2, 4, 4))
+    assert expm(stack[:0]).shape == (0, 4, 4)
+
+
+def test_expm_stack_rejects_one_bad_member():
+    stack = _expm_stack()
+    stack[2, 0, 1] = np.inf
+    with pytest.raises(ValueError):
+        expm(stack)
+    stack = _expm_stack()
+    stack[1] = np.diag([800.0, 0.0, 0.0, 0.0])
+    with pytest.raises(OverflowError):
+        expm(stack)
+
+
+def test_expm_caps_a_norm_that_overflows():
+    # each entry is finite, the row sum is not: a nilpotent matrix still gets
+    # I + N, and one whose exponential overflows raises
+    n = np.zeros((3, 3))
+    n[0, 1:] = 1e308
+    assert np.array_equal(expm(n), np.eye(3) + n)
+    with pytest.raises(OverflowError):
+        expm(np.array([[1e308, 1e308], [0.0, 0.0]]))
+
+
 def test_f_k_anchors():
     assert f_k(1, 0.0, 2.5) == 2.5
     assert f_k(2, 0.0, 3.0) == 4.5
@@ -153,3 +194,12 @@ def test_sqrt_forms():
     assert maxerr(evals, np.linalg.eigvalsh(q)) < 1e-15
     with pytest.raises(ValueError, match="not positive definite"):
         sqrt_forms(np.diag([1.0, -1.0]))
+
+
+def test_newton_to_elementary_stack_matches_each_row_bit_for_bit():
+    p = np.random.default_rng(3).standard_normal((3, 6)) * [[1.0], [10.0], [1e-3]]
+    rows = np.stack([newton_to_elementary(r) for r in p])
+    assert np.array_equal(newton_to_elementary(p), rows)
+    assert np.array_equal(newton_to_elementary(p[None]), rows[None])
+    with pytest.raises(ValueError):
+        newton_to_elementary(np.zeros((3, 0)))

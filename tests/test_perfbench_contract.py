@@ -38,3 +38,18 @@ def test_battery_check_entries_keep_their_contract():
         assert set(c) == {"name", "anchor", "threshold", "detection", "fn"}
         residual, count = c["fn"](_rng_for(0, c["name"]), 2, (3,))
         assert isinstance(residual, float) and isinstance(count, int), c["name"]
+
+
+def test_forward_workload_runs_and_checks(monkeypatch):
+    # the claimed benchmark workload, one operation at its full size: a
+    # library change that breaks it fails here, not only in the benchmark
+    perfbench = SPANS.parent
+    monkeypatch.syspath_prepend(str(perfbench))  # workloads.py does `import inputs`
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", perfbench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    forward = workloads.Forward(0, str(perfbench.parent))
+    forward.setup()
+    forward.prepare(0)
+    verdicts = forward.check(0, forward.op(0))
+    assert verdicts and all(v is True for v in verdicts), verdicts
