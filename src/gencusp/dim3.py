@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cusp_groups import hypersurface_F
-from .linalg import cholesky_upper, g_surface, nonzero
+from .linalg import g_surface, nonzero
 
 __all__ = [
     "Cubic2D",
@@ -27,8 +27,8 @@ __all__ = [
 # Slack of the cone condition |r| <= 3|h|, the same in every test of it.
 _CONE_SLACK = 1e-9
 
-# classify_stratum_3d's band: 3|h| - |r| within it is the cone's boundary,
-# and a Hessian covariant within it (relative) marks a perfect cube.
+# classify_stratum_3d's band, relative to |h|: 3|h| - |r| within it is the
+# cone's boundary, and r^3 - 27|h|^2 h within it marks a perfect cube.
 _BOUNDARY_TOL = 1e-8
 
 # Half-width of the exported mesh grid, clipped to the surface domain.
@@ -62,26 +62,14 @@ class CuspCoords3D:
 
 
 def decompose_cubic_2d(c):
-    """Unique (h, r) with c = Re(h z^3 + r z |z|^2), z = x + iy.
-
-    Expanding: c = h1(x^3-3xy^2) - h2(3x^2y-y^3) + r1 x(x^2+y^2) - r2 y(x^2+y^2).
-    """
+    """Unique (h, r) with c = Re(h z^3 + r z |z|^2), z = x + iy, in closed
+    form from the monomial coefficients a x^3 + b x^2y + cc xy^2 + d y^3:
+    h = ((a - cc) + i(d - b)) / 4 and r = ((3a + cc) - i(b + 3d)) / 4."""
     if c.dim != 2:
         raise ValueError("decompose_cubic_2d needs a binary cubic")
-    mono = c.monomials()
-    a = mono.get((3, 0), 0.0)
-    b = mono.get((2, 1), 0.0)
-    cc = mono.get((1, 2), 0.0)
-    d = mono.get((0, 3), 0.0)
-    # [a,b,cc,d] = M [h1,h2,r1,r2]
-    mat = np.array([
-        [1.0, 0.0, 1.0, 0.0],
-        [0.0, -3.0, 0.0, -1.0],
-        [-3.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, -1.0],
-    ])
-    h1, h2, r1, r2 = np.linalg.solve(mat, np.array([a, b, cc, d]))
-    return Cubic2D(complex(h1, h2), complex(r1, r2))
+    t = c.tensor
+    a, b, cc, d = t[0, 0, 0], 3.0 * t[0, 0, 1], 3.0 * t[0, 1, 1], t[1, 1, 1]
+    return Cubic2D(complex(a - cc, d - b) / 4.0, complex(3.0 * a + cc, -(b + 3.0 * d)) / 4.0)
 
 
 def cubic_from_hr(h, r):
@@ -108,19 +96,19 @@ def w_to_matrix(w):
     return np.array([[a, -a * w.real], [0.0, 1.0 / a]])
 
 
-def _mobius(m, z):
-    return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
-
-
 def coords_from_shape(shape):
-    """(w, h, r) of a 2-dimensional shape invariant: A = chol_upper(q) plays
-    the role of A_w (so w is the Mobius image of i under A^-1), and (h, r)
-    decompose c composed with A^-1.  The cubic must lie in the cone
+    """(w, h, r) of a 2-dimensional shape invariant.  The upper factor of q
+    is det(q)^(1/4) A_w, with A_w from ``w_to_matrix``, so w = (-q01 + i
+    sqrt(det q)) / q00 (that is (-q01 + i) / q00 at det q = 1, which a
+    shape's q meets only to ``check_unimodular``'s slack), and (h, r) split
+    c composed with that factor's inverse.  The cubic must lie in the cone
     |r| <= 3|h| to _CONE_SLACK = 1e-9."""
     if shape.q.shape[0] != 2:
         raise ValueError("coords_from_shape needs a 2-dimensional shape (n = 3)")
-    a = cholesky_upper(shape.q)
-    w = _mobius(np.linalg.inv(a), 1j)
+    q = shape.q
+    det = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
+    w = complex(-q[0, 1], np.sqrt(det)) / q[0, 0]
+    a = det ** 0.25 * w_to_matrix(w)
     split = decompose_cubic_2d(shape.c.compose_linear(np.linalg.inv(a)))
     if abs(split.r) > 3.0 * abs(split.h) + _CONE_SLACK:
         raise ValueError(
@@ -139,41 +127,25 @@ def shape_from_coords(coords):
     return ShapeInvariant(a.T @ a, c)
 
 
-def _hessian_covariant(c):
-    """Coefficients of the Hessian covariant of a binary cubic (up to the
-    constant 4): vanishes exactly when the cubic is a perfect cube."""
-    mono = c.monomials()
-    a = mono.get((3, 0), 0.0)
-    b = mono.get((2, 1), 0.0)
-    cc = mono.get((1, 2), 0.0)
-    d = mono.get((0, 3), 0.0)
-    return np.array([
-        3.0 * a * cc - b * b,
-        9.0 * a * d - b * cc,
-        3.0 * b * d - cc * cc,
-    ])
-
-
 def classify_stratum_3d(h, r):
     """Stratum type of a point of the (h, r) cone |r| <= 3|h| (to
-    _CONE_SLACK = 1e-9).
+    _CONE_SLACK = 1e-9), invariant under scaling (h, r) -> (s h, s r).
 
     0: cone point (h and r zero by ``linalg.nonzero``); 3: interior
-    (3|h| - |r| > _BOUNDARY_TOL = 1e-8); on the boundary, 1 when the
-    reconstructed cubic is a perfect cube of a linear form (Hessian covariant
-    within _BOUNDARY_TOL), else 2.
+    (3|h| - |r| > _BOUNDARY_TOL * 3|h|); on the boundary, 1 when the cubic is
+    the cube of a linear form Re(conj(a) z), that is when h = conj(a)^3 / 4
+    and r = 3|a|^2 conj(a) / 4, or r^3 = 27|h|^2 h (to _BOUNDARY_TOL *
+    27|h|^3), else 2.
     """
     h, r = complex(h), complex(r)
     if abs(r) > 3.0 * abs(h) + _CONE_SLACK:
         raise ValueError("(h, r) lies outside the cone |r| <= 3|h|")
     if not np.any(nonzero([abs(h), abs(r)])):
         return 0
-    if 3.0 * abs(h) - abs(r) > _BOUNDARY_TOL:
+    if 3.0 * abs(h) - abs(r) > _BOUNDARY_TOL * 3.0 * abs(h):
         return 3
-    c = cubic_from_hr(h, r)
-    cov = _hessian_covariant(c)
-    scale = max(1.0, c.coeff_norm() ** 2)
-    return 1 if np.max(np.abs(cov)) <= _BOUNDARY_TOL * scale else 2
+    cube_gap = abs(r ** 3 - 27.0 * abs(h) ** 2 * h)
+    return 1 if cube_gap <= _BOUNDARY_TOL * 27.0 * abs(h) ** 3 else 2
 
 
 def surface_height_3d(lam, x1, x2):

@@ -15,7 +15,6 @@ from .cusp_groups import (
     PsiParameter,
     build_marked_cusp,
     lambda_to_psi,
-    lie_algebra_phi,
 )
 from .linalg import (
     check_unimodular,
@@ -312,10 +311,11 @@ def recover_psi_from_invariant(eta):
     For 0 < t < n the dual norms N_i of the nonzero weights satisfy
     log N_i = -x_i + (x_1 + ... + x_{t-1} + (t+n) x_t) / (n-1) with
     x_i = log psi_i (psi non-increasing, N non-decreasing); the system matrix
-    is nonsingular for every t >= 1.  For t = n the weights satisfy a unique
-    positive linear relation whose coefficients are psi up to one scale,
-    fixed by the |det| = 1 marking normalization; weights with no positive
-    relation, or degenerate ones, raise ``NotRealizable``.
+    I - 1 a^T has determinant 1 - sum(a) = -2t/(n-1), nonzero for every
+    t >= 1.  For t = n the weights satisfy a unique positive linear relation
+    whose coefficients are psi up to one scale, fixed by the |det| = 1
+    marking normalization; weights with no positive relation, or degenerate
+    ones, raise ``NotRealizable``.
     """
     w = eta.character.weights
     n = w.shape[0] - 1
@@ -349,8 +349,6 @@ def recover_psi_from_invariant(eta):
     a = np.full(t, 1.0 / (n - 1))
     a[-1] = (t + n) / (n - 1.0)
     sys = np.eye(t) - np.outer(np.ones(t), a)
-    det = np.linalg.det(sys)
-    assert abs(det) > 1e-12, "recovery system unexpectedly singular"
     x = np.linalg.solve(sys, -y)
     psi = np.zeros(n)
     psi[:t] = np.exp(x)
@@ -391,13 +389,14 @@ def weight_data(cusp):
 
 def weights_equation_residual(w):
     """Max deviation of the off-diagonal dual pairings from the constant
-    -varpi (the defining equation of realizable weight data)."""
+    -varpi (the defining equation of realizable weight data), or -varpi
+    itself when varpi is negative, since realizable data has varpi >= 0."""
     gram = w.weights @ np.linalg.inv(w.metric) @ w.weights.T
     k = gram.shape[0]
     varpi = w.varpi
     off = gram[~np.eye(k, dtype=bool)]
     resid = float(np.max(np.abs(off + varpi), initial=0.0))
-    if varpi < -1e-8:
+    if varpi < 0:
         resid = max(resid, -varpi)
     return resid
 
@@ -580,21 +579,18 @@ def limit_demo_rows(kappa, m_max, n):
         raise ValueError("kappa entries must lie in (0, 1]")
     order = np.argsort(-kappa)  # descending kappa gives ascending lambda
     kap = kappa[order]
-    limit_point = BlownUpWeylPoint(n, np.zeros(n), kap)
-    limit_gens = [
-        expm(lie_algebra_phi(limit_point, col)) for col in np.eye(n - 1)
-    ]
-    limit_eta = complete_invariant(build_marked_cusp(limit_point))
+    limit = build_marked_cusp(BlownUpWeylPoint(n, np.zeros(n), kap))
+    limit_gens = [expm(g) for g in limit.generators]
+    limit_eta = complete_invariant(limit)
     rows = []
     m = 10
     while m <= m_max:
         lam = np.concatenate([[1.0 / m], (1.0 / m) / kap])
-        p = BlownUpWeylPoint(n, lam, kap)
-        gens = [expm(lie_algebra_phi(p, col)) for col in np.eye(n - 1)]
+        cusp = build_marked_cusp(BlownUpWeylPoint(n, lam, kap))
         gen_dist = max(
-            float(np.max(np.abs(a - b))) for a, b in zip(gens, limit_gens)
+            float(np.max(np.abs(expm(a) - b))) for a, b in zip(cusp.generators, limit_gens)
         )
-        inv_dist = eta_distance(complete_invariant(build_marked_cusp(p)), limit_eta)
+        inv_dist = eta_distance(complete_invariant(cusp), limit_eta)
         rows.append(
             {
                 "m": m,

@@ -8,14 +8,15 @@ from .cusp_groups import BlownUpWeylPoint, build_marked_cusp
 __all__ = ["random_blownup_point", "random_marking", "random_cusp"]
 
 
-def random_blownup_point(rng, n, t=None, lam_range=(0.3, 2.5)):
+def random_blownup_point(rng, n, t=None):
     """A valid blown-up parameter of the requested type (uniform over types
-    when t is None); kappa entries attached to zero lambda slots are free."""
+    when t is None), every nonzero lambda at least 0.3; kappa entries
+    attached to zero lambda slots are free."""
     if t is None:
         t = int(rng.integers(0, n + 1))
     if not 0 <= t <= n:
         raise ValueError("type must be in [0, n]")
-    lo, hi = lam_range
+    lo, hi = 0.3, 2.5
     if t == n:
         lam0 = rng.uniform(lo, hi / 2)
         lam = np.sort(np.concatenate([[lam0], lam0 + rng.uniform(0, hi, n - 1)]))
@@ -43,9 +44,8 @@ def random_marking(rng, dim, cond_max=40.0):
     raise RuntimeError("could not draw a well-conditioned marking")
 
 
-def random_cusp(rng, n, t=None, orthonormalized=None, identity_marking=False):
+def random_cusp(rng, n, t=None, orthonormalized=None):
     p = random_blownup_point(rng, n, t)
     if orthonormalized is None:
         orthonormalized = bool(rng.integers(0, 2))
-    marking = None if identity_marking else random_marking(rng, n - 1)
-    return build_marked_cusp(p, marking, orthonormalized=orthonormalized)
+    return build_marked_cusp(p, random_marking(rng, n - 1), orthonormalized=orthonormalized)

@@ -299,8 +299,7 @@ def restricted_diag_calibration(psi):
     _, _, vt = np.linalg.svd(w[None, :])
     basis = vt[1:].T  # n x (n-1), orthonormal columns spanning ker psi
     q = basis.T @ np.diag(w) @ basis
-    t = np.einsum("a,ai,aj,ak->ijk", w / 6.0, basis, basis, basis)
-    return q, CubicPoly(n - 1, t), basis
+    return q, CubicPoly.from_covector_cubes(basis, w / 6.0), basis
 
 
 def cubic_from_weights(wd):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gencusp
 from gencusp.cusp_groups import BlownUpWeylPoint, build_marked_cusp, hypersurface_F
 from gencusp.dim3 import (
     CuspCoords3D,
@@ -16,7 +22,7 @@ from gencusp.dim3 import (
     surface_height_printed_row,
     w_to_matrix,
 )
-from gencusp.linalg import maxerr
+from gencusp.linalg import cholesky_upper, maxerr, unimodular
 from gencusp.sampling import random_blownup_point, random_cusp
 from gencusp.shape import CubicPoly, ShapeInvariant, is_affine_sphere, shape_invariant
 
@@ -80,6 +86,29 @@ def test_coords_roundtrip():
         assert abs(back.w - w) < 1e-10
         assert abs(back.h - h) < 1e-10
         assert abs(back.r - r) < 1e-10
+
+
+@pytest.mark.parametrize("det_offset", [0.0, 2e-10])
+def test_closed_form_chart_matches_cholesky_mobius_route(det_offset):
+    # the reference: A = cholesky_upper(q) is the upper factor, w is the
+    # Mobius image of i under A^-1 and (h, r) split c o A^-1; q may miss
+    # det 1 by check_unimodular's slack
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        m = rng.standard_normal((2, 2))
+        q = unimodular(m.T @ m) * np.sqrt(1.0 + det_offset)
+        h = complex(*rng.uniform(-1, 1, 2))
+        r = h * rng.uniform(0, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        a = cholesky_upper(q)
+        c = cubic_from_hr(h, r).compose_linear(a)
+        ainv = np.linalg.inv(a)
+        w_ref = (ainv[0, 0] * 1j + ainv[0, 1]) / (ainv[1, 0] * 1j + ainv[1, 1])
+        split = decompose_cubic_2d(c.compose_linear(ainv))
+        coords = coords_from_shape(ShapeInvariant(q, c))
+        scale = np.linalg.cond(q) ** 1.5
+        assert abs(coords.w - w_ref) < 1e-14 * scale * abs(w_ref)
+        assert abs(coords.h - split.h) < 1e-14 * scale * max(1.0, abs(split.h))
+        assert abs(coords.r - split.r) < 1e-14 * scale * max(1.0, abs(split.r))
 
 
 def test_coords_rejects_outside_cone():
@@ -161,6 +190,39 @@ def test_classify_rotation_invariant():
         for h, r in [(w ** 3 / abs(w) ** 2, 3 * w), (w, 3 * w * 1j), (w, 0.5 * w)]:
             assert classify_stratum_3d(h, r) == classify_stratum_3d(
                 omega ** 3 * h, omega * r)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-5, 1e-9])
+def test_classify_stratum_is_scale_invariant(scale):
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        w = complex(*rng.uniform(0.2, 1, 2))
+        cases = [
+            (0.0, 0.0, 0),
+            (w ** 3 / abs(w) ** 2, 3 * w, 1),  # cube of a linear form
+            (w, 3 * w * np.exp(1j * rng.uniform(0.3, 2.0)), 2),  # boundary, not a cube
+            (w, rng.uniform(0, 2.9) * w, 3),  # interior
+            (w, 0.0, 3),  # harmonic cubic
+        ]
+        for h, r, t in cases:
+            assert classify_stratum_3d(h, r) == t
+            assert classify_stratum_3d(scale * h, scale * r) == t
+
+
+def test_classify_stratum_loads_no_cubic_machinery():
+    # the strata are read off (h, r) directly, not from a rebuilt cubic
+    src = str(Path(gencusp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "from gencusp.dim3 import classify_stratum_3d\n"
+        "print(classify_stratum_3d(0.25, 0.75),"
+        " sorted(m for m in sys.modules if m.startswith('gencusp')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == (
+        "1 ['gencusp', 'gencusp.cusp_groups', 'gencusp.dim3', 'gencusp.linalg']")
 
 
 def test_surface_rows_match_surface_function():

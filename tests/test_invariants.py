@@ -6,6 +6,7 @@ from gencusp.cusp_groups import (
     BlownUpWeylPoint,
     PsiParameter,
     build_marked_cusp,
+    lie_algebra_phi,
     preferred_sqrt,
     psi_to_lambda,
 )
@@ -36,7 +37,7 @@ from gencusp.invariants import (
     _match_multisets,
     _split_weights,
 )
-from gencusp.linalg import maxerr, unimodular
+from gencusp.linalg import expm, maxerr, unimodular
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
 from gencusp.shape import fit_height_jet
 
@@ -282,6 +283,20 @@ def test_realize_rejects_bad_data():
         realize_weight_data(broken)
 
 
+def test_realize_honours_tol_for_negative_varpi():
+    # pairings all -5e-9(1 - 5e-9) ~ 5e-9 = -varpi: the pairings agree with
+    # each other to 1e-24, but no cusp has varpi < 0, so at tol = 1e-10 the
+    # data is rejected rather than realized with the ~7e-9 weight dropped
+    e = 5e-9
+    wd = WeightData(np.array([[1.0, 0.0], [e, 1.0], [e, e * (1.0 - e)]]), np.eye(2))
+    assert -6e-9 < wd.varpi < -4e-9
+    assert weights_equation_residual(wd) == -wd.varpi
+    with pytest.raises(NotRealizable, match="weights equation residual"):
+        realize_weight_data(wd, tol=1e-10)
+    # the default tol still takes it, as before
+    realize_weight_data(wd)
+
+
 def test_weight_data_requires_unimodular_metric():
     # varpi reads the metric as given while realization and the weight
     # cubes read it renormalized, so a doubled metric must not get in
@@ -299,6 +314,25 @@ def test_psi_recovery_rejects_weights_without_positive_relation():
 def test_limit_demo_rows_rejects_nan_kappa():
     with pytest.raises(ValueError, match="kappa entries must lie in"):
         limit_demo_rows([float("nan"), 0.5], 100, 3)
+
+
+@pytest.mark.parametrize("kappa", [[1.0, 1.0], [0.3, 0.8], [1.0, 0.5, 0.2]])
+def test_limit_demo_generator_distance_matches_lie_algebra_route(kappa):
+    # the table exponentiates each cusp's cached generators; the reference
+    # exponentiates lie_algebra_phi at the unit vectors, for the same bits
+    kap = np.sort(np.asarray(kappa))[::-1]
+    n = len(kap) + 1
+
+    def gens(lam):
+        p = BlownUpWeylPoint(n, lam, kap)
+        return [expm(lie_algebra_phi(p, col)) for col in np.eye(n - 1)]
+
+    limit = gens(np.zeros(n))
+    for row in limit_demo_rows(kappa, 1000, n):
+        m = row["m"]
+        lam = np.concatenate([[1.0 / m], (1.0 / m) / kap])
+        want = max(float(np.max(np.abs(a - b))) for a, b in zip(gens(lam), limit))
+        assert row["generator_distance"] == want
 
 
 def test_frame_to_weight_data():
