@@ -9,6 +9,7 @@ so runs with the same seed are byte-identical.
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -78,7 +79,13 @@ def _load_json(path):
 
 
 def _is_real(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number; ``json`` also parses NaN and Infinity."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _require(data, key, kind, path):
@@ -90,12 +97,12 @@ def _require(data, key, kind, path):
             raise ValidationError("%s: field %r must be an integer" % (path, key))
     elif kind == "vector":
         if not isinstance(value, list) or not all(_is_real(v) for v in value):
-            raise ValidationError("%s: field %r must be a list of reals" % (path, key))
+            raise ValidationError("%s: field %r must be a list of finite reals" % (path, key))
     elif kind == "matrix":
         if not isinstance(value, list) or not all(
             isinstance(row, list) and all(_is_real(v) for v in row) for row in value
         ):
-            raise ValidationError("%s: field %r must be a matrix of reals" % (path, key))
+            raise ValidationError("%s: field %r must be a matrix of finite reals" % (path, key))
     return value
 
 
@@ -169,7 +176,7 @@ def _shape_from_dict(data, path):
     q = _require(block, "q", "matrix", path)
     c = block.get("c", {})
     if not isinstance(c, dict) or not all(_is_real(v) for v in c.values()):
-        raise ValidationError("%s: field 'c' must map monomial keys to reals" % path)
+        raise ValidationError("%s: field 'c' must map monomial keys to finite reals" % path)
     with _invalid_input(path):
         q = np.array(q, dtype=float)
         mono = {}

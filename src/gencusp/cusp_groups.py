@@ -114,6 +114,9 @@ class BlownUpWeylPoint:
             raise ValueError("lambda must have length n=%d, got %r" % (self.n, lam.shape))
         if kap.shape != (self.n - 1,):
             raise ValueError("kappa must have length n-1=%d, got %r" % (self.n - 1, kap.shape))
+        # every order and range test below is False on NaN
+        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(kap))):
+            raise ValueError("lambda and kappa must be finite")
         scale = max(1.0, float(np.max(np.abs(lam))))
         if self.flavor == "blownup":
             if lam[0] < -_CONSTRAINT_TOL or np.any(np.diff(lam) < -_CONSTRAINT_TOL * scale):

@@ -24,7 +24,8 @@ __all__ = [
     "export_mesh_obj",
 ]
 
-# Slack of the cone condition |r| <= 3|h|, the same in every test of it.
+# Relative slack of the cone condition |r| <= 3|h| (1 + _CONE_SLACK), the
+# same in every test of it.
 _CONE_SLACK = 1e-9
 
 # classify_stratum_3d's band, relative to |h|: 3|h| - |r| within it is the
@@ -44,6 +45,18 @@ class Cubic2D:
     r: complex
 
 
+def _is_cone_point(h, r):
+    """h and r both zero by ``linalg.nonzero``."""
+    return not np.any(nonzero([abs(h), abs(r)]))
+
+
+def _check_cone(h, r, what):
+    """ValueError(what) unless (h, r) is the cone point or meets the
+    scale-invariant test |r| <= 3|h|(1 + _CONE_SLACK)."""
+    if abs(r) > 3.0 * abs(h) * (1.0 + _CONE_SLACK) and not _is_cone_point(h, r):
+        raise ValueError("%s: |r|=%g, 3|h|=%g" % (what, abs(r), 3.0 * abs(h)))
+
+
 @dataclass(frozen=True)
 class CuspCoords3D:
     """(w, h, r): conformal torus shape w (Im w > 0) plus the cubic split,
@@ -56,9 +69,7 @@ class CuspCoords3D:
     def __post_init__(self):
         if self.w.imag <= 1e-12:
             raise ValueError("w must lie in the upper half plane")
-        if abs(self.r) > 3.0 * abs(self.h) + _CONE_SLACK:
-            raise ValueError("|r| <= 3|h| violated: |r|=%g, 3|h|=%g"
-                             % (abs(self.r), 3.0 * abs(self.h)))
+        _check_cone(self.h, self.r, "|r| <= 3|h| violated")
 
 
 def decompose_cubic_2d(c):
@@ -102,7 +113,7 @@ def coords_from_shape(shape):
     sqrt(det q)) / q00 (that is (-q01 + i) / q00 at det q = 1, which a
     shape's q meets only to ``check_unimodular``'s slack), and (h, r) split
     c composed with that factor's inverse.  The cubic must lie in the cone
-    |r| <= 3|h| to _CONE_SLACK = 1e-9."""
+    |r| <= 3|h|, to the relative slack _CONE_SLACK = 1e-9."""
     if shape.q.shape[0] != 2:
         raise ValueError("coords_from_shape needs a 2-dimensional shape (n = 3)")
     q = shape.q
@@ -110,11 +121,8 @@ def coords_from_shape(shape):
     w = complex(-q[0, 1], np.sqrt(det)) / q[0, 0]
     a = det ** 0.25 * w_to_matrix(w)
     split = decompose_cubic_2d(shape.c.compose_linear(np.linalg.inv(a)))
-    if abs(split.r) > 3.0 * abs(split.h) + _CONE_SLACK:
-        raise ValueError(
-            "cubic lies outside the cone |r| <= 3|h| (|r|=%g, 3|h|=%g): "
-            "not the shape of a 3-dimensional cusp" % (abs(split.r), 3 * abs(split.h))
-        )
+    _check_cone(split.h, split.r, "cubic lies outside the cone |r| <= 3|h|, "
+                "so it is not the shape of a 3-dimensional cusp")
     return CuspCoords3D(w, split.h, split.r)
 
 
@@ -128,8 +136,9 @@ def shape_from_coords(coords):
 
 
 def classify_stratum_3d(h, r):
-    """Stratum type of a point of the (h, r) cone |r| <= 3|h| (to
-    _CONE_SLACK = 1e-9), invariant under scaling (h, r) -> (s h, s r).
+    """Stratum type of a point of the (h, r) cone |r| <= 3|h| (to the
+    relative slack _CONE_SLACK = 1e-9), invariant under scaling
+    (h, r) -> (s h, s r).
 
     0: cone point (h and r zero by ``linalg.nonzero``); 3: interior
     (3|h| - |r| > _BOUNDARY_TOL * 3|h|); on the boundary, 1 when the cubic is
@@ -138,9 +147,8 @@ def classify_stratum_3d(h, r):
     27|h|^3), else 2.
     """
     h, r = complex(h), complex(r)
-    if abs(r) > 3.0 * abs(h) + _CONE_SLACK:
-        raise ValueError("(h, r) lies outside the cone |r| <= 3|h|")
-    if not np.any(nonzero([abs(h), abs(r)])):
+    _check_cone(h, r, "(h, r) lies outside the cone |r| <= 3|h|")
+    if _is_cone_point(h, r):
         return 0
     if 3.0 * abs(h) - abs(r) > _BOUNDARY_TOL * 3.0 * abs(h):
         return 3

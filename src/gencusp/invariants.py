@@ -79,9 +79,11 @@ class NotRealizable(ValueError):
 def sort_weights(w):
     """Canonical order: lexicographic by coordinates rounded to 1e-12."""
     w = np.asarray(w, dtype=float)
-    keys = [tuple(np.round(row, 12)) for row in w]
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
-    return w[order]
+    if w.shape[1] == 0:
+        # lexsort needs at least one key; rows with no coordinates all tie
+        return w.copy()
+    # lexsort's last key is the primary one, so the columns go in reverse
+    return w[np.lexsort(np.round(w, 12).T[::-1])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,15 +155,14 @@ def weights_of(cusp):
     batched pass: one stacked ``expm``, one ``newton_to_elementary``.
     """
     n = cusp.n
-    w = np.zeros((n + 1, n - 1))
-    for i, g in enumerate(cusp.generators):
-        w[:, i] = np.diag(g)
+    gens = np.asarray(cusp.generators)
+    w = np.diagonal(gens, axis1=1, axis2=2).T
     probes = np.cos(np.arange(1.0, _CHARACTER_PROBES * (n - 1) + 1.0)).reshape(-1, n - 1)
     # probe scale keeps every eigenvalue exp(xi(v)) moderate, else the
     # power-sum route loses all digits
     wmax = max(1.0, float(np.max(np.abs(w))))
     probes *= 0.5 / (wmax * np.maximum(1.0, np.linalg.norm(probes, axis=1)))[:, None]
-    a = expm(np.tensordot(probes, cusp.generators, axes=1))
+    a = expm((probes @ gens.reshape(n - 1, -1)).reshape(-1, n + 1, n + 1))
     powers = [a]
     for _k in range(n):
         powers.append(powers[-1] @ a)

@@ -143,10 +143,14 @@ class CubicPoly:
         return np.einsum("ijk,...i,...j,...k->...", self.tensor, v, v, v)
 
     def compose_linear(self, a):
-        """The cubic v -> c(A v)."""
+        """The cubic v -> c(A v), contracting one index of the tensor at a
+        time: three matrix products, O(d^4)."""
         a = np.asarray(a, dtype=float)
-        t = np.einsum("ijk,ia,jb,kc->abc", self.tensor, a, a, a)
-        return CubicPoly(self.dim, t)
+        d = self.dim
+        t = (self.tensor.reshape(d * d, d) @ a).reshape(d, d, d)
+        t = a.T @ t
+        t = (a.T @ t.reshape(d, d * d)).reshape(d, d, d)
+        return CubicPoly(d, t)
 
     def scaled(self, s):
         return CubicPoly(self.dim, float(s) * self.tensor)

@@ -211,6 +211,53 @@ def test_recover_rejects_ragged_matrix(tmp_path):
     assert main(["recover", "weights", _write(tmp_path, "nu.json", {"nu": nu})]) == 1
 
 
+# json parses NaN and Infinity; an integer past the float range is no real
+# either
+_NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10 ** 400]
+_NON_FINITE_IDS = ["nan", "inf", "-inf", "int-overflow"]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=_NON_FINITE_IDS)
+@pytest.mark.parametrize("field, index", [("lambda", (1,)), ("kappa", (0,)), ("B", (0, 1))])
+@pytest.mark.parametrize("command", ["build", "invariants", "conjugate", "mesh"])
+def test_non_finite_cusp_field_is_validation_error(tmp_path, capsys, command, field, index,
+                                                   value):
+    data = _params([0.5, 1.0, 2.0], [0.5, 0.25], B=[[1.0, 0.0], [0.0, 1.0]])
+    target = data[field]
+    for i in index[:-1]:
+        target = target[i]
+    target[index[-1]] = value
+    src = _write(tmp_path, "p.json", data)
+    argv = {
+        "build": ["build", src],
+        "invariants": ["invariants", src],
+        "conjugate": ["conjugate", src, src],
+        "mesh": ["mesh", src, "--out", str(tmp_path / "mesh.csv")],
+    }[command]
+    assert main(argv) == 1
+    assert "field %r must be" % field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=_NON_FINITE_IDS)
+@pytest.mark.parametrize("kind, block, key", [
+    ("psi", "eta", "weights"), ("psi", "eta", "beta"),
+    ("weights", "nu", "weights"), ("weights", "nu", "beta"),
+    ("shape", "shape", "q"), ("shape", "shape", "c"),
+])
+def test_non_finite_invariant_field_is_validation_error(tmp_path, capsys, kind, block, key,
+                                                        value):
+    src = _write(tmp_path, "p.json", _params([0.5, 1.0, 2.0], [0.5, 0.25]))
+    inv = tmp_path / "inv.json"
+    assert main(["invariants", src, "--out", str(inv)]) == 0
+    data = json.loads(inv.read_text())
+    if key == "c":
+        data[block][key]["3,0"] = value
+    else:
+        data[block][key][1][0] = value
+    assert main(["recover", kind, _write(tmp_path, "bad.json", data)]) == 1
+    assert "field %r must" % key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
 def test_conjugate_rejects_bad_tol(tmp_path, tol):
     a = _write(tmp_path, "a.json", _params([0.0, 0, 1], [0.5, 0.0]))

@@ -125,6 +125,24 @@ def test_blownup_validation():
         BlownUpWeylPoint(3, np.array([0.5, 1.0, 2.0]), np.array([0.9, 0.1]))
 
 
+@pytest.mark.parametrize("flavor", ["blownup", "diagonal"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_blownup_rejects_non_finite_entries(flavor, bad):
+    # every order and range test is False on NaN, so it must be caught first
+    lam, kap = np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25])
+    BlownUpWeylPoint(3, lam, kap, flavor)
+    for i in range(3):
+        bad_lam = lam.copy()
+        bad_lam[i] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BlownUpWeylPoint(3, bad_lam, kap, flavor)
+    for i in range(2):
+        bad_kap = kap.copy()
+        bad_kap[i] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BlownUpWeylPoint(3, lam, bad_kap, flavor)
+
+
 def test_build_rescales_marking_determinant():
     p = BlownUpWeylPoint(3, np.array([0.0, 1, 2]), np.zeros(2))
     c = build_marked_cusp(p, 2.0 * np.eye(2))

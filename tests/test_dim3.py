@@ -209,6 +209,36 @@ def test_classify_stratum_is_scale_invariant(scale):
             assert classify_stratum_3d(scale * h, scale * r) == t
 
 
+def test_cone_membership_is_relative():
+    # |r| = 500|h| lies outside the cone however small h and r are
+    with pytest.raises(ValueError, match="outside the cone"):
+        classify_stratum_3d(0.0, 5e-10)
+    with pytest.raises(ValueError, match="outside the cone"):
+        classify_stratum_3d(1e-12, 5e-10)
+    with pytest.raises(ValueError, match="violated"):
+        CuspCoords3D(1j, 1e-12, 5e-10)
+    with pytest.raises(ValueError, match="not the shape of a 3-dimensional cusp"):
+        coords_from_shape(ShapeInvariant(np.eye(2), cubic_from_hr(1e-12, 5e-10)))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-9])
+def test_scaled_cone_points_stay_inside(scale):
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        u = complex(*rng.uniform(0.2, 1, 2))
+        w = complex(rng.uniform(-1, 1), rng.uniform(0.3, 2))
+        cases = [
+            (u ** 3 / abs(u) ** 2, 3 * u, 1),
+            (u, 3 * u * np.exp(1j * rng.uniform(0.3, 2.0)), 2),
+            (u, rng.uniform(0, 2.9) * u, 3),
+        ]
+        for h, r, t in cases:
+            coords = CuspCoords3D(w, scale * h, scale * r)
+            back = coords_from_shape(shape_from_coords(coords))
+            assert classify_stratum_3d(coords.h, coords.r) == t
+            assert classify_stratum_3d(back.h, back.r) == t
+
+
 def test_classify_stratum_loads_no_cubic_machinery():
     # the strata are read off (h, r) directly, not from a rebuilt cubic
     src = str(Path(gencusp.__file__).resolve().parent.parent)

@@ -28,6 +28,7 @@ from gencusp.invariants import (
     projectivize_character,
     realize_weight_data,
     recover_psi_from_invariant,
+    sort_weights,
     stratum_dim,
     unprojectivize_character,
     varpi_closed_form,
@@ -147,6 +148,26 @@ def test_weights_of_reads_the_generator_diagonals():
             c = random_cusp(rng, n, t=t, orthonormalized=bool(t % 2))
             diag = np.column_stack([np.diag(g) for g in c.generators])
             assert np.array_equal(weights_of(c).weights, CharacterData(diag).weights)
+
+
+def _sort_weights_reference(w):
+    """The canonical order as a stable sort of rounded row tuples."""
+    w = np.asarray(w, dtype=float)
+    keys = [tuple(np.round(row, 12)) for row in w]
+    return w[sorted(range(len(keys)), key=lambda i: keys[i])]
+
+
+def test_sort_weights_matches_tuple_sort():
+    rng = np.random.default_rng(15)
+    # few distinct values, signed zeros and offsets below the rounding, so
+    # most rows tie on some leading coordinates and many tie outright
+    values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 1e-13, -1e-13, 1.0 + 1e-13, 0.5 - 4e-13])
+    draws = [np.zeros((4, 0)), np.zeros((0, 3))]
+    draws += [rng.choice(values, size=rng.integers(0, [9, 5])) for _ in range(2000)]
+    for w in draws:
+        got, ref = sort_weights(w), _sort_weights_reference(w)
+        # bytes, so that the order of rows equal only after rounding counts
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def test_horosphere_metric_examples():

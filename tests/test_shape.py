@@ -100,6 +100,37 @@ def test_jet_hessian_matches_finite_differences():
     assert maxerr(2 * q_fit, fd) < 1e-4 * max(1.0, np.max(np.abs(fd)))
 
 
+def _compose_reference(t, a):
+    """The frame change as one six-index loop, the form compose_linear
+    replaced."""
+    return np.einsum("ijk,ia,jb,kc->abc", t, a, a, a)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e4])
+def test_compose_linear_matches_six_index_reference(d, cond):
+    rng = np.random.default_rng(d)
+    eps = np.finfo(float).eps
+    for _ in range(5):
+        c = CubicPoly(d, rng.standard_normal((d, d, d)))
+        q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        a = q1 @ np.diag(np.logspace(0.0, np.log10(cond), d)) @ q2
+        got = c.compose_linear(a)
+        # both orders sum products of four factors: the d^3-term loop and
+        # three d-term passes bound their difference by this many roundings
+        # of the same sum taken over absolute values
+        budget = (d ** 3 + 3 * d + 6) * eps
+        bound = budget * _compose_reference(np.abs(c.tensor), np.abs(a))
+        assert np.all(np.abs(got.tensor - _compose_reference(c.tensor, a)) <= bound)
+        # pointwise, c(A v) against the composed cubic at v, within the same
+        # budget over |c| at |A| |v|
+        v = rng.standard_normal((8, d))
+        scale = np.abs(v) @ np.abs(a).T
+        bound = budget * np.einsum("ijk,ni,nj,nk->n", np.abs(c.tensor), scale, scale, scale)
+        assert np.all(np.abs(got(v) - c(v @ a.T)) <= bound)
+
+
 def test_J_psi_eval():
     assert J_psi_eval(np.ones(3), np.zeros(3)) == 0.0
     assert abs(J_psi_eval(np.ones(3), np.array([1.0, -1, 0])) - 1.0) < 1e-14
