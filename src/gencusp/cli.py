@@ -122,7 +122,9 @@ def parse_cusp_params(data, path="<input>"):
         if len(b) != n - 1 or any(len(row) != n - 1 for row in b):
             raise ValidationError("%s: B: expected an (n-1)x(n-1) matrix" % path)
         marking = np.array(b, dtype=float)
-    orth = bool(data.get("orthonormalized", False))
+    orth = data.get("orthonormalized", False)
+    if not isinstance(orth, bool):
+        raise ValidationError("%s: field 'orthonormalized' must be true or false" % path)
     with _invalid_input(path):
         p = BlownUpWeylPoint(n, np.array(lam, dtype=float), np.array(kap, dtype=float))
         return build_marked_cusp(p, marking, orthonormalized=orth)

@@ -187,22 +187,28 @@ def lie_algebra_zeta(psi, v):
 
 def lie_algebra_phi(p, v):
     """Lie-algebra element of the blown-up model at v: the structural
-    upper-triangular part plus <v,kappa> times the rank-one part."""
+    upper-triangular part plus <v,kappa> times the rank-one part.
+
+    ``v`` is one vector (n-1,), giving one (n+1)x(n+1) matrix, or a stack of
+    rows (k, n-1), giving the (k, n+1, n+1) stack of their elements.
+    """
     if not isinstance(p, BlownUpWeylPoint):
         raise TypeError("expected a BlownUpWeylPoint")
     n = p.n
     v = np.asarray(v, dtype=float)
-    if v.shape != (n - 1,):
+    if v.ndim not in (1, 2) or v.shape[-1] != n - 1:
         raise ValueError("v must have length n-1=%d" % (n - 1))
+    rows = v.reshape(-1, n - 1)
     lam, kap = p.lam, p.kappa
-    vk = float(np.dot(v, kap))
-    m = np.zeros((n + 1, n + 1))
-    m[0, 0] = -lam[0] * vk
-    m[0, 1:n] = v + vk * kap
-    for i in range(1, n):
-        m[i, i] = lam[i] * v[i - 1]
-        m[i, n] = v[i - 1]
-    return m
+    # one dot per row: a matmul would sum in another order, off by an ulp
+    vk = np.array([np.dot(row, kap) for row in rows])
+    m = np.zeros((len(rows), n + 1, n + 1))
+    m[:, 0, 0] = -lam[0] * vk
+    m[:, 0, 1:n] = rows + vk[:, None] * kap
+    diag = np.arange(1, n)
+    m[:, diag, diag] = lam[1:] * rows
+    m[:, 1:n, n] = rows
+    return m[0] if v.ndim == 1 else m
 
 
 def preferred_sqrt(kappa):
@@ -258,14 +264,23 @@ def psi_to_lambda(psi):
 
 @dataclass(frozen=True, eq=False)
 class MarkedCusp:
-    """A marked cusp representation: parameters, a |det| = 1 marking, and the
-    cached Lie-algebra generators of the marked holonomy."""
+    """A marked cusp representation: parameters, a |det| = 1 marking, and what
+    every invariant reads from them, each computed once here and read-only:
+
+    * ``effective_marking``, the matrix composed into the model: S^-1 B for
+      the orthonormalized variant (S the preferred square root of
+      I + kappa kappa^T), B itself otherwise;
+    * ``generators``, the (n-1, n+1, n+1) stack of Lie-algebra generators of
+      the marked holonomy, ``lie_algebra_phi`` at the effective marking's
+      columns.
+    """
 
     params: BlownUpWeylPoint
     marking: np.ndarray
     orthonormalized: bool = False
     rescaled: bool = False
-    generators: tuple = field(init=False, repr=False)
+    effective_marking: np.ndarray = field(init=False, repr=False)
+    generators: np.ndarray = field(init=False, repr=False)
     # the complete invariant, filled by invariants.complete_invariant on
     # first use; it lives and dies with this instance
     _invariant: object = field(init=False, repr=False, default=None)
@@ -281,24 +296,18 @@ class MarkedCusp:
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "marking", b)
-        eff = self.effective_marking
-        gens = tuple(lie_algebra_phi(self.params, eff[:, i]) for i in range(n - 1))
-        for g in gens:
-            g.setflags(write=False)
+        eff = b
+        if self.orthonormalized:
+            eff = np.linalg.solve(preferred_sqrt(self.params.kappa), b)
+            eff.setflags(write=False)
+        object.__setattr__(self, "effective_marking", eff)
+        gens = lie_algebra_phi(self.params, eff.T)
+        gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
 
     @property
     def n(self):
         return self.params.n
-
-    @property
-    def effective_marking(self):
-        """The matrix actually composed into the model: S^-1 B for the
-        orthonormalized variant, B otherwise."""
-        if self.orthonormalized:
-            s = preferred_sqrt(self.params.kappa)
-            return np.linalg.solve(s, self.marking)
-        return np.asarray(self.marking)
 
 
 def build_marked_cusp(p, marking=None, orthonormalized=False):

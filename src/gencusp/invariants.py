@@ -6,6 +6,7 @@ never by pointwise sampling (exp blowup makes pointwise comparison fragile).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,6 +144,17 @@ class WeightData:
         return int(np.sum(nonzero(np.max(np.abs(self.weights), axis=1, initial=0.0))))
 
 
+@lru_cache(maxsize=None)
+def _unscaled_probes(n):
+    """weights_of's fixed probes before scaling, (_CHARACTER_PROBES, n - 1),
+    and their norms floored at 1; both read-only."""
+    probes = np.cos(np.arange(1.0, _CHARACTER_PROBES * (n - 1) + 1.0)).reshape(-1, n - 1)
+    norms = np.maximum(1.0, np.linalg.norm(probes, axis=1))
+    probes.setflags(write=False)
+    norms.setflags(write=False)
+    return probes, norms
+
+
 def weights_of(cusp):
     """All n+1 affine weight covectors, read off the diagonals of the cached
     upper-triangular generators.
@@ -157,21 +169,25 @@ def weights_of(cusp):
     n = cusp.n
     gens = np.asarray(cusp.generators)
     w = np.diagonal(gens, axis1=1, axis2=2).T
-    probes = np.cos(np.arange(1.0, _CHARACTER_PROBES * (n - 1) + 1.0)).reshape(-1, n - 1)
+    probes, norms = _unscaled_probes(n)
     # probe scale keeps every eigenvalue exp(xi(v)) moderate, else the
     # power-sum route loses all digits
-    wmax = max(1.0, float(np.max(np.abs(w))))
-    probes *= 0.5 / (wmax * np.maximum(1.0, np.linalg.norm(probes, axis=1)))[:, None]
+    wmax = max(1.0, float(np.abs(w).max()))
+    probes = probes * (0.5 / (wmax * norms))[:, None]
     a = expm((probes @ gens.reshape(n - 1, -1)).reshape(-1, n + 1, n + 1))
     powers = [a]
     for _k in range(n):
         powers.append(powers[-1] @ a)
     elem = newton_to_elementary(np.trace(np.stack(powers, axis=1), axis1=2, axis2=3))
-    # e_0..e_{n+1} of the eigenvalues, one root at a time
-    elem_direct = np.repeat(np.eye(1, n + 2), len(probes), axis=0)
-    for root in np.exp(probes @ w.T).T:
-        elem_direct[:, 1:] += root[:, None] * elem_direct[:, :-1]
-    err = maxerr(elem, elem_direct[:, 1:])
+    # e_1..e_{n+1} of the eigenvalues, one root at a time, over Python
+    # floats: the rows are short
+    elem_direct = []
+    for roots in np.exp(probes @ w.T).tolist():
+        e = [1.0] + [0.0] * (n + 1)
+        for root in roots:
+            e = [1.0] + [e[j] + root * e[j - 1] for j in range(1, n + 2)]
+        elem_direct.append(e[1:])
+    err = maxerr(elem, elem_direct)
     if err > _CHARACTER_CHECK_TOL:
         raise ValueError(
             "character cross-check failed: Newton-identity coefficients "
@@ -581,16 +597,14 @@ def limit_demo_rows(kappa, m_max, n):
     order = np.argsort(-kappa)  # descending kappa gives ascending lambda
     kap = kappa[order]
     limit = build_marked_cusp(BlownUpWeylPoint(n, np.zeros(n), kap))
-    limit_gens = [expm(g) for g in limit.generators]
+    limit_gens = expm(limit.generators)
     limit_eta = complete_invariant(limit)
     rows = []
     m = 10
     while m <= m_max:
         lam = np.concatenate([[1.0 / m], (1.0 / m) / kap])
         cusp = build_marked_cusp(BlownUpWeylPoint(n, lam, kap))
-        gen_dist = max(
-            float(np.max(np.abs(expm(a) - b))) for a, b in zip(cusp.generators, limit_gens)
-        )
+        gen_dist = float(np.max(np.abs(expm(cusp.generators) - limit_gens)))
         inv_dist = eta_distance(complete_invariant(cusp), limit_eta)
         rows.append(
             {

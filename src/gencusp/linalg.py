@@ -10,6 +10,8 @@ whether a magnitude is zero (``nonzero``: the type t of a cusp counts its
 nonzero weights) and whether a form is unimodular (``check_unimodular``).
 """
 
+import weakref
+
 import numpy as np
 
 __all__ = [
@@ -67,7 +69,12 @@ def _series_or_closed(z, series, closed):
 def nonzero(mags):
     """Mask of the magnitudes above ZERO * max(1, max(mags))."""
     mags = np.asarray(mags, dtype=float)
-    return mags > ZERO * max(1.0, float(np.max(mags, initial=0.0)))
+    return mags > ZERO * max(1.0, float(mags.max(initial=0.0)))
+
+
+# The forms check_unimodular has returned, by id, while they live: the memo
+# holds no reference of its own, so an entry goes when its form does.
+_VALIDATED = weakref.WeakValueDictionary()
 
 
 def check_unimodular(q, what):
@@ -78,7 +85,12 @@ def check_unimodular(q, what):
     max(DET_TOL, ROUNDOFF * eps * cond(q)): its computed value carries
     roundoff of about eps * cond(q), so an ill-conditioned form that is
     unimodular to working precision passes.
+
+    A form this function returned, and that is still read-only, is returned
+    as it is without a second check; any other input is checked in full.
     """
+    if _VALIDATED.get(id(q)) is q and not q.flags.writeable:
+        return q
     q = check_symmetric(q)
     evals = np.linalg.eigvalsh(q)
     if evals[0] <= 0:
@@ -88,6 +100,7 @@ def check_unimodular(q, what):
     if abs(det - 1.0) > slack:
         raise ValueError("%s must be unimodular (det %g)" % (what, det))
     q.setflags(write=False)
+    _VALIDATED[id(q)] = q
     return q
 
 
@@ -106,7 +119,7 @@ def maxerr(a, b):
     above 1 and absolute below."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+    return float((np.abs(a - b) / np.maximum(1.0, np.abs(b))).max())
 
 
 def expm(m):
@@ -123,23 +136,30 @@ def expm(m):
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("expm requires a square matrix, got shape %r" % (a.shape,))
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("expm requires finite entries")
     shape, k = a.shape, a.shape[-1]
     a = a.reshape(-1, k, k)
-    eye = acc = np.eye(k)
+    eye = np.eye(k)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.sum(np.abs(a), axis=-1).max(axis=-1, initial=0.0)
         # an inf-norm that overflows is capped, so nsq stays finite
         norm = np.clip(norm, 0.5, 0.5 * np.finfo(float).max)
         nsq = np.ceil(np.log2(norm / 0.5)).astype(int)
         s = np.ldexp(a, -nsq[:, None, None])  # exact, and no 2^nsq to overflow
-        for j in range(_EXPM_ORDER, 0, -1):
+        # s @ eye is s exactly, so the first Horner step needs no product
+        acc = eye + s / _EXPM_ORDER
+        for j in range(_EXPM_ORDER - 1, 0, -1):
             acc = eye + (s @ acc) / j
-        for j in range(int(np.max(nsq, initial=0))):
-            sq = nsq > j
-            acc[sq] = acc[sq] @ acc[sq]
-    if not np.all(np.isfinite(acc)):
+        top = int(nsq.max(initial=0))
+        every = int(nsq.min(initial=top))  # squarings all members take
+        for j in range(top):
+            if j < every:
+                acc = acc @ acc
+            else:
+                sq = nsq > j
+                acc[sq] = acc[sq] @ acc[sq]
+    if not np.isfinite(acc).all():
         raise OverflowError("expm overflowed double precision (entries too large)")
     return acc.reshape(shape)
 
@@ -232,8 +252,8 @@ def check_symmetric(q):
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (q.shape,))
-    scale = max(1.0, float(np.max(np.abs(q))))
-    if np.max(np.abs(q - q.T)) > _SYMMETRY_TOL * scale:
+    scale = max(1.0, float(np.abs(q).max()))
+    if np.abs(q - q.T).max() > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within %g" % _SYMMETRY_TOL)
     return 0.5 * (q + q.T)
 

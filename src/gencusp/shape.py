@@ -232,7 +232,7 @@ def height_jet(gens, base):
 def height_at(cusp, v):
     """Height of the orbit point over the tangent hyperplane at the basepoint,
     as the frame determinant; the sign makes heights non-negative near 0."""
-    h = _height_covector(np.asarray(cusp.generators), np.eye(cusp.n + 1)[cusp.n])
+    h = _height_covector(cusp.generators, np.eye(cusp.n + 1)[cusp.n])
     return float(h[: cusp.n] @ orbit_point(cusp, v))
 
 

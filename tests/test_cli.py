@@ -56,6 +56,27 @@ def test_build_malformed_kappa_names_field(tmp_path, capsys):
     assert "kappa" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["false", 0, 1, None, []],
+                         ids=["str-false", "zero", "one", "null", "list"])
+@pytest.mark.parametrize("command", ["build", "invariants", "conjugate", "mesh"])
+def test_non_boolean_orthonormalized_is_validation_error(tmp_path, capsys, command, value):
+    # "false" is truthy: read through bool() it built the orthonormalized cusp
+    src = _write(tmp_path, "p.json", _params([0.0, 1.0, 2.0], [0.0, 0.0], orth=value))
+    tail = {"conjugate": [src], "mesh": ["--out", str(tmp_path / "m.csv")]}.get(command, [])
+    assert main([command, src] + tail) == 1
+    assert "'orthonormalized'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, False, "absent"])
+def test_build_reads_orthonormalized_flag(tmp_path, value):
+    params = _params([0.0, 1.0, 2.0], [0.0, 0.0], B=[[1.0, 0.5], [0.0, 1.0]], orth=value)
+    if value == "absent":
+        del params["orthonormalized"]
+    out = str(tmp_path / "cusp.json")
+    assert main(["build", _write(tmp_path, "p.json", params), "--out", out]) == 0
+    assert json.loads(open(out).read())["orthonormalized"] is (value is True)
+
+
 def test_build_bad_json_is_validation_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")

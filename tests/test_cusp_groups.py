@@ -166,6 +166,41 @@ def test_marked_cusp_generators_commute():
         assert maxerr(a @ b, b @ a) < 1e-9
 
 
+def test_stacked_phi_matches_each_vector_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for n in range(3, 8):
+        for t in range(n + 1):
+            for orth in (False, True):
+                c = random_cusp(rng, n, t=t, orthonormalized=orth)
+                eff = c.effective_marking
+                each = [lie_algebra_phi(c.params, eff[:, i]) for i in range(n - 1)]
+                assert np.array_equal(lie_algebra_phi(c.params, eff.T), np.stack(each))
+                assert np.array_equal(c.generators, np.stack(each))
+                rows = rng.uniform(-2, 2, (4, n - 1))
+                assert np.array_equal(lie_algebra_phi(c.params, rows),
+                                      np.stack([lie_algebra_phi(c.params, r) for r in rows]))
+
+
+@pytest.mark.parametrize("v", [[1.0], np.zeros((2, 3)), np.zeros((1, 2, 2)), 1.0])
+def test_phi_rejects_v_of_wrong_shape(v):
+    p = BlownUpWeylPoint(3, np.array([0.0, 1.0, 2.0]), np.zeros(2))
+    with pytest.raises(ValueError, match=r"v must have length n-1=2"):
+        lie_algebra_phi(p, v)
+
+
+@pytest.mark.parametrize("orth", [False, True])
+def test_marked_cusp_fields_are_read_only(orth):
+    c = random_cusp(np.random.default_rng(22), 4, orthonormalized=orth)
+    assert c.generators.shape == (3, 5, 5)
+    s = preferred_sqrt(c.params.kappa)
+    want = np.linalg.solve(s, c.marking) if orth else c.marking
+    assert np.array_equal(c.effective_marking, want)
+    for arr in (c.generators, c.effective_marking):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+
+
 def test_orbit_point_basics():
     p = BlownUpWeylPoint(3, np.zeros(3), np.zeros(2))
     c = build_marked_cusp(p)

@@ -40,7 +40,7 @@ from gencusp.invariants import (
 )
 from gencusp.linalg import expm, maxerr, unimodular
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
-from gencusp.shape import fit_height_jet
+from gencusp.shape import ShapeInvariant, cubic_from_weights, fit_height_jet
 
 
 def _cusp(lam, kap, marking=None, **kw):
@@ -81,6 +81,58 @@ def test_weights_newton_cross_check_trips_on_corruption():
         object.__setattr__(c, "generators", tuple(bad))
         with pytest.raises(ValueError, match="cross-check"):
             weights_of(c)
+
+
+def test_weights_cross_check_trips_at_every_index_of_the_stack():
+    # the cached stack is read-only; an entry planted in a writable copy of
+    # it, below the diagonal of any one generator, trips the check
+    for n in range(3, 8):
+        lam = 0.5 * np.arange(1.0, n + 1)
+        c = _cusp(lam, lam[0] / lam[1:], marking=random_marking(np.random.default_rng(n), n - 1))
+        weights_of(c)
+        for i in range(n - 1):
+            bad = c.generators.copy()
+            bad[i, i + 1, 0] = 0.7
+            object.__setattr__(c, "generators", bad)
+            with pytest.raises(ValueError, match="cross-check"):
+                weights_of(c)
+
+
+def _alter(q, how):
+    """Alter a writable 2x2 form in place; the message it must be rejected
+    with."""
+    if how == "non-symmetric":
+        q[0, 1] += 0.5
+        return "not symmetric"
+    if how == "non-unimodular":
+        q *= 2.0
+        return "must be unimodular"
+    q[:] = [[1.0, 2.0], [2.0, 3.0]]  # symmetric, det -1
+    return "must be positive definite"
+
+
+@pytest.mark.parametrize("how", ["non-symmetric", "non-unimodular", "indefinite"])
+@pytest.mark.parametrize("make", ["CompleteInvariant", "WeightData", "ShapeInvariant"])
+def test_altered_validated_metric_is_checked_again(make, how):
+    # the metric passed check_unimodular once; made writable and altered,
+    # it is outside input again and each constructor checks it in full
+    c = _cusp([0.5, 1.0, 2.0], [0.5, 0.25], marking=[[1.0, 0.5], [0.0, 1.0]])
+    eta = complete_invariant(c)
+    nu = weight_data(c)
+    cubic = cubic_from_weights(nu).c
+    q = CompleteInvariant(eta.character, eta.metric.copy()).metric
+    # validated: every constructor takes it as it is
+    assert WeightData(nu.weights, q).metric is q
+    assert ShapeInvariant(q, cubic).q is q
+    q.setflags(write=True)
+    match = _alter(q, how)
+    build = {
+        "CompleteInvariant": lambda: CompleteInvariant(eta.character, q),
+        "WeightData": lambda: WeightData(nu.weights, q),
+        "ShapeInvariant": lambda: ShapeInvariant(q, cubic),
+    }[make]
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_complete_invariant_is_memoized_per_cusp():
@@ -139,6 +191,56 @@ def test_weights_check_is_one_stacked_expm_per_cusp(monkeypatch):
         assert are_conjugate(c, c)
     assert expm_calls == [(3, n + 1, n + 1) for n in range(3, 8)]
     assert rho_calls == []
+
+
+def test_forward_case_work_budget(monkeypatch):
+    # one case of the forward benchmark workload holds three distinct forms
+    # (the cusp's metric, its shape's q, the copy's metric), each checked in
+    # full once; each MarkedCusp makes one lie_algebra_phi call, and each
+    # weights_of one expm call
+    import weakref
+
+    import gencusp.cusp_groups as cg_mod
+    import gencusp.invariants as inv_mod
+    import gencusp.linalg as la_mod
+    from gencusp.dim3 import coords_from_shape
+    from gencusp.shape import shape_invariant
+
+    counts = dict.fromkeys(["checks", "cusps", "phi", "weights_of", "expm"], 0)
+
+    class CountingMemo(weakref.WeakValueDictionary):
+        def __setitem__(self, key, value):
+            counts["checks"] += 1
+            super().__setitem__(key, value)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(la_mod, "_VALIDATED", CountingMemo())
+    monkeypatch.setattr(cg_mod, "lie_algebra_phi", counted("phi", cg_mod.lie_algebra_phi))
+    monkeypatch.setattr(cg_mod.MarkedCusp, "__post_init__",
+                        counted("cusps", cg_mod.MarkedCusp.__post_init__))
+    monkeypatch.setattr(inv_mod, "weights_of", counted("weights_of", inv_mod.weights_of))
+    monkeypatch.setattr(inv_mod, "expm", counted("expm", inv_mod.expm))
+    rng = np.random.default_rng(14)
+    cases = 0
+    for n in range(3, 8):
+        for t in range(n + 1):
+            p, b, orth = random_blownup_point(rng, n, t), random_marking(rng, n - 1), bool(t % 2)
+            c = build_marked_cusp(p, b, orthonormalized=orth)
+            complete_invariant(c)
+            nu = weight_data(c)
+            s = shape_invariant(c, "closed")
+            assert s.distance(cubic_from_weights(nu)) <= 1e-5
+            if n == 3:
+                coords_from_shape(s)
+            assert are_conjugate(c, build_marked_cusp(p, b, orthonormalized=orth))
+            cases += 1
+    assert counts == {"checks": 3 * cases, "cusps": 2 * cases, "phi": 2 * cases,
+                      "weights_of": 2 * cases, "expm": 2 * cases}
 
 
 def test_weights_of_reads_the_generator_diagonals():

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from gencusp import linalg
 from gencusp.linalg import (
     check_unimodular,
     cholesky_upper,
@@ -184,6 +188,31 @@ def test_check_unimodular():
     q = unimodular(m.T @ m)
     assert abs(np.linalg.det(q) - 1.0) > 1e-8
     check_unimodular(q, "q")
+
+
+def test_check_unimodular_returns_a_validated_form_as_it_is(monkeypatch):
+    q = check_unimodular(np.diag([4.0, 0.25]), "q")
+    checked = []
+    orig = linalg.check_symmetric
+    monkeypatch.setattr(linalg, "check_symmetric", lambda m: checked.append(m) or orig(m))
+    assert check_unimodular(q, "metric") is q
+    assert checked == []
+    # an equal form that did not come out of the check is checked in full,
+    # and so is the validated one once it is writable again
+    assert check_unimodular(q.copy(), "q") is not q
+    q.setflags(write=True)
+    assert check_unimodular(q, "q") is not q
+    assert len(checked) == 2
+
+
+def test_check_unimodular_memo_holds_no_reference():
+    q = check_unimodular(np.diag([4.0, 0.25]), "q")
+    key, ref = id(q), weakref.ref(q)
+    assert linalg._VALIDATED.get(key) is q
+    del q
+    gc.collect()
+    assert ref() is None
+    assert key not in linalg._VALIDATED
 
 
 def test_sqrt_forms():
