@@ -19,7 +19,6 @@ _EXPORTS = {
             "PsiParameter",
             "build_marked_cusp",
             "character_closed_form",
-            "diag_conjugator",
             "hypersurface_F",
             "lambda_to_psi",
             "lie_algebra_phi",
@@ -27,7 +26,6 @@ _EXPORTS = {
             "orbit_point",
             "preferred_sqrt",
             "psi_to_lambda",
-            "radial_flow",
             "rho",
         ),
         "cusp_groups",
@@ -43,12 +41,9 @@ _EXPORTS = {
             "frame_to_weight_data",
             "horosphere_metric",
             "marked_psi_normal_form",
-            "middle_weight",
-            "projectivize_character",
             "realize_weight_data",
             "recover_psi_from_invariant",
             "stratum_dim",
-            "unprojectivize_character",
             "weight_data",
             "weights_of",
         ),
@@ -62,11 +57,9 @@ _EXPORTS = {
         (
             "CubicPoly",
             "ShapeInvariant",
-            "affine_normal_at_base",
             "cubic_from_weights",
             "height_at",
             "is_affine_sphere",
-            "J_psi_eval",
             "radial_projection",
             "recover_cusp_from_shape",
             "shape_invariant",

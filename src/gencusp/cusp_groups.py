@@ -33,17 +33,10 @@ __all__ = [
     "rho",
     "orbit_point",
     "character_closed_form",
-    "diag_conjugator",
     "hypersurface_F",
-    "flow_center",
-    "radial_flow",
 ]
 
 _CONSTRAINT_TOL = 1e-12
-
-# Residual tolerance of flow_center's least-squares solve, and the relative
-# singular-value floor below which the solve is refused.
-_CENTER_TOL = 1e-8
 
 
 def _type_count(values):
@@ -363,33 +356,6 @@ def character_closed_form(cusp, v):
     )
 
 
-def diag_conjugator(p):
-    """For all-positive lambda, the pair (Q, f) with
-    Q * Phi(v) * Q^-1 = Zeta(f v): Q = M P with P the shear-and-translate
-    matrix, M the coordinate cycle, and f = Diag(lam0^2 * lam_i).
-
-    The matching diagonal-model parameter is lambda_to_psi(p).
-    """
-    n = p.n
-    lam = p.lam
-    if np.any(lam <= 0):
-        raise ValueError("diag_conjugator needs all lambda positive")
-    pmat = np.eye(n + 1)
-    pmat[0, 1:n] = -1.0 / lam[1:]
-    pmat[0, n] = lam[0] ** -2.0
-    pmat[1:n, n] = 1.0 / lam[1:]
-    # coordinate cycle aligning the dependent-weight slot: e_1 -> e_n,
-    # e_i -> e_(i-1) otherwise, fixing the homogeneous coordinate
-    m = np.zeros((n + 1, n + 1))
-    m[n - 1, 0] = 1.0
-    for i in range(1, n):
-        m[i - 1, i] = 1.0
-    m[n, n] = 1.0
-    q = m @ pmat
-    frak_f = np.diag(lam[0] ** 2 * lam[1:])
-    return q, frak_f
-
-
 def hypersurface_F(p, x):
     """Height of the canonical orbit surface over x in prod (-1/lam_i, inf):
 
@@ -410,44 +376,3 @@ def hypersurface_F(p, x):
         hsum += kap[i] * h_log(lam[i + 1], x[..., i])
     return acc + f_k(2, lam[0], -hsum)
 
-
-def flow_center(cusp):
-    """Common affine fixed point of all generators (diagonalizable type only),
-    by least squares on the stacked (rho(e_i) - I), to the relative residual
-    _CENTER_TOL = 1e-8."""
-    n = cusp.n
-    rows = []
-    rhs = []
-    for i in range(n - 1):
-        a = rho(cusp, np.eye(n - 1)[i])
-        rows.append(a[:n, :n] - np.eye(n))
-        rhs.append(-a[:n, n])
-    mat = np.vstack(rows)
-    vec = np.concatenate(rhs)
-    sing = np.linalg.svd(mat, compute_uv=False)
-    if sing[-1] < _CENTER_TOL * max(1.0, sing[0]):
-        raise ValueError(
-            "flow center is ill-conditioned (smallest singular value %g); "
-            "lambda[0] is at or near zero" % sing[-1]
-        )
-    center, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-    resid = float(np.max(np.abs(mat @ center - vec)))
-    if resid > _CENTER_TOL * max(1.0, float(np.max(np.abs(vec)))):
-        raise ValueError("flow center solve residual %g exceeds %g" % (resid, _CENTER_TOL))
-    return center
-
-
-def radial_flow(cusp, time, x):
-    """Flow a point of affine n-space along the radial direction.
-
-    Non-diagonalizable type: translation by -time along the height axis.
-    Diagonalizable type: contraction exp(-time) toward the common fixed
-    point of the holonomy.
-    """
-    x = np.asarray(x, dtype=float)
-    if cusp.params.type_t < cusp.n:
-        out = x.copy()
-        out[0] -= time
-        return out
-    c = flow_center(cusp)
-    return np.exp(-time) * (x - c) + c

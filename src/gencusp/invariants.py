@@ -31,7 +31,6 @@ __all__ = [
     "CharacterData",
     "CompleteInvariant",
     "WeightData",
-    "MiddleWeightTie",
     "NotRealizable",
     "weights_of",
     "horosphere_metric",
@@ -45,9 +44,6 @@ __all__ = [
     "varpi_closed_form",
     "realize_weight_data",
     "frame_to_weight_data",
-    "projectivize_character",
-    "unprojectivize_character",
-    "middle_weight",
     "stratum_dim",
     "limit_demo_rows",
 ]
@@ -56,17 +52,9 @@ __all__ = [
 _CHARACTER_PROBES = 3
 _CHARACTER_CHECK_TOL = 1e-7
 
-# middle_weight's probe seed and its relative tolerance on probe values.
-_MIDDLE_SEED = 7
-_MIDDLE_TOL = 1e-9
-
 # frame_to_weight_data's slack on the unit diagonal and on the constant
 # pairwise inner products.
 _FRAME_TOL = 1e-8
-
-
-class MiddleWeightTie(ValueError):
-    """Two distinct weight values both satisfy the middle-weight condition."""
 
 
 class NotRealizable(ValueError):
@@ -89,19 +77,18 @@ def sort_weights(w):
 
 @dataclass(frozen=True, eq=False)
 class CharacterData:
-    """Multiset of the n+1 Lie-algebra weight covectors (rows).  In the
-    affine normalization the translation line contributes a zero covector;
-    the projectivized (determinant-one) normalization instead has zero sum.
+    """Multiset of the n+1 Lie-algebra weight covectors (rows) of the affine
+    character, stored in canonical order.  The translation line contributes
+    a zero covector, so a multiset without one is rejected.
     """
 
     weights: np.ndarray
-    affine: bool = True
 
     def __post_init__(self):
         w = sort_weights(self.weights)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        if self.affine and np.all(nonzero(np.max(np.abs(w), axis=1, initial=0.0))):
+        if np.all(nonzero(np.max(np.abs(w), axis=1, initial=0.0))):
             raise ValueError("affine character data must contain a zero covector")
 
     def chi(self, v):
@@ -530,52 +517,6 @@ def frame_to_weight_data(a, vs):
         raise ValueError("pairwise inner products must be -varpi <= 0")
     weights = vs @ a
     return WeightData(weights, unimodular(a.T @ a))
-
-
-def projectivize_character(cd):
-    """Shift every weight by the mean so the collection has zero sum (the
-    determinant-one renormalization of the representation)."""
-    mu = np.mean(cd.weights, axis=0)
-    return CharacterData(cd.weights - mu, affine=False), mu
-
-
-def middle_weight(weights):
-    """The unique weight value xi with xi(v) <= max of the others for all v,
-    tested on cube vertices and random probes; ties between distinct values
-    raise MiddleWeightTie."""
-    w = np.asarray(weights, dtype=float)
-    k, dim = w.shape
-    probes = []
-    for mask in range(2 ** dim):
-        probes.append([1000.0 if mask >> i & 1 else -1000.0 for i in range(dim)])
-    rng = np.random.default_rng(_MIDDLE_SEED)
-    for _ in range(64):
-        z = rng.standard_normal(dim)
-        probes.append(1000.0 * z / np.linalg.norm(z))
-    probes = np.array(probes)
-    vals = probes @ w.T  # (probes, k)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    passing = []
-    for i in range(k):
-        others = np.delete(vals, i, axis=1)
-        if np.all(vals[:, i] <= np.max(others, axis=1) + _MIDDLE_TOL * scale):
-            passing.append(i)
-    if not passing:
-        raise ValueError("no middle weight found")
-    vals_set = [w[passing[0]]]
-    for i in passing[1:]:
-        if maxerr(w[i], vals_set[0]) > 1e-8:
-            raise MiddleWeightTie(
-                "distinct weight values %r and %r both satisfy the middle "
-                "condition" % (vals_set[0], w[i])
-            )
-    return w[passing[0]].copy()
-
-
-def unprojectivize_character(cd):
-    """Invert projectivize_character: shift so the middle weight is zero."""
-    mid = middle_weight(cd.weights)
-    return CharacterData(cd.weights - mid)
 
 
 def stratum_dim(n, t):

@@ -72,8 +72,9 @@ def nonzero(mags):
     return mags > ZERO * max(1.0, float(mags.max(initial=0.0)))
 
 
-# The forms check_unimodular has returned, by id, while they live: the memo
-# holds no reference of its own, so an entry goes when its form does.
+# The forms check_unimodular has returned, keyed by id and content, while
+# they live: the memo holds no reference of its own, so an entry goes when
+# its form does, and a form altered since its check misses its entry.
 _VALIDATED = weakref.WeakValueDictionary()
 
 
@@ -86,10 +87,12 @@ def check_unimodular(q, what):
     roundoff of about eps * cond(q), so an ill-conditioned form that is
     unimodular to working precision passes.
 
-    A form this function returned, and that is still read-only, is returned
-    as it is without a second check; any other input is checked in full.
+    A form this function returned, still read-only and with the entries it
+    was checked with, is returned as it is without a second check; any other
+    input is checked in full.
     """
-    if _VALIDATED.get(id(q)) is q and not q.flags.writeable:
+    if (isinstance(q, np.ndarray) and not q.flags.writeable
+            and _VALIDATED.get((id(q), q.tobytes())) is q):
         return q
     q = check_symmetric(q)
     evals = np.linalg.eigvalsh(q)
@@ -100,7 +103,7 @@ def check_unimodular(q, what):
     if abs(det - 1.0) > slack:
         raise ValueError("%s must be unimodular (det %g)" % (what, det))
     q.setflags(write=False)
-    _VALIDATED[id(q)] = q
+    _VALIDATED[id(q), q.tobytes()] = q
     return q
 
 

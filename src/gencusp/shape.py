@@ -36,12 +36,10 @@ __all__ = [
     "fit_height_jet",
     "theta_calibration",
     "shape_invariant",
-    "J_psi_eval",
     "restricted_diag_calibration",
     "cubic_from_weights",
     "radial_projection",
     "is_affine_sphere",
-    "affine_normal_at_base",
     "sphere_local_maxima",
     "recover_cusp_from_shape",
 ]
@@ -59,9 +57,6 @@ _DEDUP_TOL = 1e-6
 # reach.
 _POWER_STEPS = 3
 _RECOVER_TOL = 1e-5
-
-# J_psi_eval's slack on <psi, x> = 0, relative to |x| max(psi).
-_KERNEL_TOL = 1e-9
 
 # is_affine_sphere: largest radial part, relative to the cubic, that counts
 # as harmonic.
@@ -274,21 +269,6 @@ def shape_invariant(cusp, method="fit"):
     raise ValueError("unknown method %r" % (method,))
 
 
-def J_psi_eval(psi, x):
-    """Diagonal-model calibration (1/2)<p,x^2> + (1/6)<p,x^3> in the psi
-    inner product, for x in the kernel hyperplane of psi (to _KERNEL_TOL =
-    1e-9 relative to |x| max(psi))."""
-    if not isinstance(psi, PsiParameter):
-        psi = PsiParameter(len(psi), np.asarray(psi, float), ordered=False)
-    x = np.asarray(x, dtype=float)
-    w = psi.psi
-    pairing = float(np.dot(w, x))
-    scale = max(1.0, float(np.max(np.abs(x))) * float(np.max(w, initial=0.0)))
-    if abs(pairing) > _KERNEL_TOL * scale:
-        raise ValueError("x is not in the kernel of psi (<p,x>_psi = %g)" % pairing)
-    return 0.5 * float(np.dot(w, x * x)) + float(np.dot(w, x * x * x)) / 6.0
-
-
 def restricted_diag_calibration(psi):
     """The diagonal-model calibration restricted to the kernel hyperplane:
     returns (q, c, basis) with q the psi-Gram of the basis columns and c the
@@ -346,13 +326,6 @@ def is_affine_sphere(cusp):
     shape = shape_invariant(cusp, method="closed")
     scale = max(1.0, shape.c.coeff_norm())
     return float(np.linalg.norm(radial_projection(shape.q, shape.c))) <= _HARMONIC_TOL * scale
-
-
-def affine_normal_at_base(q, c):
-    """Affine normal at the basepoint in (height, V) coordinates:
-    the height direction minus (2m)^(-1) times the radial-projection vector."""
-    m = np.asarray(q).shape[0]
-    return np.concatenate([[1.0], -radial_projection(q, c) / (2.0 * m)])
 
 
 def _frame_noise(evals):

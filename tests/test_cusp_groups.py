@@ -6,8 +6,6 @@ from gencusp.cusp_groups import (
     PsiParameter,
     build_marked_cusp,
     character_closed_form,
-    diag_conjugator,
-    flow_center,
     hypersurface_F,
     lambda_to_psi,
     lie_algebra_phi,
@@ -15,7 +13,6 @@ from gencusp.cusp_groups import (
     orbit_point,
     preferred_sqrt,
     psi_to_lambda,
-    radial_flow,
     rho,
 )
 from gencusp.invariants import complete_invariant, eta_distance
@@ -229,24 +226,6 @@ def test_orbit_group_action_identity():
     assert maxerr(lhs, rhs[:4]) < 1e-12
 
 
-def test_diag_conjugator_identity():
-    rng = np.random.default_rng(4)
-    for lam in ([1.0, 1, 1], [1.0, 2, 2], [0.7, 1.3, 2.9]):
-        lam = np.array(lam)
-        p = BlownUpWeylPoint(3, lam, lam[0] / lam[1:])
-        q, ff = diag_conjugator(p)
-        psi = lambda_to_psi(p)
-        for _ in range(4):
-            v = rng.uniform(-1, 1, 2)
-            lhs = q @ expm(lie_algebra_phi(p, v)) @ np.linalg.inv(q)
-            rhs = expm(lie_algebra_zeta(psi, ff @ v))
-            assert maxerr(lhs, rhs) < 1e-8
-    assert np.array_equal(diag_conjugator(
-        BlownUpWeylPoint(3, np.ones(3), np.ones(2)))[1], np.eye(2))
-    with pytest.raises(ValueError):
-        diag_conjugator(BlownUpWeylPoint(3, np.array([0.0, 1, 2]), np.zeros(2)))
-
-
 def test_hypersurface_anchors():
     p = BlownUpWeylPoint(3, np.zeros(3), np.zeros(2))
     x = np.array([0.4, -0.3])
@@ -298,31 +277,3 @@ def test_lambda_scale_conjugacy_via_invariants():
     assert abs(character_closed_form(c1, s * v) - character_closed_form(c2, v)) < 1e-10
     assert eta_distance(complete_invariant(c1), complete_invariant(c1)) == 0.0
 
-
-def test_radial_flow_translation_branch():
-    p = BlownUpWeylPoint(3, np.array([0.0, 1, 2]), np.zeros(2))
-    c = build_marked_cusp(p)
-    x = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(radial_flow(c, 0.7, x), x - np.array([0.7, 0, 0]))
-    assert np.array_equal(radial_flow(c, 0.0, x), x)
-
-
-def test_radial_flow_diagonal_branch_contracts_into_domain():
-    lam = np.ones(3)
-    p = BlownUpWeylPoint(3, lam, np.ones(2))
-    c = build_marked_cusp(p)
-    center = flow_center(c)
-    # the center is fixed by every generator
-    for i in range(2):
-        a = rho(c, np.eye(2)[i])
-        assert maxerr(a[:3, :3] @ center + a[:3, 3], center) < 1e-9
-    # flowing the basepoint backwards (t < 0) moves strictly inside the domain
-    for t in (-0.5, -2.0):
-        pt = radial_flow(c, t, np.zeros(3))
-        assert pt[0] - hypersurface_F(p, pt[1:]) > 1e-6
-
-
-def test_flow_center_rejects_nondiagonalizable():
-    p = BlownUpWeylPoint(3, np.array([0.0, 1, 2]), np.zeros(2))
-    with pytest.raises(ValueError):
-        flow_center(build_marked_cusp(p))

@@ -13,7 +13,6 @@ from gencusp.cusp_groups import (
 from gencusp.invariants import (
     CharacterData,
     CompleteInvariant,
-    MiddleWeightTie,
     NotRealizable,
     WeightData,
     are_conjugate,
@@ -24,13 +23,10 @@ from gencusp.invariants import (
     limit_demo_rows,
     linear_sum_assignment,
     marked_psi_normal_form,
-    middle_weight,
-    projectivize_character,
     realize_weight_data,
     recover_psi_from_invariant,
     sort_weights,
     stratum_dim,
-    unprojectivize_character,
     varpi_closed_form,
     weight_data,
     weights_equation_residual,
@@ -519,19 +515,6 @@ def test_conjugation_invariance_of_eta():
         assert abs(np.trace(expm(amat)) - eta.character.chi(v)) < 1e-9 * max(
             1, abs(eta.character.chi(v)))
     assert maxerr(unimodular(height_jet(gens, p[:, 4])[0]), eta.metric) < 1e-10
-
-
-def test_projectivize_and_middle_weight():
-    cd = weights_of(_cusp([0, 1, 2], [0, 0]))
-    shifted, mu = projectivize_character(cd)
-    assert maxerr(np.sum(shifted.weights, axis=0), np.zeros(2)) < 1e-14
-    back = unprojectivize_character(shifted)
-    assert _match_multisets(back.weights, cd.weights) < 1e-12
-    # multiplicity >= 2 makes the zero weight middle
-    w = np.array([[0.0, 0], [0, 0], [1, 0], [0, 2]])
-    assert maxerr(middle_weight(w), np.zeros(2)) < 1e-14
-    with pytest.raises(MiddleWeightTie):
-        middle_weight(np.array([[1.0, 0], [-1.0, 0], [0.5, 0], [-0.5, 0.0]]))
 
 
 def test_stratum_dims():

@@ -205,9 +205,20 @@ def test_check_unimodular_returns_a_validated_form_as_it_is(monkeypatch):
     assert len(checked) == 2
 
 
+def test_check_unimodular_checks_a_form_altered_behind_the_flag():
+    # made writable, altered and set read-only again, a validated form no
+    # longer has the entries it was checked with, so it is checked in full
+    q = check_unimodular(np.diag([4.0, 0.25]), "q")
+    q.setflags(write=True)
+    q[0, 0] = -7.0
+    q.setflags(write=False)
+    with pytest.raises(ValueError, match="q must be positive definite"):
+        check_unimodular(q, "q")
+
+
 def test_check_unimodular_memo_holds_no_reference():
     q = check_unimodular(np.diag([4.0, 0.25]), "q")
-    key, ref = id(q), weakref.ref(q)
+    key, ref = (id(q), q.tobytes()), weakref.ref(q)
     assert linalg._VALIDATED.get(key) is q
     del q
     gc.collect()

@@ -1,5 +1,3 @@
-from itertools import combinations_with_replacement
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from gencusp.cusp_groups import (
     BlownUpWeylPoint,
     PsiParameter,
     build_marked_cusp,
-    hypersurface_F,
     psi_to_lambda,
 )
 from gencusp.invariants import are_conjugate, complete_invariant, weight_data
@@ -15,9 +12,7 @@ from gencusp.linalg import expm, maxerr
 from gencusp.sampling import random_cusp, random_marking
 from gencusp.shape import (
     CubicPoly,
-    J_psi_eval,
     ShapeInvariant,
-    affine_normal_at_base,
     cubic_from_weights,
     fit_height_jet,
     height_at,
@@ -131,14 +126,6 @@ def test_compose_linear_matches_six_index_reference(d, cond):
         assert np.all(np.abs(got(v) - c(v @ a.T)) <= bound)
 
 
-def test_J_psi_eval():
-    assert J_psi_eval(np.ones(3), np.zeros(3)) == 0.0
-    assert abs(J_psi_eval(np.ones(3), np.array([1.0, -1, 0])) - 1.0) < 1e-14
-    assert abs(J_psi_eval(np.ones(3), np.array([2.0, -1, -1])) - 4.0) < 1e-14
-    with pytest.raises(ValueError):
-        J_psi_eval(np.ones(3), np.array([1.0, 1, 0]))
-
-
 def test_cubic_from_weights_examples():
     wd = weight_data(_cusp([0, 0, 0], [0.5, 0.5]))
     s = cubic_from_weights(wd)
@@ -156,8 +143,6 @@ def test_radial_projection_and_normal():
     assert maxerr(radial_projection(q, radial), [1.0, 0.0]) < 1e-12
     harmonic = CubicPoly.from_monomials(2, {(3, 0): 1.0, (1, 2): -3.0})
     assert np.max(np.abs(radial_projection(q, harmonic))) < 1e-12
-    assert maxerr(affine_normal_at_base(q, radial), [1.0, -0.25, 0.0]) < 1e-12
-    assert maxerr(affine_normal_at_base(q, CubicPoly.zero(2)), [1.0, 0, 0]) < 1e-15
 
 
 def test_equal_parameter_model_is_harmonic():
@@ -171,60 +156,6 @@ def test_affine_sphere_predicate():
     assert not is_affine_sphere(_cusp([0, 1, 2], [0, 0]))
     # kappa < 1 with equal positive lambda tail is not an affine sphere
     assert not is_affine_sphere(_cusp([0.5, 1, 1], [0.5, 0.5]))
-
-
-def _graph_jet(p, radius=1e-2):
-    """2- and 3-jet of the boundary surface as an honest graph over its
-    tangent plane (the fit runs on the surface function itself, in surface
-    coordinates; these differ from the group-parametrized jet at degree 3)."""
-    exps = [
-        tuple(idx.count(var) for var in range(2))
-        for deg in (2, 3, 4, 5)
-        for idx in combinations_with_replacement(range(2), deg)
-    ]
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-1, 1, (5 * len(exps), 2))
-    heights = np.array([hypersurface_F(p, radius * x) for x in pts])
-    design = np.column_stack([
-        np.prod(pts ** np.array(e), axis=1) for e in exps])
-    coeffs, *_ = np.linalg.lstsq(design, heights, rcond=None)
-    q = np.zeros((2, 2))
-    mono3 = {}
-    for e, val in zip(exps, coeffs):
-        deg = sum(e)
-        val /= radius ** deg
-        if deg == 2:
-            i, j = [k for k, c in enumerate(e) for _ in range(c)]
-            if i == j:
-                q[i, i] = val
-            else:
-                q[i, j] = q[j, i] = val / 2
-        elif deg == 3:
-            mono3[e] = val
-    return q, CubicPoly.from_monomials(2, mono3)
-
-
-def test_affine_normal_parallel_to_radial_flow_for_spheres():
-    # for an affine-sphere cusp the tilt of the affine normal away from the
-    # height axis (the radial part of the graph cubic) points along the
-    # radial-flow line through the basepoint; the magnitude convention is
-    # fixed by the x(x^2+y^2) example above, so only directions are compared
-    p = BlownUpWeylPoint(3, np.ones(3), np.ones(2))
-    c = build_marked_cusp(p)
-    q, cub = _graph_jet(p)
-    normal = affine_normal_at_base(q, cub)
-    assert normal[0] == 1.0
-    from gencusp.cusp_groups import flow_center
-
-    direction = flow_center(c)  # the flow line at the origin points at C
-    tilt = normal[1:]
-    dir_v = direction[1:]
-    cos = abs(tilt @ dir_v) / (np.linalg.norm(tilt) * np.linalg.norm(dir_v))
-    assert abs(cos - 1.0) < 1e-6
-    # whereas a non-sphere cusp has a genuinely non-harmonic graph cubic
-    p2 = BlownUpWeylPoint(3, np.array([0.0, 1, 2]), np.zeros(2))
-    q2, cub2 = _graph_jet(p2)
-    assert np.linalg.norm(radial_projection(q2, cub2)) > 1e-3
 
 
 def test_sphere_maxima_nondiag_anchor():

@@ -32,3 +32,73 @@ def test_no_einsum_over_six_indices(path):
         and len({ch for ch in node.args[0].value if ch.isalpha()}) >= 6
     ]
     assert wide == [], "%s has einsum calls over six or more indices: %s" % (path.name, wide)
+
+
+_PERFBENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+
+# psi_to_lambda is the inverse of lambda_to_psi: no library route needs it,
+# and tests build cusps from psi with it
+_UNREACHED_EXPORTS = {"psi_to_lambda"}
+
+
+def _references(path):
+    """(identifier, names of the enclosing functions and classes) for each
+    name a module reads, attribute it takes or name it imports."""
+    found = []
+
+    def visit(node, scopes):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scopes = scopes | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.id, scopes))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.append((node.attr, scopes))
+        elif isinstance(node, ast.alias):
+            found.append((node.name.rpartition(".")[2], scopes))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), frozenset())
+    return found
+
+
+def _exports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def test_every_export_is_reached():
+    # a public name that only tests call is code no claim of the library
+    # reaches: its own body does not count as a use
+    reached = {
+        name for path in _MODULES + _PERFBENCH
+        for name, scopes in _references(path) if name not in scopes
+    }
+    unreached = sorted(
+        "%s.%s" % (path.stem, name) for path in _MODULES for name in _exports(path)
+        if name not in reached and name not in _UNREACHED_EXPORTS
+    )
+    assert unreached == [], "exported but reached by no library or perfbench code: %s" % unreached
+
+
+def test_only_cli_imports_cli():
+    # the library stands below its command line, never on it
+    offenders = []
+    for path in _MODULES:
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # `from . import cli` names the module as an imported name
+                modules = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if any("cli" in module.split(".") for module in modules):
+                offenders.append((path.name, node.lineno))
+    assert offenders == [], "library modules import cli: %s" % offenders
