@@ -14,6 +14,7 @@ Conventions used throughout the package:
   silently sorted: marked data is order-sensitive.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,21 +108,26 @@ class BlownUpWeylPoint:
             raise ValueError("lambda must have length n=%d, got %r" % (self.n, lam.shape))
         if kap.shape != (self.n - 1,):
             raise ValueError("kappa must have length n-1=%d, got %r" % (self.n - 1, kap.shape))
+        # the checks run over Python floats: the vectors are short, and
+        # numpy's per-call overhead would dominate
+        ls, ks = lam.tolist(), kap.tolist()
         # every order and range test below is False on NaN
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(kap))):
+        if not all(map(math.isfinite, ls + ks)):
             raise ValueError("lambda and kappa must be finite")
-        scale = max(1.0, float(np.max(np.abs(lam))))
+        scale = max(1.0, max(map(abs, ls)))
         if self.flavor == "blownup":
-            if lam[0] < -_CONSTRAINT_TOL or np.any(np.diff(lam) < -_CONSTRAINT_TOL * scale):
+            if ls[0] < -_CONSTRAINT_TOL or any(
+                b - a < -_CONSTRAINT_TOL * scale for a, b in zip(ls, ls[1:])
+            ):
                 raise ValueError("blownup flavor requires 0 <= lam[0] <= ... <= lam[n-1]")
-            if np.any(kap < -_CONSTRAINT_TOL) or np.any(kap > 1 + _CONSTRAINT_TOL):
+            if any(k < -_CONSTRAINT_TOL or k > 1 + _CONSTRAINT_TOL for k in ks):
                 raise ValueError("kappa entries must lie in [0,1]")
         elif self.flavor == "diagonal":
-            if np.any(lam <= 0):
+            if any(v <= 0 for v in ls):
                 raise ValueError("diagonal flavor requires all lambda positive")
         else:
             raise ValueError("unknown flavor %r" % (self.flavor,))
-        resid = np.max(np.abs(lam[0] - lam[1:] * kap))
+        resid = max(abs(ls[0] - v * k) for v, k in zip(ls[1:], ks))
         if resid > _CONSTRAINT_TOL * scale:
             raise ValueError(
                 "constraint lam[0] = lam[i]*kappa[i] violated (residual %g)" % resid
@@ -255,6 +261,15 @@ def psi_to_lambda(psi):
     return BlownUpWeylPoint(n, lam, kap)
 
 
+class _MarkingDet(ValueError):
+    """A marking whose |det| misses 1, raised by ``MarkedCusp`` with the
+    determinant it computed, which ``build_marked_cusp`` folds away."""
+
+    def __init__(self, det):
+        super().__init__("marking must have |det| = 1, got %g" % det)
+        self.det = det
+
+
 @dataclass(frozen=True, eq=False)
 class MarkedCusp:
     """A marked cusp representation: parameters, a |det| = 1 marking, and what
@@ -283,9 +298,11 @@ class MarkedCusp:
         b = np.asarray(self.marking, dtype=float)
         if b.shape != (n - 1, n - 1):
             raise ValueError("marking must be (n-1)x(n-1)")
+        if not np.isfinite(b).all():
+            raise ValueError("marking must be finite")
         det = abs(np.linalg.det(b))
         if abs(det - 1.0) > DET_TOL:
-            raise ValueError("marking must have |det| = 1, got %g" % det)
+            raise _MarkingDet(det)
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "marking", b)
@@ -313,17 +330,15 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     """
     n = p.n
     b = np.eye(n - 1) if marking is None else np.asarray(marking, dtype=float)
-    if b.shape != (n - 1, n - 1):
-        raise ValueError("marking must be (n-1)x(n-1)")
-    det = abs(np.linalg.det(b))
+    try:
+        return MarkedCusp(p, b, orthonormalized=orthonormalized)
+    except _MarkingDet as exc:
+        # MarkedCusp's own check computed |det B|; B / s is checked anew
+        det = exc.det
     if det < 1e-12:
         raise ValueError("marking is singular (|det| = %g)" % det)
-    rescaled = abs(det - 1.0) > DET_TOL
-    if rescaled:
-        s = det ** (1.0 / (n - 1))
-        b = b / s
-        p = p.scaled(s)
-    return MarkedCusp(p, b, orthonormalized=orthonormalized, rescaled=rescaled)
+    s = det ** (1.0 / (n - 1))
+    return MarkedCusp(p.scaled(s), b / s, orthonormalized=orthonormalized, rescaled=True)
 
 
 def rho(cusp, v):

@@ -66,13 +66,16 @@ class NotRealizable(ValueError):
 
 
 def sort_weights(w):
-    """Canonical order: lexicographic by coordinates rounded to 1e-12."""
+    """Canonical order: lexicographic by coordinates rounded to 1e-12.
+    Non-finite weights raise ValueError."""
     w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     if w.shape[1] == 0:
         # lexsort needs at least one key; rows with no coordinates all tie
         return w.copy()
     # lexsort's last key is the primary one, so the columns go in reverse
-    return w[np.lexsort(np.round(w, 12).T[::-1])]
+    return w[np.lexsort(w.round(12).T[::-1])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +91,7 @@ class CharacterData:
         w = sort_weights(self.weights)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        if np.all(nonzero(np.max(np.abs(w), axis=1, initial=0.0))):
+        if nonzero(np.abs(w).max(axis=1, initial=0.0)).all():
             raise ValueError("affine character data must contain a zero covector")
 
     def chi(self, v):
@@ -121,14 +124,21 @@ class WeightData:
     def varpi(self):
         """Negated mean of the off-diagonal dual pairings (symmetric,
         unbiased estimate of the weights-equation constant)."""
-        gram = self.weights @ np.linalg.inv(self.metric) @ self.weights.T
-        k = gram.shape[0]
-        off = gram[~np.eye(k, dtype=bool)]
-        return float(-np.mean(off))
+        return dual_pairings(self.weights, np.linalg.inv(self.metric))[1]
 
     @property
     def type_t(self):
         return int(np.sum(nonzero(np.max(np.abs(self.weights), axis=1, initial=0.0))))
+
+
+def dual_pairings(weights, qinv):
+    """The off-diagonal dual pairings of the weights under the inverse
+    metric ``qinv``, and varpi, the negated mean of those pairings.  The
+    callers that hold the inverse already pass it, so that each metric is
+    inverted once."""
+    gram = weights @ qinv @ weights.T
+    off = gram[~np.eye(gram.shape[0], dtype=bool)]
+    return off, float(-np.mean(off))
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +185,8 @@ def weights_of(cusp):
             e = [1.0] + [e[j] + root * e[j - 1] for j in range(1, n + 2)]
         elem_direct.append(e[1:])
     err = maxerr(elem, elem_direct)
-    if err > _CHARACTER_CHECK_TOL:
+    # fails closed: a NaN deviation is a failed check
+    if not err <= _CHARACTER_CHECK_TOL:
         raise ValueError(
             "character cross-check failed: Newton-identity coefficients "
             "deviate by %g (tolerance %g)" % (err, _CHARACTER_CHECK_TOL)
@@ -274,9 +285,9 @@ def _match_multisets(a, b):
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         return np.inf
-    cost = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
+    cost = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
     rows, cols = linear_sum_assignment(cost)
-    return float(np.max(cost[rows, cols]))
+    return float(cost[rows, cols].max())
 
 
 def eta_distance(e1, e2):
@@ -284,7 +295,7 @@ def eta_distance(e1, e2):
     deviation and the weight deviation, which is the max over the weight
     pairs matched by the min-sum assignment (both relative above magnitude
     one)."""
-    scale = max(1.0, float(np.max(np.abs(e2.character.weights))))
+    scale = max(1.0, float(np.abs(e2.character.weights).max()))
     dw = _match_multisets(e1.character.weights, e2.character.weights) / scale
     return max(dw, maxerr(e1.metric, e2.metric))
 
@@ -299,7 +310,7 @@ def are_conjugate(c1, c2, tol=1e-8):
 def _split_weights(weights):
     """Linear-part weights (one zero affine row removed) and the nonzero ones."""
     w = np.asarray(weights, dtype=float)
-    live = nonzero(np.max(np.abs(w), axis=1, initial=0.0))
+    live = nonzero(np.abs(w).max(axis=1, initial=0.0))
     zero_rows = np.nonzero(~live)[0]
     if len(zero_rows) == 0:
         raise ValueError("weights contain no zero covector")
@@ -395,11 +406,12 @@ def weights_equation_residual(w):
     """Max deviation of the off-diagonal dual pairings from the constant
     -varpi (the defining equation of realizable weight data), or -varpi
     itself when varpi is negative, since realizable data has varpi >= 0."""
-    gram = w.weights @ np.linalg.inv(w.metric) @ w.weights.T
-    k = gram.shape[0]
-    varpi = w.varpi
-    off = gram[~np.eye(k, dtype=bool)]
-    resid = float(np.max(np.abs(off + varpi), initial=0.0))
+    return _equation_residual(*dual_pairings(w.weights, np.linalg.inv(w.metric)))
+
+
+def _equation_residual(off, varpi):
+    """weights_equation_residual from the pairings and varpi."""
+    resid = float(np.abs(off + varpi).max(initial=0.0))
     if varpi < 0:
         resid = max(resid, -varpi)
     return resid
@@ -449,18 +461,19 @@ def realize_weight_data(w, tol=1e-8):
     marking is determined by the n-1 largest weights.  Data off the weights
     equation raises ``NotRealizable``.
     """
-    resid = weights_equation_residual(w)
-    if resid > tol:
-        raise NotRealizable("weights equation residual %g exceeds %g" % (resid, tol))
     beta = w.metric
     qinv = np.linalg.inv(beta)
+    off, varpi = dual_pairings(w.weights, qinv)
+    resid = _equation_residual(off, varpi)
+    if resid > tol:
+        raise NotRealizable("weights equation residual %g exceeds %g" % (resid, tol))
     n = w.weights.shape[0]
     dim = n - 1
     norms = np.einsum("ij,jk,ik->i", w.weights, qinv, w.weights)
     order = np.argsort(norms)
     ws = w.weights[order]
     norms = norms[order]
-    varpi = max(w.varpi, 0.0)
+    varpi = max(varpi, 0.0)
     scale = max(1.0, float(np.max(norms)))
     if varpi > tol * scale:
         # the smallest weight may read as zero: as lambda0 -> 0 its dual

@@ -10,7 +10,9 @@ whether a magnitude is zero (``nonzero``: the type t of a cusp counts its
 nonzero weights) and whether a form is unimodular (``check_unimodular``).
 """
 
+import math
 import weakref
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +89,7 @@ def check_unimodular(q, what):
     roundoff of about eps * cond(q), so an ill-conditioned form that is
     unimodular to working precision passes.
 
+    Positivity and the determinant both come from one eigendecomposition.
     A form this function returned, still read-only and with the entries it
     was checked with, is returned as it is without a second check; any other
     input is checked in full.
@@ -95,10 +98,10 @@ def check_unimodular(q, what):
             and _VALIDATED.get((id(q), q.tobytes())) is q):
         return q
     q = check_symmetric(q)
-    evals = np.linalg.eigvalsh(q)
+    evals = np.linalg.eigvalsh(q).tolist()
     if evals[0] <= 0:
         raise ValueError("%s must be positive definite" % what)
-    det = np.linalg.det(q)
+    det = math.prod(evals)
     slack = max(DET_TOL, ROUNDOFF * np.finfo(float).eps * evals[-1] / evals[0])
     if abs(det - 1.0) > slack:
         raise ValueError("%s must be unimodular (det %g)" % (what, det))
@@ -125,6 +128,18 @@ def maxerr(a, b):
     return float((np.abs(a - b) / np.maximum(1.0, np.abs(b))).max())
 
 
+# expm's cap on a scaled inf-norm, half the largest double
+_NORM_CAP = 0.5 * np.finfo(float).max
+
+
+@lru_cache(maxsize=None)
+def _identity(k):
+    """The k x k identity, read-only: one per size, shared by expm calls."""
+    eye = np.eye(k)
+    eye.setflags(write=False)
+    return eye
+
+
 def expm(m):
     """Matrix exponential by scaling-and-squaring with a truncated Taylor
     series of order _EXPM_ORDER = 14 (Horner form), of one matrix or of each
@@ -143,11 +158,11 @@ def expm(m):
         raise ValueError("expm requires finite entries")
     shape, k = a.shape, a.shape[-1]
     a = a.reshape(-1, k, k)
-    eye = np.eye(k)
+    eye = _identity(k)
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.sum(np.abs(a), axis=-1).max(axis=-1, initial=0.0)
+        norm = np.abs(a).sum(axis=-1).max(axis=-1, initial=0.0)
         # an inf-norm that overflows is capped, so nsq stays finite
-        norm = np.clip(norm, 0.5, 0.5 * np.finfo(float).max)
+        norm = np.minimum(np.maximum(norm, 0.5), _NORM_CAP)
         nsq = np.ceil(np.log2(norm / 0.5)).astype(int)
         s = np.ldexp(a, -nsq[:, None, None])  # exact, and no 2^nsq to overflow
         # s @ eye is s exactly, so the first Horner step needs no product
@@ -242,21 +257,31 @@ def newton_to_elementary(power_sums):
         e = [1.0]
         for k in range(1, len(row) + 1):
             acc = 0.0
+            # the sign (-1)^(i-1) as an add or a subtract: exact either way
             for i in range(1, k + 1):
-                acc += (-1.0) ** (i - 1) * e[k - i] * row[i - 1]
+                if i % 2:
+                    acc += e[k - i] * row[i - 1]
+                else:
+                    acc -= e[k - i] * row[i - 1]
             e.append(acc / k)
         out.append(e[1:])
     return np.array(out).reshape(p.shape)
 
 
 def check_symmetric(q):
-    """Validate symmetry of a form to _SYMMETRY_TOL = 1e-12 relative to its
-    largest entry; returns the symmetrized matrix."""
+    """Validate a finite form, symmetric to _SYMMETRY_TOL = 1e-12 relative to
+    its largest entry; returns the symmetrized matrix, a new array."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (q.shape,))
-    scale = max(1.0, float(np.abs(q).max()))
-    if np.abs(q - q.T).max() > _SYMMETRY_TOL * scale:
+    # the largest magnitude is non-finite exactly when some entry is
+    largest = float(np.abs(q).max())
+    if not math.isfinite(largest):
+        raise ValueError("matrix entries must be finite")
+    # bitwise symmetric (signed zeros included): 0.5 (q + q^T) is q itself
+    if q.tobytes() == q.T.tobytes():
+        return q.copy()
+    if np.abs(q - q.T).max() > _SYMMETRY_TOL * max(1.0, largest):
         raise ValueError("matrix is not symmetric within %g" % _SYMMETRY_TOL)
     return 0.5 * (q + q.T)
 

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .cusp_groups import BlownUpWeylPoint, PsiParameter, build_marked_cusp, orbit_point
-from .invariants import NotRealizable, WeightData, realize_weight_data
+from .invariants import NotRealizable, WeightData, dual_pairings, realize_weight_data
 from .linalg import (
     ROUNDOFF,
     check_symmetric,
@@ -151,7 +151,7 @@ class CubicPoly:
         return CubicPoly(self.dim, float(s) * self.tensor)
 
     def coeff_norm(self):
-        return float(np.max(np.abs(self.tensor))) * 6.0
+        return float(np.abs(self.tensor).max()) * 6.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +181,7 @@ class ShapeInvariant:
     def distance(self, other):
         dq = maxerr(self.q, other.q)
         scale = max(1.0, other.c.coeff_norm())
-        dc = float(np.max(np.abs(self.c.tensor - other.c.tensor))) * 6.0 / scale
+        dc = float(np.abs(self.c.tensor - other.c.tensor).max()) * 6.0 / scale
         return max(dq, dc)
 
 
@@ -300,7 +300,8 @@ def cubic_from_weights(wd):
     live = nonzero(np.sqrt(np.maximum(norms2, 0.0)))
     if not np.any(live):
         return ShapeInvariant(beta, CubicPoly.zero(w.shape[1]))
-    coeffs = 1.0 / (3.0 * (norms2[live] + max(wd.varpi, 0.0)))
+    varpi = dual_pairings(w, qinv)[1]
+    coeffs = 1.0 / (3.0 * (norms2[live] + max(varpi, 0.0)))
     return ShapeInvariant(beta, CubicPoly.from_covector_cubes(w[live], coeffs))
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gencusp.cusp_groups import (
     BlownUpWeylPoint,
+    MarkedCusp,
     PsiParameter,
     build_marked_cusp,
     character_closed_form,
@@ -138,6 +140,90 @@ def test_blownup_rejects_non_finite_entries(flavor, bad):
         bad_kap[i] = bad
         with pytest.raises(ValueError, match="finite"):
             BlownUpWeylPoint(3, lam, bad_kap, flavor)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_marking_must_be_finite(bad):
+    # |det| of a NaN marking is NaN, which no |det| = 1 test may let through
+    p = BlownUpWeylPoint(3, np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
+    for i in range(4):
+        b = np.eye(2)
+        b.flat[i] = bad
+        with pytest.raises(ValueError, match="marking must be finite"):
+            build_marked_cusp(p, b)
+        with pytest.raises(ValueError, match="marking must be finite"):
+            MarkedCusp(p, b)
+
+
+_TOL = 1e-12  # cusp_groups._CONSTRAINT_TOL
+
+
+def _weyl_reference(n, lam, kap, flavor):
+    """The message BlownUpWeylPoint's validator raises on (lam, kap), or
+    None: the same tests written as numpy array operations."""
+    lam = np.asarray(lam, dtype=float)
+    kap = np.asarray(kap, dtype=float)
+    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(kap))):
+        return "lambda and kappa must be finite"
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    if flavor == "blownup":
+        if lam[0] < -_TOL or np.any(np.diff(lam) < -_TOL * scale):
+            return "blownup flavor requires 0 <= lam[0] <= ... <= lam[n-1]"
+        if np.any(kap < -_TOL) or np.any(kap > 1 + _TOL):
+            return "kappa entries must lie in [0,1]"
+    elif flavor == "diagonal":
+        if np.any(lam <= 0):
+            return "diagonal flavor requires all lambda positive"
+    else:
+        return "unknown flavor %r" % (flavor,)
+    resid = np.max(np.abs(lam[0] - lam[1:] * kap))
+    if resid > _TOL * scale:
+        return "constraint lam[0] = lam[i]*kappa[i] violated (residual %g)" % resid
+    return None
+
+
+# values on and around each test's edge, and the non-finite ones
+_EDGES = [0.0, -0.0, 1.0, _TOL, -_TOL, 2 * _TOL, -2 * _TOL, 1 + _TOL, 1 + 2 * _TOL,
+          1 - _TOL, np.nan, np.inf, -np.inf]
+_ENTRY = st.one_of(st.sampled_from(_EDGES), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _weyl_inputs(draw):
+    n = draw(st.integers(2, 5))
+    flavor = draw(st.sampled_from(["blownup", "diagonal"]))
+    if draw(st.booleans()):
+        # on the constraint surface, then nudged by multiples of the slack
+        lam = sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
+        kap = [lam[0] / v if v else draw(_ENTRY) for v in lam[1:]]
+        nudge = st.sampled_from([0.0, 0.0, _TOL, -_TOL, 2 * _TOL, -2 * _TOL, 0.5 * _TOL])
+        lam = [v + draw(nudge) for v in lam]
+        kap = [k + draw(nudge) for k in kap]
+    else:
+        lam = draw(st.lists(_ENTRY, min_size=n, max_size=n))
+        kap = draw(st.lists(_ENTRY, min_size=n - 1, max_size=n - 1))
+    if draw(st.booleans()):
+        # one entry replaced by an edge value
+        i = draw(st.integers(0, 2 * n - 2))
+        v = draw(st.sampled_from(_EDGES))
+        if i < n:
+            lam[i] = v
+        else:
+            kap[i - n] = v
+    return n, lam, kap, flavor
+
+
+@given(_weyl_inputs())
+@settings(max_examples=600, deadline=None)
+def test_blownup_validation_matches_the_array_form(args):
+    n, lam, kap, flavor = args
+    expected = _weyl_reference(n, lam, kap, flavor)
+    try:
+        BlownUpWeylPoint(n, np.array(lam), np.array(kap), flavor)
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
 
 
 def test_build_rescales_marking_determinant():

@@ -193,7 +193,11 @@ def test_forward_case_work_budget(monkeypatch):
     # one case of the forward benchmark workload holds three distinct forms
     # (the cusp's metric, its shape's q, the copy's metric), each checked in
     # full once; each MarkedCusp makes one lie_algebra_phi call, and each
-    # weights_of one expm call
+    # weights_of one expm call.  The determinants: one per build of a
+    # marking that needs no rescale, one per unimodular() metric, one for
+    # the canonical shape, and none inside check_unimodular.  The inverses:
+    # one of the metric in cubic_from_weights, one of the frame in
+    # coords_from_shape at n = 3.
     import weakref
 
     import gencusp.cusp_groups as cg_mod
@@ -202,7 +206,10 @@ def test_forward_case_work_budget(monkeypatch):
     from gencusp.dim3 import coords_from_shape
     from gencusp.shape import shape_invariant
 
-    counts = dict.fromkeys(["checks", "cusps", "phi", "weights_of", "expm"], 0)
+    rng = np.random.default_rng(14)
+    draws = [(n, random_blownup_point(rng, n, t), random_marking(rng, n - 1), bool(t % 2))
+             for n in range(3, 8) for t in range(n + 1)]
+    counts = dict.fromkeys(["checks", "cusps", "phi", "weights_of", "expm", "det", "inv"], 0)
 
     class CountingMemo(weakref.WeakValueDictionary):
         def __setitem__(self, key, value):
@@ -221,22 +228,22 @@ def test_forward_case_work_budget(monkeypatch):
                         counted("cusps", cg_mod.MarkedCusp.__post_init__))
     monkeypatch.setattr(inv_mod, "weights_of", counted("weights_of", inv_mod.weights_of))
     monkeypatch.setattr(inv_mod, "expm", counted("expm", inv_mod.expm))
-    rng = np.random.default_rng(14)
-    cases = 0
-    for n in range(3, 8):
-        for t in range(n + 1):
-            p, b, orth = random_blownup_point(rng, n, t), random_marking(rng, n - 1), bool(t % 2)
-            c = build_marked_cusp(p, b, orthonormalized=orth)
-            complete_invariant(c)
-            nu = weight_data(c)
-            s = shape_invariant(c, "closed")
-            assert s.distance(cubic_from_weights(nu)) <= 1e-5
-            if n == 3:
-                coords_from_shape(s)
-            assert are_conjugate(c, build_marked_cusp(p, b, orthonormalized=orth))
-            cases += 1
+    monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    for n, p, b, orth in draws:
+        c = build_marked_cusp(p, b, orthonormalized=orth)
+        assert not c.rescaled
+        complete_invariant(c)
+        nu = weight_data(c)
+        s = shape_invariant(c, "closed")
+        assert s.distance(cubic_from_weights(nu)) <= 1e-5
+        if n == 3:
+            coords_from_shape(s)
+        assert are_conjugate(c, build_marked_cusp(p, b, orthonormalized=orth))
+    cases, dim3_cases = len(draws), sum(d[0] == 3 for d in draws)
     assert counts == {"checks": 3 * cases, "cusps": 2 * cases, "phi": 2 * cases,
-                      "weights_of": 2 * cases, "expm": 2 * cases}
+                      "weights_of": 2 * cases, "expm": 2 * cases,
+                      "det": 5 * cases, "inv": cases + dim3_cases}
 
 
 def test_weights_of_reads_the_generator_diagonals():
@@ -567,12 +574,58 @@ def test_linear_sum_assignment_rejects_bad_input():
 
 
 def test_eta_distance_rejects_nan_weight():
-    # a NaN covector must not read as a match (nor hang the solver)
+    # a NaN covector must not read as a match (nor hang the solver);
+    # CharacterData rejects one, so it is planted behind the constructor
     eta = complete_invariant(_cusp([0.5, 1, 2], [0.5, 0.25]))
     w = np.array(eta.character.weights)
     w[0] = np.nan
-    broken = CompleteInvariant(CharacterData(w), eta.metric)
+    character = CharacterData(eta.character.weights)
+    object.__setattr__(character, "weights", w)
+    broken = CompleteInvariant(character, eta.metric)
     for pair in ((broken, eta), (eta, broken)):
         with pytest.raises(ValueError):
             eta_distance(*pair)
 
+
+
+_NAN_FORM = np.array([[1.0, np.nan], [np.nan, 1.0]])
+
+
+def test_value_types_reject_a_non_finite_metric():
+    # every comparison is False on NaN: each validator must reject the form
+    # before it reaches one
+    c = _cusp([0.5, 1, 2], [0.5, 0.25])
+    eta, nu = complete_invariant(c), weight_data(c)
+    for bad in (np.nan, np.inf, -np.inf):
+        form = np.where(np.isnan(_NAN_FORM), bad, _NAN_FORM)
+        with pytest.raises(ValueError, match="finite"):
+            WeightData(nu.weights, form)
+        with pytest.raises(ValueError, match="finite"):
+            CompleteInvariant(eta.character, form)
+        with pytest.raises(ValueError, match="finite"):
+            ShapeInvariant(form, cubic_from_weights(nu).c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_value_types_reject_non_finite_weights(bad):
+    c = _cusp([0.5, 1, 2], [0.5, 0.25])
+    nu = weight_data(c)
+    w = np.array(nu.weights)
+    w[1, 0] = bad
+    with pytest.raises(ValueError, match="weights must be finite"):
+        WeightData(w, nu.metric)
+    # a non-finite row is not "the zero covector" of the translation line
+    with pytest.raises(ValueError, match="weights must be finite"):
+        CharacterData(np.vstack([np.full((1, 2), bad), w[1:], np.ones((1, 2))]))
+    with pytest.raises(ValueError, match="weights must be finite"):
+        sort_weights(w)
+
+
+def test_weights_of_cross_check_fails_closed(monkeypatch):
+    # a NaN deviation compares False against the tolerance; it must fail
+    import gencusp.invariants as inv_mod
+
+    c = _cusp([0.5, 1, 2], [0.5, 0.25])
+    monkeypatch.setattr(inv_mod, "newton_to_elementary", lambda p: np.full(np.shape(p), np.nan))
+    with pytest.raises(ValueError, match="cross-check failed"):
+        weights_of(c)

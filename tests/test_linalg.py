@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gencusp import linalg
 from gencusp.linalg import (
+    check_symmetric,
     check_unimodular,
     cholesky_upper,
     expm,
@@ -243,3 +244,59 @@ def test_newton_to_elementary_stack_matches_each_row_bit_for_bit():
     assert np.array_equal(newton_to_elementary(p[None]), rows[None])
     with pytest.raises(ValueError):
         newton_to_elementary(np.zeros((3, 0)))
+
+
+def _newton_reference(row):
+    """Newton's identities with the sign as the factor (-1)^(i-1)."""
+    e = [1.0]
+    for k in range(1, len(row) + 1):
+        acc = 0.0
+        for i in range(1, k + 1):
+            acc += (-1.0) ** (i - 1) * e[k - i] * row[i - 1]
+        e.append(acc / k)
+    return e[1:]
+
+
+def test_newton_to_elementary_matches_the_signed_factor_form_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for m in range(1, 9):
+        # mixed signs and magnitudes 1e-6 .. 1e6, and exact zeros of both signs
+        p = rng.standard_normal((40, m)) * 10.0 ** rng.uniform(-6, 6, (40, m))
+        p[0] = 0.0
+        p[1] = -0.0
+        p[2, ::2] = -0.0
+        ref = np.array([_newton_reference(row) for row in p.tolist()])
+        assert newton_to_elementary(p).tobytes() == ref.tobytes()
+
+
+def test_check_symmetric_returns_the_bits_of_the_symmetrized_form():
+    rng = np.random.default_rng(18)
+    for m in range(1, 8):
+        a = rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-3, 3)
+        exact = a + a.T
+        near = exact + 1e-14 * np.triu(rng.standard_normal((m, m)), 1)
+        signed = np.zeros((m, m))
+        signed[np.triu_indices(m, 1)] = -0.0  # 0.0 below, -0.0 above
+        both = np.full((m, m), -0.0)  # bitwise symmetric signed zeros
+        for q in (exact, near, signed, both, np.diag(rng.uniform(0.1, 2.0, m))):
+            got = check_symmetric(q)
+            assert got.tobytes() == (0.5 * (q + q.T)).tobytes()
+            assert got is not q
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forms_must_be_finite(bad):
+    q = np.eye(3)
+    q[0, 2] = q[2, 0] = bad
+    for check in (check_symmetric, unimodular, lambda m: check_unimodular(m, "q")):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            check(q)
+    # a non-finite diagonal entry, or one entry off the symmetric pair
+    q = np.eye(3)
+    q[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        check_unimodular(q, "q")
+    q = np.eye(3)
+    q[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        check_symmetric(q)
