@@ -227,9 +227,12 @@ def invariants_payload(cusp):
 
 
 def cmd_invariants(args):
+    from .shape import _RECOVER_TOL
+
     cusp = parse_cusp_params(_load_json(args.cusp), args.cusp)
     payload = invariants_payload(cusp)
-    if payload["cross_check"]["cubic_routes_residual"] > 1e-5:
+    # the two cubic routes must agree as closely as a recovered shape
+    if payload["cross_check"]["cubic_routes_residual"] > _RECOVER_TOL:
         raise RuntimeError(
             "invariant cross-check failed: cubic route residual %g"
             % payload["cross_check"]["cubic_routes_residual"]
@@ -239,15 +242,16 @@ def cmd_invariants(args):
 
 
 def cmd_conjugate(args):
-    from .invariants import complete_invariant, eta_distance
+    from .invariants import CONJUGATE_TOL, complete_invariant, eta_distance
 
     c1 = parse_cusp_params(_load_json(args.cusp1), args.cusp1)
     c2 = parse_cusp_params(_load_json(args.cusp2), args.cusp2)
     if c1.n != c2.n:
         raise ValidationError("cusps have different dimensions %d and %d" % (c1.n, c2.n))
     dist = eta_distance(complete_invariant(c1), complete_invariant(c2))
+    tol = getattr(args, "tol", CONJUGATE_TOL)
     _write(
-        canonical_json({"conjugate": bool(dist <= args.tol), "eta_distance": _round12(dist)}),
+        canonical_json({"conjugate": bool(dist <= tol), "eta_distance": _round12(dist)}),
         args.out,
     )
     return 0
@@ -440,8 +444,6 @@ def main(argv=None):
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        if not hasattr(args, "tol"):
-            args.tol = 1e-8
         if not hasattr(args, "seed"):
             args.seed = 0
         return args.fn(args)

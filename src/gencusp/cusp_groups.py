@@ -15,11 +15,12 @@ Conventions used throughout the package:
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DET_TOL, expm, f_k, g_surface, h_log, nonzero
+from .linalg import DET_TOL, SLACK, ZERO, expm, f_k, g_surface, h_log, nonzero
 
 __all__ = [
     "PsiParameter",
@@ -36,8 +37,6 @@ __all__ = [
     "character_closed_form",
     "hypersurface_F",
 ]
-
-_CONSTRAINT_TOL = 1e-12
 
 
 def _type_count(values):
@@ -66,7 +65,7 @@ class PsiParameter:
         pos = nonzero(psi)
         t = int(np.sum(pos))
         if self.ordered:
-            if np.any(np.diff(psi) > _CONSTRAINT_TOL * scale):
+            if np.any(np.diff(psi) > SLACK * scale):
                 raise ValueError("ordered psi must be non-increasing")
         elif not np.array_equal(pos, np.arange(self.n) < t):
             raise ValueError("unordered psi must have its positive entries first")
@@ -102,6 +101,8 @@ class BlownUpWeylPoint:
     flavor: str = "blownup"
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("a blown-up Weyl point needs n >= 2, got n = %r" % (self.n,))
         lam = np.asarray(self.lam, dtype=float)
         kap = np.asarray(self.kappa, dtype=float)
         if lam.shape != (self.n,):
@@ -116,11 +117,11 @@ class BlownUpWeylPoint:
             raise ValueError("lambda and kappa must be finite")
         scale = max(1.0, max(map(abs, ls)))
         if self.flavor == "blownup":
-            if ls[0] < -_CONSTRAINT_TOL or any(
-                b - a < -_CONSTRAINT_TOL * scale for a, b in zip(ls, ls[1:])
+            if ls[0] < -SLACK or any(
+                b - a < -SLACK * scale for a, b in zip(ls, ls[1:])
             ):
                 raise ValueError("blownup flavor requires 0 <= lam[0] <= ... <= lam[n-1]")
-            if any(k < -_CONSTRAINT_TOL or k > 1 + _CONSTRAINT_TOL for k in ks):
+            if any(k < -SLACK or k > 1 + SLACK for k in ks):
                 raise ValueError("kappa entries must lie in [0,1]")
         elif self.flavor == "diagonal":
             if any(v <= 0 for v in ls):
@@ -128,7 +129,7 @@ class BlownUpWeylPoint:
         else:
             raise ValueError("unknown flavor %r" % (self.flavor,))
         resid = max(abs(ls[0] - v * k) for v, k in zip(ls[1:], ks))
-        if resid > _CONSTRAINT_TOL * scale:
+        if resid > SLACK * scale:
             raise ValueError(
                 "constraint lam[0] = lam[i]*kappa[i] violated (residual %g)" % resid
             )
@@ -300,7 +301,10 @@ class MarkedCusp:
             raise ValueError("marking must be (n-1)x(n-1)")
         if not np.isfinite(b).all():
             raise ValueError("marking must be finite")
-        det = abs(np.linalg.det(b))
+        # a determinant past the float range reads inf; build_marked_cusp
+        # then rescales by log|det B|
+        with np.errstate(over="ignore"):
+            det = abs(np.linalg.det(b))
         if abs(det - 1.0) > DET_TOL:
             raise _MarkingDet(det)
         b = b.copy()
@@ -327,6 +331,10 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     the models: the cusp (lambda, kappa, B) equals (d^(1/(n-1)) * lambda,
     kappa, B / d^(1/(n-1))) up to conjugacy, so the returned cusp carries the
     rescaled parameters and a |det| = 1 marking (flagged ``rescaled``).
+
+    B is singular when |det B| is at most ZERO times Hadamard's bound on it,
+    the product of B's column norms: a ratio that B -> sB leaves alone.  d
+    is the LU determinant, or exp(log|det B|) when that under- or overflows.
     """
     n = p.n
     b = np.eye(n - 1) if marking is None else np.asarray(marking, dtype=float)
@@ -335,9 +343,15 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     except _MarkingDet as exc:
         # MarkedCusp's own check computed |det B|; B / s is checked anew
         det = exc.det
-    if det < 1e-12:
+    if sys.float_info.min <= det < math.inf:
+        logdet, s = math.log(det), det ** (1.0 / (n - 1))
+    else:
+        logdet = float(np.linalg.slogdet(b)[1])
+        s = math.exp(logdet / (n - 1))
+    # hypot sums the squares without under- or overflow
+    cols = np.hypot.reduce(b, axis=0)
+    if not cols.all() or logdet - float(np.log(cols).sum()) <= math.log(ZERO):
         raise ValueError("marking is singular (|det| = %g)" % det)
-    s = det ** (1.0 / (n - 1))
     return MarkedCusp(p.scaled(s), b / s, orthonormalized=orthonormalized, rescaled=True)
 
 

@@ -32,6 +32,8 @@ __all__ = [
     "CompleteInvariant",
     "WeightData",
     "NotRealizable",
+    "CONJUGATE_TOL",
+    "REALIZE_TOL",
     "weights_of",
     "horosphere_metric",
     "complete_invariant",
@@ -55,6 +57,11 @@ _CHARACTER_CHECK_TOL = 1e-7
 # frame_to_weight_data's slack on the unit diagonal and on the constant
 # pairwise inner products.
 _FRAME_TOL = 1e-8
+
+# The default gates of are_conjugate, on eta_distance, and of
+# realize_weight_data, on the weights-equation residual.
+CONJUGATE_TOL = 1e-8
+REALIZE_TOL = 1e-8
 
 
 class NotRealizable(ValueError):
@@ -300,7 +307,7 @@ def eta_distance(e1, e2):
     return max(dw, maxerr(e1.metric, e2.metric))
 
 
-def are_conjugate(c1, c2, tol=1e-8):
+def are_conjugate(c1, c2, tol=CONJUGATE_TOL):
     """Marked cusps are conjugate iff their complete invariants agree."""
     if c1.n != c2.n:
         return False
@@ -450,7 +457,7 @@ def _complete_orthonormal(rows, dim):
     return basis
 
 
-def realize_weight_data(w, tol=1e-8):
+def realize_weight_data(w, tol=REALIZE_TOL):
     """A marked cusp whose weight data is ``w``; since weight data determines
     the marked class completely, the round trip is the correctness oracle.
 

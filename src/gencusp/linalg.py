@@ -5,9 +5,21 @@ matrix exponential, the entire-function family f_k appearing in the closed-form
 orbit surfaces, Newton's identities, an upper Cholesky factor, and the square
 roots of a positive-definite form.
 
-It also holds the library's tolerance policy for its two basic decisions:
-whether a magnitude is zero (``nonzero``: the type t of a cusp counts its
-nonzero weights) and whether a form is unimodular (``check_unimodular``).
+It also states the library's tolerance policy.  Every zero, singularity and
+roundoff-slack test of the other modules reads one of these names:
+
+* ``ZERO``, for whether a magnitude is zero or a matrix singular:
+  ``nonzero`` (the type t of a cusp counts its nonzero weights; a cubic of
+  no size has no sphere maxima), a degenerate tangent frame (its smallest
+  singular value against its largest), a singular marking (its |det| against
+  the product of its column norms);
+* ``SLACK``, for an identity that holds exactly in exact arithmetic, relative
+  to max(1, the largest magnitude in it): a symmetric form
+  (``check_symmetric``), the order and the constraint of the parameters,
+  equal lambdas;
+* ``DET_TOL`` and ``ROUNDOFF``, for whether a form is unimodular
+  (``check_unimodular``) and a marking has |det| = 1; ``ROUNDOFF`` also
+  sets the noise floor of tests whose roundoff grows with cond(q).
 """
 
 import math
@@ -20,6 +32,7 @@ __all__ = [
     "ZERO",
     "ROUNDOFF",
     "DET_TOL",
+    "SLACK",
     "nonzero",
     "check_unimodular",
     "sqrt_forms",
@@ -48,10 +61,13 @@ ROUNDOFF = 64.0
 # for a marking.
 DET_TOL = 1e-9
 
-# expm's Taylor order, and check_symmetric's input-validation slack relative
-# to the largest entry.
+# Slack of an identity that holds exactly in exact arithmetic (a symmetric
+# form, an order or a constraint among parameters, two equal lambdas),
+# relative to max(1, the largest magnitude in it).
+SLACK = 1e-12
+
+# expm's Taylor order
 _EXPM_ORDER = 14
-_SYMMETRY_TOL = 1e-12
 
 # Switch f_1, f_2, h, g to their Taylor branch below this |s*t|; the closed
 # forms lose every digit to cancellation as s -> 0.
@@ -269,8 +285,8 @@ def newton_to_elementary(power_sums):
 
 
 def check_symmetric(q):
-    """Validate a finite form, symmetric to _SYMMETRY_TOL = 1e-12 relative to
-    its largest entry; returns the symmetrized matrix, a new array."""
+    """Validate a finite form, symmetric to SLACK = 1e-12 relative to
+    max(1, its largest entry); returns the symmetrized matrix, a new array."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (q.shape,))
@@ -281,8 +297,8 @@ def check_symmetric(q):
     # bitwise symmetric (signed zeros included): 0.5 (q + q^T) is q itself
     if q.tobytes() == q.T.tobytes():
         return q.copy()
-    if np.abs(q - q.T).max() > _SYMMETRY_TOL * max(1.0, largest):
-        raise ValueError("matrix is not symmetric within %g" % _SYMMETRY_TOL)
+    if np.abs(q - q.T).max() > SLACK * max(1.0, largest):
+        raise ValueError("matrix is not symmetric within %g" % SLACK)
     return 0.5 * (q + q.T)
 
 

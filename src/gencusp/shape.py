@@ -16,9 +16,16 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .cusp_groups import BlownUpWeylPoint, PsiParameter, build_marked_cusp, orbit_point
-from .invariants import NotRealizable, WeightData, dual_pairings, realize_weight_data
+from .invariants import (
+    REALIZE_TOL,
+    NotRealizable,
+    WeightData,
+    dual_pairings,
+    realize_weight_data,
+)
 from .linalg import (
     ROUNDOFF,
+    ZERO,
     check_symmetric,
     check_unimodular,
     cholesky_upper,
@@ -195,7 +202,7 @@ def _height_covector(gens, base):
     n = len(base) - 1
     u = (gens @ base)[:, :n].T
     sing = np.linalg.svd(u, compute_uv=False)
-    if sing[-1] < 1e-12 * max(1.0, sing[0]):
+    if sing[-1] <= ZERO * sing[0]:
         raise ValueError("degenerate tangent frame: cusp data is not strictly convex")
     cof = [(-1.0) ** (k + n - 1) * np.linalg.det(np.delete(u, k, axis=0)) for k in range(n)]
     h = np.append(cof, 0.0)
@@ -346,15 +353,16 @@ def _cubic_and_gradient(t2, y):
     return np.sum(grad * y, axis=1) / 3.0, grad
 
 
-def _newton_polish(t2, y0, scale):
-    """Newton on the Lagrange system grad c = alpha y, |y| = 1."""
+def _newton_polish(t2, y0):
+    """Newton on the Lagrange system grad t = alpha y, |y| = 1, of a cubic t
+    of unit scale."""
     m = len(y0)
     y = y0.copy()
     alpha = 3.0 * _cubic_and_gradient(t2, y[None])[0][0]
     for it in range(_NEWTON_ITERS + 1):
         f = np.append(_cubic_and_gradient(t2, y[None])[1][0] - alpha * y, 0.5 * (y @ y - 1.0))
         fnorm = np.max(np.abs(f))
-        if fnorm <= 1e-13 * scale or it == _NEWTON_ITERS:
+        if fnorm <= 1e-15 or it == _NEWTON_ITERS:
             break
         jac = np.zeros((m + 1, m + 1))
         jac[:m, :m] = 6.0 * (t2 @ y).reshape(m, m) - alpha * np.eye(m)
@@ -366,7 +374,7 @@ def _newton_polish(t2, y0, scale):
             return y, alpha, False
         y = y + step[:m]
         alpha = alpha + step[m]
-    return y, alpha, fnorm <= 1e-10 * scale
+    return y, alpha, fnorm <= 1e-10
 
 
 def sphere_local_maxima(q, c, seed=0):
@@ -376,10 +384,12 @@ def sphere_local_maxima(q, c, seed=0):
     where c reads t(y) = c(q^(-1/2) y): multi-start projected gradient
     ascent, then Newton refinement of the Lagrange system; maxima are the
     converged critical points whose projected Hessian is negative definite
-    (eigenvalues < -1e-8), deduplicated within _DEDUP_TOL.  Every relative
-    test is against the one scale 6 max|t|; the one for a degenerate Hessian
-    also allows for the frame change's roundoff, ~eps cond(q)^(3/2).  A zero
-    cubic is flagged degenerate (c constant on the sphere).  Shape recovery
+    beyond a noise floor, deduplicated within _DEDUP_TOL.  t is divided by
+    its scale 6 max|t| once, so every test runs on a cubic of unit scale and
+    the search finds the same points for c and s c, s > 0; the values are
+    multiplied back.  The Hessian's floor also allows for the frame change's
+    roundoff, ~eps cond(q)^(3/2).  A cubic that ``linalg.nonzero`` reads as
+    zero is flagged degenerate (c constant on the sphere).  Shape recovery
     does not use it; it is the independent search that the battery checks
     against the closed-form maxima.
     """
@@ -390,8 +400,9 @@ def sphere_local_maxima(q, c, seed=0):
     _, inv_sqrt, qevals = sqrt_forms(q)
     t2 = c.compose_linear(inv_sqrt).tensor.reshape(m * m, m)
     scale = 6.0 * float(np.max(np.abs(t2)))
-    if scale < 1e-14:
+    if not nonzero(scale):
         return SphereMaxima(np.zeros((0, m)), np.zeros(0), True)
+    t2 = t2 / scale
     rng = np.random.default_rng(seed)
     # area-uniform on the round sphere
     y = rng.standard_normal((_BASE_RESTARTS + _RESTARTS_PER_DIM * m, m))
@@ -401,7 +412,7 @@ def sphere_local_maxima(q, c, seed=0):
     live = np.arange(len(y))  # the starts still moving
     for _ in range(200):
         tang = grads[live] - 3.0 * vals[live, None] * y[live]  # y . grad c = 3 c
-        moving = np.max(np.abs(tang), axis=1) >= 1e-9 * scale
+        moving = np.max(np.abs(tang), axis=1) >= 1e-9
         live, tang = live[moving], tang[moving]
         if not len(live):
             break
@@ -418,24 +429,23 @@ def sphere_local_maxima(q, c, seed=0):
     for i in np.argsort(-vals):
         if np.all(np.max(np.abs(reps - y[i]), axis=1) > 1e-3):
             reps = np.vstack([reps, y[i]])
+    # a maximum curves down by more than floor in every tangent direction.
+    # Points on a degenerate critical manifold carry a near-zero Hessian
+    # whose sign is set by how far Newton stalled from the manifold; genuine
+    # maxima curve at unit scale (gap of several orders).  Frame-change noise
+    # delta (relative) in t makes critical points ~sqrt(delta) off the
+    # manifold, curving at ~sqrt(delta).
+    floor = max(1e-4, np.sqrt(_frame_noise(qevals)))
     points, values = [], []
     any_converged = False
     for r in reps:
-        yr, alpha, ok = _newton_polish(t2, r, scale)
+        yr, alpha, ok = _newton_polish(t2, r)
         if not ok:
             continue
         any_converged = True
         basis = np.linalg.svd(yr[None, :])[2][1:].T  # tangent plane at yr
         hess = basis.T @ (6.0 * (t2 @ yr).reshape(m, m) - alpha * np.eye(m)) @ basis
-        evals = np.linalg.eigvalsh(hess)
-        if np.max(evals) >= -1e-8:
-            continue
-        # points on a degenerate critical manifold carry a near-zero Hessian
-        # whose sign is set by how far Newton stalled from the manifold;
-        # genuine maxima curve at the scale of c (gap of several orders).
-        # Frame-change noise delta (relative) in t makes critical points
-        # ~sqrt(delta) off the manifold, curving at ~sqrt(delta) * scale.
-        if np.max(np.abs(evals)) < max(1e-4, np.sqrt(_frame_noise(qevals))) * max(1.0, scale):
+        if np.max(np.linalg.eigvalsh(hess)) >= -floor:
             continue
         if all(np.max(np.abs(yr - p)) > _DEDUP_TOL for p in points):
             points.append(yr)
@@ -446,7 +456,7 @@ def sphere_local_maxima(q, c, seed=0):
         )
     order = np.argsort(-np.asarray(values))
     pts = np.reshape(points, (-1, m))[order] @ inv_sqrt.T
-    return SphereMaxima(pts, np.asarray(values)[order], False)
+    return SphereMaxima(pts, np.asarray(values)[order] * scale, False)
 
 
 def recover_cusp_from_shape(shape):
@@ -489,9 +499,9 @@ def recover_cusp_from_shape(shape):
     size = 3.0 * float(np.max(np.abs(cy)))  # the largest |b_i|, roughly
     # Noise floor, relative to size; without the frame-change factor,
     # markings R diag(1, 3e3) R^T fail.  It is at least realize_weight_data's
-    # default 1e-8: shapes read back from 12-digit JSON carry noise of
+    # default REALIZE_TOL: shapes read back from 12-digit JSON carry noise of
     # ~1e-12, and a weight this small moves c by less.
-    floor = max(_frame_noise(evals), 1e-8)
+    floor = max(_frame_noise(evals), REALIZE_TOL)
     # comm[k, l] is the (k, l) entry of [C_k, C_l], each one -varpi/9
     comm = np.einsum("kak,all->kl", cy, cy) - np.einsum("kal,alk->kl", cy, cy)
     varpi = -9.0 * float(np.mean(comm[~np.eye(dim, dtype=bool)]))

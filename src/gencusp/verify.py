@@ -44,7 +44,7 @@ from .invariants import (
     limit_demo_rows,
     _match_multisets,
 )
-from .linalg import cholesky_upper, expm, f_k, maxerr, newton_to_elementary, unimodular
+from .linalg import SLACK, cholesky_upper, expm, f_k, maxerr, newton_to_elementary, unimodular
 from .sampling import random_blownup_point, random_cusp, random_marking
 
 __all__ = ["run_battery", "CHECKS"]
@@ -300,7 +300,7 @@ def _stabilizer_sample(rng, p):
     lam = p.lam[1:]
     for i in range(dim):
         for j in range(i + 1, dim):
-            if lam[i] > 0 and abs(lam[i] - lam[j]) < 1e-12:
+            if lam[i] > 0 and abs(lam[i] - lam[j]) < SLACK * max(1.0, lam[j]):
                 r[[i, j]] = r[[j, i]]
                 break
     s = preferred_sqrt(p.kappa)
@@ -496,7 +496,7 @@ def _check_harmonic(rng, i, dims):
     p = _equal_lambda_or_random_point(rng, i, n)
     c = build_marked_cusp(p, random_marking(rng, n - 1))
     # all equal: either all zero or the equal diagonalizable family
-    predicate = bool(np.all(np.abs(p.lam - p.lam[0]) < 1e-12))
+    predicate = bool(np.all(np.abs(p.lam - p.lam[0]) < SLACK * max(1.0, p.lam[-1])))
     return int(shape_mod.is_affine_sphere(c) != predicate)
 
 

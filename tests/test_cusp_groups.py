@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from gencusp.cusp_groups import (
 )
 from gencusp.invariants import complete_invariant, eta_distance
 from gencusp.linalg import expm, maxerr
-from gencusp.sampling import random_blownup_point, random_cusp
+from gencusp.sampling import random_blownup_point, random_cusp, random_marking
 
 
 def test_zeta_block_unipotent():
@@ -122,6 +124,8 @@ def test_blownup_validation():
         BlownUpWeylPoint(3, np.zeros(3), np.array([1.5, 0.0]))
     with pytest.raises(ValueError, match="constraint"):
         BlownUpWeylPoint(3, np.array([0.5, 1.0, 2.0]), np.array([0.9, 0.1]))
+    with pytest.raises(ValueError, match="needs n >= 2, got n = 1"):
+        BlownUpWeylPoint(1, np.array([1.0]), np.zeros(0))
 
 
 @pytest.mark.parametrize("flavor", ["blownup", "diagonal"])
@@ -155,7 +159,7 @@ def test_marking_must_be_finite(bad):
             MarkedCusp(p, b)
 
 
-_TOL = 1e-12  # cusp_groups._CONSTRAINT_TOL
+_TOL = 1e-12  # linalg.SLACK
 
 
 def _weyl_reference(n, lam, kap, flavor):
@@ -238,6 +242,57 @@ def test_build_rescales_marking_determinant():
                - character_closed_form(plain, 2.0 * v)) < 1e-12
     det_minus = build_marked_cusp(p, np.diag([1.0, -1.0]))
     assert not det_minus.rescaled
+
+
+def _built_without_warning(p, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return build_marked_cusp(p, b)
+
+
+def _assert_rescaled_by(cusp, p, b, d):
+    # (lambda, kappa, B) is (d lambda, kappa, B / d) with d = |det B|^(1/(n-1))
+    want = p.scaled(d)
+    assert cusp.rescaled
+    assert np.all(np.abs(cusp.params.lam - want.lam) <= 1e-12 * want.lam)
+    assert np.array_equal(cusp.params.kappa, p.kappa)
+    assert maxerr(cusp.marking, b / d) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_build_folds_a_marking_of_any_scale(n):
+    # |det sB| = s^(n-1) |det B| leaves the float range well inside
+    # s in [1e-150, 1e150]: the fold must not depend on the size of B
+    rng = np.random.default_rng(n)
+    p = random_blownup_point(rng, n, t=n)
+    for s in 10.0 ** rng.uniform(-150.0, 150.0, 25):
+        b = random_marking(rng, n - 1)
+        d = s * abs(np.linalg.det(b)) ** (1.0 / (n - 1))
+        _assert_rescaled_by(_built_without_warning(p, s * b), p, s * b, d)
+
+
+@pytest.mark.parametrize("s", [1e-7, 1e-6, 1e200, 1e-200])
+def test_build_folds_a_scaled_identity(s):
+    p = BlownUpWeylPoint(3, np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
+    _assert_rescaled_by(_built_without_warning(p, s * np.eye(2)), p, s * np.eye(2), s)
+
+
+@pytest.mark.parametrize("b", [
+    np.zeros((2, 2)),
+    np.array([[0.0, 1.0], [0.0, 2.0]]),
+    np.array([[1.0, 2.0], [2.0, 4.0]]),
+    np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]]),
+    1e100 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]]),
+    1e-100 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]]),
+    1e200 * np.array([[1.0, 2.0], [2.0, 4.0]]),
+], ids=["zero", "zero-column", "rank-one", "near-rank-one", "near-rank-one-big",
+        "near-rank-one-small", "rank-one-huge"])
+def test_singular_marking_is_rejected_at_any_scale(b):
+    p = BlownUpWeylPoint(3, np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="marking is singular"):
+            build_marked_cusp(p, b)
 
 
 def test_marked_cusp_generators_commute():

@@ -16,6 +16,7 @@ from gencusp.shape import (
     cubic_from_weights,
     fit_height_jet,
     height_at,
+    height_jet,
     is_affine_sphere,
     radial_projection,
     recover_cusp_from_shape,
@@ -183,8 +184,42 @@ def test_sphere_maxima_diag_anchor():
     assert maxerr(off, np.full(6, -0.5)) < 1e-9
 
 
+def test_sphere_maxima_do_not_depend_on_the_cubic_scale():
+    # the fiber is a cone: s c is a shape whenever c is, with the same
+    # maxima and s times their values
+    q, c, _ = restricted_diag_calibration(np.array([1.3, 0.7, 0.5, 1.1]))
+    base = sphere_local_maxima(q, c)
+    assert len(base.points) == 4
+    for s in 10.0 ** np.random.default_rng(0).uniform(-9.0, 9.0, 12):
+        found = sphere_local_maxima(q, c.scaled(s))
+        assert not found.degenerate and len(found.points) == 4
+        assert np.max(np.abs(found.points - base.points)) < 1e-12
+        assert np.max(np.abs(found.values / s - base.values) / base.values) < 1e-12
+
+
+def test_height_jet_rejects_a_degenerate_tangent_frame():
+    gens = _cusp([0, 1, 2], [0, 0]).generators
+    with pytest.raises(ValueError, match="degenerate tangent frame"):
+        height_jet(np.stack([gens[0], 2.0 * gens[0]]), np.eye(4)[3])
+
+
+def test_height_jet_does_not_depend_on_the_generator_scale():
+    # the frame test is a ratio of singular values: s G has the jets of G,
+    # times s^(n+1) for q and s^(n+2) for c
+    gens, base = _cusp([0.5, 1, 2], [0.5, 0.25]).generators, np.eye(4)[3]
+    q, c = height_jet(gens, base)
+    for s in (1e-13, 1e13):
+        qs, cs = height_jet(s * gens, base)
+        assert maxerr(qs / s ** 4, q) < 1e-12
+        assert maxerr(cs.tensor / s ** 5, c.tensor) < 1e-12
+
+
 def test_sphere_maxima_degenerate_flag():
     out = sphere_local_maxima(np.eye(2), CubicPoly.zero(2))
+    assert out.degenerate and len(out.points) == 0
+    # a cubic that linalg.nonzero reads as zero
+    q, c, _ = restricted_diag_calibration(np.array([1.3, 0.7, 0.5, 1.1]))
+    out = sphere_local_maxima(q, c.scaled(1e-11))
     assert out.degenerate and len(out.points) == 0
 
 

@@ -34,6 +34,36 @@ def test_no_einsum_over_six_indices(path):
     assert wide == [], "%s has einsum calls over six or more indices: %s" % (path.name, wide)
 
 
+# Float literals below 1e-3 in the library, outside verify's per-check
+# thresholds (the arguments of its @_register decorators).  Module constants
+# count too: a new zero, singularity or roundoff-slack test reads linalg's
+# ZERO, SLACK, DET_TOL or ROUNDOFF, so the count only falls.
+_SMALL_LITERALS_MAX = 28
+
+
+def _small_float_literals(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    gates = {
+        id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for deco in fn.decorator_list
+        if isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "_register"
+        for node in ast.walk(deco)
+    }
+    return [
+        (path.name, node.lineno, node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        and 0 < abs(node.value) < 1e-3 and id(node) not in gates
+    ]
+
+
+def test_small_float_literals_do_not_grow():
+    found = [lit for path in _MODULES for lit in _small_float_literals(path)]
+    assert len(found) <= _SMALL_LITERALS_MAX, (
+        "%d float literals below 1e-3 (at most %d): %s"
+        % (len(found), _SMALL_LITERALS_MAX, found)
+    )
+
+
 _PERFBENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
 
 # psi_to_lambda is the inverse of lambda_to_psi: no library route needs it,
