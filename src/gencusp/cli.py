@@ -227,12 +227,12 @@ def invariants_payload(cusp):
 
 
 def cmd_invariants(args):
-    from .shape import _RECOVER_TOL
+    from .shape import SHAPE_TOL
 
     cusp = parse_cusp_params(_load_json(args.cusp), args.cusp)
     payload = invariants_payload(cusp)
-    # the two cubic routes must agree as closely as a recovered shape
-    if payload["cross_check"]["cubic_routes_residual"] > _RECOVER_TOL:
+    # the two routes to the cubic must agree as shapes
+    if payload["cross_check"]["cubic_routes_residual"] > SHAPE_TOL:
         raise RuntimeError(
             "invariant cross-check failed: cubic route residual %g"
             % payload["cross_check"]["cubic_routes_residual"]

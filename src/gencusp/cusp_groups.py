@@ -40,7 +40,7 @@ __all__ = [
 
 
 def _type_count(values):
-    return int(np.sum(nonzero(values)))
+    return int(np.count_nonzero(nonzero(values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,18 +263,43 @@ def psi_to_lambda(psi):
 
 
 class _MarkingDet(ValueError):
-    """A marking whose |det| misses 1, raised by ``MarkedCusp`` with the
-    determinant it computed, which ``build_marked_cusp`` folds away."""
+    """A nonsingular marking whose |det| misses 1, raised by ``MarkedCusp``
+    with the |det B| and log|det B| it computed, which ``build_marked_cusp``
+    folds away."""
 
-    def __init__(self, det):
+    def __init__(self, det, logdet):
         super().__init__("marking must have |det| = 1, got %g" % det)
         self.det = det
+        self.logdet = logdet
+
+
+def _marking_log_det(b):
+    """(|det B|, log|det B|) of a finite marking; raises on a singular one.
+
+    |det B| is the LU determinant, and log|det B| its log, or slogdet's when
+    the LU value under- or overflows.  B is singular when |det B| is at most
+    ZERO times Hadamard's bound on it, the product of B's column norms: a
+    ratio that B -> sB leaves alone.
+    """
+    # a determinant past the float range reads inf
+    with np.errstate(over="ignore"):
+        det = abs(np.linalg.det(b))
+    if sys.float_info.min <= det < math.inf:
+        logdet = math.log(det)
+    else:
+        logdet = float(np.linalg.slogdet(b)[1])
+    # hypot sums the squares without under- or overflow
+    cols = np.hypot.reduce(b, axis=0).tolist()
+    if not all(cols) or logdet - sum(map(math.log, cols)) <= math.log(ZERO):
+        raise ValueError("marking is singular (|det| = %g)" % det)
+    return det, logdet
 
 
 @dataclass(frozen=True, eq=False)
 class MarkedCusp:
-    """A marked cusp representation: parameters, a |det| = 1 marking, and what
-    every invariant reads from them, each computed once here and read-only:
+    """A marked cusp representation: parameters, a nonsingular (see
+    ``_marking_log_det``) |det| = 1 marking, and what every invariant reads
+    from them, each computed once here and read-only:
 
     * ``effective_marking``, the matrix composed into the model: S^-1 B for
       the orthonormalized variant (S the preferred square root of
@@ -301,12 +326,9 @@ class MarkedCusp:
             raise ValueError("marking must be (n-1)x(n-1)")
         if not np.isfinite(b).all():
             raise ValueError("marking must be finite")
-        # a determinant past the float range reads inf; build_marked_cusp
-        # then rescales by log|det B|
-        with np.errstate(over="ignore"):
-            det = abs(np.linalg.det(b))
+        det, logdet = _marking_log_det(b)
         if abs(det - 1.0) > DET_TOL:
-            raise _MarkingDet(det)
+            raise _MarkingDet(det, logdet)
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "marking", b)
@@ -330,11 +352,12 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     A marking with |det B| = d != 1 is folded away by the scaling identity of
     the models: the cusp (lambda, kappa, B) equals (d^(1/(n-1)) * lambda,
     kappa, B / d^(1/(n-1))) up to conjugacy, so the returned cusp carries the
-    rescaled parameters and a |det| = 1 marking (flagged ``rescaled``).
-
-    B is singular when |det B| is at most ZERO times Hadamard's bound on it,
-    the product of B's column norms: a ratio that B -> sB leaves alone.  d
+    rescaled parameters and a |det| = 1 marking (flagged ``rescaled``).  d
     is the LU determinant, or exp(log|det B|) when that under- or overflows.
+
+    A singular B is rejected (see ``_marking_log_det``), and so is one whose
+    fold scales lambda past ``linalg.nonzero``'s floor: scaling leaves the
+    type of the cusp alone, but the folded lambda would read another type.
     """
     n = p.n
     b = np.eye(n - 1) if marking is None else np.asarray(marking, dtype=float)
@@ -342,17 +365,18 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
         return MarkedCusp(p, b, orthonormalized=orthonormalized)
     except _MarkingDet as exc:
         # MarkedCusp's own check computed |det B|; B / s is checked anew
-        det = exc.det
+        det, logdet = exc.det, exc.logdet
     if sys.float_info.min <= det < math.inf:
-        logdet, s = math.log(det), det ** (1.0 / (n - 1))
+        s = det ** (1.0 / (n - 1))
     else:
-        logdet = float(np.linalg.slogdet(b)[1])
         s = math.exp(logdet / (n - 1))
-    # hypot sums the squares without under- or overflow
-    cols = np.hypot.reduce(b, axis=0)
-    if not cols.all() or logdet - float(np.log(cols).sum()) <= math.log(ZERO):
-        raise ValueError("marking is singular (|det| = %g)" % det)
-    return MarkedCusp(p.scaled(s), b / s, orthonormalized=orthonormalized, rescaled=True)
+    folded = p.scaled(s)
+    if folded.type_t != p.type_t:
+        raise ValueError(
+            "marking (|det| = %g) scales lambda past the zero floor: type %d reads as %d"
+            % (det, p.type_t, folded.type_t)
+        )
+    return MarkedCusp(folded, b / s, orthonormalized=orthonormalized, rescaled=True)
 
 
 def rho(cusp, v):

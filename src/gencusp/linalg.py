@@ -9,10 +9,12 @@ It also states the library's tolerance policy.  Every zero, singularity and
 roundoff-slack test of the other modules reads one of these names:
 
 * ``ZERO``, for whether a magnitude is zero or a matrix singular:
-  ``nonzero`` (the type t of a cusp counts its nonzero weights; a cubic of
-  no size has no sphere maxima), a degenerate tangent frame (its smallest
-  singular value against its largest), a singular marking (its |det| against
-  the product of its column norms);
+  ``nonzero``, against max(1, the largest magnitude), so absolute below 1
+  (the type t of a cusp counts its nonzero weights; a cubic of no size has
+  no sphere maxima), the Newton residual of the sphere search at unit
+  scale, a degenerate tangent frame (its smallest singular value against
+  its largest), a singular marking (its |det| against the product of its
+  column norms);
 * ``SLACK``, for an identity that holds exactly in exact arithmetic, relative
   to max(1, the largest magnitude in it): a symmetric form
   (``check_symmetric``), the order and the constraint of the parameters,

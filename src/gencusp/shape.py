@@ -49,6 +49,7 @@ __all__ = [
     "is_affine_sphere",
     "sphere_local_maxima",
     "recover_cusp_from_shape",
+    "SHAPE_TOL",
 ]
 
 # sphere_local_maxima: multistart size (base plus per dimension), the Newton
@@ -60,10 +61,12 @@ _NEWTON_ITERS = 60
 _DEDUP_TOL = 1e-6
 
 # recover_cusp_from_shape: the tensor power steps that polish the
-# eigenvectors of its slice, and the shape distance the rebuilt cusp must
-# reach.
+# eigenvectors of its slice.
 _POWER_STEPS = 3
-_RECOVER_TOL = 1e-5
+
+# Two shapes (or two routes to one cubic) agree when they are within
+# SHAPE_TOL: the distance a recovered cusp's shape must reach.
+SHAPE_TOL = 1e-5
 
 # is_affine_sphere: largest radial part, relative to the cubic, that counts
 # as harmonic.
@@ -355,7 +358,7 @@ def _cubic_and_gradient(t2, y):
 
 def _newton_polish(t2, y0):
     """Newton on the Lagrange system grad t = alpha y, |y| = 1, of a cubic t
-    of unit scale."""
+    of unit scale; converged when the residual is zero by ZERO."""
     m = len(y0)
     y = y0.copy()
     alpha = 3.0 * _cubic_and_gradient(t2, y[None])[0][0]
@@ -374,7 +377,7 @@ def _newton_polish(t2, y0):
             return y, alpha, False
         y = y + step[:m]
         alpha = alpha + step[m]
-    return y, alpha, fnorm <= 1e-10
+    return y, alpha, fnorm <= ZERO
 
 
 def sphere_local_maxima(q, c, seed=0):
@@ -384,12 +387,15 @@ def sphere_local_maxima(q, c, seed=0):
     where c reads t(y) = c(q^(-1/2) y): multi-start projected gradient
     ascent, then Newton refinement of the Lagrange system; maxima are the
     converged critical points whose projected Hessian is negative definite
-    beyond a noise floor, deduplicated within _DEDUP_TOL.  t is divided by
-    its scale 6 max|t| once, so every test runs on a cubic of unit scale and
-    the search finds the same points for c and s c, s > 0; the values are
-    multiplied back.  The Hessian's floor also allows for the frame change's
-    roundoff, ~eps cond(q)^(3/2).  A cubic that ``linalg.nonzero`` reads as
-    zero is flagged degenerate (c constant on the sphere).  Shape recovery
+    (eigenvalues < -1e-8) and not degenerate (largest |eigenvalue| above a
+    noise floor), deduplicated within _DEDUP_TOL.  t is divided by its scale
+    6 max|t| once, so every test runs on a cubic of unit scale and the search
+    finds the same points for c and s c, s > 0; the values are multiplied
+    back.  The noise floor also allows for the frame change's roundoff,
+    ~eps cond(q)^(3/2).  A cubic whose scale ``linalg.nonzero`` reads as
+    zero, which on a scalar is the absolute floor scale <= ZERO = 1e-10, is
+    flagged degenerate (c constant on the sphere): the search is free of
+    size only above that floor.  Shape recovery
     does not use it; it is the independent search that the battery checks
     against the closed-form maxima.
     """
@@ -429,8 +435,7 @@ def sphere_local_maxima(q, c, seed=0):
     for i in np.argsort(-vals):
         if np.all(np.max(np.abs(reps - y[i]), axis=1) > 1e-3):
             reps = np.vstack([reps, y[i]])
-    # a maximum curves down by more than floor in every tangent direction.
-    # Points on a degenerate critical manifold carry a near-zero Hessian
+    # points on a degenerate critical manifold carry a near-zero Hessian
     # whose sign is set by how far Newton stalled from the manifold; genuine
     # maxima curve at unit scale (gap of several orders).  Frame-change noise
     # delta (relative) in t makes critical points ~sqrt(delta) off the
@@ -445,7 +450,8 @@ def sphere_local_maxima(q, c, seed=0):
         any_converged = True
         basis = np.linalg.svd(yr[None, :])[2][1:].T  # tangent plane at yr
         hess = basis.T @ (6.0 * (t2 @ yr).reshape(m, m) - alpha * np.eye(m)) @ basis
-        if np.max(np.linalg.eigvalsh(hess)) >= -floor:
+        evals = np.linalg.eigvalsh(hess)
+        if np.max(evals) >= -1e-8 or np.max(np.abs(evals)) < floor:
             continue
         if all(np.max(np.abs(yr - p)) > _DEDUP_TOL for p in points):
             points.append(yr)
@@ -461,7 +467,7 @@ def sphere_local_maxima(q, c, seed=0):
 
 def recover_cusp_from_shape(shape):
     """Invert the shape invariant: a marked cusp whose canonical shape matches
-    ``shape`` to _RECOVER_TOL = 1e-5, by one odeco lift (Robeva 2016;
+    ``shape`` to SHAPE_TOL = 1e-5, by one odeco lift (Robeva 2016;
     Anandkumar et al. 2014) and no search.
 
     In the q-orthonormal frame y = q^(1/2) x the weights route reads
@@ -477,7 +483,7 @@ def recover_cusp_from_shape(shape):
     weights xi_i = a_i^T q^(1/2) go to ``realize_weight_data``.  The
     orthogonal (non-diagonalizable) branch is varpi = 0, where the s slot
     is a null direction.  The rebuilt cusp's shape must match to
-    _RECOVER_TOL.
+    SHAPE_TOL.
 
     A cubic off the shape cone (varpi < 0, or lifted weights that do not
     realize) raises ``NotRealizable``.  A rebuilt cusp that misses the shape
@@ -490,7 +496,7 @@ def recover_cusp_from_shape(shape):
         raise NotRealizable("shape recovery requires n >= 3, got n = %d" % n)
     # a cubic at the noise floor of the required tolerance is the standard
     # cusp: its shape matches with c = 0, which the final check re-verifies
-    if shape.c.coeff_norm() <= 0.1 * _RECOVER_TOL:
+    if shape.c.coeff_norm() <= 0.1 * SHAPE_TOL:
         marking = cholesky_upper(shape.q)
         cusp = build_marked_cusp(BlownUpWeylPoint(n, np.zeros(n), np.zeros(dim)), marking)
         return _verified(cusp, shape)
@@ -544,9 +550,9 @@ def recover_cusp_from_shape(shape):
 def _verified(cusp, shape):
     got = shape_invariant(cusp, method="closed")
     resid = got.distance(shape)
-    if resid > _RECOVER_TOL:
+    if resid > SHAPE_TOL:
         raise ValueError(
             "recovered cusp reproduces the shape only to %g (tolerance %g)"
-            % (resid, _RECOVER_TOL)
+            % (resid, SHAPE_TOL)
         )
     return cusp

@@ -173,7 +173,7 @@ def test_recover_numerical_failure_still_exits_2(tmp_path, monkeypatch, capsys):
     inv = str(tmp_path / "inv.json")
     assert main(["invariants", src, "--out", inv]) == 0
     # a genuine shape whose rebuilt cusp misses a zero tolerance
-    monkeypatch.setattr(shape_mod, "_RECOVER_TOL", 0.0)
+    monkeypatch.setattr(shape_mod, "SHAPE_TOL", 0.0)
     assert main(["recover", "shape", inv]) == 2
     assert "reproduces the shape only" in capsys.readouterr().err
 

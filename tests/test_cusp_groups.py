@@ -250,13 +250,22 @@ def _built_without_warning(p, b):
         return build_marked_cusp(p, b)
 
 
-def _assert_rescaled_by(cusp, p, b, d):
-    # (lambda, kappa, B) is (d lambda, kappa, B / d) with d = |det B|^(1/(n-1))
+def _assert_rescaled_by(p, b, d):
+    # (lambda, kappa, B) is (d lambda, kappa, B / d) with d = |det B|^(1/(n-1)),
+    # and of p's type; a fold that scales lambda past linalg.nonzero's floor
+    # would read another type, and is rejected
     want = p.scaled(d)
+    if want.type_t != p.type_t:
+        with pytest.raises(ValueError, match="past the zero floor"):
+            _built_without_warning(p, b)
+        return False
+    cusp = _built_without_warning(p, b)
     assert cusp.rescaled
+    assert cusp.params.type_t == p.type_t
     assert np.all(np.abs(cusp.params.lam - want.lam) <= 1e-12 * want.lam)
     assert np.array_equal(cusp.params.kappa, p.kappa)
     assert maxerr(cusp.marking, b / d) < 1e-12
+    return True
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7])
@@ -265,16 +274,23 @@ def test_build_folds_a_marking_of_any_scale(n):
     # s in [1e-150, 1e150]: the fold must not depend on the size of B
     rng = np.random.default_rng(n)
     p = random_blownup_point(rng, n, t=n)
-    for s in 10.0 ** rng.uniform(-150.0, 150.0, 25):
-        b = random_marking(rng, n - 1)
-        d = s * abs(np.linalg.det(b)) ** (1.0 / (n - 1))
-        _assert_rescaled_by(_built_without_warning(p, s * b), p, s * b, d)
+    folded = [
+        _assert_rescaled_by(p, s * b, s * abs(np.linalg.det(b)) ** (1.0 / (n - 1)))
+        for s, b in ((s, random_marking(rng, n - 1))
+                     for s in 10.0 ** rng.uniform(-150.0, 150.0, 25))
+    ]
+    # both outcomes are reached
+    assert any(folded) and not all(folded)
 
 
-@pytest.mark.parametrize("s", [1e-7, 1e-6, 1e200, 1e-200])
-def test_build_folds_a_scaled_identity(s):
+@pytest.mark.parametrize("s, folds", [
+    (1e-7, True), (1e-6, True), (1e200, True), (1e-9, True),
+    (1e-12, False), (1e-200, False),
+])
+def test_build_folds_a_scaled_identity(s, folds):
+    # lambda = (0.5, 1, 2) s keeps type 3 down to s = 2e-10
     p = BlownUpWeylPoint(3, np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
-    _assert_rescaled_by(_built_without_warning(p, s * np.eye(2)), p, s * np.eye(2), s)
+    assert _assert_rescaled_by(p, s * np.eye(2), s) == folds
 
 
 @pytest.mark.parametrize("b", [
@@ -285,9 +301,14 @@ def test_build_folds_a_scaled_identity(s):
     1e100 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]]),
     1e-100 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]]),
     1e200 * np.array([[1.0, 2.0], [2.0, 4.0]]),
+    np.array([[1.0, 0.0], [1e11, 1.0]]),
+    2.0 * np.array([[1.0, 0.0], [1e11, 1.0]]),
 ], ids=["zero", "zero-column", "rank-one", "near-rank-one", "near-rank-one-big",
-        "near-rank-one-small", "rank-one-huge"])
+        "near-rank-one-small", "rank-one-huge", "shear-det-one", "shear-det-four"])
 def test_singular_marking_is_rejected_at_any_scale(b):
+    # the shear has |det| exactly 1 (or 4 at twice the size), and its columns
+    # are 1e11 times longer than the determinant allows for: B and 2B get
+    # the same verdict, whether or not |det B| = 1 skips the fold
     p = BlownUpWeylPoint(3, np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -197,6 +197,21 @@ def test_sphere_maxima_do_not_depend_on_the_cubic_scale():
         assert np.max(np.abs(found.values / s - base.values) / base.values) < 1e-12
 
 
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("eps", [1e-5, 1e-6])
+def test_sphere_maxima_keep_a_weakly_curved_maximum(m, eps):
+    # y1^3 + (3/2 - eps/2) y1 y2^2 has a strict maximum at e1 whose projected
+    # Hessian is -eps along e2 and -3 along the rest: one weak direction
+    # does not make a maximum degenerate, at any scale of the cubic
+    mono = {(3,) + (0,) * (m - 1): 1.0, (1, 2) + (0,) * (m - 2): 1.5 - eps / 2}
+    c = CubicPoly.from_monomials(m, mono)
+    for s in (1e-6, 1.0, 1e6):
+        found = sphere_local_maxima(np.eye(m), c.scaled(s))
+        assert not found.degenerate and len(found.points) == 1
+        assert maxerr(np.abs(found.points[0]), np.eye(m)[0]) < 1e-9
+        assert abs(found.values[0] / s - 1.0) < 1e-12
+
+
 def test_height_jet_rejects_a_degenerate_tangent_frame():
     gens = _cusp([0, 1, 2], [0, 0]).generators
     with pytest.raises(ValueError, match="degenerate tangent frame"):
