@@ -119,8 +119,11 @@ def coords_from_shape(shape):
     q = shape.q
     det = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
     w = complex(-q[0, 1], np.sqrt(det)) / q[0, 0]
-    a = det ** 0.25 * w_to_matrix(w)
-    split = decompose_cubic_2d(shape.c.compose_linear(np.linalg.inv(a)))
+    (a, b), (_, d) = (det ** 0.25 * w_to_matrix(w)).tolist()
+    # the inverse of the upper-triangular factor in closed form, in the
+    # order of operations that gives np.linalg.inv's bits
+    ainv = np.array([[1.0 / a, -(b * (1.0 / d)) * (1.0 / a)], [0.0, 1.0 / d]])
+    split = decompose_cubic_2d(shape.c.compose_linear(ainv))
     _check_cone(split.h, split.r, "cubic lies outside the cone |r| <= 3|h|, "
                 "so it is not the shape of a 3-dimensional cusp")
     return CuspCoords3D(w, split.h, split.r)

@@ -18,8 +18,10 @@ from .cusp_groups import (
     lambda_to_psi,
 )
 from .linalg import (
+    below_diagonal,
     check_unimodular,
     expm,
+    expm_diagonal,
     maxerr,
     newton_to_elementary,
     nonzero,
@@ -163,26 +165,38 @@ def weights_of(cusp):
     """All n+1 affine weight covectors, read off the diagonals of the cached
     upper-triangular generators.
 
-    As an independent cross-check, the characteristic polynomial at a few
-    probe vectors is rebuilt from the traces of powers via Newton's
-    identities and compared with the product of the eigenvalue factors.
-    The probes are fixed, with no seed: cos(1), cos(2), ..., cos(3(n - 1))
-    taken n - 1 at a time, each scaled as below.  All probes run as one
-    batched pass: one stacked ``expm``, one ``newton_to_elementary``.
+    As a cross-check, the characteristic polynomial of the holonomy at a
+    few probe vectors v is rebuilt from its power sums via Newton's
+    identities and compared with the product of the eigenvalue factors
+    exp(xi(v)).  The probes are fixed, with no seed: cos(1), cos(2), ...,
+    cos(3(n - 1)) taken n - 1 at a time, each scaled as below.  All probes
+    run as one batched pass: one ``expm_diagonal``, one
+    ``newton_to_elementary``.  The holonomies are upper triangular, so the
+    k-th power sum, the trace of the k-th power, is the sum of the k-th
+    powers of the diagonal, with the bits of the full-matrix route (stacked
+    ``expm``, matrix powers, traces).  The power sums see only the
+    diagonal, so the triangular structure is tested on its own: a
+    generator with a nonzero below its diagonal fails the check.
     """
     n = cusp.n
     gens = np.asarray(cusp.generators)
+    lower = below_diagonal(gens)
+    if lower.any():
+        raise ValueError(
+            "character cross-check failed: generator %d has a nonzero below "
+            "its diagonal" % np.flatnonzero(lower.any(axis=-1))[0]
+        )
     w = np.diagonal(gens, axis1=1, axis2=2).T
     probes, norms = _unscaled_probes(n)
     # probe scale keeps every eigenvalue exp(xi(v)) moderate, else the
     # power-sum route loses all digits
     wmax = max(1.0, float(np.abs(w).max()))
     probes = probes * (0.5 / (wmax * norms))[:, None]
-    a = expm((probes @ gens.reshape(n - 1, -1)).reshape(-1, n + 1, n + 1))
-    powers = [a]
+    eig = expm_diagonal((probes @ gens.reshape(n - 1, -1)).reshape(-1, n + 1, n + 1))
+    powers = [eig]
     for _k in range(n):
-        powers.append(powers[-1] @ a)
-    elem = newton_to_elementary(np.trace(np.stack(powers, axis=1), axis1=2, axis2=3))
+        powers.append(powers[-1] * eig)
+    elem = newton_to_elementary(np.stack(powers, axis=1).sum(axis=-1))
     # e_1..e_{n+1} of the eigenvalues, one root at a time, over Python
     # floats: the rows are short
     elem_direct = []

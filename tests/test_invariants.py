@@ -34,7 +34,7 @@ from gencusp.invariants import (
     _match_multisets,
     _split_weights,
 )
-from gencusp.linalg import expm, maxerr, unimodular
+from gencusp.linalg import expm, maxerr, newton_to_elementary, unimodular
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
 from gencusp.shape import ShapeInvariant, cubic_from_weights, fit_height_jet
 
@@ -170,34 +170,101 @@ def test_weights_of_runs_once_per_cusp(monkeypatch):
     assert calls == [a, b, d]
 
 
-def test_weights_check_is_one_stacked_expm_per_cusp(monkeypatch):
-    # all three probes share one expm call; rho is not on the path
+def test_weights_check_is_one_expm_diagonal_per_cusp(monkeypatch):
+    # all three probes share one expm_diagonal call; neither expm nor rho
+    # is on the path
     import gencusp.cusp_groups as cg_mod
     import gencusp.invariants as inv_mod
 
     rng = np.random.default_rng(12)
     cusps = [random_cusp(rng, n) for n in range(3, 8)]
-    expm_calls, rho_calls = [], []
-    orig_expm, orig_rho = inv_mod.expm, cg_mod.rho
+    diag_calls, expm_calls, rho_calls = [], [], []
+    orig_diag, orig_expm, orig_rho = inv_mod.expm_diagonal, inv_mod.expm, cg_mod.rho
+    monkeypatch.setattr(inv_mod, "expm_diagonal",
+                        lambda m: diag_calls.append(m.shape) or orig_diag(m))
     monkeypatch.setattr(inv_mod, "expm", lambda m: expm_calls.append(m.shape) or orig_expm(m))
     monkeypatch.setattr(cg_mod, "rho", lambda *a: rho_calls.append(a) or orig_rho(*a))
     for c in cusps:
         complete_invariant(c)
         weight_data(c)
         assert are_conjugate(c, c)
-    assert expm_calls == [(3, n + 1, n + 1) for n in range(3, 8)]
+    assert diag_calls == [(3, n + 1, n + 1) for n in range(3, 8)]
+    assert expm_calls == []
     assert rho_calls == []
+
+
+def _full_matrix_check(c):
+    """weights_of's Newton-identity coefficients by the full-matrix route:
+    one stacked expm of the probe holonomies, their matrix powers and
+    np.trace.  The reference for the diagonal route."""
+    import gencusp.invariants as inv_mod
+
+    n = c.n
+    gens = np.asarray(c.generators)
+    w = np.diagonal(gens, axis1=1, axis2=2).T
+    probes, norms = inv_mod._unscaled_probes(n)
+    wmax = max(1.0, float(np.abs(w).max()))
+    probes = probes * (0.5 / (wmax * norms))[:, None]
+    a = expm((probes @ gens.reshape(n - 1, -1)).reshape(-1, n + 1, n + 1))
+    powers = [a]
+    for _k in range(n):
+        powers.append(powers[-1] @ a)
+    return newton_to_elementary(np.trace(np.stack(powers, axis=1), axis1=2, axis2=3))
+
+
+def test_weights_check_matches_the_full_matrix_route_bit_for_bit(monkeypatch):
+    # the power sums from the diagonal give the coefficients, and so the
+    # residual, of the full-matrix route: 600 seeded cusps, n = 3..7,
+    # every type, both marking variants
+    import gencusp.invariants as inv_mod
+
+    seen = []
+    orig = inv_mod.maxerr
+    monkeypatch.setattr(inv_mod, "maxerr", lambda a, b: seen.append((a, b)) or orig(a, b))
+    rng = np.random.default_rng(19)
+    checked = 0
+    for rep in range(20):
+        for n in range(3, 8):
+            for t in range(n + 1):
+                c = random_cusp(rng, n, t=t, orthonormalized=bool(rep % 2))
+                weights_of(c)
+                elem, elem_direct = seen.pop()
+                ref = _full_matrix_check(c)
+                assert elem.tobytes() == ref.tobytes()
+                assert orig(elem, elem_direct) == orig(ref, elem_direct)
+                checked += 1
+    assert checked >= 500
+
+
+def test_weights_check_trips_on_every_below_diagonal_entry():
+    # a planted entry below the diagonal of any generator, anywhere, is
+    # refused, including the middle-block entries that leave the
+    # eigenvalues, and so the power sums, unchanged
+    for n in range(3, 8):
+        lam = 0.5 * np.arange(1.0, n + 1)
+        c = _cusp(lam, lam[0] / lam[1:])
+        weights_of(c)
+        good = c.generators
+        for g in range(n - 1):
+            for i in range(1, n + 1):
+                for j in range(i):
+                    bad = good.copy()
+                    bad[g, i, j] = 0.7
+                    object.__setattr__(c, "generators", bad)
+                    with pytest.raises(ValueError, match="character cross-check failed"):
+                        weights_of(c)
 
 
 def test_forward_case_work_budget(monkeypatch):
     # one case of the forward benchmark workload holds three distinct forms
     # (the cusp's metric, its shape's q, the copy's metric), each checked in
     # full once; each MarkedCusp makes one lie_algebra_phi call, and each
-    # weights_of one expm call.  The determinants: one per build of a
-    # marking that needs no rescale, one per unimodular() metric, one for
-    # the canonical shape, and none inside check_unimodular.  The inverses:
-    # one of the metric in cubic_from_weights, one of the frame in
-    # coords_from_shape at n = 3.
+    # weights_of one expm_diagonal call and no expm call.  The
+    # determinants: one per build of a marking that needs no rescale, one
+    # per unimodular() metric, one for the canonical shape, and none inside
+    # check_unimodular.  The inverses: one of the metric in
+    # cubic_from_weights; coords_from_shape at n = 3 inverts its frame in
+    # closed form.
     import weakref
 
     import gencusp.cusp_groups as cg_mod
@@ -209,7 +276,8 @@ def test_forward_case_work_budget(monkeypatch):
     rng = np.random.default_rng(14)
     draws = [(n, random_blownup_point(rng, n, t), random_marking(rng, n - 1), bool(t % 2))
              for n in range(3, 8) for t in range(n + 1)]
-    counts = dict.fromkeys(["checks", "cusps", "phi", "weights_of", "expm", "det", "inv"], 0)
+    counts = dict.fromkeys(
+        ["checks", "cusps", "phi", "weights_of", "expm_diagonal", "expm", "det", "inv"], 0)
 
     class CountingMemo(weakref.WeakValueDictionary):
         def __setitem__(self, key, value):
@@ -227,6 +295,7 @@ def test_forward_case_work_budget(monkeypatch):
     monkeypatch.setattr(cg_mod.MarkedCusp, "__post_init__",
                         counted("cusps", cg_mod.MarkedCusp.__post_init__))
     monkeypatch.setattr(inv_mod, "weights_of", counted("weights_of", inv_mod.weights_of))
+    monkeypatch.setattr(inv_mod, "expm_diagonal", counted("expm_diagonal", inv_mod.expm_diagonal))
     monkeypatch.setattr(inv_mod, "expm", counted("expm", inv_mod.expm))
     monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
     monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
@@ -240,10 +309,10 @@ def test_forward_case_work_budget(monkeypatch):
         if n == 3:
             coords_from_shape(s)
         assert are_conjugate(c, build_marked_cusp(p, b, orthonormalized=orth))
-    cases, dim3_cases = len(draws), sum(d[0] == 3 for d in draws)
+    cases = len(draws)
     assert counts == {"checks": 3 * cases, "cusps": 2 * cases, "phi": 2 * cases,
-                      "weights_of": 2 * cases, "expm": 2 * cases,
-                      "det": 5 * cases, "inv": cases + dim3_cases}
+                      "weights_of": 2 * cases, "expm_diagonal": 2 * cases, "expm": 0,
+                      "det": 5 * cases, "inv": cases}
 
 
 def test_weights_of_reads_the_generator_diagonals():
