@@ -315,8 +315,11 @@ class MarkedCusp:
     rescaled: bool = False
     effective_marking: np.ndarray = field(init=False, repr=False)
     generators: np.ndarray = field(init=False, repr=False)
-    # the complete invariant, filled by invariants.complete_invariant on
-    # first use; it lives and dies with this instance
+    # the unimodular metric and its scale, filled by
+    # invariants.metric_and_scale on first use, and the complete invariant,
+    # filled by invariants.complete_invariant; both live and die with this
+    # instance
+    _metric: object = field(init=False, repr=False, default=None)
     _invariant: object = field(init=False, repr=False, default=None)
 
     def __post_init__(self):

@@ -27,6 +27,7 @@ from .linalg import (
     nonzero,
     sqrt_forms,
     unimodular,
+    unimodular_scale,
 )
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "CONJUGATE_TOL",
     "REALIZE_TOL",
     "weights_of",
+    "metric_and_scale",
     "horosphere_metric",
     "complete_invariant",
     "eta_distance",
@@ -215,22 +217,39 @@ def weights_of(cusp):
     return CharacterData(w)
 
 
+def metric_and_scale(cusp):
+    """(q, s): the unimodular metric q = s M^T (I + kappa kappa^T) M, with M
+    the effective marking, and its scale s = det(M^T (I + kappa kappa^T)
+    M)^(-1/(n-1)), memoized on the cusp.  q is built and checked in full
+    once per cusp instance, and is read-only: ``horosphere_metric``,
+    ``complete_invariant`` and the closed shape route share it."""
+    memo = cusp._metric
+    if memo is None:
+        kap = cusp.params.kappa
+        m = cusp.effective_marking
+        q, s = unimodular_scale(m.T @ (np.eye(cusp.n - 1) + np.outer(kap, kap)) @ m)
+        memo = (check_unimodular(q, "metric"), s)
+        object.__setattr__(cusp, "_metric", memo)
+    return memo
+
+
 def horosphere_metric(cusp):
     """Unimodular second-order part of the height function at the basepoint,
-    in closed form: M^T (I + kappa kappa^T) M with M the effective marking.
+    in closed form: M^T (I + kappa kappa^T) M with M the effective marking,
+    scaled to det 1 (``metric_and_scale``, so the same read-only array on
+    every call for one cusp).
 
     The independent route is the quadratic part of the exact series jet,
     ``unimodular(shape.fit_height_jet(cusp)[0])``.
     """
-    kap = cusp.params.kappa
-    m = cusp.effective_marking
-    return unimodular(m.T @ (np.eye(cusp.n - 1) + np.outer(kap, kap)) @ m)
+    return metric_and_scale(cusp)[0]
 
 
 def complete_invariant(cusp):
     """The pair (character, unimodular metric), memoized on the cusp:
     ``weights_of`` and its Newton cross-check run once per cusp instance,
-    and ``weight_data`` and ``are_conjugate`` share the result."""
+    and ``weight_data`` and ``are_conjugate`` share the result.  The metric
+    is the cusp's ``horosphere_metric`` itself."""
     eta = cusp._invariant
     if eta is None:
         eta = CompleteInvariant(weights_of(cusp), horosphere_metric(cusp))

@@ -48,6 +48,7 @@ __all__ = [
     "newton_to_elementary",
     "cholesky_upper",
     "unimodular",
+    "unimodular_scale",
     "check_symmetric",
     "maxerr",
 ]
@@ -396,10 +397,17 @@ def cholesky_upper(q):
     return low.T
 
 
-def unimodular(q):
-    """Scale a positive-definite form to determinant one."""
+def unimodular_scale(q):
+    """(s q, s): a positive-definite form scaled to determinant one, and
+    the scale s = det(q)^(-1/dim) that did it."""
     q = check_symmetric(q)
     det = np.linalg.det(q)
     if det <= 0.0:
         raise ValueError("unimodular normalization needs positive determinant, got %g" % det)
-    return q * det ** (-1.0 / q.shape[0])
+    s = det ** (-1.0 / q.shape[0])
+    return q * s, s
+
+
+def unimodular(q):
+    """Scale a positive-definite form to determinant one."""
+    return unimodular_scale(q)[0]

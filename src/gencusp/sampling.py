@@ -31,17 +31,30 @@ def random_blownup_point(rng, n, t=None):
     return BlownUpWeylPoint(n, lam, kap)
 
 
-def random_marking(rng, dim, cond_max=40.0):
-    """Random matrix with |det| = 1 and bounded condition number."""
-    for _ in range(64):
+# random_marking's draws before it gives up.  The rarest acceptance in use
+# is dim 7 at cond_max 10, about 0.16 a draw (0.11 at dim 8): 1024 draws all
+# fail there with probability below 1e-50.
+_MAX_DRAWS = 1024
+
+
+def random_marking(rng, dim, cond_max=40.0, unit_det=True):
+    """Random matrix with |det| = 1 and condition number at most
+    ``cond_max``: the first standard normal draw with |det| >= 1e-6 that
+    passes, scaled to |det| = 1 before the test.  ``unit_det=False``
+    returns the passing draw unscaled.  Raises RuntimeError after
+    _MAX_DRAWS rejected draws."""
+    for _ in range(_MAX_DRAWS):
         m = rng.standard_normal((dim, dim))
         det = abs(np.linalg.det(m))
         if det < 1e-6:
             continue
-        m = m / det ** (1.0 / dim)
+        if unit_det:
+            m = m / det ** (1.0 / dim)
         if np.linalg.cond(m) <= cond_max:
             return m
-    raise RuntimeError("could not draw a well-conditioned marking")
+    raise RuntimeError(
+        "could not draw a %d x %d matrix of condition <= %g in %d draws"
+        % (dim, dim, cond_max, _MAX_DRAWS))
 
 
 def random_cusp(rng, n, t=None, orthonormalized=None):

@@ -21,6 +21,7 @@ from .invariants import (
     NotRealizable,
     WeightData,
     dual_pairings,
+    metric_and_scale,
     realize_weight_data,
 )
 from .linalg import (
@@ -251,31 +252,36 @@ def fit_height_jet(cusp):
 
 
 def theta_calibration(p):
-    """Raw calibration of the canonical model: quadratic I + kappa kappa^T and
-    cubic (1/3)(sum_i lam_i e_i^3 - lam_0 <.,kappa>^3)."""
+    """Raw calibration cubic of the canonical model as covector cubes,
+    (1/3)(sum_i lam_i e_i^3 - lam_0 <.,kappa>^3): the covectors, the rows of
+    [I; kappa^T], and their coefficients (lam_1/3, ..., lam_{n-1}/3,
+    -lam_0/3).  The quadratic part is I + kappa kappa^T, the covectors'
+    Gram matrix."""
     if not isinstance(p, BlownUpWeylPoint):
         raise TypeError("expected a BlownUpWeylPoint")
-    dim = p.n - 1
-    q = np.eye(dim) + np.outer(p.kappa, p.kappa)
-    covs = np.vstack([np.eye(dim), p.kappa])
+    covs = np.vstack([np.eye(p.n - 1), p.kappa])
     coeffs = np.concatenate([p.lam[1:] / 3.0, [-p.lam[0] / 3.0]])
-    return q, CubicPoly.from_covector_cubes(covs, coeffs)
+    return covs, coeffs
 
 
 def shape_invariant(cusp, method="fit"):
     """Canonical shape invariant of a marked cusp.
 
-    "fit" takes the exact series jet of the height function; "closed" composes
-    the model calibration with the effective marking.  Both are normalized to
-    det q = 1, so they agree as functions.
+    "fit" takes the exact series jet of the height function and scales it
+    to det q = 1.  "closed" takes q from the cusp's shared metric
+    (``invariants.metric_and_scale``), the very array of its complete
+    invariant, and cubes the calibration covectors composed with the
+    effective marking M once, as rows xi_i M, with the metric's scale s
+    folded into their coefficients.  The two agree as functions.
     """
     if method == "fit":
         q_raw, c_raw = fit_height_jet(cusp)
         return ShapeInvariant.canonical(q_raw, c_raw)
     if method == "closed":
-        q_raw, c_raw = theta_calibration(cusp.params)
-        m = cusp.effective_marking
-        return ShapeInvariant.canonical(m.T @ q_raw @ m, c_raw.compose_linear(m))
+        q, s = metric_and_scale(cusp)
+        covs, coeffs = theta_calibration(cusp.params)
+        return ShapeInvariant(
+            q, CubicPoly.from_covector_cubes(covs @ cusp.effective_marking, s * coeffs))
     raise ValueError("unknown method %r" % (method,))
 
 

@@ -98,10 +98,7 @@ def _check_expm_similarity(rng, i, dims):
     # norm-bounded, not just spectral-radius-bounded: the similarity
     # residual is amplified by exp(|M|) times cond(P)
     m *= rng.uniform(0.5, 2.0) / np.linalg.norm(m, np.inf)
-    for _ in range(64):
-        p = rng.standard_normal((k, k))
-        if np.linalg.cond(p) <= 1e3 and abs(np.linalg.det(p)) > 1e-6:
-            break
+    p = random_marking(rng, k, cond_max=1e3, unit_det=False)
     lhs = expm(p @ m @ np.linalg.inv(p))
     rhs = p @ expm(m) @ np.linalg.inv(p)
     return maxerr(lhs, rhs)

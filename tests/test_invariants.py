@@ -256,15 +256,15 @@ def test_weights_check_trips_on_every_below_diagonal_entry():
 
 
 def test_forward_case_work_budget(monkeypatch):
-    # one case of the forward benchmark workload holds three distinct forms
-    # (the cusp's metric, its shape's q, the copy's metric), each checked in
-    # full once; each MarkedCusp makes one lie_algebra_phi call, and each
-    # weights_of one expm_diagonal call and no expm call.  The
-    # determinants: one per build of a marking that needs no rescale, one
-    # per unimodular() metric, one for the canonical shape, and none inside
-    # check_unimodular.  The inverses: one of the metric in
-    # cubic_from_weights; coords_from_shape at n = 3 inverts its frame in
-    # closed form.
+    # one case of the forward benchmark workload holds two distinct forms
+    # (the cusp's metric, which its shape's q is, and the copy's metric),
+    # each checked in full once; each MarkedCusp makes one lie_algebra_phi
+    # call, and each weights_of one expm_diagonal call and no expm call.
+    # The determinants: one per build of a marking that needs no rescale,
+    # one per metric, none for the closed shape, which reads its cusp's
+    # metric and scale, and none inside check_unimodular.  The inverses:
+    # one of the metric in cubic_from_weights; coords_from_shape at n = 3
+    # inverts its frame in closed form.
     import weakref
 
     import gencusp.cusp_groups as cg_mod
@@ -310,9 +310,9 @@ def test_forward_case_work_budget(monkeypatch):
             coords_from_shape(s)
         assert are_conjugate(c, build_marked_cusp(p, b, orthonormalized=orth))
     cases = len(draws)
-    assert counts == {"checks": 3 * cases, "cusps": 2 * cases, "phi": 2 * cases,
+    assert counts == {"checks": 2 * cases, "cusps": 2 * cases, "phi": 2 * cases,
                       "weights_of": 2 * cases, "expm_diagonal": 2 * cases, "expm": 0,
-                      "det": 5 * cases, "inv": cases}
+                      "det": 4 * cases, "inv": cases}
 
 
 def test_weights_of_reads_the_generator_diagonals():

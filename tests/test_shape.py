@@ -7,7 +7,7 @@ from gencusp.cusp_groups import (
     build_marked_cusp,
     psi_to_lambda,
 )
-from gencusp.invariants import are_conjugate, complete_invariant, weight_data
+from gencusp.invariants import are_conjugate, complete_invariant, metric_and_scale, weight_data
 from gencusp.linalg import expm, maxerr
 from gencusp.sampling import random_cusp, random_marking
 from gencusp.shape import (
@@ -79,6 +79,61 @@ def test_triple_route_agreement():
         s_closed = shape_invariant(c, "closed")
         s_weights = cubic_from_weights(weight_data(c))
         assert s_weights.distance(s_closed) < 1e-8
+
+
+def test_closed_shape_shares_the_cusp_metric():
+    rng = np.random.default_rng(20)
+    for n in range(3, 8):
+        c = random_cusp(rng, n)
+        assert shape_invariant(c, "closed").q is complete_invariant(c).metric
+        # either call order
+        c = random_cusp(rng, n)
+        q = shape_invariant(c, "closed").q
+        assert complete_invariant(c).metric is q
+        assert shape_invariant(c, "closed").q is q
+
+
+def _closed_route_cases():
+    rng = np.random.default_rng(21)
+    for n in range(3, 8):
+        for t in range(n + 1):
+            for orth in (False, True):
+                for _ in range(3):
+                    yield random_cusp(rng, n, t=t, orthonormalized=orth)
+    for angle in (0.3, 0.7, 1.1):
+        for lam in ([0, 0.93, 1.7], [0, 0, 1.75], [0, 1, 2], [0.5, 1, 1.7]):
+            lam = np.asarray(lam, dtype=float)
+            kap = lam[0] / lam[1:] if lam[0] > 0 else np.zeros(2)
+            for orth in (False, True):
+                yield _cusp(lam, kap, _ill_marking(1e3, angle), orthonormalized=orth)
+
+
+def test_closed_cubic_matches_the_composed_tensor_route():
+    # the reference is the former closed route: the calibration tensor
+    # composed with the effective marking M by compose_linear, then scaled
+    # by canonical.  The closed route cubes the composed covectors xi_a M
+    # once instead.  Both sum products of four factors over the n
+    # covectors: the reference after a raw tensor, three dim-term passes and
+    # three symmetrizations, the closed route after dim-term sums for xi_a M
+    # and one symmetrization.  So they differ by at most this many roundings
+    # of the same sum over absolute values, sum_a |coeff_a| (|xi_a| |M|)^3.
+    eps = np.finfo(float).eps
+    for c in _closed_route_cases():
+        p, m = c.params, c.effective_marking
+        n, dim = p.n, p.n - 1
+        covs = np.vstack([np.eye(dim), p.kappa])
+        coeffs = np.concatenate([p.lam[1:] / 3.0, [-p.lam[0] / 3.0]])
+        ref = ShapeInvariant.canonical(
+            m.T @ (np.eye(dim) + np.outer(p.kappa, p.kappa)) @ m,
+            CubicPoly.from_covector_cubes(covs, coeffs).compose_linear(m))
+        got = shape_invariant(c, "closed")
+        # the metric is untouched: same bits, hence the same scale
+        assert np.array_equal(got.q, ref.q)
+        x = np.abs(covs) @ np.abs(m)
+        budget = (2 * n + 6 * dim + 27) * eps
+        scale = metric_and_scale(c)[1]
+        bound = budget * scale * np.einsum("a,ai,aj,ak->ijk", np.abs(coeffs), x, x, x)
+        assert np.all(np.abs(got.c.tensor - ref.c.tensor) <= bound)
 
 
 def test_jet_hessian_matches_finite_differences():
