@@ -440,10 +440,18 @@ def make_parser():
     return parser
 
 
+# each global flag and the one command that reads it
+_FLAG_COMMAND = {"tol": "conjugate", "seed": "verify"}
+
+
 def main(argv=None):
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
+        for flag, command in _FLAG_COMMAND.items():
+            if hasattr(args, flag) and args.command != command:
+                raise ValidationError("--%s applies only to %s, not to %s"
+                                      % (flag, command, args.command))
         if not hasattr(args, "seed"):
             args.seed = 0
         return args.fn(args)

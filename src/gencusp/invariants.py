@@ -6,7 +6,6 @@ never by pointwise sampling (exp blowup makes pointwise comparison fragile).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,9 +20,7 @@ from .linalg import (
     below_diagonal,
     check_unimodular,
     expm,
-    expm_diagonal,
     maxerr,
-    newton_to_elementary,
     nonzero,
     sqrt_forms,
     unimodular,
@@ -53,10 +50,6 @@ __all__ = [
     "stratum_dim",
     "limit_demo_rows",
 ]
-
-# weights_of's Newton-identity cross-check: probe count and tolerance.
-_CHARACTER_PROBES = 3
-_CHARACTER_CHECK_TOL = 1e-7
 
 # frame_to_weight_data's slack on the unit diagonal and on the constant
 # pairwise inner products.
@@ -152,69 +145,35 @@ def dual_pairings(weights, qinv):
     return off, float(-np.mean(off))
 
 
-@lru_cache(maxsize=None)
-def _unscaled_probes(n):
-    """weights_of's fixed probes before scaling, (_CHARACTER_PROBES, n - 1),
-    and their norms floored at 1; both read-only."""
-    probes = np.cos(np.arange(1.0, _CHARACTER_PROBES * (n - 1) + 1.0)).reshape(-1, n - 1)
-    norms = np.maximum(1.0, np.linalg.norm(probes, axis=1))
-    probes.setflags(write=False)
-    norms.setflags(write=False)
-    return probes, norms
-
-
 def weights_of(cusp):
     """All n+1 affine weight covectors, read off the diagonals of the cached
     upper-triangular generators.
 
-    As a cross-check, the characteristic polynomial of the holonomy at a
-    few probe vectors v is rebuilt from its power sums via Newton's
-    identities and compared with the product of the eigenvalue factors
-    exp(xi(v)).  The probes are fixed, with no seed: cos(1), cos(2), ...,
-    cos(3(n - 1)) taken n - 1 at a time, each scaled as below.  All probes
-    run as one batched pass: one ``expm_diagonal``, one
-    ``newton_to_elementary``.  The holonomies are upper triangular, so the
-    k-th power sum, the trace of the k-th power, is the sum of the k-th
-    powers of the diagonal, with the bits of the full-matrix route (stacked
-    ``expm``, matrix powers, traces).  The power sums see only the
-    diagonal, so the triangular structure is tested on its own: a
-    generator with a nonzero below its diagonal fails the check.
+    The reading is refused, with 'character cross-check failed', where the
+    diagonal need not be the spectrum: a generator with a non-finite entry
+    or a nonzero below its diagonal, and a reading with no zero covector
+    (``CharacterData``).  The character itself is checked in the battery
+    (``verify``'s ``character-trace-newton``): Newton's identities on the
+    traces of a conjugated holonomy, in a basis where it is not triangular,
+    against the eigenvalues this reading gives.
     """
-    n = cusp.n
     gens = np.asarray(cusp.generators)
+    finite = np.isfinite(gens).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(
+            "character cross-check failed: generator %d has a non-finite entry"
+            % np.flatnonzero(~finite)[0]
+        )
     lower = below_diagonal(gens)
     if lower.any():
         raise ValueError(
             "character cross-check failed: generator %d has a nonzero below "
             "its diagonal" % np.flatnonzero(lower.any(axis=-1))[0]
         )
-    w = np.diagonal(gens, axis1=1, axis2=2).T
-    probes, norms = _unscaled_probes(n)
-    # probe scale keeps every eigenvalue exp(xi(v)) moderate, else the
-    # power-sum route loses all digits
-    wmax = max(1.0, float(np.abs(w).max()))
-    probes = probes * (0.5 / (wmax * norms))[:, None]
-    eig = expm_diagonal((probes @ gens.reshape(n - 1, -1)).reshape(-1, n + 1, n + 1))
-    powers = [eig]
-    for _k in range(n):
-        powers.append(powers[-1] * eig)
-    elem = newton_to_elementary(np.stack(powers, axis=1).sum(axis=-1))
-    # e_1..e_{n+1} of the eigenvalues, one root at a time, over Python
-    # floats: the rows are short
-    elem_direct = []
-    for roots in np.exp(probes @ w.T).tolist():
-        e = [1.0] + [0.0] * (n + 1)
-        for root in roots:
-            e = [1.0] + [e[j] + root * e[j - 1] for j in range(1, n + 2)]
-        elem_direct.append(e[1:])
-    err = maxerr(elem, elem_direct)
-    # fails closed: a NaN deviation is a failed check
-    if not err <= _CHARACTER_CHECK_TOL:
-        raise ValueError(
-            "character cross-check failed: Newton-identity coefficients "
-            "deviate by %g (tolerance %g)" % (err, _CHARACTER_CHECK_TOL)
-        )
-    return CharacterData(w)
+    try:
+        return CharacterData(np.diagonal(gens, axis1=1, axis2=2).T)
+    except ValueError as exc:
+        raise ValueError("character cross-check failed: %s" % exc) from None
 
 
 def metric_and_scale(cusp):
@@ -247,7 +206,7 @@ def horosphere_metric(cusp):
 
 def complete_invariant(cusp):
     """The pair (character, unimodular metric), memoized on the cusp:
-    ``weights_of`` and its Newton cross-check run once per cusp instance,
+    ``weights_of`` and its structural refusals run once per cusp instance,
     and ``weight_data`` and ``are_conjugate`` share the result.  The metric
     is the cusp's ``horosphere_metric`` itself."""
     eta = cusp._invariant

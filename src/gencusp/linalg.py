@@ -1,8 +1,7 @@
 """Small dense linear-algebra kernels shared by every other module.
 
 Everything here is pure and deterministic: a fixed-order scaling-and-squaring
-matrix exponential and, for upper-triangular matrices, its diagonal alone with
-the same bits, the entire-function family f_k appearing in the closed-form
+matrix exponential, the entire-function family f_k appearing in the closed-form
 orbit surfaces, Newton's identities, an upper Cholesky factor, and the square
 roots of a positive-definite form.
 
@@ -40,7 +39,6 @@ __all__ = [
     "check_unimodular",
     "sqrt_forms",
     "expm",
-    "expm_diagonal",
     "below_diagonal",
     "f_k",
     "h_log",
@@ -72,9 +70,8 @@ DET_TOL = 1e-9
 # relative to max(1, the largest magnitude in it).
 SLACK = 1e-12
 
-# expm's Taylor order, and the divisors of its Horner steps after the first
+# expm's Taylor order
 _EXPM_ORDER = 14
-_HORNER_DIVISORS = tuple(float(j) for j in range(_EXPM_ORDER - 1, 0, -1))
 
 # Switch f_1, f_2, h, g to their Taylor branch below this |s*t|; the closed
 # forms lose every digit to cancellation as s -> 0.
@@ -179,27 +176,6 @@ def below_diagonal(m):
     return a[..., _strictly_lower(a.shape[-1])]
 
 
-def _square_stack(m, name):
-    """``m`` as a (count, k, k) stack of finite square matrices, and its
-    shape; ValueError naming ``name`` otherwise."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError("%s requires a square matrix, got shape %r" % (name, a.shape))
-    if not np.isfinite(a).all():
-        raise ValueError("%s requires finite entries" % name)
-    return a.reshape(-1, a.shape[-1], a.shape[-1]), a.shape
-
-
-def _squarings(a):
-    """expm's squaring count of each matrix of a (count, k, k) stack: the
-    least nsq >= 0 that brings its inf-norm to <= 0.5 (up to the rounding
-    of log2).  An inf-norm that overflows is capped, so nsq stays finite."""
-    with np.errstate(over="ignore"):
-        norm = np.abs(a).sum(axis=-1).max(axis=-1, initial=0.0)
-    norm = np.minimum(np.maximum(norm, 0.5), _NORM_CAP)
-    return np.ceil(np.log2(norm / 0.5)).astype(int)
-
-
 def expm(m):
     """Matrix exponential by scaling-and-squaring with a truncated Taylor
     series of order _EXPM_ORDER = 14 (Horner form), of one matrix or of each
@@ -211,14 +187,23 @@ def expm(m):
     matrices of degree below the series order.  The squarings are counted
     per matrix, so a member of a stack gets the same bits as on its own.
     """
-    a, shape = _square_stack(m, "expm")
-    eye = _identity(shape[-1])
-    nsq = _squarings(a)
+    a = np.asarray(m, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("expm requires a square matrix, got shape %r" % (a.shape,))
+    if not np.isfinite(a).all():
+        raise ValueError("expm requires finite entries")
+    shape, k = a.shape, a.shape[-1]
+    a = a.reshape(-1, k, k)
+    eye = _identity(k)
     with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.abs(a).sum(axis=-1).max(axis=-1, initial=0.0)
+        # an inf-norm that overflows is capped, so nsq stays finite
+        norm = np.minimum(np.maximum(norm, 0.5), _NORM_CAP)
+        nsq = np.ceil(np.log2(norm / 0.5)).astype(int)
         s = np.ldexp(a, -nsq[:, None, None])  # exact, and no 2^nsq to overflow
         # s @ eye is s exactly, so the first Horner step needs no product
         acc = eye + s / _EXPM_ORDER
-        for j in _HORNER_DIVISORS:
+        for j in range(_EXPM_ORDER - 1, 0, -1):
             acc = eye + (s @ acc) / j
         top = int(nsq.max(initial=0))
         every = int(nsq.min(initial=top))  # squarings all members take
@@ -231,44 +216,6 @@ def expm(m):
     if not np.isfinite(acc).all():
         raise OverflowError("expm overflowed double precision (entries too large)")
     return acc.reshape(shape)
-
-
-def expm_diagonal(m):
-    """The diagonal of ``expm(m)`` for an upper-triangular matrix or stack
-    (..., k, k), shape (..., k), bit for bit, computed from the diagonal
-    alone.
-
-    The squaring count comes from each full matrix, as in ``expm``.  Every
-    product in ``expm``'s series and squarings is then upper triangular, and
-    each of its diagonal entries is the product of the two diagonal entries
-    plus terms that are exact zeros, so the same steps on each diagonal
-    entry, over Python floats, give the same bits.  Where only off-diagonal
-    entries of exp(m) overflow, this returns the finite diagonal while
-    ``expm`` raises.  Non-finite entries and a nonzero below a diagonal
-    raise ValueError.
-    """
-    a, shape = _square_stack(m, "expm_diagonal")
-    if below_diagonal(a).any():
-        raise ValueError("expm_diagonal requires upper-triangular matrices")
-    nsq = _squarings(a)
-    s = np.ldexp(np.diagonal(a, axis1=1, axis2=2), -nsq[:, None])
-    out = []
-    for row, squarings in zip(s.tolist(), nsq.tolist()):
-        for z in row:
-            if z == 0.0:
-                # every step of the series and each squaring gives 1 exactly
-                out.append(1.0)
-                continue
-            acc = 1.0 + z / _EXPM_ORDER
-            for j in _HORNER_DIVISORS:
-                acc = 1.0 + (z * acc) / j
-            for _ in range(squarings):
-                acc *= acc  # a float product overflows to inf, silently
-            out.append(acc)
-    d = np.array(out).reshape(shape[:-1])
-    if not np.isfinite(d).all():
-        raise OverflowError("expm overflowed double precision (entries too large)")
-    return d
 
 
 def f_k(k, s, t):

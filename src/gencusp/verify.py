@@ -41,6 +41,7 @@ from .invariants import (
     varpi_closed_form,
     weight_data,
     weights_equation_residual,
+    weights_of,
     limit_demo_rows,
     _match_multisets,
 )
@@ -220,6 +221,43 @@ def _check_character(rng, i, dims):
     tr = float(np.trace(rho(c, v)))
     chi = character_closed_form(c, v)
     return abs(tr - chi) / max(1.0, abs(chi))
+
+
+@_register("character-trace-newton", "character-from-conjugated-traces", 1e-9)
+def _check_character_traces(rng, i, dims):
+    m, w, v = _conjugated_holonomy(rng, dims)
+    return _trace_newton_residual(m, w @ v)
+
+
+def _conjugated_holonomy(rng, dims):
+    """(M, w, v): a random cusp's holonomy at v, conjugated by a random P so
+    that it is not triangular, with the cusp's weights w (``weights_of``).
+    v is drawn with |w . v| <= 0.5, which keeps every eigenvalue moderate,
+    else the power sums lose all digits.  The roundoff of the powers of M
+    grows like cond(P)^2, so P is drawn at condition <= 10."""
+    n = int(rng.choice(dims))
+    c = random_cusp(rng, n)
+    w = weights_of(c).weights
+    v = rng.uniform(-1, 1, n - 1)
+    top = float(np.abs(w @ v).max())
+    if top > 0.5:
+        v *= 0.5 / top
+    p = random_marking(rng, n + 1, cond_max=10.0, unit_det=False)
+    return p @ rho(c, v) @ np.linalg.inv(p), w, v
+
+
+def _trace_newton_residual(m, logs):
+    """Newton's e_1..e_k from the traces of the powers of the k x k matrix
+    ``m``, against e_1..e_k of the eigenvalues exp(``logs``), relative to
+    max(1, |e|).  The traces see the whole matrix, so in a basis where ``m``
+    is not triangular, eigenvalues misread from its diagonal show."""
+    k = m.shape[0]
+    powers = [m]
+    for _ in range(k - 1):
+        powers.append(powers[-1] @ m)
+    e = newton_to_elementary(np.trace(np.stack(powers), axis1=1, axis2=2))
+    coeffs = np.poly(np.exp(logs))
+    return maxerr(e, [(-1.0) ** j * coeffs[j] for j in range(1, k + 1)])
 
 
 @_register("metric-identity", "hessian-vs-marking-form", 1e-10)

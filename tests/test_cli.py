@@ -288,6 +288,30 @@ def test_conjugate_rejects_bad_tol(tmp_path, tol):
     assert json.loads(open(out).read())["conjugate"] is True
 
 
+@pytest.mark.parametrize("command", [
+    ["build", "p"], ["invariants", "p"], ["conjugate", "p", "p"], ["recover", "psi", "inv"],
+    ["recover", "weights", "inv"], ["recover", "shape", "inv"], ["verify", "--samples", "1"],
+    ["mesh", "p"], ["limit-demo", "--kappa", "0.5"],
+])
+@pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--tol", "1e-3"), ("--seed", "3")])
+def test_global_flag_is_refused_by_a_command_that_does_not_read_it(
+        tmp_path, capsys, command, flag, value):
+    reader = {"--tol": "conjugate", "--seed": "verify"}[flag]
+    p = _write(tmp_path, "p.json", _params([0.5, 1.0, 2.0], [0.5, 0.25]))
+    inv = str(tmp_path / "inv.json")
+    assert main(["invariants", p, "--out", inv]) == 0
+    out = str(tmp_path / "out")
+    argv = [{"p": p, "inv": inv}.get(a, a) for a in command] + ["--out", out]
+    for flags in (argv[:1] + [flag, value] + argv[1:], [flag, value] + argv):
+        code = main(flags)
+        if command[0] == reader:
+            assert code == 0
+            continue
+        assert code == 1
+        assert not os.path.exists(out)
+        assert "error: %s applies only to %s" % (flag, reader) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", [
     "--samples=0", "--samples=-3", "--dims=2", "--dims=3,4,1", "--dims=3,x", "--dims=",
 ])
@@ -518,8 +542,8 @@ def cli_files(tmp_path_factory):
     return files
 
 
-# each command loads only its own modules, and none loads numpy.random
-# (the Newton cross-check probes are fixed) or scipy
+# each command loads only its own modules, and none loads numpy.random or
+# scipy
 @pytest.mark.parametrize("argv, expected", [
     ("build p3", _BASE),
     ("conjugate p3 p3", _INVARIANTS),

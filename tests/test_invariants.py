@@ -34,7 +34,7 @@ from gencusp.invariants import (
     _match_multisets,
     _split_weights,
 )
-from gencusp.linalg import expm, maxerr, newton_to_elementary, unimodular
+from gencusp.linalg import expm, maxerr, unimodular
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
 from gencusp.shape import ShapeInvariant, cubic_from_weights, fit_height_jet
 
@@ -61,15 +61,14 @@ def test_weights_newton_cross_check_trips_on_corruption():
     c = _cusp([0, 1, 2], [0, 0])
     good = weights_of(c)
     assert good.chi(np.zeros(2)) == 4.0
-    # planting a below-diagonal entry desynchronizes the eigenvalues from the
-    # diagonal reading, which the power-sum reconstruction detects
+    # a planted below-diagonal entry means the diagonal need not be the
+    # spectrum, and the triangularity test refuses the reading
     bad = [g.copy() for g in c.generators]
     bad[0][1, 0] = 1.5
     object.__setattr__(c, "generators", tuple(bad))
     with pytest.raises(ValueError, match="cross-check"):
         weights_of(c)
-    # the fixed probes weight every generator: a planted entry in any one of
-    # them, at n = 5, trips the check
+    # a planted entry in any one generator, at n = 5, trips the check
     for i in range(4):
         c = _cusp([0.5, 1, 1.5, 2, 2.5], [0.5, 1 / 3, 1 / 4, 1 / 5])
         bad = [g.copy() for g in c.generators]
@@ -152,7 +151,7 @@ def test_weight_data_matches_uncached_route_bit_for_bit():
 
 
 def test_weights_of_runs_once_per_cusp(monkeypatch):
-    # the Newton cross-check inside weights_of must still see every cusp
+    # the refusals inside weights_of must still see every cusp
     import gencusp.invariants as inv_mod
 
     calls = []
@@ -168,72 +167,6 @@ def test_weights_of_runs_once_per_cusp(monkeypatch):
     assert not are_conjugate(d, a)
     weight_data(d)
     assert calls == [a, b, d]
-
-
-def test_weights_check_is_one_expm_diagonal_per_cusp(monkeypatch):
-    # all three probes share one expm_diagonal call; neither expm nor rho
-    # is on the path
-    import gencusp.cusp_groups as cg_mod
-    import gencusp.invariants as inv_mod
-
-    rng = np.random.default_rng(12)
-    cusps = [random_cusp(rng, n) for n in range(3, 8)]
-    diag_calls, expm_calls, rho_calls = [], [], []
-    orig_diag, orig_expm, orig_rho = inv_mod.expm_diagonal, inv_mod.expm, cg_mod.rho
-    monkeypatch.setattr(inv_mod, "expm_diagonal",
-                        lambda m: diag_calls.append(m.shape) or orig_diag(m))
-    monkeypatch.setattr(inv_mod, "expm", lambda m: expm_calls.append(m.shape) or orig_expm(m))
-    monkeypatch.setattr(cg_mod, "rho", lambda *a: rho_calls.append(a) or orig_rho(*a))
-    for c in cusps:
-        complete_invariant(c)
-        weight_data(c)
-        assert are_conjugate(c, c)
-    assert diag_calls == [(3, n + 1, n + 1) for n in range(3, 8)]
-    assert expm_calls == []
-    assert rho_calls == []
-
-
-def _full_matrix_check(c):
-    """weights_of's Newton-identity coefficients by the full-matrix route:
-    one stacked expm of the probe holonomies, their matrix powers and
-    np.trace.  The reference for the diagonal route."""
-    import gencusp.invariants as inv_mod
-
-    n = c.n
-    gens = np.asarray(c.generators)
-    w = np.diagonal(gens, axis1=1, axis2=2).T
-    probes, norms = inv_mod._unscaled_probes(n)
-    wmax = max(1.0, float(np.abs(w).max()))
-    probes = probes * (0.5 / (wmax * norms))[:, None]
-    a = expm((probes @ gens.reshape(n - 1, -1)).reshape(-1, n + 1, n + 1))
-    powers = [a]
-    for _k in range(n):
-        powers.append(powers[-1] @ a)
-    return newton_to_elementary(np.trace(np.stack(powers, axis=1), axis1=2, axis2=3))
-
-
-def test_weights_check_matches_the_full_matrix_route_bit_for_bit(monkeypatch):
-    # the power sums from the diagonal give the coefficients, and so the
-    # residual, of the full-matrix route: 600 seeded cusps, n = 3..7,
-    # every type, both marking variants
-    import gencusp.invariants as inv_mod
-
-    seen = []
-    orig = inv_mod.maxerr
-    monkeypatch.setattr(inv_mod, "maxerr", lambda a, b: seen.append((a, b)) or orig(a, b))
-    rng = np.random.default_rng(19)
-    checked = 0
-    for rep in range(20):
-        for n in range(3, 8):
-            for t in range(n + 1):
-                c = random_cusp(rng, n, t=t, orthonormalized=bool(rep % 2))
-                weights_of(c)
-                elem, elem_direct = seen.pop()
-                ref = _full_matrix_check(c)
-                assert elem.tobytes() == ref.tobytes()
-                assert orig(elem, elem_direct) == orig(ref, elem_direct)
-                checked += 1
-    assert checked >= 500
 
 
 def test_weights_check_trips_on_every_below_diagonal_entry():
@@ -259,7 +192,7 @@ def test_forward_case_work_budget(monkeypatch):
     # one case of the forward benchmark workload holds two distinct forms
     # (the cusp's metric, which its shape's q is, and the copy's metric),
     # each checked in full once; each MarkedCusp makes one lie_algebra_phi
-    # call, and each weights_of one expm_diagonal call and no expm call.
+    # call, and weights_of makes no expm call.
     # The determinants: one per build of a marking that needs no rescale,
     # one per metric, none for the closed shape, which reads its cusp's
     # metric and scale, and none inside check_unimodular.  The inverses:
@@ -277,7 +210,7 @@ def test_forward_case_work_budget(monkeypatch):
     draws = [(n, random_blownup_point(rng, n, t), random_marking(rng, n - 1), bool(t % 2))
              for n in range(3, 8) for t in range(n + 1)]
     counts = dict.fromkeys(
-        ["checks", "cusps", "phi", "weights_of", "expm_diagonal", "expm", "det", "inv"], 0)
+        ["checks", "cusps", "phi", "weights_of", "expm", "det", "inv"], 0)
 
     class CountingMemo(weakref.WeakValueDictionary):
         def __setitem__(self, key, value):
@@ -295,7 +228,6 @@ def test_forward_case_work_budget(monkeypatch):
     monkeypatch.setattr(cg_mod.MarkedCusp, "__post_init__",
                         counted("cusps", cg_mod.MarkedCusp.__post_init__))
     monkeypatch.setattr(inv_mod, "weights_of", counted("weights_of", inv_mod.weights_of))
-    monkeypatch.setattr(inv_mod, "expm_diagonal", counted("expm_diagonal", inv_mod.expm_diagonal))
     monkeypatch.setattr(inv_mod, "expm", counted("expm", inv_mod.expm))
     monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
     monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
@@ -311,7 +243,7 @@ def test_forward_case_work_budget(monkeypatch):
         assert are_conjugate(c, build_marked_cusp(p, b, orthonormalized=orth))
     cases = len(draws)
     assert counts == {"checks": 2 * cases, "cusps": 2 * cases, "phi": 2 * cases,
-                      "weights_of": 2 * cases, "expm_diagonal": 2 * cases, "expm": 0,
+                      "weights_of": 2 * cases, "expm": 0,
                       "det": 4 * cases, "inv": cases}
 
 
@@ -686,11 +618,44 @@ def test_value_types_reject_non_finite_weights(bad):
         sort_weights(w)
 
 
-def test_weights_of_cross_check_fails_closed(monkeypatch):
-    # a NaN deviation compares False against the tolerance; it must fail
-    import gencusp.invariants as inv_mod
+def test_weights_of_refuses_non_finite_generator_entries():
+    # an entry planted above a diagonal leaves the diagonal finite; the
+    # reading is refused all the same
+    for n in range(3, 8):
+        lam = 0.5 * np.arange(1.0, n + 1)
+        c = _cusp(lam, lam[0] / lam[1:])
+        good = c.generators
+        for bad in (np.nan, np.inf, -np.inf):
+            for g in range(n - 1):
+                stack = good.copy()
+                stack[g, 0, n] = bad
+                object.__setattr__(c, "generators", stack)
+                with pytest.raises(ValueError, match="character cross-check failed"):
+                    weights_of(c)
 
+
+def test_weights_of_refuses_a_reading_without_a_zero_covector():
     c = _cusp([0.5, 1, 2], [0.5, 0.25])
-    monkeypatch.setattr(inv_mod, "newton_to_elementary", lambda p: np.full(np.shape(p), np.nan))
-    with pytest.raises(ValueError, match="cross-check failed"):
+    stack = c.generators + 0.25 * np.eye(4)
+    object.__setattr__(c, "generators", stack)
+    with pytest.raises(ValueError, match="character cross-check failed: .*zero covector"):
         weights_of(c)
+
+
+def test_character_trace_check_refuses_a_moved_weight():
+    # negative control of the battery's character-trace-newton check: over
+    # 300 seeded draws, n = 3..7, the true weights read at most a hundredth
+    # of its threshold, and one weight entry moved by 0.1..1 reads above it
+    # every time
+    from gencusp import verify
+
+    threshold = next(c["threshold"] for c in verify.CHECKS
+                     if c["name"] == "character-trace-newton")
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        m, w, v = verify._conjugated_holonomy(rng, (3, 4, 5, 6, 7))
+        assert verify._trace_newton_residual(m, w @ v) <= threshold / 100
+        moved = np.array(w)
+        row, col = rng.integers(moved.shape[0]), rng.integers(moved.shape[1])
+        moved[row, col] += rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
+        assert verify._trace_newton_residual(m, moved @ v) > threshold

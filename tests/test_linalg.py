@@ -13,7 +13,6 @@ from gencusp.linalg import (
     cholesky_upper,
     below_diagonal,
     expm,
-    expm_diagonal,
     f_k,
     g_surface,
     h_log,
@@ -96,64 +95,6 @@ def test_expm_caps_a_norm_that_overflows():
     assert np.array_equal(expm(n), np.eye(3) + n)
     with pytest.raises(OverflowError):
         expm(np.array([[1e308, 1e308], [0.0, 0.0]]))
-
-
-def _triangular_stack(rng, k, count, scale):
-    """``count`` random upper-triangular k x k matrices of inf-norm about
-    ``scale``, with diagonal entries of at most 50, so that no exponential
-    overflows, and about a third of them zero."""
-    strict = np.triu(rng.standard_normal((count, k, k)), 1)
-    strict *= scale / np.maximum(np.abs(strict).sum(axis=-1).max(axis=-1), 1e-300)[:, None, None]
-    diag = rng.uniform(-1.0, 1.0, (count, k)) * min(scale, 50.0)
-    # zeros of either sign, which expm_diagonal maps to 1 without the series
-    diag[rng.random((count, k)) < 0.3] = rng.choice([0.0, -0.0])
-    strict[:, np.arange(k), np.arange(k)] = diag
-    return strict
-
-
-def test_expm_diagonal_matches_expm_bit_for_bit():
-    rng = np.random.default_rng(17)
-    for k in range(2, 9):
-        for scale in 10.0 ** np.arange(-3, 4):
-            stack = _triangular_stack(rng, k, 8, scale)
-            full = np.diagonal(expm(stack), axis1=-2, axis2=-1)
-            assert expm_diagonal(stack).tobytes() == full.tobytes()
-            assert expm_diagonal(stack[0]).tobytes() == full[0].tobytes()
-
-
-def test_expm_diagonal_stack_with_mixed_squaring_counts():
-    # members that need 0 up to 12 squarings, in one stack and in a (2, 4)
-    # stack of stacks
-    rng = np.random.default_rng(18)
-    stack = np.concatenate([np.zeros((1, 5, 5))]
-                           + [_triangular_stack(rng, 5, 1, 2.0 ** e) for e in range(-2, 12, 2)])
-    full = np.diagonal(expm(stack), axis1=-2, axis2=-1)
-    assert expm_diagonal(stack).tobytes() == full.tobytes()
-    assert expm_diagonal(stack.reshape(2, 4, 5, 5)).tobytes() == full.reshape(2, 4, 5).tobytes()
-    assert expm_diagonal(stack[:0]).shape == (0, 5)
-
-
-def test_expm_diagonal_rejects_bad_input():
-    with pytest.raises(ValueError, match="square"):
-        expm_diagonal(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="finite"):
-        expm_diagonal(np.array([[0.0, np.nan], [0.0, 0.0]]))
-    lower = np.zeros((3, 4, 4))
-    lower[1, 3, 2] = 1e-300
-    with pytest.raises(ValueError, match="upper-triangular"):
-        expm_diagonal(lower)
-    with pytest.raises(OverflowError):
-        expm_diagonal(np.diag([800.0, 0.0]))
-
-
-def test_expm_diagonal_where_only_off_diagonal_entries_overflow():
-    # exp of [[a, b], [0, a]] is e^a [[1, b], [0, 1]]: at a = 700, b = 1e5
-    # only its corner overflows, which expm refuses and expm_diagonal
-    # leaves out
-    m = np.array([[700.0, 1e5], [0.0, 700.0]])
-    with pytest.raises(OverflowError):
-        expm(m)
-    assert maxerr(expm_diagonal(m), np.full(2, np.exp(700.0))) < 1e-10
 
 
 def test_below_diagonal():

@@ -38,7 +38,7 @@ def test_no_einsum_over_six_indices(path):
 # thresholds (the arguments of its @_register decorators).  Module constants
 # count too: a new zero, singularity or roundoff-slack test reads linalg's
 # ZERO, SLACK, DET_TOL or ROUNDOFF, so the count only falls.
-_SMALL_LITERALS_MAX = 28
+_SMALL_LITERALS_MAX = 26
 
 
 def _small_float_literals(path):
