@@ -279,12 +279,32 @@ def linear_sum_assignment(cost):
 
 def _match_multisets(a, b):
     """Largest covector deviation (max-abs norm) between matched rows, under
-    the assignment that minimizes the sum of the deviations."""
+    the assignment that minimizes the sum of the deviations.
+
+    Both sides arrive in ``sort_weights``' canonical order, and for conjugate
+    cusps that order is almost always an optimal matching already.  It is
+    taken without the Hungarian method when it is certified: every diagonal
+    entry is finite and is the minimum of its row.  Then the diagonal's sum
+    is the sum of the row minima, a lower bound on every assignment, so the
+    identity is optimal; and any other optimal assignment also reaches that
+    bound, so it too picks each row's minimum, which is that row's diagonal
+    entry.  Every optimal matching therefore has the same matched costs row
+    by row, and the max over them is the diagonal's max, exactly.  A finite
+    diagonal means every row of ``a`` and of ``b`` is finite (a non-finite
+    coordinate makes its whole row or column of ``cost`` inf or NaN), so a
+    non-finite weight always falls through to ``linear_sum_assignment``,
+    which raises ValueError; NaN would fail ``<=`` anyway, but an inf
+    diagonal is "row-minimal".  Any uncertified order goes to the Hungarian
+    method.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         return np.inf
     cost = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    diag = cost.diagonal()
+    if np.isfinite(diag).all() and (diag <= cost.min(axis=1)).all():
+        return float(diag.max())
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 

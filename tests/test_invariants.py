@@ -192,7 +192,9 @@ def test_forward_case_work_budget(monkeypatch):
     # one case of the forward benchmark workload holds two distinct forms
     # (the cusp's metric, which its shape's q is, and the copy's metric),
     # each checked in full once; each MarkedCusp makes one lie_algebra_phi
-    # call, and weights_of makes no expm call.
+    # call, and weights_of makes no expm call.  Every draw is a conjugate
+    # pair, whose weights the canonical order already matches: eta_distance
+    # calls no Hungarian method.
     # The determinants: one per build of a marking that needs no rescale,
     # one per metric, none for the closed shape, which reads its cusp's
     # metric and scale, and none inside check_unimodular.  The inverses:
@@ -210,7 +212,7 @@ def test_forward_case_work_budget(monkeypatch):
     draws = [(n, random_blownup_point(rng, n, t), random_marking(rng, n - 1), bool(t % 2))
              for n in range(3, 8) for t in range(n + 1)]
     counts = dict.fromkeys(
-        ["checks", "cusps", "phi", "weights_of", "expm", "det", "inv"], 0)
+        ["checks", "cusps", "phi", "weights_of", "expm", "det", "inv", "lsa"], 0)
 
     class CountingMemo(weakref.WeakValueDictionary):
         def __setitem__(self, key, value):
@@ -229,6 +231,8 @@ def test_forward_case_work_budget(monkeypatch):
                         counted("cusps", cg_mod.MarkedCusp.__post_init__))
     monkeypatch.setattr(inv_mod, "weights_of", counted("weights_of", inv_mod.weights_of))
     monkeypatch.setattr(inv_mod, "expm", counted("expm", inv_mod.expm))
+    monkeypatch.setattr(inv_mod, "linear_sum_assignment",
+                        counted("lsa", inv_mod.linear_sum_assignment))
     monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
     monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
     for n, p, b, orth in draws:
@@ -244,7 +248,7 @@ def test_forward_case_work_budget(monkeypatch):
     cases = len(draws)
     assert counts == {"checks": 2 * cases, "cusps": 2 * cases, "phi": 2 * cases,
                       "weights_of": 2 * cases, "expm": 0,
-                      "det": 4 * cases, "inv": cases}
+                      "det": 4 * cases, "inv": cases, "lsa": 0}
 
 
 def test_weights_of_reads_the_generator_diagonals():
@@ -538,7 +542,7 @@ def test_character_data_requires_zero_weight():
         CharacterData(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
-def _weight_like_cost(rng, k):
+def _weight_like_pair(rng, k):
     # weight multisets: repeated zero rows, and a column shared by all but
     # tiny perturbations, so many matchings tie or nearly tie
     d = int(rng.integers(1, 7))
@@ -546,6 +550,11 @@ def _weight_like_cost(rng, k):
     a[rng.integers(0, k, 2)] = 0.0
     b = a[rng.permutation(k)] + rng.standard_normal((k, d)) * 10.0 ** -rng.integers(3, 15)
     b[:, 0] = b[rng.integers(0, k), 0]
+    return a, b
+
+
+def _weight_like_cost(rng, k):
+    a, b = _weight_like_pair(rng, k)
     return np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
 
 
@@ -574,18 +583,95 @@ def test_linear_sum_assignment_rejects_bad_input():
             linear_sum_assignment(np.array([[0.0, 1.0], [bad, 0.0]]))
 
 
+def _match_by_hungarian(a, b):
+    """``_match_multisets`` without the sorted-order certificate."""
+    cost = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def _boundary_pair(rng, k):
+    # coordinates from a few values plus an offset within 1e-13 of a 1e-12
+    # rounding boundary of sort_weights; the copy is permuted and its offsets
+    # cross the boundary at random, so the two canonical orders can differ
+    d = int(rng.integers(1, 5))
+    base = rng.choice([0.0, 1.0, -1.0, 0.5], (k, d))
+    half = (rng.integers(0, 3, (k, d)) + 0.5) * 1e-12
+    step = 10.0 ** -rng.uniform(13, 15, (k, d))
+    on = rng.random((k, d)) < 0.5
+    a = base + on * (half - step)
+    perm = rng.permutation(k)
+    flip = np.where(rng.random((k, d)) < 0.5, -1.0, 1.0)
+    b = base[perm] + on[perm] * (half[perm] + flip * step[perm])
+    return a, b
+
+
+def test_match_multisets_equals_the_hungarian_bit_for_bit(monkeypatch):
+    import gencusp.invariants as inv_mod
+
+    calls = [0]
+
+    def counted(cost):
+        calls[0] += 1
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(inv_mod, "linear_sum_assignment", counted)
+
+    def fallbacks(pairs):
+        before = calls[0]
+        for a, b in pairs:
+            assert _match_multisets(a, b) == _match_by_hungarian(a, b)
+        return calls[0] - before
+
+    rng = np.random.default_rng(22)
+    conjugate, other = [], []
+    for n in range(3, 8):
+        for t in range(n + 1):
+            for orth in (False, True):
+                p = random_blownup_point(rng, n, t)
+                b = random_marking(rng, n - 1)
+                s = preferred_sqrt(p.kappa)
+                copy = (build_marked_cusp(p, np.linalg.solve(s, b)) if orth
+                        else build_marked_cusp(p, s @ b, orthonormalized=True))
+                w = weights_of(build_marked_cusp(p, b, orthonormalized=orth)).weights
+                conjugate.append((w, weights_of(copy).weights))
+                other.append((w, weights_of(random_cusp(rng, n)).weights))
+    # the canonical order certifies itself on every conjugate pair
+    assert fallbacks(conjugate) == 0
+    fallbacks(other)
+    near = []
+    for k in range(1, 10):
+        for _ in range(40):
+            for a, b in (_weight_like_pair(rng, k), _boundary_pair(rng, k)):
+                near += [(a, b), (sort_weights(a), sort_weights(b))]
+    ran = fallbacks(near)
+    assert 0 < ran < len(near)
+
+    # two rows tie after rounding on the first coordinate in a but not in b,
+    # so the canonical orders disagree and the diagonal is not row-minimal
+    a = sort_weights([[1.5e-12 - 1e-14, 1.0], [1.5e-12 - 1e-14, 0.0]])
+    b = sort_weights([[1.5e-12 - 1e-14, 1.0], [1.5e-12 + 1e-14, 0.0]])
+    assert np.array_equal(a[:, 1], [0.0, 1.0]) and np.array_equal(b[:, 1], [1.0, 0.0])
+    before = calls[0]
+    assert _match_multisets(a, b) == _match_by_hungarian(a, b) < 1e-13
+    assert calls[0] - before == 1
+
+
 def test_eta_distance_rejects_nan_weight():
-    # a NaN covector must not read as a match (nor hang the solver);
-    # CharacterData rejects one, so it is planted behind the constructor
+    # a non-finite covector must not read as a match (nor hang the solver):
+    # an inf one gives an inf diagonal entry that is the minimum of its row,
+    # so the sorted-order certificate must not take it.  CharacterData
+    # rejects one, so it is planted behind the constructor
     eta = complete_invariant(_cusp([0.5, 1, 2], [0.5, 0.25]))
-    w = np.array(eta.character.weights)
-    w[0] = np.nan
-    character = CharacterData(eta.character.weights)
-    object.__setattr__(character, "weights", w)
-    broken = CompleteInvariant(character, eta.metric)
-    for pair in ((broken, eta), (eta, broken)):
-        with pytest.raises(ValueError):
-            eta_distance(*pair)
+    for bad in (np.nan, np.inf, -np.inf):
+        w = np.array(eta.character.weights)
+        w[0] = bad
+        character = CharacterData(eta.character.weights)
+        object.__setattr__(character, "weights", w)
+        broken = CompleteInvariant(character, eta.metric)
+        for pair in ((broken, eta), (eta, broken)):
+            with pytest.raises(ValueError):
+                eta_distance(*pair)
 
 
 def test_value_types_reject_a_non_finite_metric():
