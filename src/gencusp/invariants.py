@@ -294,8 +294,7 @@ def _match_multisets(a, b):
     coordinate makes its whole row or column of ``cost`` inf or NaN), so a
     non-finite weight always falls through to ``linear_sum_assignment``,
     which raises ValueError; NaN would fail ``<=`` anyway, but an inf
-    diagonal is "row-minimal".  Any uncertified order goes to the Hungarian
-    method.
+    diagonal is "row-minimal".
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
