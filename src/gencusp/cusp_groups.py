@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DET_TOL, SLACK, ZERO, expm, f_k, g_surface, h_log, nonzero
+from .linalg import DET_TOL, SLACK, ZERO, _identity, expm, f_k, g_surface, h_log, nonzero
 
 __all__ = [
     "PsiParameter",
@@ -200,8 +200,9 @@ def lie_algebra_phi(p, v):
         raise ValueError("v must have length n-1=%d" % (n - 1))
     rows = v.reshape(-1, n - 1)
     lam, kap = p.lam, p.kappa
-    # one dot per row: a matmul would sum in another order, off by an ulp
-    vk = np.array([np.dot(row, kap) for row in rows])
+    # one dot per row, by np.dot's own kernel: bit for bit the np.dot of
+    # each row, where a matmul would sum in another order, off by an ulp
+    vk = np.vecdot(rows, kap)
     m = np.zeros((len(rows), n + 1, n + 1))
     m[:, 0, 0] = -lam[0] * vk
     m[:, 0, 1:n] = rows + vk[:, None] * kap
@@ -219,7 +220,7 @@ def preferred_sqrt(kappa):
     alpha = float(np.dot(kap, kap))
     if alpha == 0.0:
         return np.eye(k)
-    return np.eye(k) + ((np.sqrt(1.0 + alpha) - 1.0) / alpha) * np.outer(kap, kap)
+    return _identity(k) + ((math.sqrt(1.0 + alpha) - 1.0) / alpha) * (kap[:, None] * kap)
 
 
 def lambda_to_psi(p):
@@ -273,6 +274,10 @@ class _MarkingDet(ValueError):
         self.logdet = logdet
 
 
+# log of the largest double
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def _marking_log_det(b):
     """(|det B|, log|det B|) of a finite marking; raises on a singular one.
 
@@ -280,16 +285,25 @@ def _marking_log_det(b):
     the LU value under- or overflows.  B is singular when |det B| is at most
     ZERO times Hadamard's bound on it, the product of B's column norms: a
     ratio that B -> sB leaves alone.
+
+    The LU value is exp of a sum of logs, so it overflows only near
+    Hadamard's bound: overflow is silenced (the value reads inf) only when
+    the product of the column norms above 1, times 2^k for a k x k B, could
+    pass the largest double.  The 2^k also bounds the growth of LU's
+    entries under partial pivoting, 2^(k-1) times a column's norm.
     """
-    # a determinant past the float range reads inf
-    with np.errstate(over="ignore"):
+    # hypot sums the squares without under- or overflow
+    cols = np.hypot.reduce(b, axis=0).tolist()
+    bound = len(cols) * math.log(2.0) + sum(math.log(c) for c in cols if c > 1.0)
+    if bound < _LOG_MAX:
         det = abs(np.linalg.det(b))
+    else:
+        with np.errstate(over="ignore"):
+            det = abs(np.linalg.det(b))
     if sys.float_info.min <= det < math.inf:
         logdet = math.log(det)
     else:
         logdet = float(np.linalg.slogdet(b)[1])
-    # hypot sums the squares without under- or overflow
-    cols = np.hypot.reduce(b, axis=0).tolist()
     if not all(cols) or logdet - sum(map(math.log, cols)) <= math.log(ZERO):
         raise ValueError("marking is singular (|det| = %g)" % det)
     return det, logdet

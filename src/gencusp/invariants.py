@@ -6,6 +6,7 @@ never by pointwise sampling (exp blowup makes pointwise comparison fragile).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .cusp_groups import (
     lambda_to_psi,
 )
 from .linalg import (
+    _identity,
     below_diagonal,
     check_unimodular,
     expm,
@@ -135,14 +137,23 @@ class WeightData:
         return int(np.sum(nonzero(np.max(np.abs(self.weights), axis=1, initial=0.0))))
 
 
+@lru_cache(maxsize=None)
+def _off_diagonal(k):
+    """Mask of the entries off the diagonal of a k x k matrix, read-only."""
+    mask = ~np.eye(k, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
 def dual_pairings(weights, qinv):
     """The off-diagonal dual pairings of the weights under the inverse
     metric ``qinv``, and varpi, the negated mean of those pairings.  The
     callers that hold the inverse already pass it, so that each metric is
     inverted once."""
     gram = weights @ qinv @ weights.T
-    off = gram[~np.eye(gram.shape[0], dtype=bool)]
-    return off, float(-np.mean(off))
+    off = gram[_off_diagonal(gram.shape[0])]
+    # np.mean's own sum and division, without its per-call overhead
+    return off, -float(np.add.reduce(off) / off.size)
 
 
 def weights_of(cusp):
@@ -158,8 +169,8 @@ def weights_of(cusp):
     against the eigenvalues this reading gives.
     """
     gens = np.asarray(cusp.generators)
-    finite = np.isfinite(gens).all(axis=(1, 2))
-    if not finite.all():
+    if not np.isfinite(gens).all():
+        finite = np.isfinite(gens).all(axis=(1, 2))
         raise ValueError(
             "character cross-check failed: generator %d has a non-finite entry"
             % np.flatnonzero(~finite)[0]
@@ -186,7 +197,10 @@ def metric_and_scale(cusp):
     if memo is None:
         kap = cusp.params.kappa
         m = cusp.effective_marking
-        q, s = unimodular_scale(m.T @ (np.eye(cusp.n - 1) + np.outer(kap, kap)) @ m)
+        # I + kappa kappa^T, added in place: addition commutes, bit for bit
+        gram = kap[:, None] * kap
+        gram += _identity(cusp.n - 1)
+        q, s = unimodular_scale(m.T @ gram @ m)
         memo = (check_unimodular(q, "metric"), s)
         object.__setattr__(cusp, "_metric", memo)
     return memo
@@ -312,9 +326,13 @@ def eta_distance(e1, e2):
     """Distance between complete invariants: the larger of the metric
     deviation and the weight deviation, which is the max over the weight
     pairs matched by the min-sum assignment (both relative above magnitude
-    one)."""
-    scale = max(1.0, float(np.abs(e2.character.weights).max()))
-    dw = _match_multisets(e1.character.weights, e2.character.weights) / scale
+    one).  Invariants of different n are infinitely far apart: their weight
+    arrays differ in shape, and the metrics are not compared."""
+    w1, w2 = e1.character.weights, e2.character.weights
+    if w1.shape != w2.shape:
+        return np.inf
+    scale = max(1.0, float(np.abs(w2).max()))
+    dw = _match_multisets(w1, w2) / scale
     return max(dw, maxerr(e1.metric, e2.metric))
 
 
@@ -325,16 +343,20 @@ def are_conjugate(c1, c2, tol=CONJUGATE_TOL):
     return eta_distance(complete_invariant(c1), complete_invariant(c2)) <= tol
 
 
-def _split_weights(weights):
-    """Linear-part weights (one zero affine row removed) and the nonzero ones."""
+def _live_rows(w):
+    """Mask of the nonzero covectors (rows) of the weights w."""
+    return nonzero(np.abs(w).max(axis=1, initial=0.0))
+
+
+def _linear_weights(weights):
+    """The linear-part weights: the affine ones with their first zero
+    covector removed."""
     w = np.asarray(weights, dtype=float)
-    live = nonzero(np.abs(w).max(axis=1, initial=0.0))
-    zero_rows = np.nonzero(~live)[0]
-    if len(zero_rows) == 0:
+    live = _live_rows(w)
+    first = int(live.argmin())  # the first zero row, if there is one
+    if live[first]:
         raise ValueError("weights contain no zero covector")
-    keep = np.ones(len(w), dtype=bool)
-    keep[zero_rows[0]] = False
-    return w[keep], w[keep & live]
+    return np.concatenate((w[:first], w[first + 1:]))
 
 
 def recover_psi_from_invariant(eta):
@@ -354,7 +376,7 @@ def recover_psi_from_invariant(eta):
     n = w.shape[0] - 1
     if n < 3:
         raise NotRealizable("recovery requires n >= 3, got n = %d" % n)
-    _, live = _split_weights(w)
+    live = w[_live_rows(w)]
     t = live.shape[0]
     if t == 0:
         return PsiParameter(n, np.zeros(n), ordered=True)
@@ -416,8 +438,7 @@ def marked_psi_normal_form(p):
 
 def weight_data(cusp):
     eta = complete_invariant(cusp)
-    linear, _ = _split_weights(eta.character.weights)
-    return WeightData(linear, eta.metric)
+    return WeightData(_linear_weights(eta.character.weights), eta.metric)
 
 
 def weights_equation_residual(w):

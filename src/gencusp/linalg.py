@@ -70,6 +70,9 @@ DET_TOL = 1e-9
 # relative to max(1, the largest magnitude in it).
 SLACK = 1e-12
 
+# The unit roundoff of a double, read once: np.finfo costs a call.
+_EPS = float(np.finfo(float).eps)
+
 # expm's Taylor order
 _EXPM_ORDER = 14
 
@@ -122,7 +125,7 @@ def check_unimodular(q, what):
     if evals[0] <= 0:
         raise ValueError("%s must be positive definite" % what)
     det = math.prod(evals)
-    slack = max(DET_TOL, ROUNDOFF * np.finfo(float).eps * evals[-1] / evals[0])
+    slack = max(DET_TOL, ROUNDOFF * _EPS * evals[-1] / evals[0])
     if abs(det - 1.0) > slack:
         raise ValueError("%s must be unimodular (det %g)" % (what, det))
     q.setflags(write=False)

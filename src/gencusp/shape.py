@@ -11,7 +11,8 @@ lifted weights; varpi itself comes from the commutators of c's slices.
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .invariants import (
 from .linalg import (
     ROUNDOFF,
     ZERO,
+    _identity,
     check_symmetric,
     check_unimodular,
     cholesky_upper,
@@ -84,6 +86,18 @@ def _multiplicity(idx):
     return 6
 
 
+@lru_cache(maxsize=None)
+def _transpose_gather(dim):
+    """Flat indices of the six index transposes of a (dim, dim, dim) tensor,
+    one row each, in lexicographic order of the permutations (the identity
+    first), read-only: row p of ``t.ravel()[g]`` is ``t.transpose(p).ravel()``.
+    """
+    flat = np.arange(dim**3).reshape((dim,) * 3)
+    gather = np.stack([flat.transpose(p).ravel() for p in permutations(range(3))])
+    gather.setflags(write=False)
+    return gather
+
+
 @dataclass(frozen=True, eq=False)
 class CubicPoly:
     """Homogeneous cubic on R^dim stored as a symmetric 3-tensor."""
@@ -92,17 +106,15 @@ class CubicPoly:
     tensor: np.ndarray
 
     def __post_init__(self):
+        shape = (self.dim,) * 3
         t = np.asarray(self.tensor, dtype=float)
-        if t.shape != (self.dim,) * 3:
+        if t.shape != shape:
             raise ValueError("tensor must be (dim,dim,dim)")
-        t = (
-            t
-            + t.transpose(0, 2, 1)
-            + t.transpose(1, 0, 2)
-            + t.transpose(1, 2, 0)
-            + t.transpose(2, 0, 1)
-            + t.transpose(2, 1, 0)
-        ) / 6.0
+        # the mean of the six transposes, summed one after another in the
+        # gather's row order; -0.0 is the exact identity of addition, so a
+        # sum of zeros keeps its sign, as t + t^(021) + ... + t^(210) does
+        t = np.add.reduce(t.reshape(-1)[_transpose_gather(self.dim)], axis=0, initial=-0.0)
+        t = (t / 6.0).reshape(shape)
         t.setflags(write=False)
         object.__setattr__(self, "tensor", t)
 
@@ -259,8 +271,8 @@ def theta_calibration(p):
     Gram matrix."""
     if not isinstance(p, BlownUpWeylPoint):
         raise TypeError("expected a BlownUpWeylPoint")
-    covs = np.vstack([np.eye(p.n - 1), p.kappa])
-    coeffs = np.concatenate([p.lam[1:] / 3.0, [-p.lam[0] / 3.0]])
+    covs = np.concatenate((_identity(p.n - 1), p.kappa[None]))
+    coeffs = np.concatenate((p.lam[1:], -p.lam[:1])) / 3.0
     return covs, coeffs
 
 
@@ -314,7 +326,7 @@ def cubic_from_weights(wd):
     w = wd.weights
     norms2 = np.einsum("ij,jk,ik->i", w, qinv, w)
     live = nonzero(np.sqrt(np.maximum(norms2, 0.0)))
-    if not np.any(live):
+    if not live.any():
         return ShapeInvariant(beta, CubicPoly.zero(w.shape[1]))
     varpi = dual_pairings(w, qinv)[1]
     coeffs = 1.0 / (3.0 * (norms2[live] + max(varpi, 0.0)))

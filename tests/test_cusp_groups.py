@@ -1,3 +1,6 @@
+import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +11,7 @@ from gencusp.cusp_groups import (
     BlownUpWeylPoint,
     MarkedCusp,
     PsiParameter,
+    _marking_log_det,
     build_marked_cusp,
     character_closed_form,
     hypersurface_F,
@@ -20,7 +24,7 @@ from gencusp.cusp_groups import (
     rho,
 )
 from gencusp.invariants import complete_invariant, eta_distance
-from gencusp.linalg import expm, maxerr
+from gencusp.linalg import DET_TOL, ZERO, expm, maxerr
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
 
 
@@ -314,6 +318,90 @@ def test_singular_marking_is_rejected_at_any_scale(b):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="marking is singular"):
             build_marked_cusp(p, b)
+
+
+def _marking_log_det_reference(b):
+    """``_marking_log_det`` with overflow silenced on every marking: the
+    values and verdicts that its Hadamard test must keep."""
+    with np.errstate(over="ignore"):
+        det = abs(np.linalg.det(b))
+    if sys.float_info.min <= det < math.inf:
+        logdet = math.log(det)
+    else:
+        logdet = float(np.linalg.slogdet(b)[1])
+    cols = np.hypot.reduce(b, axis=0).tolist()
+    if not all(cols) or logdet - sum(map(math.log, cols)) <= math.log(ZERO):
+        raise ValueError("marking is singular (|det| = %g)" % det)
+    return det, logdet
+
+
+def _markings_near_the_float_range(rng, k):
+    """k x k markings whose Hadamard bound, the product of the column norms,
+    sits just below or above the points where the overflow silencing
+    starts (2^-k of the largest double) and where |det B| overflows: unit
+    columns, orthogonal (|det B| is the bound) or random, scaled alike."""
+    log_max = math.log(sys.float_info.max)
+    for offset in (-50.0, -k * math.log(2.0) - 1e-3, -k * math.log(2.0) + 1e-3,
+                   -1e-3, 1e-3, 1.0):
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        r = rng.standard_normal((k, k))
+        for unit in (q, r / np.linalg.norm(r, axis=0)):
+            yield unit * math.exp((log_max + offset) / k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_marking_log_det_near_overflow_matches_the_silenced_reference(k):
+    # same |det|, log|det| and verdict as with overflow always silenced, and
+    # the same fold or refusal, with no RuntimeWarning either side of the
+    # test that decides whether to silence
+    rng = np.random.default_rng(70 + k)
+    lam = np.sort(rng.uniform(0.5, 2.0, k + 1))
+    p = BlownUpWeylPoint(k + 1, lam, lam[0] / lam[1:])
+    markings = list(_markings_near_the_float_range(rng, k))
+    if k == 2:
+        markings += [1e200 * np.eye(2), 1e-200 * np.eye(2),
+                     1e154 * np.ones((2, 2)), np.diag([1e300, 1e-300])]
+    for b in markings:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                want = _marking_log_det_reference(b)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    _marking_log_det(b)
+                with pytest.raises(ValueError, match="marking is singular"):
+                    build_marked_cusp(p, b)
+                continue
+            assert _marking_log_det(b) == want
+            det, logdet = want
+            if abs(det - 1.0) <= DET_TOL:
+                assert np.array_equal(build_marked_cusp(p, b).marking, b)
+                continue
+            s = det ** (1.0 / k) if sys.float_info.min <= det < math.inf else math.exp(logdet / k)
+            if p.scaled(s).type_t != p.type_t:
+                with pytest.raises(ValueError, match="past the zero floor"):
+                    build_marked_cusp(p, b)
+                continue
+            cusp = build_marked_cusp(p, b)
+        assert cusp.rescaled
+        assert np.array_equal(cusp.params.lam, p.scaled(s).lam)
+        assert np.array_equal(cusp.marking, b / s)
+
+
+def test_phi_dots_each_row_as_np_dot_bit_for_bit():
+    # <v, kappa> of each row is np.dot's sum, bit for bit: a matmul would
+    # sum in another order.  Rows of a transposed marking are strided, as
+    # the columns of the effective marking are.
+    rng = np.random.default_rng(23)
+    for n in range(3, 9):
+        for _ in range(40):
+            p = random_blownup_point(rng, n, t=n)
+            b = rng.standard_normal((n - 1, n - 1)) * 10.0 ** rng.uniform(-3.0, 3.0, (n - 1, n - 1))
+            for rows in (b, b.T):
+                m = lie_algebra_phi(p, rows)
+                vk = np.array([np.dot(row, p.kappa) for row in rows])
+                assert m[:, 0, 0].tobytes() == (-p.lam[0] * vk).tobytes()
+                assert m[:, 0, 1:n].tobytes() == (rows + vk[:, None] * p.kappa).tobytes()
 
 
 def test_marked_cusp_generators_commute():

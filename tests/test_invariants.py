@@ -31,8 +31,8 @@ from gencusp.invariants import (
     weight_data,
     weights_equation_residual,
     weights_of,
+    _linear_weights,
     _match_multisets,
-    _split_weights,
 )
 from gencusp.linalg import expm, maxerr, unimodular
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
@@ -144,7 +144,7 @@ def test_weight_data_matches_uncached_route_bit_for_bit():
     for n in range(3, 8):
         for t in range(n + 1):
             c = random_cusp(rng, n, t=t, orthonormalized=bool(t % 2))
-            expected = WeightData(_split_weights(weights_of(c).weights)[0], horosphere_metric(c))
+            expected = WeightData(_linear_weights(weights_of(c).weights), horosphere_metric(c))
             got = weight_data(c)
             assert np.array_equal(got.weights, expected.weights)
             assert np.array_equal(got.metric, expected.metric)
@@ -199,7 +199,8 @@ def test_forward_case_work_budget(monkeypatch):
     # one per metric, none for the closed shape, which reads its cusp's
     # metric and scale, and none inside check_unimodular.  The inverses:
     # one of the metric in cubic_from_weights; coords_from_shape at n = 3
-    # inverts its frame in closed form.
+    # inverts its frame in closed form.  No marking comes near overflow,
+    # so no build enters np.errstate.
     import weakref
 
     import gencusp.cusp_groups as cg_mod
@@ -212,7 +213,7 @@ def test_forward_case_work_budget(monkeypatch):
     draws = [(n, random_blownup_point(rng, n, t), random_marking(rng, n - 1), bool(t % 2))
              for n in range(3, 8) for t in range(n + 1)]
     counts = dict.fromkeys(
-        ["checks", "cusps", "phi", "weights_of", "expm", "det", "inv", "lsa"], 0)
+        ["checks", "cusps", "phi", "weights_of", "expm", "det", "inv", "lsa", "errstate"], 0)
 
     class CountingMemo(weakref.WeakValueDictionary):
         def __setitem__(self, key, value):
@@ -235,6 +236,14 @@ def test_forward_case_work_budget(monkeypatch):
                         counted("lsa", inv_mod.linear_sum_assignment))
     monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
     monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    real_errstate = np.errstate
+
+    def counted_errstate(**kwargs):
+        counts["errstate"] += 1
+        return real_errstate(**kwargs)
+
+    # gencusp's own entries only: numpy.linalg binds its own errstate
+    monkeypatch.setattr(np, "errstate", counted_errstate)
     for n, p, b, orth in draws:
         c = build_marked_cusp(p, b, orthonormalized=orth)
         assert not c.rescaled
@@ -248,7 +257,7 @@ def test_forward_case_work_budget(monkeypatch):
     cases = len(draws)
     assert counts == {"checks": 2 * cases, "cusps": 2 * cases, "phi": 2 * cases,
                       "weights_of": 2 * cases, "expm": 0,
-                      "det": 4 * cases, "inv": cases, "lsa": 0}
+                      "det": 4 * cases, "inv": cases, "lsa": 0, "errstate": 0}
 
 
 def test_weights_of_reads_the_generator_diagonals():
@@ -672,6 +681,15 @@ def test_eta_distance_rejects_nan_weight():
         for pair in ((broken, eta), (eta, broken)):
             with pytest.raises(ValueError):
                 eta_distance(*pair)
+
+
+def test_eta_distance_of_different_n_is_infinite():
+    # the weights are compared first, so the metrics of different sizes
+    # are never broadcast against each other
+    e3 = complete_invariant(_cusp([0.5, 1, 2], [0.5, 0.25]))
+    e4 = complete_invariant(_cusp([0.5, 1, 2, 4], [0.5, 0.25, 0.125]))
+    assert eta_distance(e3, e4) == np.inf
+    assert eta_distance(e4, e3) == np.inf
 
 
 def test_value_types_reject_a_non_finite_metric():

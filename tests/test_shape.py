@@ -182,6 +182,37 @@ def test_compose_linear_matches_six_index_reference(d, cond):
         assert np.all(np.abs(got(v) - c(v @ a.T)) <= bound)
 
 
+def _six_transpose_mean(t):
+    """The symmetrization CubicPoly replaced: the six index transposes
+    summed one after another, then divided by 6."""
+    return (
+        t
+        + t.transpose(0, 2, 1)
+        + t.transpose(1, 0, 2)
+        + t.transpose(1, 2, 0)
+        + t.transpose(2, 0, 1)
+        + t.transpose(2, 1, 0)
+    ) / 6.0
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_cubic_symmetrization_matches_the_transpose_chain_bit_for_bit(d):
+    # entries over 300 decades, so that the order of the five additions
+    # shows in the rounding, and zeros of either sign, whose sum's sign
+    # depends on where the sum starts
+    rng = np.random.default_rng(60 + d)
+    tensors = [np.full((d,) * 3, -0.0), np.zeros((d,) * 3)]
+    for _ in range(60):
+        t = rng.standard_normal((d,) * 3) * 10.0 ** rng.uniform(-150.0, 150.0, (d,) * 3)
+        zeros = rng.random(t.shape) < 0.3
+        t[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        tensors += [t, t.transpose(2, 0, 1)]
+    for t in tensors:
+        got = CubicPoly(d, t).tensor
+        assert got.shape == (d,) * 3 and not got.flags.writeable
+        assert got.tobytes() == _six_transpose_mean(t).tobytes()
+
+
 def test_cubic_from_weights_examples():
     wd = weight_data(_cusp([0, 0, 0], [0.5, 0.5]))
     s = cubic_from_weights(wd)
