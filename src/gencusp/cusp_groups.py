@@ -274,10 +274,6 @@ class _MarkingDet(ValueError):
         self.logdet = logdet
 
 
-# log of the largest double
-_LOG_MAX = math.log(sys.float_info.max)
-
-
 def _marking_log_det(b):
     """(|det B|, log|det B|) of a finite marking; raises on a singular one.
 
@@ -287,15 +283,15 @@ def _marking_log_det(b):
     ratio that B -> sB leaves alone.
 
     The LU value is exp of a sum of logs, so it overflows only near
-    Hadamard's bound: overflow is silenced (the value reads inf) only when
-    the product of the column norms above 1, times 2^k for a k x k B, could
-    pass the largest double.  The 2^k also bounds the growth of LU's
-    entries under partial pivoting, 2^(k-1) times a column's norm.
+    Hadamard's bound, which is at most the largest column norm to the k-th
+    power for a k x k B.  Overflow is silenced (the value reads inf) only
+    when that power could reach 2^-k of the largest double; the 2^k margin
+    also covers the growth of LU's entries under partial pivoting, at most
+    2^(k-1) times a column's norm.
     """
     # hypot sums the squares without under- or overflow
     cols = np.hypot.reduce(b, axis=0).tolist()
-    bound = len(cols) * math.log(2.0) + sum(math.log(c) for c in cols if c > 1.0)
-    if bound < _LOG_MAX:
+    if max(cols) < 0.5 * sys.float_info.max ** (1.0 / len(cols)):
         det = abs(np.linalg.det(b))
     else:
         with np.errstate(over="ignore"):
