@@ -86,13 +86,16 @@ class PsiParameter:
         return self.n - 1 - self.rank_r
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class BlownUpWeylPoint:
     """The pair (lambda, kappa) with lambda[0] = lambda[i] * kappa[i].
 
     flavor "blownup": 0 <= lam[0] <= ... <= lam[n-1] and kappa in [0,1]^(n-1).
     flavor "diagonal": all lam positive, arbitrary order (kappa <= 1 still
     forces lam[0] to be the minimum).
+
+    Slotted: a point carries no instance dict, a third of its footprint
+    besides its two arrays, since callers hold many of them.
     """
 
     n: int

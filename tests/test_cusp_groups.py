@@ -132,6 +132,15 @@ def test_blownup_validation():
         BlownUpWeylPoint(1, np.array([1.0]), np.zeros(0))
 
 
+def test_blownup_point_is_slotted_and_frozen():
+    # callers hold many points: no instance dict, and still no assignment
+    p = BlownUpWeylPoint(3, np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(AttributeError):
+        p.lam = np.zeros(3)
+    assert not p.lam.flags.writeable and not p.kappa.flags.writeable
+
+
 @pytest.mark.parametrize("flavor", ["blownup", "diagonal"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_blownup_rejects_non_finite_entries(flavor, bad):
