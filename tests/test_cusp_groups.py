@@ -348,7 +348,8 @@ def _markings_near_the_float_range(rng, k):
     """k x k markings whose Hadamard bound, the product of the column norms,
     sits just below or above the points where the overflow silencing
     starts (2^-k of the largest double) and where |det B| overflows: unit
-    columns, orthogonal (|det B| is the bound) or random, scaled alike."""
+    columns, orthogonal (|det B| is the bound) or random, scaled alike, so
+    that the bound is also the largest column norm to the k-th power."""
     log_max = math.log(sys.float_info.max)
     for offset in (-50.0, -k * math.log(2.0) - 1e-3, -k * math.log(2.0) + 1e-3,
                    -1e-3, 1e-3, 1.0):
