@@ -280,8 +280,9 @@ class _MarkingDet(ValueError):
 def _marking_log_det(b):
     """(|det B|, log|det B|) of a finite marking; raises on a singular one.
 
-    |det B| is the LU determinant, and log|det B| its log, or slogdet's when
-    the LU value under- or overflows.  B is singular when |det B| is at most
+    |det B| is the LU determinant, and log|det B| its log, or, where that
+    under- or overflows, log|det B^| + sum_j log|b_j| from the LU of B^, B
+    with unit columns b_j / |b_j|.  B is singular when |det B| is at most
     ZERO times Hadamard's bound on it, the product of B's column norms: a
     ratio that B -> sB leaves alone.
 
@@ -302,7 +303,8 @@ def _marking_log_det(b):
     if sys.float_info.min <= det < math.inf:
         logdet = math.log(det)
     else:
-        logdet = float(np.linalg.slogdet(b)[1])
+        unit = abs(np.linalg.det(b / cols)) if all(cols) else 0.0
+        logdet = math.log(unit) + sum(map(math.log, cols)) if unit else -math.inf
     if not all(cols) or logdet - sum(map(math.log, cols)) <= math.log(ZERO):
         raise ValueError("marking is singular (|det| = %g)" % det)
     return det, logdet
@@ -382,15 +384,14 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     except _MarkingDet as exc:
         # MarkedCusp's own check computed |det B|; B / s is checked anew
         det, logdet = exc.det, exc.logdet
-    if sys.float_info.min <= det < math.inf:
-        s = det ** (1.0 / (n - 1))
-    else:
-        s = math.exp(logdet / (n - 1))
+    in_range = sys.float_info.min <= det < math.inf
+    s = det ** (1.0 / (n - 1)) if in_range else math.exp(logdet / (n - 1))
     folded = p.scaled(s)
     if folded.type_t != p.type_t:
+        size = "|det| = %g" % det if in_range else "log|det| = %g" % logdet
         raise ValueError(
-            "marking (|det| = %g) scales lambda past the zero floor: type %d reads as %d"
-            % (det, p.type_t, folded.type_t)
+            "marking (%s) scales lambda past the zero floor: type %d reads as %d"
+            % (size, p.type_t, folded.type_t)
         )
     return MarkedCusp(folded, b / s, orthonormalized=orthonormalized, rescaled=True)
 

@@ -130,7 +130,7 @@ class WeightData:
     def varpi(self):
         """Negated mean of the off-diagonal dual pairings (symmetric,
         unbiased estimate of the weights-equation constant)."""
-        return dual_pairings(self.weights, np.linalg.inv(self.metric))[1]
+        return dual_gram(self.weights, self.metric)[2]
 
     @property
     def type_t(self):
@@ -145,15 +145,17 @@ def _off_diagonal(k):
     return mask
 
 
-def dual_pairings(weights, qinv):
-    """The off-diagonal dual pairings of the weights under the inverse
-    metric ``qinv``, and varpi, the negated mean of those pairings.  The
-    callers that hold the inverse already pass it, so that each metric is
-    inverted once."""
+def dual_gram(weights, metric):
+    """(N, off, varpi) of the weight rows W under ``metric``, from its one
+    inverse: the dual norms, the off-diagonal pairings of W q^-1 W^T, and
+    varpi, their negated mean (zero for one row).  A row's N can depend on
+    the other rows (at n = 3 it does): pass only the rows whose N you need."""
+    qinv = np.linalg.inv(metric)
+    norms = np.einsum("ij,jk,ik->i", weights, qinv, weights)
     gram = weights @ qinv @ weights.T
     off = gram[_off_diagonal(gram.shape[0])]
     # np.mean's own sum and division, without its per-call overhead
-    return off, -float(np.add.reduce(off) / off.size)
+    return norms, off, -float(np.add.reduce(off) / max(off.size, 1))
 
 
 def weights_of(cusp):
@@ -191,8 +193,9 @@ def metric_and_scale(cusp):
     """(q, s): the unimodular metric q = s M^T (I + kappa kappa^T) M, with M
     the effective marking, and its scale s = det(M^T (I + kappa kappa^T)
     M)^(-1/(n-1)), memoized on the cusp.  q is built and checked in full
-    once per cusp instance, and is read-only: ``horosphere_metric``,
-    ``complete_invariant`` and the closed shape route share it."""
+    once per cusp instance (``linalg.unimodular_scale``), and is read-only:
+    ``horosphere_metric``, ``complete_invariant`` and the closed shape route
+    share it."""
     memo = cusp._metric
     if memo is None:
         kap = cusp.params.kappa
@@ -200,8 +203,7 @@ def metric_and_scale(cusp):
         # I + kappa kappa^T, added in place: addition commutes, bit for bit
         gram = kap[:, None] * kap
         gram += _identity(cusp.n - 1)
-        q, s = unimodular_scale(m.T @ gram @ m)
-        memo = (check_unimodular(q, "metric"), s)
+        memo = unimodular_scale(m.T @ gram @ m, "metric")
         object.__setattr__(cusp, "_metric", memo)
     return memo
 
@@ -380,7 +382,6 @@ def recover_psi_from_invariant(eta):
     t = live.shape[0]
     if t == 0:
         return PsiParameter(n, np.zeros(n), ordered=True)
-    qinv = np.linalg.inv(eta.metric)
     if t == n:
         r = live
         # left null vector of the n x (n-1) weight matrix: the relation
@@ -399,8 +400,7 @@ def recover_psi_from_invariant(eta):
         psi_n = det ** (1.0 / (n - 1))
         psi = (psi_n / coeff[j]) * coeff
         return PsiParameter(n, np.sort(psi)[::-1], ordered=True)
-    norms = np.einsum("ij,jk,ik->i", live, qinv, live)
-    y = np.log(np.sort(norms))  # ascending N <-> non-increasing psi
+    y = np.log(np.sort(dual_gram(live, eta.metric)[0]))  # ascending N <-> non-increasing psi
     a = np.full(t, 1.0 / (n - 1))
     a[-1] = (t + n) / (n - 1.0)
     sys = np.eye(t) - np.outer(np.ones(t), a)
@@ -445,7 +445,7 @@ def weights_equation_residual(w):
     """Max deviation of the off-diagonal dual pairings from the constant
     -varpi (the defining equation of realizable weight data), or -varpi
     itself when varpi is negative, since realizable data has varpi >= 0."""
-    return _equation_residual(*dual_pairings(w.weights, np.linalg.inv(w.metric)))
+    return _equation_residual(*dual_gram(w.weights, w.metric)[1:])
 
 
 def _equation_residual(off, varpi):
@@ -501,14 +501,12 @@ def realize_weight_data(w, tol=REALIZE_TOL):
     equation raises ``NotRealizable``.
     """
     beta = w.metric
-    qinv = np.linalg.inv(beta)
-    off, varpi = dual_pairings(w.weights, qinv)
+    norms, off, varpi = dual_gram(w.weights, beta)
     resid = _equation_residual(off, varpi)
     if resid > tol:
         raise NotRealizable("weights equation residual %g exceeds %g" % (resid, tol))
     n = w.weights.shape[0]
     dim = n - 1
-    norms = np.einsum("ij,jk,ik->i", w.weights, qinv, w.weights)
     order = np.argsort(norms)
     ws = w.weights[order]
     norms = norms[order]
@@ -561,11 +559,10 @@ def frame_to_weight_data(a, vs):
         raise ValueError("frame matrix must be upper unipotent")
     if vs.shape != (dim + 1, dim):
         raise ValueError("need n = dim+1 vectors of length dim")
-    gram = vs @ vs.T
-    off = gram[~np.eye(dim + 1, dtype=bool)]
-    if np.max(np.abs(off - np.mean(off))) > _FRAME_TOL * max(1.0, np.max(np.abs(gram))):
+    norms, off, varpi = dual_gram(vs, _identity(dim))
+    if np.max(np.abs(off + varpi)) > _FRAME_TOL * max(1.0, norms.max(), np.abs(off).max()):
         raise ValueError("pairwise inner products are not constant")
-    if np.mean(off) > _FRAME_TOL:
+    if -varpi > _FRAME_TOL:
         raise ValueError("pairwise inner products must be -varpi <= 0")
     weights = vs @ a
     return WeightData(weights, unimodular(a.T @ a))

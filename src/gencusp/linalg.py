@@ -97,9 +97,9 @@ def nonzero(mags):
     return mags > ZERO * max(1.0, float(mags.max(initial=0.0)))
 
 
-# The forms check_unimodular has returned, keyed by id and content, while
-# they live: the memo holds no reference of its own, so an entry goes when
-# its form does, and a form altered since its check misses its entry.
+# The forms check_unimodular and unimodular_scale returned, keyed by id and
+# content while they live: the memo holds no reference, so an entry goes
+# with its form, and a form altered since its check misses its entry.
 _VALIDATED = weakref.WeakValueDictionary()
 
 
@@ -113,14 +113,17 @@ def check_unimodular(q, what):
     unimodular to working precision passes.
 
     Positivity and the determinant both come from one eigendecomposition.
-    A form this function returned, still read-only and with the entries it
-    was checked with, is returned as it is without a second check; any other
-    input is checked in full.
+    A form this function or ``unimodular_scale`` returned, still read-only
+    and unaltered, is returned as it is; any other input is checked in full.
     """
     if (isinstance(q, np.ndarray) and not q.flags.writeable
             and _VALIDATED.get((id(q), q.tobytes())) is q):
         return q
-    q = check_symmetric(q)
+    return _validated(check_symmetric(q), what)
+
+
+def _validated(q, what):
+    """check_unimodular on a finite, bitwise-symmetric form of our own."""
     evals = np.linalg.eigvalsh(q).tolist()
     if evals[0] <= 0:
         raise ValueError("%s must be positive definite" % what)
@@ -284,27 +287,24 @@ def g_surface(ell, x):
 
 
 def newton_to_elementary(power_sums):
-    """Elementary symmetric polynomials e_1..e_m from power sums p_1..p_m
-    via Newton's identities: k*e_k = sum_{i=1}^k (-1)^(i-1) e_{k-i} p_i,
-    along the last axis of a stack (..., m).  Each row runs over Python
-    floats: rows are short, and numpy's per-call overhead would dominate."""
+    """Elementary symmetric polynomials e_1..e_m from one row of power sums
+    p_1..p_m by Newton's identities, k*e_k = sum_{i=1}^k (-1)^(i-1) e_{k-i}
+    p_i, over Python floats: numpy's per-call overhead would dominate."""
     p = np.asarray(power_sums, dtype=float)
-    if p.ndim < 1 or p.shape[-1] < 1:
-        raise ValueError("need at least one power sum")
-    out = []
-    for row in p.reshape(-1, p.shape[-1]).tolist():
-        e = [1.0]
-        for k in range(1, len(row) + 1):
-            acc = 0.0
-            # the sign (-1)^(i-1) as an add or a subtract: exact either way
-            for i in range(1, k + 1):
-                if i % 2:
-                    acc += e[k - i] * row[i - 1]
-                else:
-                    acc -= e[k - i] * row[i - 1]
-            e.append(acc / k)
-        out.append(e[1:])
-    return np.array(out).reshape(p.shape)
+    if p.ndim != 1 or p.size < 1:
+        raise ValueError("need one row of at least one power sum")
+    row = p.tolist()
+    e = [1.0]
+    for k in range(1, len(row) + 1):
+        acc = 0.0
+        # the sign (-1)^(i-1) as an add or a subtract: exact either way
+        for i in range(1, k + 1):
+            if i % 2:
+                acc += e[k - i] * row[i - 1]
+            else:
+                acc -= e[k - i] * row[i - 1]
+        e.append(acc / k)
+    return np.array(e[1:])
 
 
 def check_symmetric(q):
@@ -347,17 +347,22 @@ def cholesky_upper(q):
     return low.T
 
 
-def unimodular_scale(q):
-    """(s q, s): a positive-definite form scaled to determinant one, and
-    the scale s = det(q)^(-1/dim) that did it."""
+def unimodular_scale(q, what):
+    """(s q, s): q scaled to det 1 by s = det(q)^(-1/dim) and checked as
+    ``check_unimodular`` checks, read-only (errors name ``what``).  s q of
+    the symmetrized q is bitwise symmetric: it is not symmetrized again."""
     q = check_symmetric(q)
     det = np.linalg.det(q)
     if det <= 0.0:
-        raise ValueError("unimodular normalization needs positive determinant, got %g" % det)
+        raise ValueError("%s must be positive definite (det %g)" % (what, det))
     s = det ** (-1.0 / q.shape[0])
-    return q * s, s
+    # max|s q| is fl(s max|q|), tested before any entry can overflow
+    if not math.isfinite(float(s) * float(np.abs(q).max())):
+        raise ValueError("matrix entries must be finite")
+    q *= s  # check_symmetric's own copy; q * s bit for bit
+    return _validated(q, what), s
 
 
 def unimodular(q):
-    """Scale a positive-definite form to determinant one."""
-    return unimodular_scale(q)[0]
+    """A positive-definite form scaled to det 1, checked (``unimodular_scale``)."""
+    return unimodular_scale(q, "form")[0]

@@ -21,7 +21,7 @@ from .invariants import (
     REALIZE_TOL,
     NotRealizable,
     WeightData,
-    dual_pairings,
+    dual_gram,
     metric_and_scale,
     realize_weight_data,
 )
@@ -35,6 +35,7 @@ from .linalg import (
     maxerr,
     nonzero,
     sqrt_forms,
+    unimodular_scale,
 )
 
 __all__ = [
@@ -193,13 +194,10 @@ class ShapeInvariant:
 
     @classmethod
     def canonical(cls, q_raw, c_raw):
-        """Scale q+c by the unique positive scalar making det q = 1."""
-        q_raw = check_symmetric(q_raw)
-        det = np.linalg.det(q_raw)
-        if det <= 0:
-            raise ValueError("quadratic part must be positive definite")
-        s = det ** (-1.0 / q_raw.shape[0])
-        return cls(s * q_raw, c_raw.scaled(s))
+        """Scale q+c by the unique positive scalar making det q = 1
+        (``linalg.unimodular_scale``, which also checks q)."""
+        q, s = unimodular_scale(q_raw, "q")
+        return cls(q, c_raw.scaled(s))
 
     def distance(self, other):
         dq = maxerr(self.q, other.q)
@@ -322,13 +320,11 @@ def cubic_from_weights(wd):
     if not isinstance(wd, WeightData):
         raise TypeError("expected WeightData")
     beta = wd.metric
-    qinv = np.linalg.inv(beta)
     w = wd.weights
-    norms2 = np.einsum("ij,jk,ik->i", w, qinv, w)
+    norms2, _, varpi = dual_gram(w, beta)
     live = nonzero(np.sqrt(np.maximum(norms2, 0.0)))
     if not live.any():
         return ShapeInvariant(beta, CubicPoly.zero(w.shape[1]))
-    varpi = dual_pairings(w, qinv)[1]
     coeffs = 1.0 / (3.0 * (norms2[live] + max(varpi, 0.0)))
     return ShapeInvariant(beta, CubicPoly.from_covector_cubes(w[live], coeffs))
 

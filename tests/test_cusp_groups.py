@@ -331,14 +331,18 @@ def test_singular_marking_is_rejected_at_any_scale(b):
 
 def _marking_log_det_reference(b):
     """``_marking_log_det`` with overflow silenced on every marking: the
-    values and verdicts that its Hadamard test must keep."""
+    values and verdicts that its Hadamard test must keep.  An out-of-range
+    |det B| takes its log from the LU of B with unit columns."""
+    cols = np.hypot.reduce(b, axis=0).tolist()
     with np.errstate(over="ignore"):
         det = abs(np.linalg.det(b))
     if sys.float_info.min <= det < math.inf:
         logdet = math.log(det)
+    elif all(cols):
+        unit = abs(np.linalg.det(b / cols))
+        logdet = math.log(unit) + sum(map(math.log, cols)) if unit else -math.inf
     else:
-        logdet = float(np.linalg.slogdet(b)[1])
-    cols = np.hypot.reduce(b, axis=0).tolist()
+        logdet = -math.inf
     if not all(cols) or logdet - sum(map(math.log, cols)) <= math.log(ZERO):
         raise ValueError("marking is singular (|det| = %g)" % det)
     return det, logdet
@@ -359,6 +363,16 @@ def _markings_near_the_float_range(rng, k):
             yield unit * math.exp((log_max + offset) / k)
 
 
+def _lu_overflow_marking():
+    """A 4 x 4 marking whose LU overflows though |det B| = 8 c 1e-900 is
+    tiny: partial pivoting grows the last column, of entries c = 5e307,
+    8-fold past the float range."""
+    c = 5e307
+    b = np.array([[1.0, 0, 0, c], [-1, 1, 0, c], [-1, -1, 1, c], [-1, -1, -1, c]])
+    b[:, :3] *= 1e-300
+    return b
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_marking_log_det_near_overflow_matches_the_silenced_reference(k):
     # same |det|, log|det| and verdict as with overflow always silenced, and
@@ -371,6 +385,8 @@ def test_marking_log_det_near_overflow_matches_the_silenced_reference(k):
     if k == 2:
         markings += [1e200 * np.eye(2), 1e-200 * np.eye(2),
                      1e154 * np.ones((2, 2)), np.diag([1e300, 1e-300])]
+    if k == 4:
+        markings.append(_lu_overflow_marking())
     for b in markings:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -396,6 +412,24 @@ def test_marking_log_det_near_overflow_matches_the_silenced_reference(k):
         assert cusp.rescaled
         assert np.array_equal(cusp.params.lam, p.scaled(s).lam)
         assert np.array_equal(cusp.marking, b / s)
+
+
+def test_marking_log_det_survives_an_lu_overflow():
+    # the LU value reads inf; log|det B| is still finite and right, with no
+    # RuntimeWarning, and the fold by exp(log|det B| / 4) ~ 1e-148 crosses
+    # the zero floor, which the refusal reports by log|det|
+    b = _lu_overflow_marking()
+    p = BlownUpWeylPoint(5, np.array([0.5, 0.7, 1.0, 1.5, 2.0]),
+                         np.array([0.5 / 0.7, 0.5, 1.0 / 3.0, 0.25]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        det, logdet = _marking_log_det(b)
+        assert det == math.inf
+        want = math.log(8.0 * 5e307) + 3.0 * math.log(1e-300)
+        assert abs(logdet - want) <= 1e-13 * abs(want)
+        with pytest.raises(ValueError, match=re.escape(
+                "marking (log|det| = -1361.74) scales lambda past the zero floor")):
+            build_marked_cusp(p, b)
 
 
 def test_phi_dots_each_row_as_np_dot_bit_for_bit():

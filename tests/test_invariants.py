@@ -17,6 +17,7 @@ from gencusp.invariants import (
     WeightData,
     are_conjugate,
     complete_invariant,
+    dual_gram,
     eta_distance,
     frame_to_weight_data,
     horosphere_metric,
@@ -191,16 +192,17 @@ def test_weights_check_trips_on_every_below_diagonal_entry():
 def test_forward_case_work_budget(monkeypatch):
     # one case of the forward benchmark workload holds two distinct forms
     # (the cusp's metric, which its shape's q is, and the copy's metric),
-    # each checked in full once; each MarkedCusp makes one lie_algebra_phi
-    # call, and weights_of makes no expm call.  Every draw is a conjugate
-    # pair, whose weights the canonical order already matches: eta_distance
-    # calls no Hungarian method.
+    # each symmetrized once (by unimodular_scale) and checked in full once;
+    # each MarkedCusp makes one lie_algebra_phi call, and weights_of makes
+    # no expm call.  Every draw is a conjugate pair, whose weights the
+    # canonical order already matches: eta_distance calls no Hungarian
+    # method.
     # The determinants: one per build of a marking that needs no rescale,
     # one per metric, none for the closed shape, which reads its cusp's
     # metric and scale, and none inside check_unimodular.  The inverses:
-    # one of the metric in cubic_from_weights; coords_from_shape at n = 3
-    # inverts its frame in closed form.  No marking comes near overflow,
-    # so no build enters np.errstate.
+    # dual_gram's one of the metric in cubic_from_weights; coords_from_shape
+    # at n = 3 inverts its frame in closed form.  No marking comes near
+    # overflow, so no build enters np.errstate.
     import weakref
 
     import gencusp.cusp_groups as cg_mod
@@ -213,7 +215,8 @@ def test_forward_case_work_budget(monkeypatch):
     draws = [(n, random_blownup_point(rng, n, t), random_marking(rng, n - 1), bool(t % 2))
              for n in range(3, 8) for t in range(n + 1)]
     counts = dict.fromkeys(
-        ["checks", "cusps", "phi", "weights_of", "expm", "det", "inv", "lsa", "errstate"], 0)
+        ["checks", "symmetric", "cusps", "phi", "weights_of", "expm", "det", "inv", "lsa",
+         "errstate"], 0)
 
     class CountingMemo(weakref.WeakValueDictionary):
         def __setitem__(self, key, value):
@@ -227,6 +230,7 @@ def test_forward_case_work_budget(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(la_mod, "_VALIDATED", CountingMemo())
+    monkeypatch.setattr(la_mod, "check_symmetric", counted("symmetric", la_mod.check_symmetric))
     monkeypatch.setattr(cg_mod, "lie_algebra_phi", counted("phi", cg_mod.lie_algebra_phi))
     monkeypatch.setattr(cg_mod.MarkedCusp, "__post_init__",
                         counted("cusps", cg_mod.MarkedCusp.__post_init__))
@@ -255,8 +259,8 @@ def test_forward_case_work_budget(monkeypatch):
             coords_from_shape(s)
         assert are_conjugate(c, build_marked_cusp(p, b, orthonormalized=orth))
     cases = len(draws)
-    assert counts == {"checks": 2 * cases, "cusps": 2 * cases, "phi": 2 * cases,
-                      "weights_of": 2 * cases, "expm": 0,
+    assert counts == {"checks": 2 * cases, "symmetric": 2 * cases, "cusps": 2 * cases,
+                      "phi": 2 * cases, "weights_of": 2 * cases, "expm": 0,
                       "det": 4 * cases, "inv": cases, "lsa": 0, "errstate": 0}
 
 
@@ -371,6 +375,39 @@ def test_weight_data_zero_varpi_orthogonal():
     gram = wd.weights @ np.linalg.inv(wd.metric) @ wd.weights.T
     off = gram[~np.eye(3, dtype=bool)]
     assert np.max(np.abs(off)) < 1e-12
+
+
+def _dual_gram_reference(weights, metric):
+    """The dual Gram data as each caller formed it before ``dual_gram``:
+    the metric's inverse, the einsum of the dual norms over every row, and
+    the off-diagonal pairings of W q^-1 W^T with np.mean."""
+    qinv = np.linalg.inv(metric)
+    norms = np.einsum("ij,jk,ik->i", weights, qinv, weights)
+    gram = weights @ qinv @ weights.T
+    off = gram[~np.eye(len(gram), dtype=bool)]
+    return norms, off, -float(np.mean(off))
+
+
+def test_dual_gram_matches_the_inline_formulas_bit_for_bit():
+    rng = np.random.default_rng(24)
+    for n in range(3, 8):
+        draws = [weight_data(random_cusp(rng, n, t=t, orthonormalized=bool(t % 2)))
+                 for t in range(n + 1) for _ in range(8)]
+        for _ in range(40):
+            # rows of mixed size, some of them zero, under a unimodular metric
+            w = rng.standard_normal((n, n - 1)) * 10.0 ** rng.uniform(-6.0, 3.0, (n, 1))
+            w[rng.random(n) < 0.3] = 0.0
+            a = rng.standard_normal((n - 1, n - 1))
+            draws.append(WeightData(w, unimodular(a @ a.T + 0.1 * np.eye(n - 1))))
+        for wd in draws:
+            got = dual_gram(wd.weights, wd.metric)
+            want = _dual_gram_reference(wd.weights, wd.metric)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2] == wd.varpi
+    # a single row pairs with nothing
+    norms, off, varpi = dual_gram(np.ones((1, 2)), np.eye(2))
+    assert norms.tolist() == [2.0] and off.size == 0 and varpi == 0.0
 
 
 def test_varpi_closed_form_across_builds():

@@ -8,7 +8,7 @@ from gencusp.cusp_groups import (
     psi_to_lambda,
 )
 from gencusp.invariants import are_conjugate, complete_invariant, metric_and_scale, weight_data
-from gencusp.linalg import expm, maxerr
+from gencusp.linalg import check_symmetric, expm, maxerr
 from gencusp.sampling import random_cusp, random_marking
 from gencusp.shape import (
     CubicPoly,
@@ -63,6 +63,31 @@ def test_shape_invariant_examples():
     ratio = mono[(2, 1)] / raw[0, 0, 1] / 3
     assert abs(mono[(2, 1)] - mono[(1, 2)]) < 1e-14
     assert abs(mono[(3, 0)] - mono[(0, 3)]) < 1e-12
+
+
+def _canonical_reference(q_raw, c_raw):
+    """``ShapeInvariant.canonical``'s own scaling, before it called
+    ``linalg.unimodular_scale``: symmetrize, then det^(-1/dim)."""
+    q_raw = check_symmetric(q_raw)
+    s = np.linalg.det(q_raw) ** (-1.0 / q_raw.shape[0])
+    return s * q_raw, c_raw.scaled(s)
+
+
+def test_canonical_matches_the_inline_scaling_bit_for_bit():
+    rng = np.random.default_rng(25)
+    for n in range(3, 8):
+        for t in range(n + 1):
+            c = random_cusp(rng, n, t=t, orthonormalized=bool(t % 2))
+            q_raw, c_raw = fit_height_jet(c)
+            q_raw = q_raw * 10.0 ** rng.uniform(-3.0, 3.0)
+            # and a copy symmetric only to within check_symmetric's slack
+            skew = q_raw + 1e-14 * np.triu(rng.standard_normal((n - 1, n - 1)), 1)
+            for q in (q_raw, skew):
+                got = ShapeInvariant.canonical(q, c_raw)
+                q_ref, c_ref = _canonical_reference(q, c_raw)
+                assert got.q.tobytes() == q_ref.tobytes()
+                assert got.c.tensor.tobytes() == c_ref.tensor.tobytes()
+                assert not got.q.flags.writeable
 
 
 def test_shape_fit_matches_closed():

@@ -132,3 +132,30 @@ def test_only_cli_imports_cli():
             if any("cli" in module.split(".") for module in modules):
                 offenders.append((path.name, node.lineno))
     assert offenders == [], "library modules import cli: %s" % offenders
+
+
+def test_one_owner_per_form_decision():
+    # the weights' dual Gram data comes from invariants.dual_gram, the one
+    # inverse of a weight metric; a form is scaled to det 1, s = det^(-1/dim),
+    # by linalg.unimodular_scale alone
+    inverses = [
+        (path.name, sorted(scopes)) for path in _MODULES
+        if path.name in ("invariants.py", "shape.py")
+        for name, scopes in _references(path) if name == "inv" and "dual_gram" not in scopes
+    ]
+    assert inverses == [], "np.linalg.inv outside invariants.dual_gram: %s" % inverses
+
+    def negative(node):
+        return ((isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub))
+                or (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+                    and node.value < 0))
+
+    scales = [
+        (path.name, node.lineno)
+        for path in _MODULES if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Div)
+        and negative(node.right.left)
+    ]
+    assert scales == [], "det-1 scales x ** (-1 / dim) outside linalg: %s" % scales
