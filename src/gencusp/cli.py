@@ -335,16 +335,13 @@ def cmd_limit_demo(args):
         kappa = [float(t) for t in args.kappa.split(",")]
     except ValueError as exc:
         raise ValidationError("kappa: expected comma-separated reals") from exc
-    n = args.n if args.n else len(kappa) + 1
-    if len(kappa) != n - 1:
-        raise ValidationError("kappa: expected n-1=%d entries, got %d" % (n - 1, len(kappa)))
     if not all(0 < k <= 1 for k in kappa):
         raise ValidationError("kappa entries must lie in (0, 1]")
     if args.m_max < 10:
         raise ValidationError("m-max must be at least 10 (the first row), got %d" % args.m_max)
     from .invariants import limit_demo_rows
 
-    rows = limit_demo_rows(kappa, args.m_max, n)
+    rows = limit_demo_rows(kappa, args.m_max)
     lines = ["%12s %16s %20s %20s" % ("m", "lambda0", "generator_distance", "invariant_distance")]
     for row in rows:
         lines.append(
@@ -434,7 +431,6 @@ def make_parser():
     p_lim = add("limit-demo", help="convergence of diagonalizable approximations")
     p_lim.add_argument("--kappa", required=True)
     p_lim.add_argument("--m-max", type=int, default=10000)
-    p_lim.add_argument("--n", type=int, default=0)
     p_lim.add_argument("--out")
     p_lim.set_defaults(fn=cmd_limit_demo)
     return parser

@@ -8,14 +8,13 @@ Conventions used throughout the package:
 * The first affine coordinate is the "height" direction: canonical orbit
   surfaces are graphs ``y = F(lambda, kappa, x)`` over the remaining n-1
   coordinates.
-* ``lambda`` is stored ascending (``0 <= lam[0] <= ... <= lam[n-1]``) in the
-  blown-up flavor; the diagonal flavor allows arbitrary order with all
-  entries positive.  Inputs violating the ordering are rejected, never
-  silently sorted: marked data is order-sensitive.
+* ``lambda`` is stored ascending (``0 <= lam[0] <= ... <= lam[n-1]``).
+  Inputs violating the ordering are rejected, never silently sorted: marked
+  data is order-sensitive, and a permuted lambda is the same marked cusp
+  with a permuted marking.
 """
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,11 +87,8 @@ class PsiParameter:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class BlownUpWeylPoint:
-    """The pair (lambda, kappa) with lambda[0] = lambda[i] * kappa[i].
-
-    flavor "blownup": 0 <= lam[0] <= ... <= lam[n-1] and kappa in [0,1]^(n-1).
-    flavor "diagonal": all lam positive, arbitrary order (kappa <= 1 still
-    forces lam[0] to be the minimum).
+    """The pair (lambda, kappa) with lambda[0] = lambda[i] * kappa[i],
+    0 <= lam[0] <= ... <= lam[n-1] and kappa in [0,1]^(n-1).
 
     Slotted: a point carries no instance dict, a third of its footprint
     besides its two arrays, since callers hold many of them.
@@ -101,7 +97,6 @@ class BlownUpWeylPoint:
     n: int
     lam: np.ndarray
     kappa: np.ndarray
-    flavor: str = "blownup"
 
     def __post_init__(self):
         if self.n < 2:
@@ -119,18 +114,10 @@ class BlownUpWeylPoint:
         if not all(map(math.isfinite, ls + ks)):
             raise ValueError("lambda and kappa must be finite")
         scale = max(1.0, max(map(abs, ls)))
-        if self.flavor == "blownup":
-            if ls[0] < -SLACK or any(
-                b - a < -SLACK * scale for a, b in zip(ls, ls[1:])
-            ):
-                raise ValueError("blownup flavor requires 0 <= lam[0] <= ... <= lam[n-1]")
-            if any(k < -SLACK or k > 1 + SLACK for k in ks):
-                raise ValueError("kappa entries must lie in [0,1]")
-        elif self.flavor == "diagonal":
-            if any(v <= 0 for v in ls):
-                raise ValueError("diagonal flavor requires all lambda positive")
-        else:
-            raise ValueError("unknown flavor %r" % (self.flavor,))
+        if ls[0] < -SLACK or any(b - a < -SLACK * scale for a, b in zip(ls, ls[1:])):
+            raise ValueError("lambda must satisfy 0 <= lam[0] <= ... <= lam[n-1]")
+        if any(k < -SLACK or k > 1 + SLACK for k in ks):
+            raise ValueError("kappa entries must lie in [0,1]")
         resid = max(abs(ls[0] - v * k) for v, k in zip(ls[1:], ks))
         if resid > SLACK * scale:
             raise ValueError(
@@ -153,7 +140,7 @@ class BlownUpWeylPoint:
 
     def scaled(self, s):
         """(s*lambda, kappa): same kappa, every lambda scaled by s > 0."""
-        return BlownUpWeylPoint(self.n, s * self.lam, self.kappa, self.flavor)
+        return BlownUpWeylPoint(self.n, s * self.lam, self.kappa)
 
 
 def lie_algebra_zeta(psi, v):
@@ -268,46 +255,32 @@ def psi_to_lambda(psi):
 
 class _MarkingDet(ValueError):
     """A nonsingular marking whose |det| misses 1, raised by ``MarkedCusp``
-    with the |det B| and log|det B| it computed, which ``build_marked_cusp``
-    folds away."""
+    with the log|det B| it computed, which ``build_marked_cusp`` folds away."""
 
-    def __init__(self, det, logdet):
-        super().__init__("marking must have |det| = 1, got %g" % det)
-        self.det = det
+    def __init__(self, logdet):
+        super().__init__("marking must have |det| = 1, got log|det| = %g" % logdet)
         self.logdet = logdet
 
 
 def _marking_log_det(b):
-    """(|det B|, log|det B|) of a finite marking; raises on a singular one.
+    """log|det B| of a finite marking; raises on a singular one.
 
-    |det B| is the LU determinant, and log|det B| its log, or, where that
-    under- or overflows, log|det B^| + sum_j log|b_j| from the LU of B^, B
-    with unit columns b_j / |b_j|.  B is singular when |det B| is at most
-    ZERO times Hadamard's bound on it, the product of B's column norms: a
-    ratio that B -> sB leaves alone.
-
-    The LU value is exp of a sum of logs, so it overflows only near
-    Hadamard's bound, which is at most the largest column norm to the k-th
-    power for a k x k B.  Overflow is silenced (the value reads inf) only
-    when that power could reach 2^-k of the largest double; the 2^k margin
-    also covers the growth of LU's entries under partial pivoting, at most
-    2^(k-1) times a column's norm.
+    log|det B| = log|det B^| + e log 2, from the LU of B^ = B 2^-E: each
+    column b_j scaled by the power of 2, 2^-e_j, that brings its norm into
+    [1/2, 1), and e = sum_j e_j.  By Hadamard, |det B^| < 1, so that LU stays
+    in range at any size of B; the scaling is exact, so it pivots and rounds
+    as B's own LU does.  B is singular when |det B| is at most ZERO times
+    Hadamard's bound on it, the product of B's column norms: a ratio that
+    B -> sB leaves alone, and the one the refusal prints.
     """
     # hypot sums the squares without under- or overflow
-    cols = np.hypot.reduce(b, axis=0).tolist()
-    if max(cols) < 0.5 * sys.float_info.max ** (1.0 / len(cols)):
-        det = abs(np.linalg.det(b))
-    else:
-        with np.errstate(over="ignore"):
-            det = abs(np.linalg.det(b))
-    if sys.float_info.min <= det < math.inf:
-        logdet = math.log(det)
-    else:
-        unit = abs(np.linalg.det(b / cols)) if all(cols) else 0.0
-        logdet = math.log(unit) + sum(map(math.log, cols)) if unit else -math.inf
-    if not all(cols) or logdet - sum(map(math.log, cols)) <= math.log(ZERO):
-        raise ValueError("marking is singular (|det| = %g)" % det)
-    return det, logdet
+    mant, exps = np.frexp(np.hypot.reduce(b, axis=0))
+    det = abs(np.linalg.det(np.ldexp(b, -exps)))
+    mant = mant.tolist()
+    ratio = det / math.prod(mant) if all(mant) else 0.0
+    if ratio <= ZERO:
+        raise ValueError("marking is singular (|det| / Hadamard's bound = %.3g)" % ratio)
+    return math.log(det) + sum(exps.tolist()) * math.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,9 +317,9 @@ class MarkedCusp:
             raise ValueError("marking must be (n-1)x(n-1)")
         if not np.isfinite(b).all():
             raise ValueError("marking must be finite")
-        det, logdet = _marking_log_det(b)
-        if abs(det - 1.0) > DET_TOL:
-            raise _MarkingDet(det, logdet)
+        logdet = _marking_log_det(b)
+        if abs(logdet) > DET_TOL:
+            raise _MarkingDet(logdet)
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "marking", b)
@@ -368,10 +341,10 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     """Construct a MarkedCusp, normalizing |det B| to 1.
 
     A marking with |det B| = d != 1 is folded away by the scaling identity of
-    the models: the cusp (lambda, kappa, B) equals (d^(1/(n-1)) * lambda,
-    kappa, B / d^(1/(n-1))) up to conjugacy, so the returned cusp carries the
-    rescaled parameters and a |det| = 1 marking (flagged ``rescaled``).  d
-    is the LU determinant, or exp(log|det B|) when that under- or overflows.
+    the models: the cusp (lambda, kappa, B) equals (s * lambda, kappa, B / s),
+    s = d^(1/(n-1)), up to conjugacy, so the returned cusp carries the
+    rescaled parameters and a |det| = 1 marking (flagged ``rescaled``).  s is
+    exp(log|det B| / (n-1)), read from ``_marking_log_det`` at any size of B.
 
     A singular B is rejected (see ``_marking_log_det``), and so is one whose
     fold scales lambda past ``linalg.nonzero``'s floor: scaling leaves the
@@ -382,16 +355,14 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     try:
         return MarkedCusp(p, b, orthonormalized=orthonormalized)
     except _MarkingDet as exc:
-        # MarkedCusp's own check computed |det B|; B / s is checked anew
-        det, logdet = exc.det, exc.logdet
-    in_range = sys.float_info.min <= det < math.inf
-    s = det ** (1.0 / (n - 1)) if in_range else math.exp(logdet / (n - 1))
+        # MarkedCusp's own check computed log|det B|; B / s is checked anew
+        logdet = exc.logdet
+    s = math.exp(logdet / (n - 1))
     folded = p.scaled(s)
     if folded.type_t != p.type_t:
-        size = "|det| = %g" % det if in_range else "log|det| = %g" % logdet
         raise ValueError(
-            "marking (%s) scales lambda past the zero floor: type %d reads as %d"
-            % (size, p.type_t, folded.type_t)
+            "marking (log|det| = %g) scales lambda past the zero floor: type %d reads as %d"
+            % (logdet, p.type_t, folded.type_t)
         )
     return MarkedCusp(folded, b / s, orthonormalized=orthonormalized, rescaled=True)
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from .cusp_groups import (
     BlownUpWeylPoint,
-    MarkedCusp,
     PsiParameter,
     build_marked_cusp,
     lambda_to_psi,
@@ -456,19 +455,13 @@ def _equation_residual(off, varpi):
     return resid
 
 
-def varpi_closed_form(p):
-    """varpi of a canonical build: lam0^2 * ((1+|kappa|^2)^(1/(n-1)))^(2-n).
-
-    Accepts a parameter point or a marked cusp; the orthonormalized variant
-    carries a non-unimodular effective marking whose determinant rescales the
-    effective lambda (and hence varpi) accordingly.
-    """
-    if isinstance(p, MarkedCusp):
-        scale = abs(np.linalg.det(p.effective_marking)) ** (1.0 / (p.n - 1))
-        params = p.params
-    else:
-        scale = 1.0
-        params = p
+def varpi_closed_form(cusp):
+    """varpi of a marked cusp: (s lam0)^2 * ((1+|kappa|^2)^(1/(n-1)))^(2-n),
+    where s = |det M|^(1/(n-1)) of its effective marking M.  s is 1 but for
+    the orthonormalized variant, whose effective marking S^-1 B rescales the
+    effective lambda (and hence varpi)."""
+    params = cusp.params
+    scale = abs(np.linalg.det(cusp.effective_marking)) ** (1.0 / (params.n - 1))
     vk = (1.0 + float(np.dot(params.kappa, params.kappa))) ** (1.0 / (params.n - 1))
     return (scale * params.lam[0]) ** 2 * vk ** (2 - params.n)
 
@@ -578,23 +571,26 @@ def stratum_dim(n, t):
     return t + ((n - 1) ** 2 - 1) - u * (u - 1) // 2
 
 
-def limit_demo_rows(kappa, m_max, n):
+def limit_demo_rows(kappa, m_max):
     """Convergence table of the diagonalizable family (lam0 = 1/m) toward its
-    lam0 = 0 limit with kappa fixed: generator and invariant distances."""
+    lam0 = 0 limit with kappa fixed, in dimension n = len(kappa) + 1:
+    generator and invariant distances."""
     kappa = np.asarray(kappa, dtype=float)
     if not np.all((kappa > 0) & (kappa <= 1)):
         raise ValueError("kappa entries must lie in (0, 1]")
+    n = len(kappa) + 1
     order = np.argsort(-kappa)  # descending kappa gives ascending lambda
     kap = kappa[order]
     limit = build_marked_cusp(BlownUpWeylPoint(n, np.zeros(n), kap))
-    limit_gens = expm(limit.generators)
+    limit_gens = [expm(g) for g in limit.generators]
     limit_eta = complete_invariant(limit)
     rows = []
     m = 10
     while m <= m_max:
         lam = np.concatenate([[1.0 / m], (1.0 / m) / kap])
         cusp = build_marked_cusp(BlownUpWeylPoint(n, lam, kap))
-        gen_dist = float(np.max(np.abs(expm(cusp.generators) - limit_gens)))
+        gens = zip(cusp.generators, limit_gens)
+        gen_dist = max(float(np.max(np.abs(expm(g) - e))) for g, e in gens)
         inv_dist = eta_distance(complete_invariant(cusp), limit_eta)
         rows.append(
             {

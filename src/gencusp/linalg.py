@@ -5,8 +5,9 @@ matrix exponential, the entire-function family f_k appearing in the closed-form
 orbit surfaces, Newton's identities, an upper Cholesky factor, and the square
 roots of a positive-definite form.
 
-It also states the library's tolerance policy.  Every zero, singularity and
-roundoff-slack test of the other modules reads one of these names:
+It also states the library's tolerance policy, and it alone enters
+``np.errstate``.  Every zero, singularity and roundoff-slack test of the
+other modules reads one of these names:
 
 * ``ZERO``, for whether a magnitude is zero or a matrix singular:
   ``nonzero``, against max(1, the largest magnitude), so absolute below 1
@@ -20,8 +21,9 @@ roundoff-slack test of the other modules reads one of these names:
   (``check_symmetric``), the order and the constraint of the parameters,
   equal lambdas;
 * ``DET_TOL`` and ``ROUNDOFF``, for whether a form is unimodular
-  (``check_unimodular``) and a marking has |det| = 1; ``ROUNDOFF`` also
-  sets the noise floor of tests whose roundoff grows with cond(q).
+  (``check_unimodular``) and a marking has |det| = 1 (|log|det|| at most
+  ``DET_TOL``); ``ROUNDOFF`` also sets the noise floor of tests whose
+  roundoff grows with cond(q).
 """
 
 import math
@@ -61,8 +63,8 @@ ZERO = 1e-10
 # check here and the noise floor of the shape lift.
 ROUNDOFF = 64.0
 
-# Absolute slack of |det - 1| for a well-conditioned form, and of |det B| = 1
-# for a marking.
+# Absolute slack of |det - 1| for a well-conditioned form, and of
+# log|det B| = 0 for a marking.
 DET_TOL = 1e-9
 
 # Slack of an identity that holds exactly in exact arithmetic (a symmetric
@@ -183,45 +185,35 @@ def below_diagonal(m):
 
 
 def expm(m):
-    """Matrix exponential by scaling-and-squaring with a truncated Taylor
-    series of order _EXPM_ORDER = 14 (Horner form), of one matrix or of each
-    matrix in a stack (..., k, k).
+    """Matrix exponential of one square matrix by scaling-and-squaring with a
+    truncated Taylor series of order _EXPM_ORDER = 14 (Horner form).
 
-    Each matrix is scaled so its inf-norm is <= 0.5 before the series is
+    The matrix is scaled so its inf-norm is <= 0.5 before the series is
     evaluated, which keeps the truncation error near roundoff for spectral
     radius up to ~50 and makes the result exact (to rounding) for nilpotent
-    matrices of degree below the series order.  The squarings are counted
-    per matrix, so a member of a stack gets the same bits as on its own.
+    matrices of degree below the series order.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expm requires a square matrix, got shape %r" % (a.shape,))
     if not np.isfinite(a).all():
         raise ValueError("expm requires finite entries")
-    shape, k = a.shape, a.shape[-1]
-    a = a.reshape(-1, k, k)
-    eye = _identity(k)
+    eye = _identity(a.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.abs(a).sum(axis=-1).max(axis=-1, initial=0.0)
+        norm = np.abs(a).sum(axis=-1).max(initial=0.0)
         # an inf-norm that overflows is capped, so nsq stays finite
-        norm = np.minimum(np.maximum(norm, 0.5), _NORM_CAP)
-        nsq = np.ceil(np.log2(norm / 0.5)).astype(int)
-        s = np.ldexp(a, -nsq[:, None, None])  # exact, and no 2^nsq to overflow
+        norm = min(max(norm, 0.5), _NORM_CAP)
+        nsq = int(np.ceil(np.log2(norm / 0.5)))
+        s = np.ldexp(a, -nsq)  # exact, and no 2^nsq to overflow
         # s @ eye is s exactly, so the first Horner step needs no product
         acc = eye + s / _EXPM_ORDER
         for j in range(_EXPM_ORDER - 1, 0, -1):
             acc = eye + (s @ acc) / j
-        top = int(nsq.max(initial=0))
-        every = int(nsq.min(initial=top))  # squarings all members take
-        for j in range(top):
-            if j < every:
-                acc = acc @ acc
-            else:
-                sq = nsq > j
-                acc[sq] = acc[sq] @ acc[sq]
+        for _ in range(nsq):
+            acc = acc @ acc
     if not np.isfinite(acc).all():
         raise OverflowError("expm overflowed double precision (entries too large)")
-    return acc.reshape(shape)
+    return acc
 
 
 def f_k(k, s, t):

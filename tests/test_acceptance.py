@@ -252,7 +252,7 @@ def test_criterion_10_geometric_limit():
         n = int(rng.choice(DIMS))
         cases.append(np.sort(rng.uniform(0.6, 1.0, n - 1))[::-1])
     for kap in cases:
-        rows = limit_demo_rows(kap, 10000, len(kap) + 1)
+        rows = limit_demo_rows(kap, 10000)
         for prev, cur in zip(rows, rows[1:]):
             ratio = prev["generator_distance"] / cur["generator_distance"]
             worst = max(worst, abs(ratio - 10.0))

@@ -464,6 +464,9 @@ def test_limit_demo(tmp_path, capsys):
     ratios = [a / b for a, b in zip(dists, dists[1:])]
     assert all(abs(r - 10) <= 1 for r in ratios)
     assert main(["limit-demo", "--kappa", "1,0"]) == 1  # kappa must be in (0,1]
+    # n is len(kappa) + 1: there is no flag to repeat it
+    assert main(["limit-demo", "--kappa", "1,1", "--n", "3"]) == 1
+    assert "unrecognized arguments: --n" in capsys.readouterr().err
 
 
 def test_limit_demo_rejects_m_max_below_first_row(capsys):

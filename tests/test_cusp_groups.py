@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import re
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,24 +141,36 @@ def test_blownup_point_is_slotted_and_frozen():
     with pytest.raises(AttributeError):
         p.lam = np.zeros(3)
     assert not p.lam.flags.writeable and not p.kappa.flags.writeable
+    # one chart: lambda is always ascending, and no field picks another
+    assert [f.name for f in dataclasses.fields(p)] == ["n", "lam", "kappa"]
 
 
-@pytest.mark.parametrize("flavor", ["blownup", "diagonal"])
+@pytest.mark.parametrize("lam, kap, order_error", [
+    ([0.5, 1.0, 2.0], [0.5, 0.25], False),
+    # the same cusp in the diagonal model's unordered coordinates, which the
+    # ordered chart refuses
+    ([0.5, 2.0, 1.0], [0.25, 0.5], True),
+], ids=["blownup", "diagonal"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_blownup_rejects_non_finite_entries(flavor, bad):
-    # every order and range test is False on NaN, so it must be caught first
-    lam, kap = np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25])
-    BlownUpWeylPoint(3, lam, kap, flavor)
+def test_blownup_rejects_non_finite_entries(lam, kap, order_error, bad):
+    # every order and range test is False on NaN, so it must be caught first,
+    # before the order test too
+    lam, kap = np.array(lam), np.array(kap)
+    if order_error:
+        with pytest.raises(ValueError, match="lambda must satisfy"):
+            BlownUpWeylPoint(3, lam, kap)
+    else:
+        BlownUpWeylPoint(3, lam, kap)
     for i in range(3):
         bad_lam = lam.copy()
         bad_lam[i] = bad
         with pytest.raises(ValueError, match="finite"):
-            BlownUpWeylPoint(3, bad_lam, kap, flavor)
+            BlownUpWeylPoint(3, bad_lam, kap)
     for i in range(2):
         bad_kap = kap.copy()
         bad_kap[i] = bad
         with pytest.raises(ValueError, match="finite"):
-            BlownUpWeylPoint(3, lam, bad_kap, flavor)
+            BlownUpWeylPoint(3, lam, bad_kap)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -175,7 +189,7 @@ def test_marking_must_be_finite(bad):
 _TOL = 1e-12  # linalg.SLACK
 
 
-def _weyl_reference(n, lam, kap, flavor):
+def _weyl_reference(n, lam, kap):
     """The message BlownUpWeylPoint's validator raises on (lam, kap), or
     None: the same tests written as numpy array operations."""
     lam = np.asarray(lam, dtype=float)
@@ -183,16 +197,10 @@ def _weyl_reference(n, lam, kap, flavor):
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(kap))):
         return "lambda and kappa must be finite"
     scale = max(1.0, float(np.max(np.abs(lam))))
-    if flavor == "blownup":
-        if lam[0] < -_TOL or np.any(np.diff(lam) < -_TOL * scale):
-            return "blownup flavor requires 0 <= lam[0] <= ... <= lam[n-1]"
-        if np.any(kap < -_TOL) or np.any(kap > 1 + _TOL):
-            return "kappa entries must lie in [0,1]"
-    elif flavor == "diagonal":
-        if np.any(lam <= 0):
-            return "diagonal flavor requires all lambda positive"
-    else:
-        return "unknown flavor %r" % (flavor,)
+    if lam[0] < -_TOL or np.any(np.diff(lam) < -_TOL * scale):
+        return "lambda must satisfy 0 <= lam[0] <= ... <= lam[n-1]"
+    if np.any(kap < -_TOL) or np.any(kap > 1 + _TOL):
+        return "kappa entries must lie in [0,1]"
     resid = np.max(np.abs(lam[0] - lam[1:] * kap))
     if resid > _TOL * scale:
         return "constraint lam[0] = lam[i]*kappa[i] violated (residual %g)" % resid
@@ -208,7 +216,6 @@ _ENTRY = st.one_of(st.sampled_from(_EDGES), st.floats(-3.0, 3.0))
 @st.composite
 def _weyl_inputs(draw):
     n = draw(st.integers(2, 5))
-    flavor = draw(st.sampled_from(["blownup", "diagonal"]))
     if draw(st.booleans()):
         # on the constraint surface, then nudged by multiples of the slack
         lam = sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
@@ -227,16 +234,16 @@ def _weyl_inputs(draw):
             lam[i] = v
         else:
             kap[i - n] = v
-    return n, lam, kap, flavor
+    return n, lam, kap
 
 
 @given(_weyl_inputs())
 @settings(max_examples=600, deadline=None)
 def test_blownup_validation_matches_the_array_form(args):
-    n, lam, kap, flavor = args
-    expected = _weyl_reference(n, lam, kap, flavor)
+    n, lam, kap = args
+    expected = _weyl_reference(n, lam, kap)
     try:
-        BlownUpWeylPoint(n, np.array(lam), np.array(kap), flavor)
+        BlownUpWeylPoint(n, np.array(lam), np.array(kap))
     except ValueError as exc:
         assert str(exc) == expected
     else:
@@ -329,31 +336,44 @@ def test_singular_marking_is_rejected_at_any_scale(b):
             build_marked_cusp(p, b)
 
 
-def _marking_log_det_reference(b):
-    """``_marking_log_det`` with overflow silenced on every marking: the
-    values and verdicts that its Hadamard test must keep.  An out-of-range
-    |det B| takes its log from the LU of B with unit columns."""
-    cols = np.hypot.reduce(b, axis=0).tolist()
+_EPS = float(np.finfo(float).eps)
+
+
+def _exact_log_det(b):
+    """log|det B| of the float matrix B, from its determinant in exact
+    rational arithmetic; -inf when B is singular."""
+    a = [[Fraction(x) for x in row] for row in b.tolist()]
+    k = len(a)
+    det = Fraction(1)
+    for i in range(k):
+        pivot = next((r for r in range(i, k) if a[r][i]), None)
+        if pivot is None:
+            return -math.inf
+        a[i], a[pivot] = a[pivot], a[i]
+        det *= a[i][i]
+        for r in range(i + 1, k):
+            f = a[r][i] / a[i][i]
+            a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    # the log of a ratio of huge integers, without their logs' cancellation
+    e = abs(det).numerator.bit_length() - abs(det).denominator.bit_length()
+    return math.log(float(abs(det) / Fraction(2) ** e)) + e * math.log(2.0)
+
+
+def _lu_log_det(b):
+    """log|det B| from the LU of B itself, the route of markings whose |det|
+    was in the float range; None where it is not."""
     with np.errstate(over="ignore"):
         det = abs(np.linalg.det(b))
-    if sys.float_info.min <= det < math.inf:
-        logdet = math.log(det)
-    elif all(cols):
-        unit = abs(np.linalg.det(b / cols))
-        logdet = math.log(unit) + sum(map(math.log, cols)) if unit else -math.inf
-    else:
-        logdet = -math.inf
-    if not all(cols) or logdet - sum(map(math.log, cols)) <= math.log(ZERO):
-        raise ValueError("marking is singular (|det| = %g)" % det)
-    return det, logdet
+    return math.log(det) if sys.float_info.min <= det < math.inf else None
 
 
 def _markings_near_the_float_range(rng, k):
     """k x k markings whose Hadamard bound, the product of the column norms,
-    sits just below or above the points where the overflow silencing
-    starts (2^-k of the largest double) and where |det B| overflows: unit
-    columns, orthogonal (|det B| is the bound) or random, scaled alike, so
-    that the bound is also the largest column norm to the k-th power."""
+    sits just below or above 2^-k of the largest double (where the pivot
+    growth of B's own LU may overflow) and the largest double (where |det B|
+    does): unit columns,
+    orthogonal (|det B| is the bound) or random, scaled alike, so that the
+    bound is also the largest column norm to the k-th power."""
     log_max = math.log(sys.float_info.max)
     for offset in (-50.0, -k * math.log(2.0) - 1e-3, -k * math.log(2.0) + 1e-3,
                    -1e-3, 1e-3, 1.0):
@@ -375,35 +395,51 @@ def _lu_overflow_marking():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_marking_log_det_near_overflow_matches_the_silenced_reference(k):
-    # same |det|, log|det| and verdict as with overflow always silenced, and
-    # the same fold or refusal, with no RuntimeWarning either side of the
-    # test that decides whether to silence
+    # log|det| within 4 eps (k cond(U) + sum_j |log|b_j||) of its exact
+    # value, U being B with unit columns: the LU carries roundoff of about
+    # eps k cond(U), the column scales one of eps times their logs.  Where
+    # |det B| is in range, within 4 ulps of max(1, |log|det B||,
+    # sum_j |log|b_j||) of the log of B's own LU determinant, the route such
+    # markings took before: the LU of B's columns scaled by powers of 2
+    # rounds as B's does, so the two logs differ by the roundings of the
+    # logs and their sum.  These markings read at most 1.0 of the first
+    # bound and 2.5 of the 4 ulps; the LU of B with unit columns, which
+    # rounds otherwise, misses the 4 ulps on random markings at three k.
+    # Then the same fold or refusal, with no RuntimeWarning at any size of B.
     rng = np.random.default_rng(70 + k)
     lam = np.sort(rng.uniform(0.5, 2.0, k + 1))
     p = BlownUpWeylPoint(k + 1, lam, lam[0] / lam[1:])
     markings = list(_markings_near_the_float_range(rng, k))
+    for c in 10.0 ** np.linspace(-300.0, 300.0, 25):
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        markings.append(c * q)
+    markings += [rng.standard_normal((k, k)) for _ in range(20)]
     if k == 2:
         markings += [1e200 * np.eye(2), 1e-200 * np.eye(2),
                      1e154 * np.ones((2, 2)), np.diag([1e300, 1e-300])]
     if k == 4:
         markings.append(_lu_overflow_marking())
     for b in markings:
+        cols = np.hypot.reduce(b, axis=0)
+        exact = _exact_log_det(b)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            try:
-                want = _marking_log_det_reference(b)
-            except ValueError as exc:
-                with pytest.raises(ValueError, match=re.escape(str(exc))):
+            if exact - float(np.sum(np.log(cols))) <= math.log(ZERO):
+                with pytest.raises(ValueError, match="marking is singular"):
                     _marking_log_det(b)
                 with pytest.raises(ValueError, match="marking is singular"):
                     build_marked_cusp(p, b)
                 continue
-            assert _marking_log_det(b) == want
-            det, logdet = want
-            if abs(det - 1.0) <= DET_TOL:
+            logdet = _marking_log_det(b)
+            col_logs = float(np.sum(np.abs(np.log(cols))))
+            assert abs(logdet - exact) <= 4 * _EPS * (k * np.linalg.cond(b / cols) + col_logs)
+            lu = _lu_log_det(b)
+            if lu is not None:
+                assert abs(logdet - lu) <= 4 * np.spacing(max(1.0, abs(lu), col_logs))
+            if abs(logdet) <= DET_TOL:
                 assert np.array_equal(build_marked_cusp(p, b).marking, b)
                 continue
-            s = det ** (1.0 / k) if sys.float_info.min <= det < math.inf else math.exp(logdet / k)
+            s = math.exp(logdet / k)
             if p.scaled(s).type_t != p.type_t:
                 with pytest.raises(ValueError, match="past the zero floor"):
                     build_marked_cusp(p, b)
@@ -415,21 +451,41 @@ def test_marking_log_det_near_overflow_matches_the_silenced_reference(k):
 
 
 def test_marking_log_det_survives_an_lu_overflow():
-    # the LU value reads inf; log|det B| is still finite and right, with no
-    # RuntimeWarning, and the fold by exp(log|det B| / 4) ~ 1e-148 crosses
-    # the zero floor, which the refusal reports by log|det|
+    # the LU of B itself would read inf; log|det B| from B's columns scaled
+    # to norms in [1/2, 1) is finite and right, with no RuntimeWarning, and
+    # the fold by exp(log|det B| / 4) ~ 1e-148 crosses the zero floor, which
+    # the refusal reports by log|det|
     b = _lu_overflow_marking()
     p = BlownUpWeylPoint(5, np.array([0.5, 0.7, 1.0, 1.5, 2.0]),
                          np.array([0.5 / 0.7, 0.5, 1.0 / 3.0, 0.25]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        det, logdet = _marking_log_det(b)
-        assert det == math.inf
+        logdet = _marking_log_det(b)
+        assert isinstance(logdet, float) and math.isfinite(logdet)
         want = math.log(8.0 * 5e307) + 3.0 * math.log(1e-300)
         assert abs(logdet - want) <= 1e-13 * abs(want)
         with pytest.raises(ValueError, match=re.escape(
                 "marking (log|det| = -1361.74) scales lambda past the zero floor")):
             build_marked_cusp(p, b)
+
+
+@pytest.mark.parametrize("b", [
+    np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]]),
+    np.array([[1.0, 2.0], [2.0, 4.0]]),
+    np.array([[1.0, 0.0], [1e11, 1.0]]),
+], ids=["near-rank-one", "rank-one", "shear"])
+def test_singular_refusal_reads_the_same_at_any_scale(b):
+    # the refusal prints |det B| over Hadamard's bound, which B and s B
+    # share: not |det B|, which reads inf at 1e200 B and 0 at 1e-200 B
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        texts = set()
+        for s in (1.0, 1e200, 1e-200):
+            with pytest.raises(ValueError, match="marking is singular") as exc:
+                _marking_log_det(s * b)
+            texts.add(str(exc.value))
+    assert len(texts) == 1
+    assert "Hadamard" in texts.pop()
 
 
 def test_phi_dots_each_row_as_np_dot_bit_for_bit():
@@ -553,11 +609,15 @@ def test_diagonalizable_family_limit():
     rng = np.random.default_rng(6)
     kap = rng.uniform(0.2, 1.0, 2)
     v = rng.uniform(-1, 1, 2)
+    # descending kappa gives ascending lambda, as verify's diagonal-limit
+    # orders it: the same cusp in permuted coordinates
+    order = np.argsort(-kap)
+    kap, v = kap[order], v[order]
     limit = expm(lie_algebra_phi(BlownUpWeylPoint(3, np.zeros(3), kap), v))
     errs = []
     for m in (10.0, 100.0, 1000.0):
         lam = np.concatenate([[1.0 / m], 1.0 / (m * kap)])
-        p = BlownUpWeylPoint(3, lam, kap, flavor="diagonal")
+        p = BlownUpWeylPoint(3, lam, kap)
         errs.append(maxerr(expm(lie_algebra_phi(p, v)), limit))
     assert errs[1] < 0.2 * errs[0] and errs[2] < 0.2 * errs[1]
 

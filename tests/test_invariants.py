@@ -201,8 +201,8 @@ def test_forward_case_work_budget(monkeypatch):
     # one per metric, none for the closed shape, which reads its cusp's
     # metric and scale, and none inside check_unimodular.  The inverses:
     # dual_gram's one of the metric in cubic_from_weights; coords_from_shape
-    # at n = 3 inverts its frame in closed form.  No marking comes near
-    # overflow, so no build enters np.errstate.
+    # at n = 3 inverts its frame in closed form.  No gencusp module but
+    # linalg enters np.errstate, and none of these cases reaches it there.
     import weakref
 
     import gencusp.cusp_groups as cg_mod
@@ -490,7 +490,7 @@ def test_psi_recovery_rejects_weights_without_positive_relation():
 
 def test_limit_demo_rows_rejects_nan_kappa():
     with pytest.raises(ValueError, match="kappa entries must lie in"):
-        limit_demo_rows([float("nan"), 0.5], 100, 3)
+        limit_demo_rows([float("nan"), 0.5], 100)
 
 
 @pytest.mark.parametrize("kappa", [[1.0, 1.0], [0.3, 0.8], [1.0, 0.5, 0.2]])
@@ -505,11 +505,52 @@ def test_limit_demo_generator_distance_matches_lie_algebra_route(kappa):
         return [expm(lie_algebra_phi(p, col)) for col in np.eye(n - 1)]
 
     limit = gens(np.zeros(n))
-    for row in limit_demo_rows(kappa, 1000, n):
+    for row in limit_demo_rows(kappa, 1000):
         m = row["m"]
         lam = np.concatenate([[1.0 / m], (1.0 / m) / kap])
         want = max(float(np.max(np.abs(a - b))) for a, b in zip(gens(lam), limit))
         assert row["generator_distance"] == want
+
+
+def _stacked_expm(a):
+    """The stacked exponential ``linalg.expm`` once had: every member of a
+    (k, d, d) stack scaled, summed and squared together, each squared as
+    often as its own norm asks."""
+    eye = np.eye(a.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.abs(a).sum(axis=-1).max(axis=-1, initial=0.0)
+        norm = np.minimum(np.maximum(norm, 0.5), 0.5 * np.finfo(float).max)
+        nsq = np.ceil(np.log2(norm / 0.5)).astype(int)
+        s = np.ldexp(a, -nsq[:, None, None])
+        acc = eye + s / 14
+        for j in range(13, 0, -1):
+            acc = eye + (s @ acc) / j
+        for j in range(int(nsq.max(initial=0))):
+            sq = nsq > j
+            acc[sq] = acc[sq] @ acc[sq]
+    return acc
+
+
+@pytest.mark.parametrize("kappa", [[1.0, 1.0], [0.3, 0.8], [1.0, 0.5, 0.2],
+                                   [0.9, 0.7, 0.95, 0.6, 0.8, 0.65]])
+def test_limit_demo_rows_match_the_stacked_expm_route(kappa):
+    # the table exponentiates each generator on its own, for the bits the
+    # stacked route gave each member of the stack
+    kap = np.sort(np.asarray(kappa))[::-1]
+    n = len(kap) + 1
+    limit = build_marked_cusp(BlownUpWeylPoint(n, np.zeros(n), kap))
+    want = []
+    m = 10
+    while m <= 10000:
+        lam = np.concatenate([[1.0 / m], (1.0 / m) / kap])
+        cusp = build_marked_cusp(BlownUpWeylPoint(n, lam, kap))
+        gen = float(np.max(np.abs(_stacked_expm(cusp.generators)
+                                  - _stacked_expm(limit.generators))))
+        inv = eta_distance(complete_invariant(cusp), complete_invariant(limit))
+        want.append({"m": m, "lambda0": 1.0 / m, "generator_distance": gen,
+                     "invariant_distance": inv})
+        m *= 10
+    assert limit_demo_rows(kappa, 10000) == want
 
 
 def test_frame_to_weight_data():

@@ -159,3 +159,15 @@ def test_one_owner_per_form_decision():
         and negative(node.right.left)
     ]
     assert scales == [], "det-1 scales x ** (-1 / dim) outside linalg: %s" % scales
+
+
+def test_one_owner_of_the_floating_point_warning_policy():
+    # which floating-point warnings the library silences, and where, is
+    # linalg's to decide (today in _series_or_closed and expm): every other
+    # module calls its kernels and sees no np.errstate of its own
+    entries = [
+        (path.name, sorted(scopes)) for path in _MODULES
+        for name, scopes in _references(path) if name == "errstate"
+    ]
+    assert entries and all(module == "linalg.py" for module, _ in entries), (
+        "np.errstate outside linalg: %s" % entries)
