@@ -589,8 +589,8 @@ def limit_demo_rows(kappa, m_max):
     while m <= m_max:
         lam = np.concatenate([[1.0 / m], (1.0 / m) / kap])
         cusp = build_marked_cusp(BlownUpWeylPoint(n, lam, kap))
-        gens = zip(cusp.generators, limit_gens)
-        gen_dist = max(float(np.max(np.abs(expm(g) - e))) for g, e in gens)
+        pairs = zip(cusp.generators, limit_gens)
+        gen_dist = max(float(np.max(np.abs(expm(g) - e))) for g, e in pairs)
         inv_dist = eta_distance(complete_invariant(cusp), limit_eta)
         rows.append(
             {
