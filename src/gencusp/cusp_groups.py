@@ -15,7 +15,7 @@ Conventions used throughout the package:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -175,6 +175,26 @@ def lie_algebra_zeta(psi, v):
     return m
 
 
+def _generator_parts(p, rows):
+    """The entries of the Lie-algebra generators of the blown-up model at
+    the k rows (k, n-1) of ``rows`` that are not read off the rows
+    themselves: the (k, n+1) diagonals, (-lam[0] <v,kappa>, lam[1:] v, 0),
+    and the (k, n-1) top rows past the corner, v + <v,kappa> kappa.
+
+    ``lie_algebra_phi`` scatters these arrays into its stack, and
+    ``invariants.weights_of`` reads the weights off the same diagonals, so
+    the two agree bit for bit without the stack being built.
+    """
+    lam, kap = p.lam, p.kappa
+    # one dot per row, by np.dot's own kernel: bit for bit the np.dot of
+    # each row, where a matmul would sum in another order, off by an ulp
+    vk = np.vecdot(rows, kap)
+    diag = np.zeros((len(rows), p.n + 1))
+    diag[:, 0] = -lam[0] * vk
+    diag[:, 1:p.n] = lam[1:] * rows
+    return diag, rows + vk[:, None] * kap
+
+
 def lie_algebra_phi(p, v):
     """Lie-algebra element of the blown-up model at v: the structural
     upper-triangular part plus <v,kappa> times the rank-one part.
@@ -189,15 +209,11 @@ def lie_algebra_phi(p, v):
     if v.ndim not in (1, 2) or v.shape[-1] != n - 1:
         raise ValueError("v must have length n-1=%d" % (n - 1))
     rows = v.reshape(-1, n - 1)
-    lam, kap = p.lam, p.kappa
-    # one dot per row, by np.dot's own kernel: bit for bit the np.dot of
-    # each row, where a matmul would sum in another order, off by an ulp
-    vk = np.vecdot(rows, kap)
+    diag, top = _generator_parts(p, rows)
     m = np.zeros((len(rows), n + 1, n + 1))
-    m[:, 0, 0] = -lam[0] * vk
-    m[:, 0, 1:n] = rows + vk[:, None] * kap
-    diag = np.arange(1, n)
-    m[:, diag, diag] = lam[1:] * rows
+    every = np.arange(n + 1)
+    m[:, every, every] = diag
+    m[:, 0, 1:n] = top
     m[:, 1:n, n] = rows
     return m[0] if v.ndim == 1 else m
 
@@ -253,15 +269,6 @@ def psi_to_lambda(psi):
     return BlownUpWeylPoint(n, lam, kap)
 
 
-class _MarkingDet(ValueError):
-    """A nonsingular marking whose |det| misses 1, raised by ``MarkedCusp``
-    with the log|det B| it computed, which ``build_marked_cusp`` folds away."""
-
-    def __init__(self, logdet):
-        super().__init__("marking must have |det| = 1, got log|det| = %g" % logdet)
-        self.logdet = logdet
-
-
 def _marking_log_det(b):
     """log|det B| of a finite marking; raises on a singular one.
 
@@ -283,6 +290,17 @@ def _marking_log_det(b):
     return math.log(det) + sum(exps.tolist()) * math.log(2.0)
 
 
+def _checked_marking(n, marking):
+    """The marking as a float array and its log|det B| (``_marking_log_det``);
+    refuses one of the wrong shape, a non-finite one and a singular one."""
+    b = np.asarray(marking, dtype=float)
+    if b.shape != (n - 1, n - 1):
+        raise ValueError("marking must be (n-1)x(n-1)")
+    if not np.isfinite(b).all():
+        raise ValueError("marking must be finite")
+    return b, _marking_log_det(b)
+
+
 @dataclass(frozen=True, eq=False)
 class MarkedCusp:
     """A marked cusp representation: parameters, a nonsingular (see
@@ -294,32 +312,34 @@ class MarkedCusp:
       I + kappa kappa^T), B itself otherwise;
     * ``generators``, the (n-1, n+1, n+1) stack of Lie-algebra generators of
       the marked holonomy, ``lie_algebra_phi`` at the effective marking's
-      columns.
+      columns, built on first read: the complete invariant does not read
+      it, since its weights come from the same diagonals
+      (``_generator_parts``).
     """
 
     params: BlownUpWeylPoint
     marking: np.ndarray
     orthonormalized: bool = False
     rescaled: bool = False
+    # log|det B| of a marking that build_marked_cusp has already checked
+    # (``_checked_marking``), so that its LU is not taken twice
+    _log_det: InitVar[object] = None
     effective_marking: np.ndarray = field(init=False, repr=False)
-    generators: np.ndarray = field(init=False, repr=False)
-    # the unimodular metric and its scale, filled by
-    # invariants.metric_and_scale on first use, and the complete invariant,
-    # filled by invariants.complete_invariant; both live and die with this
-    # instance
+    # the generator stack, the unimodular metric and its scale, and the
+    # complete invariant, each filled on first use (``generators``,
+    # invariants.metric_and_scale, invariants.complete_invariant); they
+    # live and die with this instance
+    _generators: object = field(init=False, repr=False, default=None)
     _metric: object = field(init=False, repr=False, default=None)
     _invariant: object = field(init=False, repr=False, default=None)
 
-    def __post_init__(self):
-        n = self.params.n
-        b = np.asarray(self.marking, dtype=float)
-        if b.shape != (n - 1, n - 1):
-            raise ValueError("marking must be (n-1)x(n-1)")
-        if not np.isfinite(b).all():
-            raise ValueError("marking must be finite")
-        logdet = _marking_log_det(b)
-        if abs(logdet) > DET_TOL:
-            raise _MarkingDet(logdet)
+    def __post_init__(self, _log_det):
+        if _log_det is None:
+            b, _log_det = _checked_marking(self.params.n, self.marking)
+        else:
+            b = self.marking
+        if abs(_log_det) > DET_TOL:
+            raise ValueError("marking must have |det| = 1, got log|det| = %g" % _log_det)
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "marking", b)
@@ -328,9 +348,15 @@ class MarkedCusp:
             eff = np.linalg.solve(preferred_sqrt(self.params.kappa), b)
             eff.setflags(write=False)
         object.__setattr__(self, "effective_marking", eff)
-        gens = lie_algebra_phi(self.params, eff.T)
-        gens.setflags(write=False)
-        object.__setattr__(self, "generators", gens)
+
+    @property
+    def generators(self):
+        gens = self._generators
+        if gens is None:
+            gens = lie_algebra_phi(self.params, self.effective_marking.T)
+            gens.setflags(write=False)
+            object.__setattr__(self, "_generators", gens)
+        return gens
 
     @property
     def n(self):
@@ -351,12 +377,9 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     type of the cusp alone, but the folded lambda would read another type.
     """
     n = p.n
-    b = np.eye(n - 1) if marking is None else np.asarray(marking, dtype=float)
-    try:
-        return MarkedCusp(p, b, orthonormalized=orthonormalized)
-    except _MarkingDet as exc:
-        # MarkedCusp's own check computed log|det B|; B / s is checked anew
-        logdet = exc.logdet
+    b, logdet = _checked_marking(n, np.eye(n - 1) if marking is None else marking)
+    if abs(logdet) <= DET_TOL:
+        return MarkedCusp(p, b, orthonormalized=orthonormalized, _log_det=logdet)
     s = math.exp(logdet / (n - 1))
     folded = p.scaled(s)
     if folded.type_t != p.type_t:
@@ -364,6 +387,7 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
             "marking (log|det| = %g) scales lambda past the zero floor: type %d reads as %d"
             % (logdet, p.type_t, folded.type_t)
         )
+    # B / s is checked anew, by its own LU
     return MarkedCusp(folded, b / s, orthonormalized=orthonormalized, rescaled=True)
 
 

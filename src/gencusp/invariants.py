@@ -13,12 +13,12 @@ import numpy as np
 from .cusp_groups import (
     BlownUpWeylPoint,
     PsiParameter,
+    _generator_parts,
     build_marked_cusp,
     lambda_to_psi,
 )
 from .linalg import (
     _identity,
-    below_diagonal,
     check_unimodular,
     expm,
     maxerr,
@@ -125,6 +125,18 @@ class WeightData:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "metric", check_unimodular(self.metric, "metric"))
 
+    @classmethod
+    def _from_canonical(cls, weights, metric):
+        """Weight data from rows already finite and in canonical order, taken
+        as they are (made read-only) where the constructor would sort them
+        again: a character's weights less one zero row, which a stable sort
+        leaves in place."""
+        weights.setflags(write=False)
+        data = object.__new__(cls)
+        object.__setattr__(data, "weights", weights)
+        object.__setattr__(data, "metric", check_unimodular(metric, "metric"))
+        return data
+
     @property
     def varpi(self):
         """Negated mean of the off-diagonal dual pairings (symmetric,
@@ -158,34 +170,28 @@ def dual_gram(weights, metric):
 
 
 def weights_of(cusp):
-    """All n+1 affine weight covectors, read off the diagonals of the cached
-    upper-triangular generators.
+    """All n+1 affine weight covectors: the diagonals of the cusp's
+    upper-triangular generators, from ``cusp_groups._generator_parts`` at
+    its effective marking, the arrays ``lie_algebra_phi`` scatters into the
+    stack, so the reading is the stack's diagonal bit for bit whether or not
+    the stack is ever built.
 
-    The reading is refused, with 'character cross-check failed', where the
-    diagonal need not be the spectrum: a generator with a non-finite entry
-    or a nonzero below its diagonal, and a reading with no zero covector
-    (``CharacterData``).  The character itself is checked in the battery
+    The reading is refused, with 'character cross-check failed', when any
+    entry the stack would hold is non-finite: then the diagonal need not be
+    the spectrum.  The character itself is checked in the battery
     (``verify``'s ``character-trace-newton``): Newton's identities on the
     traces of a conjugated holonomy, in a basis where it is not triangular,
     against the eigenvalues this reading gives.
     """
-    gens = np.asarray(cusp.generators)
-    if not np.isfinite(gens).all():
-        finite = np.isfinite(gens).all(axis=(1, 2))
+    diag, top = _generator_parts(cusp.params, cusp.effective_marking.T)
+    # the stack's other entries are the marking's own, finite when top is
+    if not (np.isfinite(diag).all() and np.isfinite(top).all()):
+        finite = np.isfinite(diag).all(axis=1) & np.isfinite(top).all(axis=1)
         raise ValueError(
             "character cross-check failed: generator %d has a non-finite entry"
             % np.flatnonzero(~finite)[0]
         )
-    lower = below_diagonal(gens)
-    if lower.any():
-        raise ValueError(
-            "character cross-check failed: generator %d has a nonzero below "
-            "its diagonal" % np.flatnonzero(lower.any(axis=-1))[0]
-        )
-    try:
-        return CharacterData(np.diagonal(gens, axis1=1, axis2=2).T)
-    except ValueError as exc:
-        raise ValueError("character cross-check failed: %s" % exc) from None
+    return CharacterData(diag.T)
 
 
 def metric_and_scale(cusp):
@@ -437,7 +443,7 @@ def marked_psi_normal_form(p):
 
 def weight_data(cusp):
     eta = complete_invariant(cusp)
-    return WeightData(_linear_weights(eta.character.weights), eta.metric)
+    return WeightData._from_canonical(_linear_weights(eta.character.weights), eta.metric)
 
 
 def weights_equation_residual(w):

@@ -41,7 +41,6 @@ __all__ = [
     "check_unimodular",
     "sqrt_forms",
     "expm",
-    "below_diagonal",
     "f_k",
     "h_log",
     "g_surface",
@@ -166,22 +165,6 @@ def _identity(k):
     eye = np.eye(k)
     eye.setflags(write=False)
     return eye
-
-
-@lru_cache(maxsize=None)
-def _strictly_lower(k):
-    """Mask of the entries below the diagonal of a k x k matrix, read-only."""
-    mask = np.tri(k, k, -1, dtype=bool)
-    mask.setflags(write=False)
-    return mask
-
-
-def below_diagonal(m):
-    """The entries below the diagonal of each matrix of a stack (..., k, k),
-    shape (..., k(k-1)/2): all zero exactly when the matrix is upper
-    triangular."""
-    a = np.asarray(m)
-    return a[..., _strictly_lower(a.shape[-1])]
 
 
 def expm(m):

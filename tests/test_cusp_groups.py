@@ -264,6 +264,44 @@ def test_build_rescales_marking_determinant():
     assert not det_minus.rescaled
 
 
+def test_marked_cusp_refuses_a_marking_off_det_one():
+    # build_marked_cusp folds |det B| != 1 away; a direct MarkedCusp refuses it
+    p = BlownUpWeylPoint(3, np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
+    with pytest.raises(ValueError,
+                       match=r"marking must have \|det\| = 1, got log\|det\| = 1.38629"):
+        MarkedCusp(p, 2.0 * np.eye(2))
+    assert build_marked_cusp(p, 2.0 * np.eye(2)).rescaled
+
+
+@pytest.mark.parametrize("scale, lus", [(1.0, 1), (2.0, 2), (1e200, 2)])
+def test_build_takes_one_lu_per_marking(monkeypatch, scale, lus):
+    # log|det B| is taken once, up front; a folded marking B / s is checked
+    # again by its own LU
+    import gencusp.cusp_groups as cg_mod
+
+    calls = []
+    real = cg_mod._marking_log_det
+    monkeypatch.setattr(cg_mod, "_marking_log_det", lambda b: calls.append(b) or real(b))
+    p = BlownUpWeylPoint(3, np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
+    c = build_marked_cusp(p, scale * np.array([[1.0, 0.5], [0.0, 1.0]]))
+    assert len(calls) == lus and c.rescaled == (lus == 2)
+    assert np.array_equal(calls[-1], c.marking)
+
+
+def test_generators_are_built_on_first_read_only():
+    from gencusp.invariants import weight_data
+    from gencusp.shape import shape_invariant
+
+    c = random_cusp(np.random.default_rng(24), 5)
+    complete_invariant(c)
+    weight_data(c)
+    shape_invariant(c, "closed")
+    assert c._generators is None
+    gens = c.generators
+    assert c.generators is gens
+    assert np.array_equal(gens, lie_algebra_phi(c.params, c.effective_marking.T))
+
+
 def _built_without_warning(p, b):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

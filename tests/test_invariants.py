@@ -46,9 +46,10 @@ def _cusp(lam, kap, marking=None, **kw):
 
 
 def test_weights_examples():
-    w = weights_of(_cusp([0, 1, 2], [0, 0])).weights
+    chi = weights_of(_cusp([0, 1, 2], [0, 0]))
+    assert chi.chi(np.zeros(2)) == 4.0
     expected = np.array([[0, 0], [0, 0], [0, 2], [1, 0.0]])
-    assert maxerr(w, expected) < 1e-14
+    assert maxerr(chi.weights, expected) < 1e-14
 
     w = weights_of(_cusp([0, 0, 0], [0.3, 0.8])).weights
     assert np.max(np.abs(w)) == 0.0
@@ -58,40 +59,33 @@ def test_weights_examples():
     assert maxerr(w, expected) < 1e-14
 
 
-def test_weights_newton_cross_check_trips_on_corruption():
-    c = _cusp([0, 1, 2], [0, 0])
-    good = weights_of(c)
-    assert good.chi(np.zeros(2)) == 4.0
-    # a planted below-diagonal entry means the diagonal need not be the
-    # spectrum, and the triangularity test refuses the reading
-    bad = [g.copy() for g in c.generators]
-    bad[0][1, 0] = 1.5
-    object.__setattr__(c, "generators", tuple(bad))
-    with pytest.raises(ValueError, match="cross-check"):
-        weights_of(c)
-    # a planted entry in any one generator, at n = 5, trips the check
-    for i in range(4):
-        c = _cusp([0.5, 1, 1.5, 2, 2.5], [0.5, 1 / 3, 1 / 4, 1 / 5])
-        bad = [g.copy() for g in c.generators]
-        bad[i][i + 1, 0] = 0.7
-        object.__setattr__(c, "generators", tuple(bad))
-        with pytest.raises(ValueError, match="cross-check"):
-            weights_of(c)
+def _overflow_cusp(n, g):
+    """A cusp of lambda (0, ..., 0, 1e308) whose generator g alone has a
+    weight past the float range: the marking doubles the last coordinate
+    of column g (a shear, or diag(1/2, .., 2) when g is that coordinate)."""
+    b = np.eye(n - 1)
+    if g == n - 2:
+        b[0, 0], b[g, g] = 0.5, 2.0
+    else:
+        b[n - 2, g] = 2.0
+    lam = np.zeros(n)
+    lam[-1] = 1e308
+    return _cusp(lam, np.zeros(n - 1), marking=b)
 
 
 def test_weights_cross_check_trips_at_every_index_of_the_stack():
-    # the cached stack is read-only; an entry planted in a writable copy of
-    # it, below the diagonal of any one generator, trips the check
+    # input no check before weights_of refuses: 1e308 times 2 overflows into
+    # a non-finite weight of generator g, at every g, n = 3..7; the marking
+    # is unimodular and lambda is in range, so the cusp builds
     for n in range(3, 8):
-        lam = 0.5 * np.arange(1.0, n + 1)
-        c = _cusp(lam, lam[0] / lam[1:], marking=random_marking(np.random.default_rng(n), n - 1))
-        weights_of(c)
-        for i in range(n - 1):
-            bad = c.generators.copy()
-            bad[i, i + 1, 0] = 0.7
-            object.__setattr__(c, "generators", bad)
-            with pytest.raises(ValueError, match="cross-check"):
+        for g in range(n - 1):
+            c = _overflow_cusp(n, g)
+            with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+                    ValueError, match="character cross-check failed: generator %d has a "
+                    "non-finite entry" % g):
                 weights_of(c)
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                assert not np.isfinite(np.diagonal(c.generators[g])).all()
 
 
 def _alter(q, how):
@@ -170,33 +164,15 @@ def test_weights_of_runs_once_per_cusp(monkeypatch):
     assert calls == [a, b, d]
 
 
-def test_weights_check_trips_on_every_below_diagonal_entry():
-    # a planted entry below the diagonal of any generator, anywhere, is
-    # refused, including the middle-block entries that leave the
-    # eigenvalues, and so the power sums, unchanged
-    for n in range(3, 8):
-        lam = 0.5 * np.arange(1.0, n + 1)
-        c = _cusp(lam, lam[0] / lam[1:])
-        weights_of(c)
-        good = c.generators
-        for g in range(n - 1):
-            for i in range(1, n + 1):
-                for j in range(i):
-                    bad = good.copy()
-                    bad[g, i, j] = 0.7
-                    object.__setattr__(c, "generators", bad)
-                    with pytest.raises(ValueError, match="character cross-check failed"):
-                        weights_of(c)
-
-
 def test_forward_case_work_budget(monkeypatch):
     # one case of the forward benchmark workload holds two distinct forms
     # (the cusp's metric, which its shape's q is, and the copy's metric),
     # each symmetrized once (by unimodular_scale) and checked in full once;
-    # each MarkedCusp makes one lie_algebra_phi call, and weights_of makes
-    # no expm call.  Every draw is a conjugate pair, whose weights the
-    # canonical order already matches: eta_distance calls no Hungarian
-    # method.
+    # no MarkedCusp builds its generator stack (lie_algebra_phi), weights_of
+    # makes no expm call, and each cusp's weights are sorted once, by its
+    # CharacterData: weight_data keeps their canonical order.  Every draw is
+    # a conjugate pair, whose weights the canonical order already matches:
+    # eta_distance calls no Hungarian method.
     # The determinants: one per build of a marking that needs no rescale,
     # one per metric, none for the closed shape, which reads its cusp's
     # metric and scale, and none inside check_unimodular.  The inverses:
@@ -215,8 +191,8 @@ def test_forward_case_work_budget(monkeypatch):
     draws = [(n, random_blownup_point(rng, n, t), random_marking(rng, n - 1), bool(t % 2))
              for n in range(3, 8) for t in range(n + 1)]
     counts = dict.fromkeys(
-        ["checks", "symmetric", "cusps", "phi", "weights_of", "expm", "det", "inv", "lsa",
-         "errstate"], 0)
+        ["checks", "symmetric", "cusps", "phi", "weights_of", "sort", "expm", "det", "inv",
+         "lsa", "errstate"], 0)
 
     class CountingMemo(weakref.WeakValueDictionary):
         def __setitem__(self, key, value):
@@ -235,6 +211,7 @@ def test_forward_case_work_budget(monkeypatch):
     monkeypatch.setattr(cg_mod.MarkedCusp, "__post_init__",
                         counted("cusps", cg_mod.MarkedCusp.__post_init__))
     monkeypatch.setattr(inv_mod, "weights_of", counted("weights_of", inv_mod.weights_of))
+    monkeypatch.setattr(inv_mod, "sort_weights", counted("sort", inv_mod.sort_weights))
     monkeypatch.setattr(inv_mod, "expm", counted("expm", inv_mod.expm))
     monkeypatch.setattr(inv_mod, "linear_sum_assignment",
                         counted("lsa", inv_mod.linear_sum_assignment))
@@ -260,17 +237,37 @@ def test_forward_case_work_budget(monkeypatch):
         assert are_conjugate(c, build_marked_cusp(p, b, orthonormalized=orth))
     cases = len(draws)
     assert counts == {"checks": 2 * cases, "symmetric": 2 * cases, "cusps": 2 * cases,
-                      "phi": 2 * cases, "weights_of": 2 * cases, "expm": 0,
+                      "phi": 0, "weights_of": 2 * cases, "sort": 2 * cases, "expm": 0,
                       "det": 4 * cases, "inv": cases, "lsa": 0, "errstate": 0}
 
 
+def _ill_marking(n, k, angle):
+    """I_(n-1) with its leading 2 x 2 block R diag(1, k) R^T / sqrt(k), R the
+    rotation by angle: unimodular, of condition k."""
+    r = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    b = np.eye(n - 1)
+    b[:2, :2] = r @ np.diag([1.0, k]) @ r.T / np.sqrt(k)
+    return b
+
+
 def test_weights_of_reads_the_generator_diagonals():
+    # bit for bit (tobytes, so a signed zero counts), whether the stack is
+    # built before the weights are read or after
     rng = np.random.default_rng(13)
+    cases = []
     for n in range(3, 8):
         for t in range(n + 1):
-            c = random_cusp(rng, n, t=t, orthonormalized=bool(t % 2))
-            diag = np.column_stack([np.diag(g) for g in c.generators])
-            assert np.array_equal(weights_of(c).weights, CharacterData(diag).weights)
+            for orth in (False, True):
+                p = random_blownup_point(rng, n, t)
+                cases += [(p, random_marking(rng, n - 1), orth)]
+                cases += [(p, _ill_marking(n, 1e3, angle), orth) for angle in (0.3, 0.7, 1.1)]
+    for p, b, orth in cases:
+        first, second = (build_marked_cusp(p, b, orthonormalized=orth) for _ in range(2))
+        w = weights_of(first).weights
+        diag = np.diagonal(second.generators, axis1=1, axis2=2).T
+        assert w.tobytes() == CharacterData(diag).weights.tobytes()
+        assert weights_of(second).weights.tobytes() == w.tobytes()
+        assert first.generators.tobytes() == second.generators.tobytes()
 
 
 def _sort_weights_reference(w):
@@ -801,27 +798,31 @@ def test_value_types_reject_non_finite_weights(bad):
 
 
 def test_weights_of_refuses_non_finite_generator_entries():
-    # an entry planted above a diagonal leaves the diagonal finite; the
-    # reading is refused all the same
+    # every weight finite, and still refused: at lambda = 0 and kappa = 1 the
+    # weights are all zero, but the top row v + <v,kappa> kappa of the
+    # generator at column g = 2^1023 e_g of diag(.., 2^1023, .., 2^-1023, ..),
+    # a unimodular marking, reads 2^1024 = inf
     for n in range(3, 8):
-        lam = 0.5 * np.arange(1.0, n + 1)
-        c = _cusp(lam, lam[0] / lam[1:])
-        good = c.generators
-        for bad in (np.nan, np.inf, -np.inf):
-            for g in range(n - 1):
-                stack = good.copy()
-                stack[g, 0, n] = bad
-                object.__setattr__(c, "generators", stack)
-                with pytest.raises(ValueError, match="character cross-check failed"):
-                    weights_of(c)
+        for g in range(n - 1):
+            b = np.eye(n - 1)
+            b[g, g], b[g - 1, g - 1] = 2.0 ** 1023, 2.0 ** -1023
+            c = _cusp(np.zeros(n), np.ones(n - 1), marking=b)
+            with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+                    ValueError, match="character cross-check failed: generator %d has a "
+                    "non-finite entry" % g):
+                weights_of(c)
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                gens = c.generators
+            assert np.isfinite(np.diagonal(gens, axis1=1, axis2=2)).all()
+            assert np.flatnonzero(~np.isfinite(gens).all(axis=(1, 2))).tolist() == [g]
 
 
-def test_weights_of_refuses_a_reading_without_a_zero_covector():
-    c = _cusp([0.5, 1, 2], [0.5, 0.25])
-    stack = c.generators + 0.25 * np.eye(4)
-    object.__setattr__(c, "generators", stack)
-    with pytest.raises(ValueError, match="character cross-check failed: .*zero covector"):
-        weights_of(c)
+def test_character_data_refuses_weights_without_a_zero_covector():
+    # the translation line's zero covector: weights_of always reads one (the
+    # generators' zero corner), so the refusal is CharacterData's own
+    w = weights_of(_cusp([0.5, 1, 2], [0.5, 0.25])).weights
+    with pytest.raises(ValueError, match="affine character data must contain a zero covector"):
+        CharacterData(w + 0.25)
 
 
 def test_character_trace_check_refuses_a_moved_weight():

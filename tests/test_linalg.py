@@ -11,7 +11,6 @@ from gencusp.linalg import (
     check_symmetric,
     check_unimodular,
     cholesky_upper,
-    below_diagonal,
     expm,
     f_k,
     g_surface,
@@ -72,14 +71,6 @@ def test_expm_caps_a_norm_that_overflows():
     assert np.array_equal(expm(n), np.eye(3) + n)
     with pytest.raises(OverflowError):
         expm(np.array([[1e308, 1e308], [0.0, 0.0]]))
-
-
-def test_below_diagonal():
-    m = np.triu(np.ones((2, 4, 4)))
-    assert below_diagonal(m).shape == (2, 6)
-    assert not below_diagonal(m).any()
-    m[1, 2, 0] = -0.5
-    assert below_diagonal(m).any(axis=-1).tolist() == [False, True]
 
 
 def test_f_k_anchors():

@@ -171,3 +171,19 @@ def test_one_owner_of_the_floating_point_warning_policy():
     ]
     assert entries and all(module == "linalg.py" for module, _ in entries), (
         "np.errstate outside linalg: %s" % entries)
+
+
+def test_generator_stack_is_built_only_where_it_is_read():
+    # a cusp's generator stack is built on first read: the complete
+    # invariant reads its weights from cusp_groups._generator_parts instead,
+    # and outside cusp_groups only verify's independent checks build
+    # lie_algebra_phi stacks of their own
+    builders = sorted(
+        path.name for path in _MODULES if path.name not in ("cusp_groups.py", "verify.py")
+        for name, _ in _references(path) if name == "lie_algebra_phi"
+    )
+    assert builders == [], "lie_algebra_phi outside cusp_groups and verify: %s" % builders
+    path = next(p for p in _MODULES if p.name == "invariants.py")
+    readers = [name for name, scopes in _references(path)
+               if "weights_of" in scopes and name == "generators"]
+    assert readers == [], "invariants.weights_of reads the generator stack"
