@@ -38,16 +38,17 @@ __all__ = [
 ]
 
 
-def _type_count(values):
-    return int(np.count_nonzero(nonzero(values)))
-
-
 @dataclass(frozen=True, eq=False)
 class PsiParameter:
     """Diagonal-model parameter: n non-negative reals.
 
     ``ordered=True`` means non-increasing; ``ordered=False`` is the unordered
     flavor where the positive entries precede the zeros (in any order).
+
+    Its zeros are structural: every route that builds a psi writes exact
+    zeros, so the type counts the entries above 0.  A test relative to the
+    largest entry would be wrong here, since psi = lambda^-2 squares
+    lambda's range: next to psi = 1e10 it reads psi = 0.16 as zero.
     """
 
     n: int
@@ -60,11 +61,10 @@ class PsiParameter:
             raise ValueError("psi must have length n=%d, got %r" % (self.n, psi.shape))
         if np.any(psi < 0):
             raise ValueError("psi entries must be non-negative")
-        scale = max(1.0, float(np.max(psi, initial=0.0)))
-        pos = nonzero(psi)
-        t = int(np.sum(pos))
+        pos = psi > 0
+        t = int(np.count_nonzero(pos))
         if self.ordered:
-            if np.any(np.diff(psi) > SLACK * scale):
+            if np.any(np.diff(psi) > SLACK * np.max(psi, initial=0.0)):
                 raise ValueError("ordered psi must be non-increasing")
         elif not np.array_equal(pos, np.arange(self.n) < t):
             raise ValueError("unordered psi must have its positive entries first")
@@ -74,7 +74,7 @@ class PsiParameter:
 
     @property
     def type_t(self):
-        return _type_count(self.psi)
+        return int(np.count_nonzero(self.psi > 0))
 
     @property
     def rank_r(self):
@@ -113,8 +113,9 @@ class BlownUpWeylPoint:
         # every order and range test below is False on NaN
         if not all(map(math.isfinite, ls + ks)):
             raise ValueError("lambda and kappa must be finite")
-        scale = max(1.0, max(map(abs, ls)))
-        if ls[0] < -SLACK or any(b - a < -SLACK * scale for a, b in zip(ls, ls[1:])):
+        # the order and the constraint are relative to lambda's own size
+        scale = max(map(abs, ls))
+        if ls[0] < -SLACK * scale or any(b - a < -SLACK * scale for a, b in zip(ls, ls[1:])):
             raise ValueError("lambda must satisfy 0 <= lam[0] <= ... <= lam[n-1]")
         if any(k < -SLACK or k > 1 + SLACK for k in ks):
             raise ValueError("kappa entries must lie in [0,1]")
@@ -132,7 +133,7 @@ class BlownUpWeylPoint:
 
     @property
     def type_t(self):
-        return _type_count(self.lam)
+        return int(np.count_nonzero(nonzero(self.lam)))
 
     @property
     def unipotent_u(self):
@@ -373,18 +374,24 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     exp(log|det B| / (n-1)), read from ``_marking_log_det`` at any size of B.
 
     A singular B is rejected (see ``_marking_log_det``), and so is one whose
-    fold scales lambda past ``linalg.nonzero``'s floor: scaling leaves the
-    type of the cusp alone, but the folded lambda would read another type.
+    fold leaves the float range: s lambda or B / s overflows, or s lambda
+    underflows.  Scaling leaves the type of the cusp alone, but a lambda
+    folded below the smallest double reads another type (lambda at 1e-300
+    folded by B = 1e-30 I reads type 0).
     """
     n = p.n
     b, logdet = _checked_marking(n, np.eye(n - 1) if marking is None else marking)
     if abs(logdet) <= DET_TOL:
         return MarkedCusp(p, b, orthonormalized=orthonormalized, _log_det=logdet)
     s = math.exp(logdet / (n - 1))
+    # in Python floats, so that nothing overflows before the refusal
+    big = float(np.abs(b).max())
+    if not (s > 0.0 and math.isfinite(big / s) and math.isfinite(float(p.lam[-1]) * s)):
+        raise ValueError("marking (log|det| = %g) overflows lambda or B when folded" % logdet)
     folded = p.scaled(s)
     if folded.type_t != p.type_t:
         raise ValueError(
-            "marking (log|det| = %g) scales lambda past the zero floor: type %d reads as %d"
+            "marking (log|det| = %g) underflows lambda: type %d reads as %d"
             % (logdet, p.type_t, folded.type_t)
         )
     # B / s is checked anew, by its own LU

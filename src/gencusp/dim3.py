@@ -46,8 +46,8 @@ class Cubic2D:
 
 
 def _is_cone_point(h, r):
-    """h and r both zero by ``linalg.nonzero``."""
-    return not np.any(nonzero([abs(h), abs(r)]))
+    """h = r = 0: any other point has a scale of its own."""
+    return h == 0 and r == 0
 
 
 def _check_cone(h, r, what):
@@ -143,11 +143,11 @@ def classify_stratum_3d(h, r):
     relative slack _CONE_SLACK = 1e-9), invariant under scaling
     (h, r) -> (s h, s r).
 
-    0: cone point (h and r zero by ``linalg.nonzero``); 3: interior
+    0: cone point (h = r = 0); 3: interior
     (3|h| - |r| > _BOUNDARY_TOL * 3|h|); on the boundary, 1 when the cubic is
     the cube of a linear form Re(conj(a) z), that is when h = conj(a)^3 / 4
     and r = 3|a|^2 conj(a) / 4, or r^3 = 27|h|^2 h (to _BOUNDARY_TOL *
-    27|h|^3), else 2.
+    27|h|^3, in units of |h| so that no cube underflows), else 2.
     """
     h, r = complex(h), complex(r)
     _check_cone(h, r, "(h, r) lies outside the cone |r| <= 3|h|")
@@ -155,8 +155,8 @@ def classify_stratum_3d(h, r):
         return 0
     if 3.0 * abs(h) - abs(r) > _BOUNDARY_TOL * 3.0 * abs(h):
         return 3
-    cube_gap = abs(r ** 3 - 27.0 * abs(h) ** 2 * h)
-    return 1 if cube_gap <= _BOUNDARY_TOL * 27.0 * abs(h) ** 3 else 2
+    size = abs(h)
+    return 1 if abs((r / size) ** 3 - 27.0 * (h / size)) <= _BOUNDARY_TOL * 27.0 else 2
 
 
 def surface_height_3d(lam, x1, x2):

@@ -96,7 +96,7 @@ class CharacterData:
         w = sort_weights(self.weights)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        if nonzero(np.abs(w).max(axis=1, initial=0.0)).all():
+        if _live_rows(w).all():
             raise ValueError("affine character data must contain a zero covector")
 
     def chi(self, v):
@@ -145,7 +145,7 @@ class WeightData:
 
     @property
     def type_t(self):
-        return int(np.sum(nonzero(np.max(np.abs(self.weights), axis=1, initial=0.0))))
+        return int(np.count_nonzero(_live_rows(self.weights)))
 
 
 @lru_cache(maxsize=None)
@@ -351,7 +351,10 @@ def are_conjugate(c1, c2, tol=CONJUGATE_TOL):
 
 
 def _live_rows(w):
-    """Mask of the nonzero covectors (rows) of the weights w."""
+    """Mask of the nonzero covectors (rows) of the weights w: each row's
+    max-abs coordinate, by ``linalg.nonzero``.  The one test of which
+    weights are live, for the type, the linear weights, the recoveries and
+    the weights route of the shape."""
     return nonzero(np.abs(w).max(axis=1, initial=0.0))
 
 
@@ -533,7 +536,7 @@ def realize_weight_data(w, tol=REALIZE_TOL):
     # taken as the zero one.  Data with n genuinely nonzero weights fails the
     # weights equation instead: n vectors in R^(n-1) whose pairings all lie
     # within tol of each other include a tiny one.
-    t = min(int(np.sum(nonzero(mags))), dim)
+    t = min(int(np.count_nonzero(_live_rows(ws))), dim)
     lam = np.zeros(n)
     lam[n - t:] = mags[n - t:]
     p = BlownUpWeylPoint(n, lam, np.zeros(dim))

@@ -9,17 +9,15 @@ It also states the library's tolerance policy, and it alone enters
 ``np.errstate``.  Every zero, singularity and roundoff-slack test of the
 other modules reads one of these names:
 
-* ``ZERO``, for whether a magnitude is zero or a matrix singular:
-  ``nonzero``, against max(1, the largest magnitude), so absolute below 1
-  (the type t of a cusp counts its nonzero weights; a cubic of no size has
-  no sphere maxima), the Newton residual of the sphere search at unit
-  scale, a degenerate tangent frame (its smallest singular value against
-  its largest), a singular marking (its |det| against the product of its
-  column norms);
+* ``ZERO``, for whether a magnitude is zero or a matrix singular, relative
+  to the largest magnitude it is compared with, so free of absolute size:
+  ``nonzero`` (the type t of a cusp counts its nonzero weights), the Newton
+  residual of the sphere search at unit scale, a degenerate tangent frame
+  (its smallest singular value against its largest), a singular marking
+  (its |det| against the product of its column norms);
 * ``SLACK``, for an identity that holds exactly in exact arithmetic, relative
-  to max(1, the largest magnitude in it): a symmetric form
-  (``check_symmetric``), the order and the constraint of the parameters,
-  equal lambdas;
+  to the largest magnitude in it: a symmetric form (``check_symmetric``),
+  the order and the constraint of the parameters, equal lambdas;
 * ``DET_TOL`` and ``ROUNDOFF``, for whether a form is unimodular
   (``check_unimodular``) and a marking has |det| = 1 (|log|det|| at most
   ``DET_TOL``); ``ROUNDOFF`` also sets the noise floor of tests whose
@@ -53,7 +51,7 @@ __all__ = [
 ]
 
 # A magnitude is zero when it is at most ZERO times the largest magnitude it
-# is compared with (or times 1, when that is smaller).  Magnitudes are norms,
+# is compared with: scaling all of them leaves the verdict.  Magnitudes are norms,
 # never squared norms: a weight of size m has dual norm m^2, which would sink
 # below the threshold at m = 1e-5.
 ZERO = 1e-10
@@ -68,7 +66,7 @@ DET_TOL = 1e-9
 
 # Slack of an identity that holds exactly in exact arithmetic (a symmetric
 # form, an order or a constraint among parameters, two equal lambdas),
-# relative to max(1, the largest magnitude in it).
+# relative to the largest magnitude in it.
 SLACK = 1e-12
 
 # The unit roundoff of a double, read once: np.finfo costs a call.
@@ -93,9 +91,10 @@ def _series_or_closed(z, series, closed):
 
 
 def nonzero(mags):
-    """Mask of the magnitudes above ZERO * max(1, max(mags))."""
+    """Mask of the magnitudes above ZERO * max(mags): a magnitude that is
+    itself the largest is nonzero unless it is 0."""
     mags = np.asarray(mags, dtype=float)
-    return mags > ZERO * max(1.0, float(mags.max(initial=0.0)))
+    return mags > ZERO * mags.max(initial=0.0)
 
 
 # The forms check_unimodular and unimodular_scale returned, keyed by id and
@@ -283,8 +282,8 @@ def newton_to_elementary(power_sums):
 
 
 def check_symmetric(q):
-    """Validate a finite form, symmetric to SLACK = 1e-12 relative to
-    max(1, its largest entry); returns the symmetrized matrix, a new array."""
+    """Validate a finite form, symmetric to SLACK = 1e-12 relative to its
+    largest entry; returns the symmetrized matrix, a new array."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (q.shape,))
@@ -295,7 +294,7 @@ def check_symmetric(q):
     # bitwise symmetric (signed zeros included): 0.5 (q + q^T) is q itself
     if q.tobytes() == q.T.tobytes():
         return q.copy()
-    if np.abs(q - q.T).max() > SLACK * max(1.0, largest):
+    if np.abs(q - q.T).max() > SLACK * largest:
         raise ValueError("matrix is not symmetric within %g" % SLACK)
     return 0.5 * (q + q.T)
 

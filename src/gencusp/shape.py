@@ -21,6 +21,7 @@ from .invariants import (
     REALIZE_TOL,
     NotRealizable,
     WeightData,
+    _live_rows,
     dual_gram,
     metric_and_scale,
     realize_weight_data,
@@ -33,7 +34,6 @@ from .linalg import (
     check_unimodular,
     cholesky_upper,
     maxerr,
-    nonzero,
     sqrt_forms,
     unimodular_scale,
 )
@@ -315,14 +315,14 @@ def restricted_diag_calibration(psi):
 def cubic_from_weights(wd):
     """Shape invariant straight from weight data:
     c = (1/3) sum_i xi_i^3 / (<xi_i,xi_i>* + varpi), with the zero weights
-    (``linalg.nonzero`` on the dual norms) dropped.  Every kept denominator
-    exceeds the squared zero threshold, since varpi >= 0."""
+    (``invariants._live_rows``) dropped.  Every kept denominator is
+    positive: a live weight has a positive dual norm, and varpi >= 0."""
     if not isinstance(wd, WeightData):
         raise TypeError("expected WeightData")
     beta = wd.metric
     w = wd.weights
     norms2, _, varpi = dual_gram(w, beta)
-    live = nonzero(np.sqrt(np.maximum(norms2, 0.0)))
+    live = _live_rows(w)
     if not live.any():
         return ShapeInvariant(beta, CubicPoly.zero(w.shape[1]))
     coeffs = 1.0 / (3.0 * (norms2[live] + max(varpi, 0.0)))
@@ -349,7 +349,7 @@ def is_affine_sphere(cusp):
     the shape invariant is harmonic with respect to its quadratic (radial
     part at most _HARMONIC_TOL = 1e-8 relative to the cubic)."""
     shape = shape_invariant(cusp, method="closed")
-    scale = max(1.0, shape.c.coeff_norm())
+    scale = shape.c.coeff_norm()
     return float(np.linalg.norm(radial_projection(shape.q, shape.c))) <= _HARMONIC_TOL * scale
 
 
@@ -406,10 +406,8 @@ def sphere_local_maxima(q, c, seed=0):
     6 max|t| once, so every test runs on a cubic of unit scale and the search
     finds the same points for c and s c, s > 0; the values are multiplied
     back.  The noise floor also allows for the frame change's roundoff,
-    ~eps cond(q)^(3/2).  A cubic whose scale ``linalg.nonzero`` reads as
-    zero, which on a scalar is the absolute floor scale <= ZERO = 1e-10, is
-    flagged degenerate (c constant on the sphere): the search is free of
-    size only above that floor.  Shape recovery
+    ~eps cond(q)^(3/2).  Only the zero cubic is flagged degenerate (c
+    constant on the sphere).  Shape recovery
     does not use it; it is the independent search that the battery checks
     against the closed-form maxima.
     """
@@ -420,7 +418,7 @@ def sphere_local_maxima(q, c, seed=0):
     _, inv_sqrt, qevals = sqrt_forms(q)
     t2 = c.compose_linear(inv_sqrt).tensor.reshape(m * m, m)
     scale = 6.0 * float(np.max(np.abs(t2)))
-    if not nonzero(scale):
+    if not scale:
         return SphereMaxima(np.zeros((0, m)), np.zeros(0), True)
     t2 = t2 / scale
     rng = np.random.default_rng(seed)

@@ -338,7 +338,7 @@ def _stabilizer_sample(rng, p):
     lam = p.lam[1:]
     for i in range(dim):
         for j in range(i + 1, dim):
-            if lam[i] > 0 and abs(lam[i] - lam[j]) < SLACK * max(1.0, lam[j]):
+            if lam[i] > 0 and abs(lam[i] - lam[j]) < SLACK * lam[j]:
                 r[[i, j]] = r[[j, i]]
                 break
     s = preferred_sqrt(p.kappa)
@@ -534,7 +534,7 @@ def _check_harmonic(rng, i, dims):
     p = _equal_lambda_or_random_point(rng, i, n)
     c = build_marked_cusp(p, random_marking(rng, n - 1))
     # all equal: either all zero or the equal diagonalizable family
-    predicate = bool(np.all(np.abs(p.lam - p.lam[0]) < SLACK * max(1.0, p.lam[-1])))
+    predicate = bool(np.all(np.abs(p.lam - p.lam[0]) <= SLACK * p.lam[-1]))
     return int(shape_mod.is_affine_sphere(c) != predicate)
 
 
@@ -580,7 +580,7 @@ def _check_boundary(rng, i, dims):
     p = random_blownup_point(rng, 3, t=t)
     c = build_marked_cusp(p, random_marking(rng, 2))
     coords = dim3.coords_from_shape(shape_mod.shape_invariant(c, "closed"))
-    on_boundary = abs(3.0 * abs(coords.h) - abs(coords.r)) <= 1e-6 * max(1.0, abs(coords.h))
+    on_boundary = abs(3.0 * abs(coords.h) - abs(coords.r)) <= 1e-6 * abs(coords.h)
     return int(on_boundary != (p.type_t < 3))
 
 
@@ -589,7 +589,7 @@ def _check_r_zero(rng, i, dims):
     p = _equal_lambda_or_random_point(rng, i, 3)
     c = build_marked_cusp(p, random_marking(rng, 2))
     coords = dim3.coords_from_shape(shape_mod.shape_invariant(c, "closed"))
-    r_zero = abs(coords.r) <= 1e-8 * max(1.0, abs(coords.h))
+    r_zero = abs(coords.r) <= 1e-8 * abs(coords.h)
     return int(r_zero != shape_mod.is_affine_sphere(c))
 
 

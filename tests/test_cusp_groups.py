@@ -196,8 +196,8 @@ def _weyl_reference(n, lam, kap):
     kap = np.asarray(kap, dtype=float)
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(kap))):
         return "lambda and kappa must be finite"
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if lam[0] < -_TOL or np.any(np.diff(lam) < -_TOL * scale):
+    scale = float(np.max(np.abs(lam)))
+    if lam[0] < -_TOL * scale or np.any(np.diff(lam) < -_TOL * scale):
         return "lambda must satisfy 0 <= lam[0] <= ... <= lam[n-1]"
     if np.any(kap < -_TOL) or np.any(kap > 1 + _TOL):
         return "kappa entries must lie in [0,1]"
@@ -310,13 +310,9 @@ def _built_without_warning(p, b):
 
 def _assert_rescaled_by(p, b, d):
     # (lambda, kappa, B) is (d lambda, kappa, B / d) with d = |det B|^(1/(n-1)),
-    # and of p's type; a fold that scales lambda past linalg.nonzero's floor
-    # would read another type, and is rejected
+    # and of p's type at any d: the type is free of lambda's size
     want = p.scaled(d)
-    if want.type_t != p.type_t:
-        with pytest.raises(ValueError, match="past the zero floor"):
-            _built_without_warning(p, b)
-        return False
+    assert want.type_t == p.type_t
     cusp = _built_without_warning(p, b)
     assert cusp.rescaled
     assert cusp.params.type_t == p.type_t
@@ -329,7 +325,8 @@ def _assert_rescaled_by(p, b, d):
 @pytest.mark.parametrize("n", [3, 4, 5, 7])
 def test_build_folds_a_marking_of_any_scale(n):
     # |det sB| = s^(n-1) |det B| leaves the float range well inside
-    # s in [1e-150, 1e150]: the fold must not depend on the size of B
+    # s in [1e-150, 1e150]: the fold must not depend on the size of B, and
+    # every one of these folds keeps the type
     rng = np.random.default_rng(n)
     p = random_blownup_point(rng, n, t=n)
     folded = [
@@ -337,18 +334,43 @@ def test_build_folds_a_marking_of_any_scale(n):
         for s, b in ((s, random_marking(rng, n - 1))
                      for s in 10.0 ** rng.uniform(-150.0, 150.0, 25))
     ]
-    # both outcomes are reached
-    assert any(folded) and not all(folded)
+    assert all(folded)
 
 
 @pytest.mark.parametrize("s, folds", [
     (1e-7, True), (1e-6, True), (1e200, True), (1e-9, True),
-    (1e-12, False), (1e-200, False),
+    (1e-12, True), (1e-200, True),
 ])
 def test_build_folds_a_scaled_identity(s, folds):
-    # lambda = (0.5, 1, 2) s keeps type 3 down to s = 2e-10
+    # lambda = (0.5, 1, 2) s keeps type 3 at every s
     p = BlownUpWeylPoint(3, np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
     assert _assert_rescaled_by(p, s * np.eye(2), s) == folds
+
+
+def test_type_is_free_of_the_size_of_lambda():
+    # scaling lambda leaves the cusp's type alone, for the parameters and
+    # for the weights read off the built cusp (up to 1e275: the canonical
+    # weight order rounds to 12 decimals, which overflows past ~1e296)
+    from gencusp.invariants import weight_data
+
+    for s in 10.0 ** np.arange(-300.0, 301.0, 25.0):
+        p = BlownUpWeylPoint(3, s * np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
+        assert p.type_t == 3
+        if s < 1e290:
+            assert weight_data(build_marked_cusp(p)).type_t == 3
+
+
+def test_build_refuses_a_fold_out_of_the_float_range():
+    # lambda at 1e-300 folded by 1e-30 I underflows to 0, which reads type 0;
+    # lambda at 1e300 folded by 1e30 I, and diag(1e300, 1e-310) folded by
+    # s = 1e-5 to a column of 1e305 / 1e-5, overflow
+    p = BlownUpWeylPoint(3, 1e-300 * np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
+    with pytest.raises(ValueError, match=r"underflows lambda: type 3 reads as 0"):
+        _built_without_warning(p, 1e-30 * np.eye(2))
+    for lam, b in ((1e300, 1e30 * np.eye(2)), (1.0, np.diag([1e305, 1e-315]))):
+        p = BlownUpWeylPoint(3, lam * np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
+        with pytest.raises(ValueError, match="overflows lambda or B when folded"):
+            _built_without_warning(p, b)
 
 
 @pytest.mark.parametrize("b", [
@@ -478,8 +500,8 @@ def test_marking_log_det_near_overflow_matches_the_silenced_reference(k):
                 assert np.array_equal(build_marked_cusp(p, b).marking, b)
                 continue
             s = math.exp(logdet / k)
-            if p.scaled(s).type_t != p.type_t:
-                with pytest.raises(ValueError, match="past the zero floor"):
+            if not math.isfinite(float(np.abs(b).max()) / s):
+                with pytest.raises(ValueError, match="overflows lambda or B when folded"):
                     build_marked_cusp(p, b)
                 continue
             cusp = build_marked_cusp(p, b)
@@ -491,8 +513,8 @@ def test_marking_log_det_near_overflow_matches_the_silenced_reference(k):
 def test_marking_log_det_survives_an_lu_overflow():
     # the LU of B itself would read inf; log|det B| from B's columns scaled
     # to norms in [1/2, 1) is finite and right, with no RuntimeWarning, and
-    # the fold by exp(log|det B| / 4) ~ 1e-148 crosses the zero floor, which
-    # the refusal reports by log|det|
+    # the fold by s = exp(log|det B| / 4) ~ 1e-148 keeps lambda's type but
+    # would overflow B / s, which the refusal reports by log|det|
     b = _lu_overflow_marking()
     p = BlownUpWeylPoint(5, np.array([0.5, 0.7, 1.0, 1.5, 2.0]),
                          np.array([0.5 / 0.7, 0.5, 1.0 / 3.0, 0.25]))
@@ -503,7 +525,7 @@ def test_marking_log_det_survives_an_lu_overflow():
         want = math.log(8.0 * 5e307) + 3.0 * math.log(1e-300)
         assert abs(logdet - want) <= 1e-13 * abs(want)
         with pytest.raises(ValueError, match=re.escape(
-                "marking (log|det| = -1361.74) scales lambda past the zero floor")):
+                "marking (log|det| = -1361.74) overflows lambda or B when folded")):
             build_marked_cusp(p, b)
 
 

@@ -178,6 +178,17 @@ def test_classify_stratum():
     assert classify_stratum_3d(w ** 3 / abs(w) ** 2, 3 * w) == 1
     with pytest.raises(ValueError):
         classify_stratum_3d(0.01, 1.0)
+
+
+def test_classify_stratum_is_free_of_scale():
+    # the (h, r) cone is a cone: s (h, r) has the stratum of (h, r) at every
+    # s > 0, down to 1e-200
+    cube = decompose_cubic_2d(CubicPoly.from_monomials(2, {(3, 0): 1.0}))
+    edge = decompose_cubic_2d(CubicPoly.from_monomials(2, {(3, 0): 1 / 3, (0, 3): 2 / 3}))
+    for (h, r), t in (((0.0, 0.0), 0), ((cube.h, cube.r), 1), ((edge.h, edge.r), 2),
+                      ((1 + 0.5j, 1.2 + 0.1j), 3)):
+        for s in (1.0, 1e-12, 1e-200):
+            assert classify_stratum_3d(s * h, s * r) == t
     with pytest.raises(ValueError):
         classify_stratum_3d(1.0, 3.0 + 5e-9)
 

@@ -6,6 +6,7 @@ from gencusp.cusp_groups import (
     BlownUpWeylPoint,
     PsiParameter,
     build_marked_cusp,
+    lambda_to_psi,
     lie_algebra_phi,
     preferred_sqrt,
     psi_to_lambda,
@@ -578,6 +579,20 @@ def test_psi_recovery_all_types():
                 c = build_marked_cusp(p, random_marking(rng, n - 1))
                 psi_rec = recover_psi_from_invariant(complete_invariant(c))
                 assert maxerr(psi_rec.psi, marked_psi_normal_form(p).psi) < 1e-7
+
+
+def test_psi_normal_form_keeps_type_n_as_lambda0_shrinks():
+    # psi's zeros are structural: psi = lambda^-2 squares lambda's range, so
+    # at lambda0 = 1e-9 its largest entry is 1e18 and a test relative to it
+    # would read the others as zero; 5 n x 51 lambda0 in [1e-9, 1e-4]
+    rng = np.random.default_rng(27)
+    for n in range(3, 8):
+        for lam0 in 10.0 ** np.linspace(-9.0, -4.0, 51):
+            lam = np.concatenate(([lam0], np.sort(rng.uniform(0.3, 2.5, n - 1))))
+            p = BlownUpWeylPoint(n, lam, lam0 / lam[1:])
+            assert p.type_t == n
+            assert lambda_to_psi(p).type_t == n
+            assert marked_psi_normal_form(p).type_t == n
 
 
 def test_psi_recovery_direct_diagonal_model():

@@ -159,6 +159,20 @@ def test_nonzero_is_relative_on_magnitudes():
     assert list(nonzero([1e-6, 2.0])) == [True, True]
 
 
+def test_zero_and_slack_decisions_are_free_of_size():
+    # nonzero and check_symmetric read no absolute size: s x has x's verdict
+    # at every s > 0; a skew of 1e-12 against a largest entry of 3 is within
+    # SLACK, one of 1e-11 is not
+    mags = np.array([0.0, 1e-11, 2e-10, 1.0])
+    near = np.array([[2.0, 1.0], [1.0 + 1e-12, 3.0]])
+    far = np.array([[2.0, 1.0], [1.0 + 1e-11, 3.0]])
+    for s in 10.0 ** np.arange(-300.0, 301.0, 50.0):
+        assert list(nonzero(s * mags)) == [False, False, True, True]
+        check_symmetric(s * near)
+        with pytest.raises(ValueError, match="not symmetric"):
+            check_symmetric(s * far)
+
+
 def test_check_unimodular():
     q = check_unimodular(np.diag([4.0, 0.25]), "q")
     assert not q.flags.writeable

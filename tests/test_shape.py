@@ -80,8 +80,10 @@ def test_canonical_matches_the_inline_scaling_bit_for_bit():
             c = random_cusp(rng, n, t=t, orthonormalized=bool(t % 2))
             q_raw, c_raw = fit_height_jet(c)
             q_raw = q_raw * 10.0 ** rng.uniform(-3.0, 3.0)
-            # and a copy symmetric only to within check_symmetric's slack
-            skew = q_raw + 1e-14 * np.triu(rng.standard_normal((n - 1, n - 1)), 1)
+            # and a copy symmetric only to within check_symmetric's slack,
+            # which is relative to q's largest entry
+            skew = q_raw + 1e-14 * np.abs(q_raw).max() * np.triu(
+                rng.standard_normal((n - 1, n - 1)), 1)
             for q in (q_raw, skew):
                 got = ShapeInvariant.canonical(q, c_raw)
                 q_ref, c_ref = _canonical_reference(q, c_raw)
@@ -343,10 +345,16 @@ def test_height_jet_does_not_depend_on_the_generator_scale():
 def test_sphere_maxima_degenerate_flag():
     out = sphere_local_maxima(np.eye(2), CubicPoly.zero(2))
     assert out.degenerate and len(out.points) == 0
-    # a cubic that linalg.nonzero reads as zero
+    # only the zero cubic: s c has c's maxima and s times their values, at
+    # any size s
     q, c, _ = restricted_diag_calibration(np.array([1.3, 0.7, 0.5, 1.1]))
-    out = sphere_local_maxima(q, c.scaled(1e-11))
-    assert out.degenerate and len(out.points) == 0
+    ref = sphere_local_maxima(q, c)
+    assert len(ref.points) == 4
+    for s in (1e-11, 1e-200, 1e100):
+        out = sphere_local_maxima(q, c.scaled(s))
+        assert not out.degenerate and out.points.shape == ref.points.shape
+        assert np.abs(out.points - ref.points).max() <= 1e-12
+        assert np.all(np.abs(out.values / s - ref.values) <= 1e-12 * np.abs(ref.values))
 
 
 def test_sphere_maxima_rejects_dimension_mismatch():

@@ -187,3 +187,17 @@ def test_generator_stack_is_built_only_where_it_is_read():
     readers = [name for name, scopes in _references(path)
                if "weights_of" in scopes and name == "generators"]
     assert readers == [], "invariants.weights_of reads the generator stack"
+
+
+def test_one_owner_decides_which_weights_are_live():
+    # which weights are zero is invariants._live_rows' decision alone (each
+    # row's max-abs coordinate, by linalg.nonzero): the type, the linear
+    # weights, the recoveries and the weights route of the shape all call it
+    reads = [
+        (path.name, sorted(scopes)) for path in _MODULES
+        if path.name in ("invariants.py", "shape.py")
+        for name, scopes in _references(path) if name == "nonzero"
+    ]
+    # the import itself is a module-level reference
+    assert reads == [("invariants.py", []), ("invariants.py", ["_live_rows"])], (
+        "nonzero read outside invariants._live_rows: %s" % reads)
