@@ -271,7 +271,8 @@ def psi_to_lambda(psi):
 
 
 def _marking_log_det(b):
-    """log|det B| of a finite marking; raises on a singular one.
+    """(log|det B|, |det B^|, e) of a finite marking, with |det B| =
+    |det B^| 2^e; raises on a singular one.
 
     log|det B| = log|det B^| + e log 2, from the LU of B^ = B 2^-E: each
     column b_j scaled by the power of 2, 2^-e_j, that brings its norm into
@@ -288,12 +289,12 @@ def _marking_log_det(b):
     ratio = det / math.prod(mant) if all(mant) else 0.0
     if ratio <= ZERO:
         raise ValueError("marking is singular (|det| / Hadamard's bound = %.3g)" % ratio)
-    return math.log(det) + sum(exps.tolist()) * math.log(2.0)
+    e = sum(exps.tolist())
+    return math.log(det) + e * math.log(2.0), det, e
 
 
 def _checked_marking(n, marking):
-    """The marking as a float array and its log|det B| (``_marking_log_det``);
-    refuses one of the wrong shape, a non-finite one and a singular one."""
+    """The marking as a float array and its ``_marking_log_det``; refuses one of the wrong shape, a non-finite one and a singular one."""
     b = np.asarray(marking, dtype=float)
     if b.shape != (n - 1, n - 1):
         raise ValueError("marking must be (n-1)x(n-1)")
@@ -336,7 +337,7 @@ class MarkedCusp:
 
     def __post_init__(self, _log_det):
         if _log_det is None:
-            b, _log_det = _checked_marking(self.params.n, self.marking)
+            b, (_log_det, _, _) = _checked_marking(self.params.n, self.marking)
         else:
             b = self.marking
         if abs(_log_det) > DET_TOL:
@@ -370,8 +371,10 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     A marking with |det B| = d != 1 is folded away by the scaling identity of
     the models: the cusp (lambda, kappa, B) equals (s * lambda, kappa, B / s),
     s = d^(1/(n-1)), up to conjugacy, so the returned cusp carries the
-    rescaled parameters and a |det| = 1 marking (flagged ``rescaled``).  s is
-    exp(log|det B| / (n-1)), read from ``_marking_log_det`` at any size of B.
+    rescaled parameters and a |det| = 1 marking (flagged ``rescaled``).  With
+    |det B| = |det B^| 2^e from ``_marking_log_det`` and e = (n-1) a + r,
+    s = (|det B^| 2^r)^(1/(n-1)) 2^a: the power of 2 is taken out whole, so
+    s carries one root's rounding at any size of B.
 
     A singular B is rejected (see ``_marking_log_det``), and so is one whose
     fold leaves the float range: s lambda or B / s overflows, or s lambda
@@ -380,10 +383,11 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     folded by B = 1e-30 I reads type 0).
     """
     n = p.n
-    b, logdet = _checked_marking(n, np.eye(n - 1) if marking is None else marking)
+    b, (logdet, det, e) = _checked_marking(n, np.eye(n - 1) if marking is None else marking)
     if abs(logdet) <= DET_TOL:
         return MarkedCusp(p, b, orthonormalized=orthonormalized, _log_det=logdet)
-    s = math.exp(logdet / (n - 1))
+    a, r = divmod(e, n - 1)
+    s = math.ldexp((det * 2.0 ** r) ** (1.0 / (n - 1)), a)
     # in Python floats, so that nothing overflows before the refusal
     big = float(np.abs(b).max())
     if not (s > 0.0 and math.isfinite(big / s) and math.isfinite(float(p.lam[-1]) * s)):

@@ -5,6 +5,7 @@ import sys
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -399,24 +400,48 @@ def test_singular_marking_is_rejected_at_any_scale(b):
 _EPS = float(np.finfo(float).eps)
 
 
-def _exact_log_det(b):
-    """log|det B| of the float matrix B, from its determinant in exact
-    rational arithmetic; -inf when B is singular."""
+def _exact_abs_det(b):
+    """|det B| of the float matrix B in exact rational arithmetic."""
     a = [[Fraction(x) for x in row] for row in b.tolist()]
     k = len(a)
     det = Fraction(1)
     for i in range(k):
         pivot = next((r for r in range(i, k) if a[r][i]), None)
         if pivot is None:
-            return -math.inf
+            return Fraction(0)
         a[i], a[pivot] = a[pivot], a[i]
         det *= a[i][i]
         for r in range(i + 1, k):
             f = a[r][i] / a[i][i]
             a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return abs(det)
+
+
+def _exact_log_det(b):
+    """log|det B| of the float matrix B, from its determinant in exact
+    rational arithmetic; -inf when B is singular."""
+    det = _exact_abs_det(b)
+    if not det:
+        return -math.inf
     # the log of a ratio of huge integers, without their logs' cancellation
-    e = abs(det).numerator.bit_length() - abs(det).denominator.bit_length()
-    return math.log(float(abs(det) / Fraction(2) ** e)) + e * math.log(2.0)
+    e = det.numerator.bit_length() - det.denominator.bit_length()
+    return math.log(float(det / Fraction(2) ** e)) + e * math.log(2.0)
+
+
+def _exact_fold(b):
+    """|det B|^(1/k) of the k x k float matrix B, to 60 digits: the exact
+    rational determinant, then mpmath's root."""
+    det = _exact_abs_det(b)
+    with mpmath.workdps(60):
+        return mpmath.root(mpmath.mpf(det.numerator) / det.denominator, len(b))
+
+
+def _fold_error(got, lam, s):
+    """Worst relative distance of the folded lambda ``got`` from s lambda,
+    computed to 60 digits, in units of eps."""
+    with mpmath.workdps(60):
+        return max(float(abs(mpmath.mpf(g) / (s * v) - 1)) / _EPS
+                   for g, v in zip(got.tolist(), lam.tolist()))
 
 
 def _lu_log_det(b):
@@ -465,7 +490,9 @@ def test_marking_log_det_near_overflow_matches_the_silenced_reference(k):
     # logs and their sum.  These markings read at most 1.0 of the first
     # bound and 2.5 of the 4 ulps; the LU of B with unit columns, which
     # rounds otherwise, misses the 4 ulps on random markings at three k.
-    # Then the same fold or refusal, with no RuntimeWarning at any size of B.
+    # Then the fold, within 4 eps (cond(U) + 1) of the exact s lambda (from
+    # an exact rational |det B| and a 60-digit root), or the refusal of a
+    # fold that overflows B / s, with no RuntimeWarning at any size of B.
     rng = np.random.default_rng(70 + k)
     lam = np.sort(rng.uniform(0.5, 2.0, k + 1))
     p = BlownUpWeylPoint(k + 1, lam, lam[0] / lam[1:])
@@ -490,7 +517,7 @@ def test_marking_log_det_near_overflow_matches_the_silenced_reference(k):
                 with pytest.raises(ValueError, match="marking is singular"):
                     build_marked_cusp(p, b)
                 continue
-            logdet = _marking_log_det(b)
+            logdet = _marking_log_det(b)[0]
             col_logs = float(np.sum(np.abs(np.log(cols))))
             assert abs(logdet - exact) <= 4 * _EPS * (k * np.linalg.cond(b / cols) + col_logs)
             lu = _lu_log_det(b)
@@ -499,15 +526,37 @@ def test_marking_log_det_near_overflow_matches_the_silenced_reference(k):
             if abs(logdet) <= DET_TOL:
                 assert np.array_equal(build_marked_cusp(p, b).marking, b)
                 continue
-            s = math.exp(logdet / k)
-            if not math.isfinite(float(np.abs(b).max()) / s):
+            s = _exact_fold(b)
+            if not math.isfinite(float(np.abs(b).max()) / float(s)):
                 with pytest.raises(ValueError, match="overflows lambda or B when folded"):
                     build_marked_cusp(p, b)
                 continue
             cusp = build_marked_cusp(p, b)
         assert cusp.rescaled
-        assert np.array_equal(cusp.params.lam, p.scaled(s).lam)
-        assert np.array_equal(cusp.marking, b / s)
+        # the LU's roundoff, about eps cond(U), and the root's and the
+        # product's roundings
+        bound = 4.0 * (np.linalg.cond(b / cols) + 1.0)
+        assert _fold_error(cusp.params.lam, p.lam, s) <= bound
+        want = b / float(s)
+        assert np.abs(cusp.marking - want).max() <= bound * _EPS * np.abs(want).max()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e-3, 1e60, 1e120, 1e-60])
+def test_build_folds_exactly_at_any_scale(scale):
+    # the fold s = |det B|^(1/(n-1)) takes B's power of 2 out whole, so the
+    # folded lambda is within a few ulps of s lambda at any size of B, here
+    # against an exact rational |det B| and a 60-digit root; exp(log|det B|
+    # / (n-1)) missed by ~eps |log s| ulps (276 at 1e60, 421 at 1e120)
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for n in range(3, 8):
+        p = random_blownup_point(rng, n, t=n)
+        for _ in range(35):
+            b = scale * random_marking(rng, n - 1, unit_det=False)
+            cusp = _built_without_warning(p, b)
+            assert cusp.rescaled
+            worst = max(worst, _fold_error(cusp.params.lam, p.lam, _exact_fold(b)))
+    assert worst <= 6.0
 
 
 def test_marking_log_det_survives_an_lu_overflow():
@@ -520,8 +569,9 @@ def test_marking_log_det_survives_an_lu_overflow():
                          np.array([0.5 / 0.7, 0.5, 1.0 / 3.0, 0.25]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        logdet = _marking_log_det(b)
+        logdet, det, e = _marking_log_det(b)
         assert isinstance(logdet, float) and math.isfinite(logdet)
+        assert 0.0 < det < 1.0 and math.log(det) + e * math.log(2.0) == logdet
         want = math.log(8.0 * 5e307) + 3.0 * math.log(1e-300)
         assert abs(logdet - want) <= 1e-13 * abs(want)
         with pytest.raises(ValueError, match=re.escape(
