@@ -5,6 +5,7 @@ the character is handled through its multiset of Lie-algebra weight covectors,
 never by pointwise sampling (exp blowup makes pointwise comparison fragile).
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -176,22 +177,24 @@ def weights_of(cusp):
     stack, so the reading is the stack's diagonal bit for bit whether or not
     the stack is ever built.
 
-    The reading is refused, with 'character cross-check failed', when any
+    The reading is refused, with 'character cross-check failed', when an
     entry the stack would hold is non-finite: then the diagonal need not be
-    the spectrum.  The character itself is checked in the battery
-    (``verify``'s ``character-trace-newton``): Newton's identities on the
-    traces of a conjugated holonomy, in a basis where it is not triangular,
-    against the eigenvalues this reading gives.
+    the spectrum.  That is decided before numpy forms a product that could
+    overflow, in Python floats, by a bound per column m_g of the marking:
+    (lam_max + 2|lam_0| + 4) sum_i |m_ig| is at least each product lam_i m_ig
+    and twice each entry that reads <m_g, kappa>, kappa being in [0, 1].
+    The character itself is checked in the battery (``verify``'s
+    ``character-trace-newton``): Newton's identities on the traces of a
+    conjugated holonomy, in a basis where it is not triangular, against the
+    eigenvalues this reading gives.
     """
-    diag, top = _generator_parts(cusp.params, cusp.effective_marking.T)
-    # the stack's other entries are the marking's own, finite when top is
-    if not (np.isfinite(diag).all() and np.isfinite(top).all()):
-        finite = np.isfinite(diag).all(axis=1) & np.isfinite(top).all(axis=1)
-        raise ValueError(
-            "character cross-check failed: generator %d has a non-finite entry"
-            % np.flatnonzero(~finite)[0]
-        )
-    return CharacterData(diag.T)
+    lam, m = cusp.params.lam.tolist(), cusp.effective_marking.T
+    grow = abs(lam[-1]) + 2.0 * abs(lam[0]) + 4.0
+    for g, col in enumerate(m.tolist()):
+        if not math.isfinite(grow * sum(map(abs, col))):
+            raise ValueError(
+                "character cross-check failed: generator %d has a non-finite entry" % g)
+    return CharacterData(_generator_parts(cusp.params, m)[0].T)
 
 
 def metric_and_scale(cusp):
