@@ -182,10 +182,10 @@ def surface_height_3d(lam, x1, x2):
     for ell, x in ((lam[1], x1), (lam[2], x2)):
         if 1.0 + ell * x <= 0:
             raise ValueError("surface domain violation: 1 + lambda*x <= 0")
-    prod = (1.0 + lam[1] * x1) ** (-((lam[0] / lam[1]) ** 2)) * (
-        1.0 + lam[2] * x2
-    ) ** (-((lam[0] / lam[2]) ** 2))
-    return x1 / lam[1] + x2 / lam[2] + (prod - 1.0) / lam[0] ** 2
+    # prod - 1 as expm1 of log(prod): no cancellation as lam0 -> 0
+    r1, r2 = (lam[0] / lam[1]) ** 2, (lam[0] / lam[2]) ** 2
+    z = -r1 * np.log1p(lam[1] * x1) - r2 * np.log1p(lam[2] * x2)
+    return x1 / lam[1] + x2 / lam[2] + np.expm1(z) / lam[0] ** 2
 
 
 def surface_height_printed_row(t, lam, x1, x2):

@@ -278,6 +278,16 @@ def test_surface_rows_match_surface_function():
                            - hypersurface_F(p, np.array([x1, x2]))) < 1e-10
 
 
+@pytest.mark.parametrize("lam0", [1e-4, 1e-6, 1e-8, 1e-9])
+def test_type_three_row_keeps_its_digits_as_lambda0_shrinks(lam0):
+    # the t = 3 row's (prod - 1) / lam0^2 cancelled every digit by 1e-8
+    # (relative errors 4.1e-8, 4.4e-4, 0.50, 3.5 at these lam0); as an expm1
+    # of the log of prod it stays within a few eps of the surface function
+    p = BlownUpWeylPoint(3, np.array([lam0, 0.5, 2.0]), np.array([lam0 / 0.5, lam0 / 2.0]))
+    f = hypersurface_F(p, np.array([0.7, -0.3]))
+    assert abs(surface_height_3d(p.lam, 0.7, -0.3) - f) <= 4 * np.finfo(float).eps * abs(f)
+
+
 def test_surface_row_anchors():
     assert surface_height_3d(np.zeros(3), 1.0, 1.0) == 1.0
     # type-1 row at (0, e-1) with unit parameter: g(1, e-1) = e - 2
