@@ -45,10 +45,9 @@ class PsiParameter:
     ``ordered=True`` means non-increasing; ``ordered=False`` is the unordered
     flavor where the positive entries precede the zeros (in any order).
 
-    Its zeros are structural: every route that builds a psi writes exact
-    zeros, so the type counts the entries above 0.  A test relative to the
-    largest entry would be wrong here, since psi = lambda^-2 squares
-    lambda's range: next to psi = 1e10 it reads psi = 0.16 as zero.
+    Its zeros are structural, written exactly by every route that builds a
+    psi, so the type counts the entries above 0: psi = lambda^-2 squares
+    lambda's range, and next to psi = 1e10 a relative test reads 0.16 as 0.
     """
 
     n: int
@@ -113,7 +112,6 @@ class BlownUpWeylPoint:
         # every order and range test below is False on NaN
         if not all(map(math.isfinite, ls + ks)):
             raise ValueError("lambda and kappa must be finite")
-        # the order and the constraint are relative to lambda's own size
         scale = max(map(abs, ls))
         if ls[0] < -SLACK * scale or any(b - a < -SLACK * scale for a, b in zip(ls, ls[1:])):
             raise ValueError("lambda must satisfy 0 <= lam[0] <= ... <= lam[n-1]")
@@ -237,18 +235,13 @@ def lambda_to_psi(p):
     Type t = n: psi_i = lam[i]^-2 for i < n and psi_n = lam[0]^-2.
     Both land in the unordered flavor (positives first).
     """
-    n = p.n
-    t = p.type_t
-    lam = p.lam
-    psi = np.zeros(n)
-    if t == 0:
-        pass
-    elif t < n:
-        u = p.unipotent_u
-        psi[:t] = lam[u + 1:] ** -2.0
-    else:
+    n, t, lam = p.n, p.type_t, p.lam
+    psi = np.zeros(n)  # the zeros are exact
+    if t == n:
         psi[: n - 1] = lam[1:] ** -2.0
         psi[n - 1] = lam[0] ** -2.0
+    else:
+        psi[:t] = lam[p.unipotent_u + 1:] ** -2.0
     return PsiParameter(n, psi, ordered=False)
 
 
@@ -258,16 +251,12 @@ def psi_to_lambda(psi):
     if not isinstance(psi, PsiParameter):
         psi = PsiParameter(len(psi), np.asarray(psi, dtype=float), ordered=False)
     n, t = psi.n, psi.type_t
-    if t == 0:
-        return BlownUpWeylPoint(n, np.zeros(n), np.zeros(n - 1))
     if t < n:
         lam = np.zeros(n)
         lam[n - t:] = np.sort(psi.psi[:t] ** -0.5)
-        kap = np.zeros(n - 1)
-        return BlownUpWeylPoint(n, lam, kap)
+        return BlownUpWeylPoint(n, lam, np.zeros(n - 1))
     lam = np.sort(psi.psi ** -0.5)
-    kap = lam[0] / lam[1:]
-    return BlownUpWeylPoint(n, lam, kap)
+    return BlownUpWeylPoint(n, lam, lam[0] / lam[1:])
 
 
 def _marking_log_det(b):
@@ -294,7 +283,8 @@ def _marking_log_det(b):
 
 
 def _checked_marking(n, marking):
-    """The marking as a float array and its ``_marking_log_det``; refuses one of the wrong shape, a non-finite one and a singular one."""
+    """The marking as a float array and its ``_marking_log_det``; refuses
+    one of the wrong shape, a non-finite one and a singular one."""
     b = np.asarray(marking, dtype=float)
     if b.shape != (n - 1, n - 1):
         raise ValueError("marking must be (n-1)x(n-1)")
@@ -376,11 +366,10 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     s = (|det B^| 2^r)^(1/(n-1)) 2^a: the power of 2 is taken out whole, so
     s carries one root's rounding at any size of B.
 
-    A singular B is rejected (see ``_marking_log_det``), and so is one whose
-    fold leaves the float range: s lambda or B / s overflows, or s lambda
-    underflows.  Scaling leaves the type of the cusp alone, but a lambda
-    folded below the smallest double reads another type (lambda at 1e-300
-    folded by B = 1e-30 I reads type 0).
+    A singular B is rejected (see ``_marking_log_det``), and so is a fold
+    out of the float range: s lambda or B / s overflows, or s lambda
+    underflows into another type (lambda at 1e-300 folded by 1e-30 I reads
+    type 0), where scaling leaves the type alone.
     """
     n = p.n
     b, (logdet, det, e) = _checked_marking(n, np.eye(n - 1) if marking is None else marking)

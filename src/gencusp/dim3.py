@@ -45,15 +45,10 @@ class Cubic2D:
     r: complex
 
 
-def _is_cone_point(h, r):
-    """h = r = 0: any other point has a scale of its own."""
-    return h == 0 and r == 0
-
-
 def _check_cone(h, r, what):
-    """ValueError(what) unless (h, r) is the cone point or meets the
-    scale-invariant test |r| <= 3|h|(1 + _CONE_SLACK)."""
-    if abs(r) > 3.0 * abs(h) * (1.0 + _CONE_SLACK) and not _is_cone_point(h, r):
+    """ValueError(what) unless (h, r) meets the scale-invariant test
+    |r| <= 3|h|(1 + _CONE_SLACK), which the cone point h = r = 0 meets."""
+    if abs(r) > 3.0 * abs(h) * (1.0 + _CONE_SLACK):
         raise ValueError("%s: |r|=%g, 3|h|=%g" % (what, abs(r), 3.0 * abs(h)))
 
 
@@ -151,7 +146,7 @@ def classify_stratum_3d(h, r):
     """
     h, r = complex(h), complex(r)
     _check_cone(h, r, "(h, r) lies outside the cone |r| <= 3|h|")
-    if _is_cone_point(h, r):
+    if h == 0 and r == 0:
         return 0
     if 3.0 * abs(h) - abs(r) > _BOUNDARY_TOL * 3.0 * abs(h):
         return 3

@@ -354,10 +354,8 @@ def are_conjugate(c1, c2, tol=CONJUGATE_TOL):
 
 
 def _live_rows(w):
-    """Mask of the nonzero covectors (rows) of the weights w: each row's
-    max-abs coordinate, by ``linalg.nonzero``.  The one test of which
-    weights are live, for the type, the linear weights, the recoveries and
-    the weights route of the shape."""
+    """Mask of the nonzero covectors (rows) of the weights w, by
+    ``linalg.nonzero`` on each row's max-abs coordinate: the one such test."""
     return nonzero(np.abs(w).max(axis=1, initial=0.0))
 
 

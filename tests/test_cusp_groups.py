@@ -363,8 +363,8 @@ def test_type_is_free_of_the_size_of_lambda():
 
 def test_build_refuses_a_fold_out_of_the_float_range():
     # lambda at 1e-300 folded by 1e-30 I underflows to 0, which reads type 0;
-    # lambda at 1e300 folded by 1e30 I, and diag(1e300, 1e-310) folded by
-    # s = 1e-5 to a column of 1e305 / 1e-5, overflow
+    # lambda at 1e300 folded by 1e30 I overflows, and so does the marking
+    # diag(1e305, 1e-315), whose fold by s = 1e-5 takes 1e305 to 1e310
     p = BlownUpWeylPoint(3, 1e-300 * np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
     with pytest.raises(ValueError, match=r"underflows lambda: type 3 reads as 0"):
         _built_without_warning(p, 1e-30 * np.eye(2))
