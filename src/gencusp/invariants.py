@@ -334,15 +334,16 @@ def _match_multisets(a, b):
 
 def eta_distance(e1, e2):
     """Distance between complete invariants: the larger of the metric
-    deviation and the weight deviation, which is the max over the weight
-    pairs matched by the min-sum assignment (both relative above magnitude
-    one).  Invariants of different n are infinitely far apart: their weight
-    arrays differ in shape, and the metrics are not compared."""
+    deviation (``maxerr``: a unimodular metric has no size) and the weight
+    deviation, the max over the pairs matched by the min-sum assignment,
+    relative to both multisets' largest |w| (0 when both are zero).
+    Different n are infinitely far apart; the metrics are not compared."""
     w1, w2 = e1.character.weights, e2.character.weights
     if w1.shape != w2.shape:
         return np.inf
-    scale = max(1.0, float(np.abs(w2).max()))
-    dw = _match_multisets(w1, w2) / scale
+    dw = _match_multisets(w1, w2)
+    if dw:
+        dw /= max(float(np.abs(w1).max()), float(np.abs(w2).max()))
     return max(dw, maxerr(e1.metric, e2.metric))
 
 
@@ -501,21 +502,22 @@ def realize_weight_data(w, tol=REALIZE_TOL):
     coordinate covectors.  varpi > 0: all n weights are nonzero, lambda_i =
     sqrt((N_i + varpi)/vk) with vk^(n-1) = (N_0 + varpi)/varpi, and the
     marking is determined by the n-1 largest weights.  Data off the weights
-    equation raises ``NotRealizable``.
+    equation raises ``NotRealizable``.  ``tol`` is relative: the residual
+    gate and the varpi snap read tol max(max N_i, |varpi|), the data's size.
     """
     beta = w.metric
     norms, off, varpi = dual_gram(w.weights, beta)
     resid = _equation_residual(off, varpi)
-    if resid > tol:
-        raise NotRealizable("weights equation residual %g exceeds %g" % (resid, tol))
+    slack = tol * max(float(norms.max()), abs(varpi))
+    if resid > slack:
+        raise NotRealizable("weights equation residual %g exceeds %g" % (resid, slack))
     n = w.weights.shape[0]
     dim = n - 1
     order = np.argsort(norms)
     ws = w.weights[order]
     norms = norms[order]
     varpi = max(varpi, 0.0)
-    scale = max(1.0, float(np.max(norms)))
-    if varpi > tol * scale:
+    if varpi > slack:
         # the smallest weight may read as zero: as lambda0 -> 0 its dual
         # norm N_0 ~ lambda0^4 sinks to roundoff while varpi ~ lambda0^2
         # is still resolved.  Data no cusp realizes fails the weights
@@ -526,7 +528,7 @@ def realize_weight_data(w, tol=REALIZE_TOL):
         p = BlownUpWeylPoint(n, lam, kap)
         marking = ws[1:] / lam[1:, None]
         model_xi0 = -lam[0] * (kap @ marking)
-        if maxerr(model_xi0, ws[0]) > 1e-6:
+        if np.abs(model_xi0 - ws[0]).max() > 1e-6 * np.abs(ws).max():
             raise ValueError("dependent weight inconsistent with the remaining ones")
         return build_marked_cusp(p, marking)
     mags = np.sqrt(np.maximum(norms, 0.0))
@@ -552,7 +554,8 @@ def realize_weight_data(w, tol=REALIZE_TOL):
 def frame_to_weight_data(a, vs):
     """Weight data from an upper-unipotent frame change and n vectors with
     constant pairwise inner product -varpi: weights xi_i = (A^T v_i)^T and
-    metric A^T A.  Both conditions hold to _FRAME_TOL = 1e-8."""
+    metric A^T A.  Both conditions hold to _FRAME_TOL = 1e-8, the second
+    relative to the largest |v_i|^2, which bounds every |v_i . v_j|."""
     a = np.asarray(a, dtype=float)
     vs = np.asarray(vs, dtype=float)
     dim = a.shape[0]
@@ -563,9 +566,10 @@ def frame_to_weight_data(a, vs):
     if vs.shape != (dim + 1, dim):
         raise ValueError("need n = dim+1 vectors of length dim")
     norms, off, varpi = dual_gram(vs, _identity(dim))
-    if np.max(np.abs(off + varpi)) > _FRAME_TOL * max(1.0, norms.max(), np.abs(off).max()):
+    slack = _FRAME_TOL * norms.max()
+    if np.max(np.abs(off + varpi)) > slack:
         raise ValueError("pairwise inner products are not constant")
-    if -varpi > _FRAME_TOL:
+    if -varpi > slack:
         raise ValueError("pairwise inner products must be -varpi <= 0")
     weights = vs @ a
     return WeightData(weights, unimodular(a.T @ a))

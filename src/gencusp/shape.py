@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .cusp_groups import BlownUpWeylPoint, PsiParameter, build_marked_cusp, orbit_point
+from .cusp_groups import BlownUpWeylPoint, PsiParameter, orbit_point
 from .invariants import (
     REALIZE_TOL,
     NotRealizable,
@@ -32,7 +32,6 @@ from .linalg import (
     _identity,
     check_symmetric,
     check_unimodular,
-    cholesky_upper,
     maxerr,
     sqrt_forms,
     unimodular_scale,
@@ -200,9 +199,13 @@ class ShapeInvariant:
         return cls(q, c_raw.scaled(s))
 
     def distance(self, other):
+        """The larger of ``maxerr`` on q (unimodular, so it has no size) and
+        the cubic deviation relative to the larger ``coeff_norm`` (0 when
+        both cubics are zero)."""
         dq = maxerr(self.q, other.q)
-        scale = max(1.0, other.c.coeff_norm())
-        dc = float(np.abs(self.c.tensor - other.c.tensor).max()) * 6.0 / scale
+        dc = float(np.abs(self.c.tensor - other.c.tensor).max()) * 6.0
+        if dc:
+            dc /= max(self.c.coeff_norm(), other.c.coeff_norm())
         return max(dq, dc)
 
 
@@ -494,8 +497,9 @@ def recover_cusp_from_shape(shape):
     tensor power steps polish them, b_i = 3 T(u_i, u_i, u_i) u_i, and the
     weights xi_i = a_i^T q^(1/2) go to ``realize_weight_data``.  The
     orthogonal (non-diagonalizable) branch is varpi = 0, where the s slot
-    is a null direction.  The rebuilt cusp's shape must match to
-    SHAPE_TOL.
+    is a null direction; the zero cubic has no live direction and rebuilds
+    the type-0 cusp.  Every floor is relative to the cubic's own size.  The
+    rebuilt cusp's shape must match to SHAPE_TOL.
 
     A cubic off the shape cone (varpi < 0, or lifted weights that do not
     realize) raises ``NotRealizable``.  A rebuilt cusp that misses the shape
@@ -506,12 +510,6 @@ def recover_cusp_from_shape(shape):
     n = dim + 1
     if n < 3:
         raise NotRealizable("shape recovery requires n >= 3, got n = %d" % n)
-    # a cubic at the noise floor of the required tolerance is the standard
-    # cusp: its shape matches with c = 0, which the final check re-verifies
-    if shape.c.coeff_norm() <= 0.1 * SHAPE_TOL:
-        marking = cholesky_upper(shape.q)
-        cusp = build_marked_cusp(BlownUpWeylPoint(n, np.zeros(n), np.zeros(dim)), marking)
-        return _verified(cusp, shape)
     root, inv_root, evals = sqrt_forms(shape.q)
     cy = shape.c.compose_linear(inv_root).tensor
     size = 3.0 * float(np.max(np.abs(cy)))  # the largest |b_i|, roughly
@@ -550,10 +548,10 @@ def recover_cusp_from_shape(shape):
     b = 3.0 * np.einsum("abc,ia,ib,ic->i", lifted, u, u, u)[:, None] * u
     xi = np.zeros((n, dim))
     xi[: len(b)] = b[:, :dim] @ root
-    # realize_weight_data tests the spread of the weights' dual pairings in
-    # absolute units; a snapped varpi leaves a spread below itself
+    # realize_weight_data reads tol relative to the largest dual norm, ~size^2;
+    # a snapped varpi leaves a spread below itself
     try:
-        cusp = realize_weight_data(WeightData(xi, shape.q), tol=floor * max(1.0, size ** 2))
+        cusp = realize_weight_data(WeightData(xi, shape.q), tol=floor)
     except ValueError as exc:
         raise NotRealizable("lifted weights are unrealizable (%s): not a cusp shape" % exc) from None
     return _verified(cusp, shape)

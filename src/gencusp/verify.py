@@ -195,7 +195,7 @@ def _check_orbit_surface(rng, i, dims):
     n = int(rng.choice(dims))
     c = random_cusp(rng, n)
     pt = orbit_point(c, rng.uniform(-1.2, 1.2, n - 1))
-    return abs(pt[0] - hypersurface_F(c.params, pt[1:])) / max(1.0, abs(pt[0]))
+    return maxerr(hypersurface_F(c.params, pt[1:]), pt[0])
 
 
 @_register("lambda-scaling-character", "lambda-scale-conjugacy", 1e-12)
@@ -208,8 +208,7 @@ def _check_tconj(rng, i, dims):
     v = rng.uniform(-1, 1, n - 1)
     chi1 = character_closed_form(c1, s * v)
     chi2 = character_closed_form(c2, v)
-    return max(abs(chi1 - chi2) / max(1.0, abs(chi1)),
-               maxerr(horosphere_metric(c1), horosphere_metric(c2)))
+    return max(maxerr(chi2, chi1), maxerr(horosphere_metric(c1), horosphere_metric(c2)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +222,7 @@ def _check_character(rng, i, dims):
     v = rng.uniform(-1.5, 1.5, n - 1)
     tr = float(np.trace(rho(c, v)))
     chi = character_closed_form(c, v)
-    return abs(tr - chi) / max(1.0, abs(chi))
+    return maxerr(tr, chi)
 
 
 @_register("character-trace-newton", "character-from-conjugated-traces", 1e-9)
@@ -290,7 +289,7 @@ def _check_eta_invariance(rng, i, dims):
         for vi, g in zip(v, gens):
             a += vi * g
         tr = float(np.trace(expm(a)))
-        worst = max(worst, abs(tr - eta.character.chi(v)) / max(1.0, abs(tr)))
+        worst = max(worst, maxerr(eta.character.chi(v), tr))
     beta_conj = unimodular(shape_mod.height_jet(gens, base)[0])
     return max(worst, maxerr(beta_conj, eta.metric))
 
@@ -641,16 +640,12 @@ def _check_surface_rows(rng, samples, dims):
         for x1, heights in zip(xs, dim3._grid_heights(p, xs, ys)):
             for x2, f_true in zip(ys, heights):
                 f_row = dim3.surface_height_3d(p.lam, x1, x2)
-                worst = max(worst, abs(f_row - f_true) / max(1.0, abs(f_true)))
+                worst = max(worst, maxerr(f_row, f_true))
         # orbit oracle for the same row
         c = build_marked_cusp(p)
         for v in np.random.default_rng(55 + t).uniform(-1, 1, (20, 2)):
             pt = orbit_point(c, v)
-            worst = max(
-                worst,
-                abs(pt[0] - dim3.surface_height_3d(p.lam, pt[1], pt[2]))
-                / max(1.0, abs(pt[0])),
-            )
+            worst = max(worst, maxerr(dim3.surface_height_3d(p.lam, pt[1], pt[2]), pt[0]))
     return worst, 4 * 400
 
 

@@ -783,6 +783,47 @@ def test_eta_distance_of_different_n_is_infinite():
     assert eta_distance(e4, e3) == np.inf
 
 
+@pytest.mark.parametrize("s", [1e-12, 1e-9, 1.0, 1e9])
+def test_conjugacy_is_free_of_the_size_of_lambda(s):
+    # scaling lambda by s scales every weight by s: lambda = s [0, 1, 2] and
+    # s [0, 1, 3] differ by a weight of size s, the data's whole size, at
+    # every s, and a re-marked copy (the other flag, with S B for B) stays
+    # conjugate at every s
+    for b in (np.eye(2), random_marking(np.random.default_rng(28), 2)):
+        p = BlownUpWeylPoint(3, s * np.array([0.0, 1.0, 2.0]), np.zeros(2))
+        c = build_marked_cusp(p, b)
+        assert not are_conjugate(c, _cusp(s * np.array([0.0, 1.0, 3.0]), [0, 0], b))
+        assert are_conjugate(c, build_marked_cusp(p, preferred_sqrt(p.kappa) @ b,
+                                                  orthonormalized=True))
+
+
+def test_eta_distance_weight_part_is_symmetric():
+    # the weight deviation is relative to the larger of the two multisets,
+    # not to the second one's.  lambda and r lambda share kappa, so with a
+    # shared marking the metrics are equal and the weight part alone decides
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n = int(rng.integers(3, 8))
+        p = random_blownup_point(rng, n, int(rng.integers(1, n + 1)))
+        b = random_marking(rng, n - 1)
+        e1, e2 = (complete_invariant(build_marked_cusp(BlownUpWeylPoint(n, r * p.lam, p.kappa), b))
+                  for r in rng.uniform(0.2, 5.0, 2))
+        assert eta_distance(e1, e2) == eta_distance(e2, e1) > 0
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-5, 1.0, 1e5])
+def test_realize_refuses_off_equation_rows_at_any_scale(s):
+    # random rows miss the weights equation by about their own size squared,
+    # and REALIZE_TOL is relative to that size: small rows are no exception
+    rng = np.random.default_rng(30)
+    for n in range(3, 8):
+        for _ in range(5):
+            b = random_marking(rng, n - 1)
+            w = WeightData(s * rng.standard_normal((n, n - 1)), unimodular(b.T @ b))
+            with pytest.raises(NotRealizable, match="weights equation residual"):
+                realize_weight_data(w)
+
+
 def test_value_types_reject_a_non_finite_metric():
     # every comparison is False on NaN: each validator must reject the form
     # before it reaches one

@@ -7,9 +7,17 @@ from gencusp.cusp_groups import (
     build_marked_cusp,
     psi_to_lambda,
 )
-from gencusp.invariants import are_conjugate, complete_invariant, metric_and_scale, weight_data
+from gencusp.invariants import (
+    are_conjugate,
+    complete_invariant,
+    marked_psi_normal_form,
+    metric_and_scale,
+    realize_weight_data,
+    recover_psi_from_invariant,
+    weight_data,
+)
 from gencusp.linalg import check_symmetric, expm, maxerr
-from gencusp.sampling import random_cusp, random_marking
+from gencusp.sampling import random_blownup_point, random_cusp, random_marking
 from gencusp.shape import (
     CubicPoly,
     ShapeInvariant,
@@ -464,6 +472,41 @@ def test_recover_lambda0_sweep():
         if not ok:
             failures.append(c.params.lam)
     assert failures == []
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6])
+def test_inverse_maps_are_free_of_the_size_of_lambda(s):
+    # lambda scaled by s scales the weights and the cubic by s and leaves
+    # the metric alone: all three inverse maps round-trip the same cusps at
+    # every s, psi relative to its largest entry, the cusps by are_conjugate
+    # (relative to the weights' own size)
+    rng = np.random.default_rng(31)
+    for n in range(3, 8):
+        for t in range(n + 1):
+            p = random_blownup_point(rng, n, t)
+            c = build_marked_cusp(BlownUpWeylPoint(n, s * p.lam, p.kappa),
+                                  random_marking(rng, n - 1))
+            ref = marked_psi_normal_form(c.params).psi
+            got = recover_psi_from_invariant(complete_invariant(c)).psi
+            assert np.abs(got - ref).max() <= 1e-7 * np.abs(ref).max()
+            assert are_conjugate(realize_weight_data(weight_data(c)), c, tol=1e-6)
+            assert are_conjugate(recover_cusp_from_shape(shape_invariant(c, "closed")), c, tol=1e-6)
+
+
+def test_recover_a_tiny_cubic():
+    # the shapes of a cusp form a ray: the cubic scaled by 1e-8 is the shape
+    # of the cusp with lambda scaled by 1e-8, of the same type, and not the
+    # standard cusp's zero cubic
+    rng = np.random.default_rng(32)
+    for n in range(3, 8):
+        for t in range(1, n + 1):
+            p = random_blownup_point(rng, n, t)
+            b = random_marking(rng, n - 1)
+            shape = shape_invariant(build_marked_cusp(p, b), "closed")
+            rec = recover_cusp_from_shape(ShapeInvariant(shape.q, shape.c.scaled(1e-8)))
+            assert rec.params.type_t == t
+            small = build_marked_cusp(BlownUpWeylPoint(n, 1e-8 * p.lam, p.kappa), b)
+            assert are_conjugate(rec, small, tol=1e-6)
 
 
 def _ill_marking(k, angle=0.7):

@@ -64,6 +64,22 @@ def test_small_float_literals_do_not_grow():
     )
 
 
+def test_no_unit_floor_under_a_size():
+    # every verdict in invariants and shape reads the data's own size: a
+    # max(1.0, size) floor would make it absolute below magnitude 1, so that
+    # a cusp and its lambda scaled by s > 0 could get different verdicts
+    floors = [
+        (path.name, node.lineno) for path in _MODULES
+        if path.name in ("invariants.py", "shape.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "max" or getattr(node.func, "attr", None) == "maximum")
+        and any(isinstance(arg, ast.Constant) and isinstance(arg.value, float) and arg.value == 1.0
+                for arg in node.args)
+    ]
+    assert floors == [], "max(1.0, ...) size floors: %s" % floors
+
+
 _PERFBENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
 
 # psi_to_lambda is the inverse of lambda_to_psi: no library route needs it,
