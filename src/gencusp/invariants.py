@@ -72,16 +72,18 @@ class NotRealizable(ValueError):
 
 
 def sort_weights(w):
-    """Canonical order: lexicographic by coordinates rounded to 1e-12.
-    Non-finite weights raise ValueError."""
+    """Canonical order: lexicographic by coordinates rounded to 12 decimals
+    of w / 2^e, 2^e the power of 2 just above max|w| (exact, so free of the
+    weights' size).  Non-finite weights raise ValueError."""
     w = np.asarray(w, dtype=float)
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
     if w.shape[1] == 0:
         # lexsort needs at least one key; rows with no coordinates all tie
         return w.copy()
+    e = np.frexp(np.abs(w).max(initial=0.0))[1]
     # lexsort's last key is the primary one, so the columns go in reverse
-    return w[np.lexsort(w.round(12).T[::-1])]
+    return w[np.lexsort(np.ldexp(w, -e).round(12).T[::-1])]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -273,19 +275,23 @@ def test_weights_of_reads_the_generator_diagonals():
 
 
 def _sort_weights_reference(w):
-    """The canonical order as a stable sort of rounded row tuples."""
+    """The canonical order as a stable sort of row tuples, divided by the
+    power of 2 just above max|w| and rounded to 12 decimals."""
     w = np.asarray(w, dtype=float)
-    keys = [tuple(np.round(row, 12)) for row in w]
+    scale = 2.0 ** math.frexp(float(np.abs(w).max(initial=0.0)))[1]
+    keys = [tuple(np.round(row / scale, 12)) for row in w]
     return w[sorted(range(len(keys)), key=lambda i: keys[i])]
 
 
 def test_sort_weights_matches_tuple_sort():
     rng = np.random.default_rng(15)
     # few distinct values, signed zeros and offsets below the rounding, so
-    # most rows tie on some leading coordinates and many tie outright
+    # most rows tie on some leading coordinates and many tie outright; the
+    # key is relative, so each draw is scaled by 10^k anywhere in the range
     values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 1e-13, -1e-13, 1.0 + 1e-13, 0.5 - 4e-13])
     draws = [np.zeros((4, 0)), np.zeros((0, 3))]
-    draws += [rng.choice(values, size=rng.integers(0, [9, 5])) for _ in range(2000)]
+    draws += [rng.choice(values, size=rng.integers(0, [9, 5])) * 10.0 ** rng.integers(-300, 300)
+              for _ in range(2000)]
     for w in draws:
         got, ref = sort_weights(w), _sort_weights_reference(w)
         # bytes, so that the order of rows equal only after rounding counts
@@ -691,12 +697,15 @@ def _match_by_hungarian(a, b):
 
 
 def _boundary_pair(rng, k):
-    # coordinates from a few values plus an offset within 1e-13 of a 1e-12
-    # rounding boundary of sort_weights; the copy is permuted and its offsets
-    # cross the boundary at random, so the two canonical orders can differ
+    # coordinates from a few values plus an offset within 1e-13 of a
+    # rounding boundary of sort_weights' key: one coordinate is 1, so the
+    # key is w / 2 and its boundaries sit at odd multiples of 1e-12.  The
+    # copy is permuted and its offsets cross the boundary at random, so the
+    # two canonical orders can differ
     d = int(rng.integers(1, 5))
     base = rng.choice([0.0, 1.0, -1.0, 0.5], (k, d))
-    half = (rng.integers(0, 3, (k, d)) + 0.5) * 1e-12
+    base[0, 0] = 1.0
+    half = (2 * rng.integers(0, 3, (k, d)) + 1) * 1e-12
     step = 10.0 ** -rng.uniform(13, 15, (k, d))
     on = rng.random((k, d)) < 0.5
     a = base + on * (half - step)
@@ -747,10 +756,11 @@ def test_match_multisets_equals_the_hungarian_bit_for_bit(monkeypatch):
     ran = fallbacks(near)
     assert 0 < ran < len(near)
 
-    # two rows tie after rounding on the first coordinate in a but not in b,
-    # so the canonical orders disagree and the diagonal is not row-minimal
-    a = sort_weights([[1.5e-12 - 1e-14, 1.0], [1.5e-12 - 1e-14, 0.0]])
-    b = sort_weights([[1.5e-12 - 1e-14, 1.0], [1.5e-12 + 1e-14, 0.0]])
+    # two rows tie after rounding on the first coordinate in a but not in b
+    # (the key is w / 2, so 1e-12 is a rounding boundary), so the canonical
+    # orders disagree and the diagonal is not row-minimal
+    a = sort_weights([[1e-12 - 1e-14, 1.0], [1e-12 - 1e-14, 0.0]])
+    b = sort_weights([[1e-12 - 1e-14, 1.0], [1e-12 + 1e-14, 0.0]])
     assert np.array_equal(a[:, 1], [0.0, 1.0]) and np.array_equal(b[:, 1], [1.0, 0.0])
     before = calls[0]
     assert _match_multisets(a, b) == _match_by_hungarian(a, b) < 1e-13
