@@ -76,14 +76,14 @@ def sort_weights(w):
     of w / 2^e, 2^e the power of 2 just above max|w| (exact, so free of the
     weights' size).  Non-finite weights raise ValueError."""
     w = np.asarray(w, dtype=float)
-    if not np.isfinite(w).all():
+    size = float(np.abs(w).max(initial=0.0))  # NaN or inf if any entry is
+    if not math.isfinite(size):
         raise ValueError("weights must be finite")
     if w.shape[1] == 0:
         # lexsort needs at least one key; rows with no coordinates all tie
         return w.copy()
-    e = np.frexp(np.abs(w).max(initial=0.0))[1]
     # lexsort's last key is the primary one, so the columns go in reverse
-    return w[np.lexsort(np.ldexp(w, -e).round(12).T[::-1])]
+    return w[np.lexsort(np.ldexp(w, -math.frexp(size)[1]).round(12).T[::-1])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,11 +536,11 @@ def realize_weight_data(w, tol=REALIZE_TOL):
     mags = np.sqrt(np.maximum(norms, 0.0))
     # At most n - 1 weights are nonzero here.  This couples the zero test to
     # the varpi snap above: as lambda0 -> 0, varpi ~ lambda0^2 drops below
-    # tol and snaps to 0 while the dependent weight, of size ~ lambda0^2
+    # the slack and snaps to 0 while the dependent weight, of size ~ lambda0^2
     # kappa, still reads as nonzero.  It is the smallest of the n and is
     # taken as the zero one.  Data with n genuinely nonzero weights fails the
     # weights equation instead: n vectors in R^(n-1) whose pairings all lie
-    # within tol of each other include a tiny one.
+    # within the slack of each other include a tiny one.
     t = min(int(np.count_nonzero(_live_rows(ws))), dim)
     lam = np.zeros(n)
     lam[n - t:] = mags[n - t:]
