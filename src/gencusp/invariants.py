@@ -338,7 +338,7 @@ def eta_distance(e1, e2):
     """Distance between complete invariants: the larger of the metric
     deviation (``maxerr``: a unimodular metric has no size) and the weight
     deviation, the max over the pairs matched by the min-sum assignment,
-    relative to both multisets' largest |w| (0 when both are zero).
+    relative to the larger multiset's largest |w| (0 when both are zero).
     Different n are infinitely far apart; the metrics are not compared."""
     w1, w2 = e1.character.weights, e2.character.weights
     if w1.shape != w2.shape:
