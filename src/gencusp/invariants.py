@@ -343,9 +343,8 @@ def eta_distance(e1, e2):
     w1, w2 = e1.character.weights, e2.character.weights
     if w1.shape != w2.shape:
         return np.inf
-    dw = _match_multisets(w1, w2)
-    if dw:
-        dw /= max(float(np.abs(w1).max()), float(np.abs(w2).max()))
+    size = max(float(np.abs(w1).max()), float(np.abs(w2).max()))
+    dw = _match_multisets(w1, w2) / size if size else 0.0
     return max(dw, maxerr(e1.metric, e2.metric))
 
 
@@ -504,13 +503,13 @@ def realize_weight_data(w, tol=REALIZE_TOL):
     coordinate covectors.  varpi > 0: all n weights are nonzero, lambda_i =
     sqrt((N_i + varpi)/vk) with vk^(n-1) = (N_0 + varpi)/varpi, and the
     marking is determined by the n-1 largest weights.  Data off the weights
-    equation raises ``NotRealizable``.  ``tol`` is relative: the residual
-    gate and the varpi snap read tol max(max N_i, |varpi|), the data's size.
+    equation raises ``NotRealizable``.  The residual gate and the varpi
+    snap read tol max N_i, which bounds every pairing (Cauchy-Schwarz).
     """
     beta = w.metric
     norms, off, varpi = dual_gram(w.weights, beta)
     resid = _equation_residual(off, varpi)
-    slack = tol * max(float(norms.max()), abs(varpi))
+    slack = tol * float(norms.max())
     if resid > slack:
         raise NotRealizable("weights equation residual %g exceeds %g" % (resid, slack))
     n = w.weights.shape[0]
@@ -556,8 +555,7 @@ def realize_weight_data(w, tol=REALIZE_TOL):
 def frame_to_weight_data(a, vs):
     """Weight data from an upper-unipotent frame change and n vectors with
     constant pairwise inner product -varpi: weights xi_i = (A^T v_i)^T and
-    metric A^T A.  Both conditions hold to _FRAME_TOL = 1e-8, the second
-    relative to the largest |v_i|^2, which bounds every |v_i . v_j|."""
+    metric A^T A.  Both conditions hold to _FRAME_TOL max |v_i|^2."""
     a = np.asarray(a, dtype=float)
     vs = np.asarray(vs, dtype=float)
     dim = a.shape[0]
@@ -590,7 +588,8 @@ def stratum_dim(n, t):
 def limit_demo_rows(kappa, m_max):
     """Convergence table of the diagonalizable family (lam0 = 1/m) toward its
     lam0 = 0 limit with kappa fixed, in dimension n = len(kappa) + 1:
-    generator and invariant distances."""
+    generator and invariant distances, both absolute: the limit is the
+    cone's apex, whose weights are all 0."""
     kappa = np.asarray(kappa, dtype=float)
     if not np.all((kappa > 0) & (kappa <= 1)):
         raise ValueError("kappa entries must lie in (0, 1]")
@@ -607,7 +606,9 @@ def limit_demo_rows(kappa, m_max):
         cusp = build_marked_cusp(BlownUpWeylPoint(n, lam, kap))
         pairs = zip(cusp.generators, limit_gens)
         gen_dist = max(float(np.max(np.abs(expm(g) - e))) for g, e in pairs)
-        inv_dist = eta_distance(complete_invariant(cusp), limit_eta)
+        eta = complete_invariant(cusp)
+        dw = _match_multisets(eta.character.weights, limit_eta.character.weights)
+        inv_dist = max(dw, maxerr(eta.metric, limit_eta.metric))
         rows.append(
             {
                 "m": m,

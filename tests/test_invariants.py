@@ -551,11 +551,25 @@ def test_limit_demo_rows_match_the_stacked_expm_route(kappa):
         cusp = build_marked_cusp(BlownUpWeylPoint(n, lam, kap))
         gen = float(np.max(np.abs(_stacked_expm(cusp.generators)
                                   - _stacked_expm(limit.generators))))
-        inv = eta_distance(complete_invariant(cusp), complete_invariant(limit))
+        # the limit is the apex (all weights 0): the deviation is absolute
+        eta, limit_eta = complete_invariant(cusp), complete_invariant(limit)
+        inv = max(_match_multisets(eta.character.weights, limit_eta.character.weights),
+                  maxerr(eta.metric, limit_eta.metric))
         want.append({"m": m, "lambda0": 1.0 / m, "generator_distance": gen,
                      "invariant_distance": inv})
         m *= 10
     assert limit_demo_rows(kappa, 10000) == want
+
+
+@pytest.mark.parametrize("kappa", [[1.0, 1.0], [0.3, 0.8], [1.0, 0.5, 0.2]])
+def test_limit_demo_invariant_distance_decays_tenfold_per_decade(kappa):
+    # the limit is the cone's apex, where every weight is 0, so a distance
+    # relative to the data's own size would read 1 in every row
+    rows = limit_demo_rows(kappa, 100000)
+    assert rows[0]["invariant_distance"] < 1.0
+    for prev, cur in zip(rows, rows[1:]):
+        ratio = prev["invariant_distance"] / cur["invariant_distance"]
+        assert abs(ratio - 10.0) <= 1.0
 
 
 def test_frame_to_weight_data():
