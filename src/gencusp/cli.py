@@ -41,12 +41,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _round12(x):
-    return round(float(x), 12) + 0.0  # normalize -0.0
-
-
-def _matrix12(m):
-    return [[_round12(v) for v in row] for row in np.asarray(m)]
+def _round12(a, size=None):
+    """``a``, a number or an array, as a float or lists: each entry to 12
+    decimals of the leading decade of ``size`` (default a's largest |entry|),
+    the same digits at every scale.  Relative distances pass size 1."""
+    a = np.asarray(a, dtype=float)
+    size = float(np.abs(a).max(initial=0.0)) if size is None else size
+    if a.ndim:
+        return [_round12(x, size) for x in a]
+    digits = 12 - math.floor(math.log10(size)) if size > 0 else 12
+    return round(float(a), digits) + 0.0  # normalize -0.0
 
 
 def canonical_json(obj):
@@ -152,14 +156,10 @@ def cmd_build(args):
 
 
 def _shape_to_dict(s):
-    return {
-        "q": _matrix12(s.q),
-        "c": {
-            ",".join(str(e) for e in exps): _round12(v)
-            for exps, v in sorted(s.c.monomials().items())
-            if abs(v) > 1e-15
-        },
-    }
+    mono = sorted(s.c.monomials().items())
+    # q is unimodular (no size); c drops what rounds to 0 at the cubic's size
+    c = zip((",".join(map(str, e)) for e, _ in mono), _round12([v for _, v in mono]))
+    return {"q": _round12(s.q, 1.0), "c": {k: v for k, v in c if v}}
 
 
 def _block(data, key, path):
@@ -191,36 +191,35 @@ def _shape_from_dict(data, path):
 
 
 def invariants_payload(cusp):
-    from .invariants import complete_invariant, weight_data
+    from .invariants import complete_invariant, dual_gram, weight_data
     from .shape import cubic_from_weights, shape_invariant
 
     eta = complete_invariant(cusp)
     nu = weight_data(cusp)
     s = shape_invariant(cusp, "closed")
     from_weights = cubic_from_weights(nu)
+    norms, _, varpi = dual_gram(nu.weights, nu.metric)
     payload = {
         "eta": {
-            "weights": _matrix12(eta.character.weights),
-            "beta": _matrix12(eta.metric),
+            "weights": _round12(eta.character.weights),
+            "beta": _round12(eta.metric, 1.0),
         },
         "nu": {
-            "weights": _matrix12(nu.weights),
-            "beta": _matrix12(nu.metric),
-            "varpi": _round12(max(nu.varpi, 0.0)),
+            "weights": _round12(nu.weights),
+            "beta": _round12(nu.metric, 1.0),
+            "varpi": _round12(max(varpi, 0.0), norms.max()),
             "type": int(nu.type_t),
         },
         "shape": _shape_to_dict(s),
-        "cross_check": {"cubic_routes_residual": _round12(s.distance(from_weights))},
+        "cross_check": {"cubic_routes_residual": _round12(s.distance(from_weights), 1.0)},
     }
     if cusp.n == 3:
         from .dim3 import coords_from_shape
 
         coords = coords_from_shape(s)
-        payload["coords3d"] = {
-            "w": [_round12(coords.w.real), _round12(coords.w.imag)],
-            "h": [_round12(coords.h.real), _round12(coords.h.imag)],
-            "r": [_round12(coords.r.real), _round12(coords.r.imag)],
-        }
+        hr = _round12([coords.h.real, coords.h.imag, coords.r.real, coords.r.imag])
+        w = _round12([coords.w.real, coords.w.imag], 1.0)
+        payload["coords3d"] = {"w": w, "h": hr[:2], "r": hr[2:]}
     else:
         payload["coords3d"] = {"note": "n != 3"}
     return payload
@@ -251,7 +250,7 @@ def cmd_conjugate(args):
     dist = eta_distance(complete_invariant(c1), complete_invariant(c2))
     tol = getattr(args, "tol", CONJUGATE_TOL)
     _write(
-        canonical_json({"conjugate": bool(dist <= tol), "eta_distance": _round12(dist)}),
+        canonical_json({"conjugate": bool(dist <= tol), "eta_distance": _round12(dist, 1.0)}),
         args.out,
     )
     return 0
@@ -287,7 +286,7 @@ def cmd_recover(args):
     with _invalid_input(args.source, NotRealizable):
         if args.kind == "psi":
             psi = recover_psi_from_invariant(_eta_from_dict(data, args.source))
-            out = {"psi": [_round12(v) for v in psi.psi], "type": int(psi.type_t)}
+            out = {"psi": _round12(psi.psi), "type": int(psi.type_t)}
         elif args.kind == "weights":
             out = cusp_to_dict(realize_weight_data(_nu_from_dict(data, args.source)))
         else:

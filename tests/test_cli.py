@@ -153,6 +153,27 @@ def test_recover_weights_and_shape_roundtrip(tmp_path):
         assert are_conjugate(rec, c, tol=1e-4)
 
 
+@pytest.mark.parametrize("s", [1e-10, 1e-8, 1e-6, 1e6])
+def test_recover_roundtrip_at_any_scale(tmp_path, s):
+    # the file rounds each array at its own size, so the relative gates of
+    # the inverse maps read the rounding's 12 digits at every scale
+    lam = [s * v for v in (0.5, 1.0, 1.5, 2.0)]
+    b = [[1.0, 0.3, 0.0], [0.0, 1.0, 0.2], [0.0, 0.0, 1.0]]
+    params = _params(lam, [0.5, 1 / 3, 0.25], b)
+    c = parse_cusp_params(params)
+    inv = str(tmp_path / "inv.json")
+    assert main(["invariants", _write(tmp_path, "p.json", params), "--out", inv]) == 0
+    for kind in ("psi", "weights", "shape"):
+        out = str(tmp_path / ("rec_%s.json" % kind))
+        assert main(["recover", kind, inv, "--out", out]) == 0
+        rec = json.loads(open(out).read())
+        if kind == "psi":
+            assert rec["type"] == 4
+        else:
+            rec = parse_cusp_params(rec)
+            assert rec.params.type_t == 4 and are_conjugate(rec, c)
+
+
 def test_recover_unrealizable_input_is_validation_error(tmp_path, capsys):
     # dual pairings -0.9, 0, 0 are not one constant: off the weights equation
     nu = {"weights": [[-0.5, 0.9], [0.9, -0.5], [0.0, 0.0]], "beta": [[1.0, 0.0], [0.0, 1.0]]}
