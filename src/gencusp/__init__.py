@@ -50,7 +50,7 @@ _EXPORTS = {
         "invariants",
     ),
     **dict.fromkeys(
-        ("cholesky_upper", "expm", "f_k", "newton_to_elementary", "unimodular"),
+        ("expm", "f_k", "newton_to_elementary", "unimodular"),
         "linalg",
     ),
     **dict.fromkeys(

@@ -149,7 +149,7 @@ def lie_algebra_zeta(psi, v):
     the type t is < n-1, = n-1, or = n.
     """
     if not isinstance(psi, PsiParameter):
-        psi = PsiParameter(len(psi), np.asarray(psi, dtype=float), ordered=False)
+        raise TypeError("expected a PsiParameter")
     n = psi.n
     v = np.asarray(v, dtype=float)
     if v.shape != (n - 1,):
@@ -195,26 +195,23 @@ def _generator_parts(p, rows):
 
 
 def lie_algebra_phi(p, v):
-    """Lie-algebra element of the blown-up model at v: the structural
-    upper-triangular part plus <v,kappa> times the rank-one part.
-
-    ``v`` is one vector (n-1,), giving one (n+1)x(n+1) matrix, or a stack of
-    rows (k, n-1), giving the (k, n+1, n+1) stack of their elements.
-    """
+    """Lie-algebra elements of the blown-up model at the rows (k, n-1) of v:
+    the (k, n+1, n+1) stack of the structural upper-triangular part plus
+    <v,kappa> times the rank-one part."""
     if not isinstance(p, BlownUpWeylPoint):
         raise TypeError("expected a BlownUpWeylPoint")
     n = p.n
-    v = np.asarray(v, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[-1] != n - 1:
-        raise ValueError("v must have length n-1=%d" % (n - 1))
-    rows = v.reshape(-1, n - 1)
+    rows = np.asarray(v, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != n - 1:
+        raise ValueError("v must be a stack (k, n-1) of rows, n-1=%d, got %r"
+                         % (n - 1, rows.shape))
     diag, top = _generator_parts(p, rows)
     m = np.zeros((len(rows), n + 1, n + 1))
     every = np.arange(n + 1)
     m[:, every, every] = diag
     m[:, 0, 1:n] = top
     m[:, 1:n, n] = rows
-    return m[0] if v.ndim == 1 else m
+    return m
 
 
 def preferred_sqrt(kappa):
@@ -249,7 +246,7 @@ def psi_to_lambda(psi):
     """Inverse of lambda_to_psi up to the canonical ascending ordering of
     lambda; kappa is recomputed as lam[0]/lam[i] (zero when lam[i]=0)."""
     if not isinstance(psi, PsiParameter):
-        psi = PsiParameter(len(psi), np.asarray(psi, dtype=float), ordered=False)
+        raise TypeError("expected a PsiParameter")
     n, t = psi.n, psi.type_t
     if t < n:
         lam = np.zeros(n)

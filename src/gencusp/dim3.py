@@ -226,7 +226,7 @@ def export_mesh_csv(p, grid, path):
     ``_grid_points`` (half-width _MESH_SPAN = 2); values are formatted with
     17 significant digits so a re-read is bit-exact."""
     if p.n != 3:
-        raise ValueError("mesh export is for 3-dimensional cusps")
+        raise ValueError("mesh export is for 3-dimensional cusps, got n = %d" % p.n)
     xs, ys = _grid_points(p, grid)
     heights = _grid_heights(p, xs, ys)
     try:
@@ -243,7 +243,7 @@ def export_mesh_obj(p, grid, path):
     """Triangulated OBJ of the same grid: g1*g2 vertices and
     2(g1-1)(g2-1) faces, 1-based indices."""
     if p.n != 3:
-        raise ValueError("mesh export is for 3-dimensional cusps")
+        raise ValueError("mesh export is for 3-dimensional cusps, got n = %d" % p.n)
     xs, ys = _grid_points(p, grid)
     heights = _grid_heights(p, xs, ys)
     g1, g2 = len(xs), len(ys)

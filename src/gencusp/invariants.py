@@ -23,6 +23,7 @@ from .linalg import (
     check_unimodular,
     expm,
     maxerr,
+    maxerr_symmetric,
     nonzero,
     sqrt_forms,
     unimodular,
@@ -335,17 +336,18 @@ def _match_multisets(a, b):
 
 
 def eta_distance(e1, e2):
-    """Distance between complete invariants: the larger of the metric
-    deviation (``maxerr``: a unimodular metric has no size) and the weight
-    deviation, the max over the pairs matched by the min-sum assignment,
-    relative to the larger multiset's largest |w| (0 when both are zero).
+    """Distance between complete invariants, symmetric in e1 and e2: the
+    larger of the metric deviation (``maxerr_symmetric``: a unimodular
+    metric has no size) and the weight deviation, the max over the pairs
+    matched by the min-sum assignment, relative to the larger multiset's
+    largest |w| (0 when both are zero).
     Different n are infinitely far apart; the metrics are not compared."""
     w1, w2 = e1.character.weights, e2.character.weights
     if w1.shape != w2.shape:
         return np.inf
     size = max(float(np.abs(w1).max()), float(np.abs(w2).max()))
     dw = _match_multisets(w1, w2) / size if size else 0.0
-    return max(dw, maxerr(e1.metric, e2.metric))
+    return max(dw, maxerr_symmetric(e1.metric, e2.metric))
 
 
 def are_conjugate(c1, c2, tol=CONJUGATE_TOL):

@@ -2,8 +2,8 @@
 
 Everything here is pure and deterministic: a fixed-order scaling-and-squaring
 matrix exponential, the entire-function family f_k appearing in the closed-form
-orbit surfaces, Newton's identities, an upper Cholesky factor, and the square
-roots of a positive-definite form.
+orbit surfaces, Newton's identities, and the square roots of a
+positive-definite form.
 
 It also states the library's tolerance policy, and it alone enters
 ``np.errstate``.  Every zero, singularity and roundoff-slack test of the
@@ -43,11 +43,11 @@ __all__ = [
     "h_log",
     "g_surface",
     "newton_to_elementary",
-    "cholesky_upper",
     "unimodular",
     "unimodular_scale",
     "check_symmetric",
     "maxerr",
+    "maxerr_symmetric",
 ]
 
 # A magnitude is zero when it is at most ZERO times the largest magnitude it
@@ -152,6 +152,14 @@ def maxerr(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return float((np.abs(a - b) / np.maximum(1.0, np.abs(b))).max())
+
+
+def maxerr_symmetric(a, b):
+    """``maxerr`` relative to the larger of |a| and |b| in each entry, so
+    symmetric in a and b: for unimodular forms, which have no size."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return float((np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))).max())
 
 
 # expm's cap on a scaled inf-norm, half the largest double
@@ -297,28 +305,6 @@ def check_symmetric(q):
     if np.abs(q - q.T).max() > SLACK * largest:
         raise ValueError("matrix is not symmetric within %g" % SLACK)
     return 0.5 * (q + q.T)
-
-
-def cholesky_upper(q):
-    """Unique upper-triangular A with positive diagonal and A^T A = Q.
-
-    Q must be symmetric to check_symmetric's slack.  Raises ValueError naming
-    the failing pivot index (0-based) when Q is not positive definite.
-    """
-    q = check_symmetric(q)
-    n = q.shape[0]
-    low = np.zeros_like(q)
-    for i in range(n):
-        for j in range(i + 1):
-            acc = q[i, j] - np.dot(low[i, :j], low[j, :j])
-            if i == j:
-                if acc <= 0.0:
-                    raise ValueError("not positive definite: pivot %d is %g" % (i, acc))
-                low[i, i] = np.sqrt(acc)
-            else:
-                low[i, j] = acc / low[j, j]
-    # L L^T = Q, so A = L^T is the upper factor with A^T A = Q.
-    return low.T
 
 
 def unimodular_scale(q, what):

@@ -32,7 +32,7 @@ from .linalg import (
     _identity,
     check_symmetric,
     check_unimodular,
-    maxerr,
+    maxerr_symmetric,
     sqrt_forms,
     unimodular_scale,
 )
@@ -133,16 +133,17 @@ class CubicPoly:
 
     @classmethod
     def from_monomials(cls, dim, mono):
+        """sum coeff * x^exps over ``mono``, whose keys are tuples of dim
+        non-negative exponents summing to 3."""
         t = np.zeros((dim,) * 3)
         for exps, coeff in mono.items():
-            idx = []
-            for var, e in enumerate(exps):
-                idx.extend([var] * int(e))
-            if len(idx) != 3:
-                raise ValueError("monomial %r is not degree 3" % (exps,))
+            # tested before the index is built: a key from a file may hold
+            # an exponent of any size
+            if len(exps) != dim or sum(exps) != 3 or min(exps) < 0:
+                raise ValueError("monomial %r is not of degree 3 in %d variables" % (exps, dim))
             # one entry per monomial; the constructor's symmetrization spreads
             # it over the index orbit, leaving coeff/multiplicity in each slot
-            t[tuple(sorted(idx))] = coeff
+            t[tuple(var for var, e in enumerate(exps) for _ in range(e))] = coeff
         return cls(dim, t)
 
     def monomials(self):
@@ -199,10 +200,10 @@ class ShapeInvariant:
         return cls(q, c_raw.scaled(s))
 
     def distance(self, other):
-        """The larger of ``maxerr`` on q (unimodular, so it has no size) and
-        the cubic deviation relative to the larger ``coeff_norm`` (0 when
-        both cubics are zero)."""
-        dq = maxerr(self.q, other.q)
+        """Symmetric in the two shapes: the larger of ``maxerr_symmetric`` on
+        q (unimodular, so it has no size) and the cubic deviation relative
+        to the larger ``coeff_norm`` (0 when both cubics are zero)."""
+        dq = maxerr_symmetric(self.q, other.q)
         dc = float(np.abs(self.c.tensor - other.c.tensor).max()) * 6.0
         if dc:
             dc /= max(self.c.coeff_norm(), other.c.coeff_norm())
@@ -303,7 +304,7 @@ def restricted_diag_calibration(psi):
     returns (q, c, basis) with q the psi-Gram of the basis columns and c the
     restricted cubic (including its 1/6)."""
     if not isinstance(psi, PsiParameter):
-        psi = PsiParameter(len(psi), np.asarray(psi, float), ordered=False)
+        raise TypeError("expected a PsiParameter")
     n = psi.n
     w = psi.psi
     if psi.type_t != n:

@@ -10,6 +10,7 @@ import numpy as np
 
 from gencusp.cusp_groups import (
     BlownUpWeylPoint,
+    PsiParameter,
     build_marked_cusp,
     character_closed_form,
     hypersurface_F,
@@ -153,7 +154,7 @@ def test_criterion_05_shape_triple_route():
 
 
 def test_criterion_06_local_maxima_anchors():
-    q, c, _ = shape_mod.restricted_diag_calibration(np.ones(3))
+    q, c, _ = shape_mod.restricted_diag_calibration(PsiParameter(3, np.ones(3)))
     found = shape_mod.sphere_local_maxima(q, c)
     ok = len(found.points) == 3
     gram = found.points @ q @ found.points.T

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import gencusp
-from gencusp.cli import main
+from gencusp.cli import main, make_parser
 from gencusp.cusp_groups import BlownUpWeylPoint
 from gencusp.invariants import are_conjugate
 from gencusp.sampling import random_cusp
@@ -54,6 +55,31 @@ def test_build_malformed_kappa_names_field(tmp_path, capsys):
     src = _write(tmp_path, "p.json", _params([0.0, 0, 0], [0.0, 0.0, 0.0]))
     assert main(["build", src]) == 1
     assert "kappa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam, kap, b, message", [
+    ([0.5, 1.0], [0.5, 0.25], None, "lambda must have length n=3"),
+    ([0.5, 1.0, 2.0], [0.5], None, "kappa must have length n-1=2"),
+    ([0.5, 1.0, 2.0], [0.5, 0.25], [[1.0, 0.0], [0.0]], "inhomogeneous"),
+    ([0.5, 1.0, 2.0], [0.5, 0.25], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "marking must be"),
+], ids=["lambda-length", "kappa-length", "ragged-B", "B-shape"])
+def test_cusp_file_shape_errors_are_the_librarys(tmp_path, capsys, lam, kap, b, message):
+    # BlownUpWeylPoint and the marking check refuse these; the CLI names the
+    # file and exits 1, a ragged B too
+    params = _params(lam, kap, b)
+    params["n"] = 3
+    src = _write(tmp_path, "p.json", params)
+    assert main(["build", src]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % src) and message in err
+
+
+@pytest.mark.parametrize("key", ["3,0,0", "3", "4,-1", "3,-1", "2,0", "x,3"])
+def test_recover_shape_refuses_a_bad_monomial_key(tmp_path, capsys, key):
+    shape = {"q": [[1.0, 0.0], [0.0, 1.0]], "c": {"3,0": 1.0, key: 0.5}}
+    src = _write(tmp_path, "shape.json", {"shape": shape})
+    assert main(["recover", "shape", src]) == 1
+    assert capsys.readouterr().err.startswith("error: %s: " % src)
 
 
 @pytest.mark.parametrize("value", ["false", 0, 1, None, []],
@@ -323,14 +349,38 @@ def test_global_flag_is_refused_by_a_command_that_does_not_read_it(
     assert main(["invariants", p, "--out", inv]) == 0
     out = str(tmp_path / "out")
     argv = [{"p": p, "inv": inv}.get(a, a) for a in command] + ["--out", out]
+    # after the subcommand only its reader takes the flag; before it, none
     for flags in (argv[:1] + [flag, value] + argv[1:], [flag, value] + argv):
         code = main(flags)
-        if command[0] == reader:
+        if command[0] == reader and flags[0] != flag:
             assert code == 0
+            os.remove(out)
             continue
         assert code == 1
         assert not os.path.exists(out)
-        assert "error: %s applies only to %s" % (flag, reader) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # argparse's own refusal: the flag is unknown, or its value is read
+        # as the next positional
+        assert err.startswith("error: ")
+        assert ("unrecognized arguments: %s" % flag in err
+                or "invalid choice: %r" % value in err), err
+
+
+def test_each_flag_lives_on_the_command_that_reads_it():
+    parser = make_parser()
+    assert sorted(parser._option_string_actions) == ["--help", "-h"]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = {name: sorted(p._option_string_actions) for name, p in sub.choices.items()}
+    common = ["--help", "--out", "-h"]
+    assert table == {
+        "build": common,
+        "invariants": common,
+        "conjugate": sorted(common + ["--tol"]),
+        "recover": common,
+        "verify": sorted(common + ["--seed", "--samples", "--dims"]),
+        "mesh": sorted(common + ["--grid", "--obj"]),
+        "limit-demo": sorted(common + ["--kappa", "--m-max"]),
+    }
 
 
 @pytest.mark.parametrize("flag", [
@@ -381,13 +431,14 @@ def test_verify_deterministic_and_green(tmp_path):
     assert all("anchor" in c for c in report["checks"])
 
 
-def test_global_flags_parse_on_either_side_of_subcommand(tmp_path):
-    out1 = str(tmp_path / "r1.json")
-    out2 = str(tmp_path / "r2.json")
-    assert main(["verify", "--seed", "9", "--samples", "3", "--dims", "3", "--out", out1]) == 0
-    assert main(["--seed", "9", "verify", "--samples", "3", "--dims", "3", "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    assert json.loads(open(out1).read())["seed"] == 9
+def test_flag_before_the_subcommand_is_refused(tmp_path, capsys):
+    # the top-level parser reads no flag: --seed belongs to verify's parser
+    out = str(tmp_path / "r.json")
+    assert main(["--seed", "9", "verify", "--samples", "3", "--dims", "3", "--out", out]) == 1
+    assert not os.path.exists(out)
+    assert "error: argument command: invalid choice: '9'" in capsys.readouterr().err
+    assert main(["verify", "--seed", "9", "--samples", "3", "--dims", "3", "--out", out]) == 0
+    assert json.loads(open(out).read())["seed"] == 9
 
 
 def test_verify_mutation_flags_varpi_check(monkeypatch):
@@ -488,6 +539,15 @@ def test_limit_demo(tmp_path, capsys):
     # n is len(kappa) + 1: there is no flag to repeat it
     assert main(["limit-demo", "--kappa", "1,1", "--n", "3"]) == 1
     assert "unrecognized arguments: --n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", ["0,1", "1.5,1", "nan,1"])
+def test_limit_demo_refuses_kappa_out_of_range(tmp_path, capsys, kappa):
+    # limit_demo_rows refuses it; the CLI names the flag and writes nothing
+    out = tmp_path / "table.txt"
+    assert main(["limit-demo", "--kappa", kappa, "--out", str(out)]) == 1
+    assert "error: --kappa: kappa entries must lie in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_limit_demo_rejects_m_max_below_first_row(capsys):

@@ -27,6 +27,7 @@ from gencusp.cusp_groups import (
     rho,
 )
 from gencusp.invariants import complete_invariant, eta_distance
+from gencusp.shape import restricted_diag_calibration
 from gencusp.linalg import DET_TOL, ZERO, expm, maxerr
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
 
@@ -68,14 +69,15 @@ def test_zeta_scaling_identity_exact():
         v = rng.uniform(-2, 2, n - 1)
         scaled = v.copy()
         scaled[:r] *= s
-        assert maxerr(expm(lie_algebra_zeta(s * psi, v)),
-                      expm(lie_algebra_zeta(psi, scaled))) < 1e-12
+        lhs = lie_algebra_zeta(PsiParameter(n, s * psi, ordered=False), v)
+        rhs = lie_algebra_zeta(PsiParameter(n, psi, ordered=False), scaled)
+        assert maxerr(expm(lhs), expm(rhs)) < 1e-12
 
 
 def test_phi_display_rows():
     p = BlownUpWeylPoint(3, np.array([0.0, 1.0, 2.0]), np.zeros(2))
     v1, v2 = 3.0, 5.0
-    m = lie_algebra_phi(p, np.array([v1, v2]))
+    m = lie_algebra_phi(p, np.array([[v1, v2]]))[0]
     expected = np.array([
         [0, v1, v2, 0],
         [0, v1, 0, v1],
@@ -87,14 +89,14 @@ def test_phi_display_rows():
 
 def test_phi_rank_one_part():
     p = BlownUpWeylPoint(3, np.ones(3), np.ones(2))
-    m = lie_algebra_phi(p, np.array([1.0, 0.0]))
+    m = lie_algebra_phi(p, np.array([[1.0, 0.0]]))[0]
     assert m[0, 0] == -1.0
     assert m[0, 1] == 2.0
 
 
 def test_phi_zero_everything():
     p = BlownUpWeylPoint(4, np.zeros(4), np.zeros(3))
-    assert np.array_equal(lie_algebra_phi(p, np.zeros(3)), np.zeros((5, 5)))
+    assert np.array_equal(lie_algebra_phi(p, np.zeros((2, 3))), np.zeros((2, 5, 5)))
 
 
 def test_preferred_sqrt():
@@ -113,6 +115,18 @@ def test_lambda_psi_dictionary():
     assert maxerr(lambda_to_psi(p).psi, [1.0, 1, 1]) < 1e-15
     p = BlownUpWeylPoint(3, np.array([1.0, 2, 2]), np.array([0.5, 0.5]))
     assert maxerr(lambda_to_psi(p).psi, [0.25, 0.25, 1.0]) < 1e-15
+
+
+@pytest.mark.parametrize("fn", [
+    lambda psi: lie_algebra_zeta(psi, np.ones(2)),
+    psi_to_lambda,
+    restricted_diag_calibration,
+], ids=["zeta", "psi_to_lambda", "restricted_diag_calibration"])
+def test_psi_functions_take_a_psi_parameter_only(fn):
+    # the PsiParameter is the one form of psi: a raw array is not read as one
+    with pytest.raises(TypeError, match="expected a PsiParameter"):
+        fn(np.array([3.0, 2.0, 1.0]))
+    fn(PsiParameter(3, np.array([3.0, 2.0, 1.0])))
 
 
 def test_lambda_psi_roundtrip():
@@ -628,18 +642,19 @@ def test_stacked_phi_matches_each_vector_bit_for_bit():
             for orth in (False, True):
                 c = random_cusp(rng, n, t=t, orthonormalized=orth)
                 eff = c.effective_marking
-                each = [lie_algebra_phi(c.params, eff[:, i]) for i in range(n - 1)]
+                each = [lie_algebra_phi(c.params, eff[:, i][None])[0] for i in range(n - 1)]
                 assert np.array_equal(lie_algebra_phi(c.params, eff.T), np.stack(each))
                 assert np.array_equal(c.generators, np.stack(each))
                 rows = rng.uniform(-2, 2, (4, n - 1))
                 assert np.array_equal(lie_algebra_phi(c.params, rows),
-                                      np.stack([lie_algebra_phi(c.params, r) for r in rows]))
+                                      np.stack([lie_algebra_phi(c.params, r[None])[0] for r in rows]))
 
 
-@pytest.mark.parametrize("v", [[1.0], np.zeros((2, 3)), np.zeros((1, 2, 2)), 1.0])
+# one vector, even of length n-1, is refused: phi takes a stack only
+@pytest.mark.parametrize("v", [[1.0], np.zeros((2, 3)), np.zeros((1, 2, 2)), 1.0, np.zeros(2)])
 def test_phi_rejects_v_of_wrong_shape(v):
     p = BlownUpWeylPoint(3, np.array([0.0, 1.0, 2.0]), np.zeros(2))
-    with pytest.raises(ValueError, match=r"v must have length n-1=2"):
+    with pytest.raises(ValueError, match=r"v must be a stack \(k, n-1\) of rows, n-1=2"):
         lie_algebra_phi(p, v)
 
 
@@ -721,12 +736,12 @@ def test_diagonalizable_family_limit():
     # orders it: the same cusp in permuted coordinates
     order = np.argsort(-kap)
     kap, v = kap[order], v[order]
-    limit = expm(lie_algebra_phi(BlownUpWeylPoint(3, np.zeros(3), kap), v))
+    limit = expm(lie_algebra_phi(BlownUpWeylPoint(3, np.zeros(3), kap), v[None])[0])
     errs = []
     for m in (10.0, 100.0, 1000.0):
         lam = np.concatenate([[1.0 / m], 1.0 / (m * kap)])
         p = BlownUpWeylPoint(3, lam, kap)
-        errs.append(maxerr(expm(lie_algebra_phi(p, v)), limit))
+        errs.append(maxerr(expm(lie_algebra_phi(p, v[None])[0]), limit))
     assert errs[1] < 0.2 * errs[0] and errs[2] < 0.2 * errs[1]
 
 

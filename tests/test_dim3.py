@@ -22,7 +22,7 @@ from gencusp.dim3 import (
     surface_height_printed_row,
     w_to_matrix,
 )
-from gencusp.linalg import cholesky_upper, maxerr, unimodular
+from gencusp.linalg import maxerr, unimodular
 from gencusp.sampling import random_blownup_point, random_cusp
 from gencusp.shape import CubicPoly, ShapeInvariant, is_affine_sphere, shape_invariant
 
@@ -90,16 +90,16 @@ def test_coords_roundtrip():
 
 @pytest.mark.parametrize("det_offset", [0.0, 2e-10])
 def test_closed_form_chart_matches_cholesky_mobius_route(det_offset):
-    # the reference: A = cholesky_upper(q) is the upper factor, w is the
-    # Mobius image of i under A^-1 and (h, r) split c o A^-1; q may miss
-    # det 1 by check_unimodular's slack
+    # the reference: A = L^T, L LAPACK's lower Cholesky factor of q, is the
+    # upper factor with A^T A = q, w is the Mobius image of i under A^-1 and
+    # (h, r) split c o A^-1; q may miss det 1 by check_unimodular's slack
     rng = np.random.default_rng(11)
     for _ in range(50):
         m = rng.standard_normal((2, 2))
         q = unimodular(m.T @ m) * np.sqrt(1.0 + det_offset)
         h = complex(*rng.uniform(-1, 1, 2))
         r = h * rng.uniform(0, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        a = cholesky_upper(q)
+        a = np.linalg.cholesky(q).T
         c = cubic_from_hr(h, r).compose_linear(a)
         ainv = np.linalg.inv(a)
         w_ref = (ainv[0, 0] * 1j + ainv[0, 1]) / (ainv[1, 0] * 1j + ainv[1, 1])

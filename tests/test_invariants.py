@@ -40,7 +40,7 @@ from gencusp.invariants import (
 )
 from gencusp.linalg import expm, maxerr, unimodular
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
-from gencusp.shape import ShapeInvariant, cubic_from_weights, fit_height_jet
+from gencusp.shape import ShapeInvariant, cubic_from_weights, fit_height_jet, shape_invariant
 
 
 def _cusp(lam, kap, marking=None, **kw):
@@ -507,7 +507,7 @@ def test_limit_demo_generator_distance_matches_lie_algebra_route(kappa):
 
     def gens(lam):
         p = BlownUpWeylPoint(n, lam, kap)
-        return [expm(lie_algebra_phi(p, col)) for col in np.eye(n - 1)]
+        return [expm(g) for g in lie_algebra_phi(p, np.eye(n - 1))]
 
     limit = gens(np.zeros(n))
     for row in limit_demo_rows(kappa, 1000):
@@ -833,6 +833,24 @@ def test_eta_distance_weight_part_is_symmetric():
         e1, e2 = (complete_invariant(build_marked_cusp(BlownUpWeylPoint(n, r * p.lam, p.kappa), b))
                   for r in rng.uniform(0.2, 5.0, 2))
         assert eta_distance(e1, e2) == eta_distance(e2, e1) > 0
+
+
+def test_eta_and_shape_distances_are_symmetric():
+    # two cusps with one marking and different kappa have different metrics:
+    # the metric part, too, is relative to the larger of the two sides
+    rng = np.random.default_rng(31)
+    asymmetric = []
+    for _ in range(200):
+        n = int(rng.integers(3, 8))
+        b = random_marking(rng, n - 1)
+        c1, c2 = (build_marked_cusp(random_blownup_point(rng, n), b) for _ in range(2))
+        e1, e2 = complete_invariant(c1), complete_invariant(c2)
+        s1, s2 = shape_invariant(c1, "closed"), shape_invariant(c2, "closed")
+        assert eta_distance(e1, e2) == eta_distance(e2, e1)
+        assert s1.distance(s2) == s2.distance(s1)
+        asymmetric.append(maxerr(e1.metric, e2.metric) != maxerr(e2.metric, e1.metric))
+    # the draws reach the case a one-sided maxerr gets wrong
+    assert sum(asymmetric) > 100
 
 
 @pytest.mark.parametrize("s", [1e-8, 1e-5, 1.0, 1e5])

@@ -10,7 +10,6 @@ from gencusp import linalg
 from gencusp.linalg import (
     check_symmetric,
     check_unimodular,
-    cholesky_upper,
     expm,
     f_k,
     g_surface,
@@ -114,28 +113,6 @@ def test_newton_identities_match_poly_expansion(roots):
     coeffs = np.poly(roots)
     expected = [(-1.0) ** k * coeffs[k] for k in range(1, len(roots) + 1)]
     assert maxerr(e, expected) < 1e-8
-
-
-def test_cholesky_examples():
-    assert maxerr(cholesky_upper(np.eye(3)), np.eye(3)) == 0.0
-    assert maxerr(cholesky_upper(np.diag([4.0, 1.0])), np.diag([2.0, 1.0])) < 1e-15
-    a = cholesky_upper(np.array([[2.0, 1.0], [1.0, 1.0]]))
-    expected = np.array([[np.sqrt(2), 1 / np.sqrt(2)], [0.0, 1 / np.sqrt(2)]])
-    assert maxerr(a, expected) < 1e-15
-
-
-def test_cholesky_roundtrip_random_upper():
-    rng = np.random.default_rng(1)
-    for _ in range(40):
-        k = int(rng.integers(1, 7))
-        a = np.triu(rng.standard_normal((k, k)))
-        np.fill_diagonal(a, rng.uniform(0.4, 2.0, k))
-        assert maxerr(cholesky_upper(a.T @ a), a) < 1e-10
-
-
-def test_cholesky_reports_failing_pivot():
-    with pytest.raises(ValueError, match="pivot 1"):
-        cholesky_upper(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_unimodular():

@@ -73,6 +73,13 @@ def test_shape_invariant_examples():
     assert abs(mono[(3, 0)] - mono[(0, 3)]) < 1e-12
 
 
+@pytest.mark.parametrize("exps", [(1, 1, 1), (3,), (4, -1), (3, -1), (2, 0)])
+def test_from_monomials_refuses_a_key_that_is_no_cubic_monomial(exps):
+    # a key of the wrong length is refused as a ValueError, not an IndexError
+    with pytest.raises(ValueError, match="is not of degree 3 in 2 variables"):
+        CubicPoly.from_monomials(2, {exps: 1.0})
+
+
 def _canonical_reference(q_raw, c_raw):
     """``ShapeInvariant.canonical``'s own scaling, before it called
     ``linalg.unimodular_scale``: symmetrize, then det^(-1/dim)."""
@@ -296,7 +303,7 @@ def test_sphere_maxima_nondiag_anchor():
 
 
 def test_sphere_maxima_diag_anchor():
-    q, c, _ = restricted_diag_calibration(np.array([1.0, 1, 1]))
+    q, c, _ = restricted_diag_calibration(PsiParameter(3, np.ones(3)))
     found = sphere_local_maxima(q, c)
     assert len(found.points) == 3
     assert maxerr(found.values, np.full(3, (1 / 3.0) / np.sqrt(2 / 3.0) / 6.0)) < 1e-9
@@ -305,10 +312,13 @@ def test_sphere_maxima_diag_anchor():
     assert maxerr(off, np.full(6, -0.5)) < 1e-9
 
 
+_PSI4 = PsiParameter(4, np.array([1.3, 0.7, 0.5, 1.1]), ordered=False)
+
+
 def test_sphere_maxima_do_not_depend_on_the_cubic_scale():
     # the fiber is a cone: s c is a shape whenever c is, with the same
     # maxima and s times their values
-    q, c, _ = restricted_diag_calibration(np.array([1.3, 0.7, 0.5, 1.1]))
+    q, c, _ = restricted_diag_calibration(_PSI4)
     base = sphere_local_maxima(q, c)
     assert len(base.points) == 4
     for s in 10.0 ** np.random.default_rng(0).uniform(-9.0, 9.0, 12):
@@ -355,7 +365,7 @@ def test_sphere_maxima_degenerate_flag():
     assert out.degenerate and len(out.points) == 0
     # only the zero cubic: s c has c's maxima and s times their values, at
     # any size s
-    q, c, _ = restricted_diag_calibration(np.array([1.3, 0.7, 0.5, 1.1]))
+    q, c, _ = restricted_diag_calibration(_PSI4)
     ref = sphere_local_maxima(q, c)
     assert len(ref.points) == 4
     for s in (1e-11, 1e-200, 1e100):
