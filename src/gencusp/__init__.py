@@ -18,7 +18,6 @@ _EXPORTS = {
             "MarkedCusp",
             "PsiParameter",
             "build_marked_cusp",
-            "character_closed_form",
             "hypersurface_F",
             "lambda_to_psi",
             "lie_algebra_phi",

@@ -33,7 +33,6 @@ __all__ = [
     "build_marked_cusp",
     "rho",
     "orbit_point",
-    "character_closed_form",
     "hypersurface_F",
 ]
 
@@ -137,6 +136,14 @@ class BlownUpWeylPoint:
     def unipotent_u(self):
         return self.n - 1 - min(self.type_t, self.n - 1)
 
+    @property
+    def coefficients(self):
+        """(-lam[0], lam[1], ..., lam[n-1]): the weights of the model are the
+        rows of its calibration frame scaled by these (``_calibration_frame``)."""
+        a = self.lam.copy()
+        a[0] = -a[0]
+        return a
+
     def scaled(self, s):
         """(s*lambda, kappa): same kappa, every lambda scaled by s > 0."""
         return BlownUpWeylPoint(self.n, s * self.lam, self.kappa)
@@ -174,24 +181,24 @@ def lie_algebra_zeta(psi, v):
     return m
 
 
-def _generator_parts(p, rows):
-    """The entries of the Lie-algebra generators of the blown-up model at
-    the k rows (k, n-1) of ``rows`` that are not read off the rows
-    themselves: the (k, n+1) diagonals, (-lam[0] <v,kappa>, lam[1:] v, 0),
-    and the (k, n-1) top rows past the corner, v + <v,kappa> kappa.
+def _calibration_frame(p, rows):
+    """(frame, top) of the blown-up model at the k rows v (k, n-1) of
+    ``rows``: the frame's rows (<v,kappa>, v) and the generators' top rows
+    past the corner, v + <v,kappa> kappa.
 
-    ``lie_algebra_phi`` scatters these arrays into its stack, and
-    ``invariants.weights_of`` reads the weights off the same diagonals, so
-    the two agree bit for bit without the stack being built.
+    At the columns of a marking M the frame is C^T, C = [kappa^T; I] M.
+    Scaled by the ``coefficients`` a, its rows are the generators' diagonals
+    and C's rows the weights; C^T C is the horosphere metric and
+    sum_i a_i (C_i x)^3 / 3 the shape's cubic.  Every one of them reads
+    this frame, so the weights are the stack's diagonal bit for bit.
     """
-    lam, kap = p.lam, p.kappa
     # one dot per row, by np.dot's own kernel: bit for bit the np.dot of
     # each row, where a matmul would sum in another order, off by an ulp
-    vk = np.vecdot(rows, kap)
-    diag = np.zeros((len(rows), p.n + 1))
-    diag[:, 0] = -lam[0] * vk
-    diag[:, 1:p.n] = lam[1:] * rows
-    return diag, rows + vk[:, None] * kap
+    vk = np.vecdot(rows, p.kappa)
+    frame = np.empty((len(rows), p.n))
+    frame[:, 0] = vk
+    frame[:, 1:] = rows
+    return frame, rows + vk[:, None] * p.kappa
 
 
 def lie_algebra_phi(p, v):
@@ -205,10 +212,10 @@ def lie_algebra_phi(p, v):
     if rows.ndim != 2 or rows.shape[1] != n - 1:
         raise ValueError("v must be a stack (k, n-1) of rows, n-1=%d, got %r"
                          % (n - 1, rows.shape))
-    diag, top = _generator_parts(p, rows)
+    frame, top = _calibration_frame(p, rows)
     m = np.zeros((len(rows), n + 1, n + 1))
-    every = np.arange(n + 1)
-    m[:, every, every] = diag
+    every = np.arange(n)
+    m[:, every, every] = p.coefficients * frame
     m[:, 0, 1:n] = top
     m[:, 1:n, n] = rows
     return m
@@ -302,8 +309,8 @@ class MarkedCusp:
     * ``generators``, the (n-1, n+1, n+1) stack of Lie-algebra generators of
       the marked holonomy, ``lie_algebra_phi`` at the effective marking's
       columns, built on first read: the complete invariant does not read
-      it, since its weights come from the same diagonals
-      (``_generator_parts``).
+      it, since its weights come from the same calibration frame
+      (``_calibration_frame``).
     """
 
     params: BlownUpWeylPoint
@@ -406,16 +413,6 @@ def orbit_point(cusp, v):
     the generators have a zero bottom row.
     """
     return rho(cusp, v)[: cusp.n, cusp.n]
-
-
-def character_closed_form(cusp, v):
-    """trace(rho(v)) via the model's diagonal:
-    1 + exp(-lam[0]<kappa, Mv>) + sum_i exp(lam[i] (Mv)_i)."""
-    p = cusp.params
-    w = cusp.effective_marking @ np.asarray(v, dtype=float)
-    return 1.0 + np.exp(-p.lam[0] * float(np.dot(p.kappa, w))) + float(
-        np.sum(np.exp(p.lam[1:] * w))
-    )
 
 
 def hypersurface_F(p, x):

@@ -14,7 +14,7 @@ import numpy as np
 from .cusp_groups import (
     BlownUpWeylPoint,
     PsiParameter,
-    _generator_parts,
+    _calibration_frame,
     build_marked_cusp,
     lambda_to_psi,
 )
@@ -174,11 +174,12 @@ def dual_gram(weights, metric):
 
 
 def weights_of(cusp):
-    """All n+1 affine weight covectors: the diagonals of the cusp's
-    upper-triangular generators, from ``cusp_groups._generator_parts`` at
-    its effective marking, the arrays ``lie_algebra_phi`` scatters into the
-    stack, so the reading is the stack's diagonal bit for bit whether or not
-    the stack is ever built.
+    """All n+1 affine weight covectors: the rows of the cusp's calibration
+    frame C = [kappa^T; I] M (``cusp_groups._calibration_frame`` at its
+    effective marking M) scaled by the model's ``coefficients``, and the
+    zero row of the translation line.  They are the products
+    ``lie_algebra_phi`` puts on the stack's diagonal, so the reading is that
+    diagonal bit for bit whether or not the stack is ever built.
 
     The reading is refused, with 'character cross-check failed', when an
     entry the stack would hold is non-finite: then the diagonal need not be
@@ -191,39 +192,40 @@ def weights_of(cusp):
     conjugated holonomy, in a basis where it is not triangular, against the
     eigenvalues this reading gives.
     """
-    lam, m = cusp.params.lam.tolist(), cusp.effective_marking.T
+    p, m = cusp.params, cusp.effective_marking.T
+    lam = p.lam.tolist()
     grow = abs(lam[-1]) + 2.0 * abs(lam[0]) + 4.0
     for g, col in enumerate(m.tolist()):
         if not math.isfinite(grow * sum(map(abs, col))):
             raise ValueError(
                 "character cross-check failed: generator %d has a non-finite entry" % g)
-    return CharacterData(_generator_parts(cusp.params, m)[0].T)
+    weights = np.zeros((p.n + 1, p.n - 1))
+    weights[:-1] = (p.coefficients * _calibration_frame(p, m)[0]).T
+    return CharacterData(weights)
 
 
 def metric_and_scale(cusp):
-    """(q, s): the unimodular metric q = s M^T (I + kappa kappa^T) M, with M
-    the effective marking, and its scale s = det(M^T (I + kappa kappa^T)
-    M)^(-1/(n-1)), memoized on the cusp.  q is built and checked in full
-    once per cusp instance (``linalg.unimodular_scale``), and is read-only:
+    """(q, s): the unimodular metric q = s C^T C = s M^T (I + kappa kappa^T) M,
+    with C the calibration frame at the effective marking M, and its scale
+    s = det(C^T C)^(-1/(n-1)), memoized on the cusp.  q is built and checked
+    in full once per cusp instance (``linalg.unimodular_scale``), and is
+    read-only:
     ``horosphere_metric``, ``complete_invariant`` and the closed shape route
     share it."""
     memo = cusp._metric
     if memo is None:
-        kap = cusp.params.kappa
-        m = cusp.effective_marking
-        # I + kappa kappa^T, added in place: addition commutes, bit for bit
-        gram = kap[:, None] * kap
-        gram += _identity(cusp.n - 1)
-        memo = unimodular_scale(m.T @ gram @ m, "metric")
+        frame = _calibration_frame(cusp.params, cusp.effective_marking.T)[0]
+        memo = unimodular_scale(frame @ frame.T, "metric")
         object.__setattr__(cusp, "_metric", memo)
     return memo
 
 
 def horosphere_metric(cusp):
     """Unimodular second-order part of the height function at the basepoint,
-    in closed form: M^T (I + kappa kappa^T) M with M the effective marking,
-    scaled to det 1 (``metric_and_scale``, so the same read-only array on
-    every call for one cusp).
+    in closed form: the Gram matrix C^T C = M^T (I + kappa kappa^T) M of the
+    calibration frame at the effective marking M, scaled to det 1
+    (``metric_and_scale``, so the same read-only array on every call for one
+    cusp).
 
     The independent route is the quadratic part of the exact series jet,
     ``unimodular(shape.fit_height_jet(cusp)[0])``.
@@ -505,8 +507,11 @@ def realize_weight_data(w, tol=REALIZE_TOL):
     coordinate covectors.  varpi > 0: all n weights are nonzero, lambda_i =
     sqrt((N_i + varpi)/vk) with vk^(n-1) = (N_0 + varpi)/varpi, and the
     marking is determined by the n-1 largest weights.  Data off the weights
-    equation raises ``NotRealizable``.  The residual gate and the varpi
-    snap read tol max N_i, which bounds every pairing (Cauchy-Schwarz).
+    equation raises ``NotRealizable``.  The residual gate reads tol max N_i,
+    which bounds every pairing (Cauchy-Schwarz).  varpi is zero when it is
+    within the spread of the pairings, the weights-equation residual: a zero
+    weight pairs to exactly 0 with every other, so data with one has a
+    spread of at least varpi, at any size of the rest.
     """
     beta = w.metric
     norms, off, varpi = dual_gram(w.weights, beta)
@@ -520,25 +525,25 @@ def realize_weight_data(w, tol=REALIZE_TOL):
     ws = w.weights[order]
     norms = norms[order]
     varpi = max(varpi, 0.0)
-    if varpi > slack:
+    if varpi > resid:
         # the smallest weight may read as zero: as lambda0 -> 0 its dual
         # norm N_0 ~ lambda0^4 sinks to roundoff while varpi ~ lambda0^2
         # is still resolved.  Data no cusp realizes fails the weights
         # equation above (a truly zero weight pairs to 0, not -varpi).
         vk = ((norms[0] + varpi) / varpi) ** (1.0 / dim)
         lam = np.sqrt((norms + varpi) / vk)
-        kap = lam[0] / lam[1:]
-        p = BlownUpWeylPoint(n, lam, kap)
+        p = BlownUpWeylPoint(n, lam, lam[0] / lam[1:])
         marking = ws[1:] / lam[1:, None]
-        model_xi0 = -lam[0] * (kap @ marking)
-        if np.abs(model_xi0 - ws[0]).max() > 1e-6 * np.abs(ws).max():
+        # the model's weights at this marking, the first one dependent
+        model = (p.coefficients * _calibration_frame(p, marking.T)[0]).T
+        if np.abs(model - ws).max() > 1e-6 * np.abs(ws).max():
             raise ValueError("dependent weight inconsistent with the remaining ones")
         return build_marked_cusp(p, marking)
     mags = np.sqrt(np.maximum(norms, 0.0))
-    # At most n - 1 weights are nonzero here.  This couples the zero test to
-    # the varpi snap above: as lambda0 -> 0, varpi ~ lambda0^2 drops below
-    # the slack and snaps to 0 while the dependent weight, of size ~ lambda0^2
-    # kappa, still reads as nonzero.  It is the smallest of the n and is
+    # At most n - 1 weights are nonzero here: data with a zero weight always
+    # lands in this branch.  Data with n nonzero weights lands here only when
+    # varpi ~ lambda0^2 has sunk into the pairings' spread; the dependent
+    # weight, of size ~ lambda0^2 kappa, is then the smallest of the n and is
     # taken as the zero one.  Data with n genuinely nonzero weights fails the
     # weights equation instead: n vectors in R^(n-1) whose pairings all lie
     # within the slack of each other include a tiny one.

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .cusp_groups import BlownUpWeylPoint, PsiParameter, orbit_point
+from .cusp_groups import PsiParameter, _calibration_frame, orbit_point
 from .invariants import (
     REALIZE_TOL,
     NotRealizable,
@@ -29,7 +29,6 @@ from .invariants import (
 from .linalg import (
     ROUNDOFF,
     ZERO,
-    _identity,
     check_symmetric,
     check_unimodular,
     maxerr_symmetric,
@@ -44,7 +43,6 @@ __all__ = [
     "height_jet",
     "height_at",
     "fit_height_jet",
-    "theta_calibration",
     "shape_invariant",
     "restricted_diag_calibration",
     "cubic_from_weights",
@@ -265,37 +263,25 @@ def fit_height_jet(cusp):
     return height_jet(cusp.generators, np.eye(cusp.n + 1)[cusp.n])
 
 
-def theta_calibration(p):
-    """Raw calibration cubic of the canonical model as covector cubes,
-    (1/3)(sum_i lam_i e_i^3 - lam_0 <.,kappa>^3): the covectors, the rows of
-    [I; kappa^T], and their coefficients (lam_1/3, ..., lam_{n-1}/3,
-    -lam_0/3).  The quadratic part is I + kappa kappa^T, the covectors'
-    Gram matrix."""
-    if not isinstance(p, BlownUpWeylPoint):
-        raise TypeError("expected a BlownUpWeylPoint")
-    covs = np.concatenate((_identity(p.n - 1), p.kappa[None]))
-    coeffs = np.concatenate((p.lam[1:], -p.lam[:1])) / 3.0
-    return covs, coeffs
-
-
 def shape_invariant(cusp, method="fit"):
     """Canonical shape invariant of a marked cusp.
 
     "fit" takes the exact series jet of the height function and scales it
     to det q = 1.  "closed" takes q from the cusp's shared metric
     (``invariants.metric_and_scale``), the very array of its complete
-    invariant, and cubes the calibration covectors composed with the
-    effective marking M once, as rows xi_i M, with the metric's scale s
-    folded into their coefficients.  The two agree as functions.
+    invariant, which is s C^T C for the calibration frame C = [kappa^T; I] M
+    at the effective marking M (``cusp_groups._calibration_frame``), and
+    cubes C's rows with coefficients (s/3) a, a the model's
+    ``coefficients``.  The two routes agree as functions.
     """
     if method == "fit":
         q_raw, c_raw = fit_height_jet(cusp)
         return ShapeInvariant.canonical(q_raw, c_raw)
     if method == "closed":
         q, s = metric_and_scale(cusp)
-        covs, coeffs = theta_calibration(cusp.params)
-        return ShapeInvariant(
-            q, CubicPoly.from_covector_cubes(covs @ cusp.effective_marking, s * coeffs))
+        p = cusp.params
+        frame = _calibration_frame(p, cusp.effective_marking.T)[0]
+        return ShapeInvariant(q, CubicPoly.from_covector_cubes(frame.T, (s / 3.0) * p.coefficients))
     raise ValueError("unknown method %r" % (method,))
 
 
@@ -364,7 +350,7 @@ def _frame_noise(evals):
     return ROUNDOFF * np.finfo(float).eps * (evals[-1] / evals[0]) ** 1.5
 
 
-SphereMaxima = namedtuple("SphereMaxima", ["points", "values", "degenerate"])
+SphereMaxima = namedtuple("SphereMaxima", ["points", "values"])
 
 
 def _cubic_and_gradient(t2, y):
@@ -410,10 +396,9 @@ def sphere_local_maxima(q, c, seed=0):
     6 max|t| once, so every test runs on a cubic of unit scale and the search
     finds the same points for c and s c, s > 0; the values are multiplied
     back.  The noise floor also allows for the frame change's roundoff,
-    ~eps cond(q)^(3/2).  Only the zero cubic is flagged degenerate (c
-    constant on the sphere).  Shape recovery
-    does not use it; it is the independent search that the battery checks
-    against the closed-form maxima.
+    ~eps cond(q)^(3/2).  The zero cubic, constant on the sphere, has no
+    maxima.  Shape recovery does not use the search; it is the independent
+    route that the battery checks against the closed-form maxima.
     """
     q = check_symmetric(q)
     m = q.shape[0]
@@ -423,7 +408,7 @@ def sphere_local_maxima(q, c, seed=0):
     t2 = c.compose_linear(inv_sqrt).tensor.reshape(m * m, m)
     scale = 6.0 * float(np.max(np.abs(t2)))
     if not scale:
-        return SphereMaxima(np.zeros((0, m)), np.zeros(0), True)
+        return SphereMaxima(np.zeros((0, m)), np.zeros(0))
     t2 = t2 / scale
     rng = np.random.default_rng(seed)
     # area-uniform on the round sphere
@@ -478,7 +463,7 @@ def sphere_local_maxima(q, c, seed=0):
         )
     order = np.argsort(-np.asarray(values))
     pts = np.reshape(points, (-1, m))[order] @ inv_sqrt.T
-    return SphereMaxima(pts, np.asarray(values)[order] * scale, False)
+    return SphereMaxima(pts, np.asarray(values)[order] * scale)
 
 
 def recover_cusp_from_shape(shape):

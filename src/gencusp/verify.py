@@ -21,7 +21,6 @@ from .cusp_groups import (
     BlownUpWeylPoint,
     PsiParameter,
     build_marked_cusp,
-    character_closed_form,
     hypersurface_F,
     lie_algebra_zeta,
     lie_algebra_phi,
@@ -199,8 +198,8 @@ def _check_tconj(rng, i, dims):
     c1 = build_marked_cusp(p)
     c2 = build_marked_cusp(p.scaled(s))
     v = rng.uniform(-1, 1, n - 1)
-    chi1 = character_closed_form(c1, s * v)
-    chi2 = character_closed_form(c2, v)
+    chi1 = complete_invariant(c1).character.chi(s * v)
+    chi2 = complete_invariant(c2).character.chi(v)
     return max(maxerr(chi2, chi1), maxerr(horosphere_metric(c1), horosphere_metric(c2)))
 
 
@@ -214,7 +213,7 @@ def _check_character(rng, i, dims):
     c = random_cusp(rng, n)
     v = rng.uniform(-1.5, 1.5, n - 1)
     tr = float(np.trace(rho(c, v)))
-    chi = character_closed_form(c, v)
+    chi = complete_invariant(c).character.chi(v)
     return maxerr(tr, chi)
 
 

@@ -12,7 +12,6 @@ from gencusp.cusp_groups import (
     BlownUpWeylPoint,
     PsiParameter,
     build_marked_cusp,
-    character_closed_form,
     hypersurface_F,
     orbit_point,
     rho,
@@ -52,7 +51,7 @@ def test_criterion_01_character_vs_exponential_oracle():
         c = random_cusp(rng, n)
         v = rng.uniform(-1.5, 1.5, n - 1)
         tr = float(np.trace(rho(c, v)))
-        chi = character_closed_form(c, v)
+        chi = complete_invariant(c).character.chi(v)
         worst = max(worst, abs(tr - chi) / max(1.0, abs(chi)))
     elapsed = time.monotonic() - t0
     _report(1, "character-closed-form", worst <= 1e-8 and elapsed < 10.0,

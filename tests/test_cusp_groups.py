@@ -16,7 +16,6 @@ from gencusp.cusp_groups import (
     PsiParameter,
     _marking_log_det,
     build_marked_cusp,
-    character_closed_form,
     hypersurface_F,
     lambda_to_psi,
     lie_algebra_phi,
@@ -273,8 +272,8 @@ def test_build_rescales_marking_determinant():
     # invariants agree with the unnormalized description: chi o B matches
     plain = build_marked_cusp(p)
     v = np.array([0.3, -0.4])
-    assert abs(character_closed_form(c, v)
-               - character_closed_form(plain, 2.0 * v)) < 1e-12
+    assert abs(complete_invariant(c).character.chi(v)
+               - complete_invariant(plain).character.chi(2.0 * v)) < 1e-12
     det_minus = build_marked_cusp(p, np.diag([1.0, -1.0]))
     assert not det_minus.rescaled
 
@@ -751,6 +750,7 @@ def test_lambda_scale_conjugacy_via_invariants():
     s = 1.7
     c1, c2 = build_marked_cusp(p), build_marked_cusp(p.scaled(s))
     v = rng.uniform(-1, 1, 3)
-    assert abs(character_closed_form(c1, s * v) - character_closed_form(c2, v)) < 1e-10
+    assert abs(complete_invariant(c1).character.chi(s * v)
+               - complete_invariant(c2).character.chi(v)) < 1e-10
     assert eta_distance(complete_invariant(c1), complete_invariant(c1)) == 0.0
 

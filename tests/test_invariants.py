@@ -7,6 +7,7 @@ import scipy.optimize
 from gencusp.cusp_groups import (
     BlownUpWeylPoint,
     PsiParameter,
+    _calibration_frame,
     build_marked_cusp,
     lambda_to_psi,
     lie_algebra_phi,
@@ -38,9 +39,15 @@ from gencusp.invariants import (
     _linear_weights,
     _match_multisets,
 )
-from gencusp.linalg import expm, maxerr, unimodular
+from gencusp.linalg import expm, maxerr, unimodular, unimodular_scale
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
-from gencusp.shape import ShapeInvariant, cubic_from_weights, fit_height_jet, shape_invariant
+from gencusp.shape import (
+    CubicPoly,
+    ShapeInvariant,
+    cubic_from_weights,
+    fit_height_jet,
+    shape_invariant,
+)
 
 
 def _cusp(lam, kap, marking=None, **kw):
@@ -274,6 +281,30 @@ def test_weights_of_reads_the_generator_diagonals():
         assert first.generators.tobytes() == second.generators.tobytes()
 
 
+def test_weights_metric_and_cubic_read_one_calibration_frame():
+    # one frame C^T = (<v, kappa>, v) over the effective marking's columns v:
+    # its rows scaled by the coefficients are the stack's diagonal and the
+    # weights, the metric is unimodular_scale of its Gram matrix, and the
+    # closed cubic cubes C's rows with (s/3) times the coefficients, all bit
+    # for bit
+    rng = np.random.default_rng(17)
+    for n in range(3, 8):
+        for t in range(n + 1):
+            for orth in (False, True):
+                c = random_cusp(rng, n, t=t, orthonormalized=orth)
+                p = c.params
+                frame = _calibration_frame(p, c.effective_marking.T)[0]
+                a = p.coefficients
+                assert a.tobytes() == np.concatenate(([-p.lam[0]], p.lam[1:])).tobytes()
+                diag = np.diagonal(c.generators, axis1=1, axis2=2).T
+                assert diag.tobytes() == np.vstack([(a * frame).T, np.zeros(n - 1)]).tobytes()
+                assert weights_of(c).weights.tobytes() == CharacterData(diag).weights.tobytes()
+                q, s = unimodular_scale(frame @ frame.T, "metric")
+                assert horosphere_metric(c).tobytes() == q.tobytes()
+                cubic = CubicPoly.from_covector_cubes(frame.T, (s / 3.0) * a)
+                assert shape_invariant(c, "closed").c.tensor.tobytes() == cubic.tensor.tobytes()
+
+
 def _sort_weights_reference(w):
     """The canonical order as a stable sort of row tuples, divided by the
     power of 2 just above max|w| and rounded to 12 decimals."""
@@ -454,6 +485,32 @@ def test_realize_lambda0_sweep():
         if not ok:
             failures.append(c.params.lam)
     assert failures == []
+
+
+def test_realize_keeps_the_type_near_the_boundary():
+    # lambda0 / lambda_max in {1e-4, 3e-5, 1e-5}, random markings: varpi
+    # ~ lambda0^2 is far above the spread of the pairings, so the rebuilt
+    # cusp has the type its weights show and is conjugate at the default
+    # tolerance.  A snap of varpi at tol max N read these as type n - 1, and
+    # lambda = [1e-4, 0.5, 1, 2] then missed eta by 2e-8.
+    rng = np.random.default_rng(31)
+    cases = [_cusp([1e-4, 0.5, 1.0, 2.0], 1e-4 / np.array([0.5, 1.0, 2.0]))]
+    for n in range(4, 8):
+        for i in range(40):
+            top = np.sort(rng.uniform(0.5, 2.0, n - 1))
+            lam = np.concatenate([[(1e-4, 3e-5, 1e-5)[i % 3] * top[-1]], top])
+            cases.append(_cusp(lam, lam[0] / lam[1:], random_marking(rng, n - 1)))
+    wrong = []
+    for c in cases:
+        wd = weight_data(c)
+        back = realize_weight_data(wd)
+        # the dependent weight, of size ~lambda0^2, can fall under the
+        # character's zero test and be dropped as the zero covector; then
+        # the data holds an exact zero and shows type n - 1
+        kept = np.abs(wd.weights).max(axis=1).all()
+        if (kept and back.params.type_t != c.params.type_t) or not are_conjugate(c, back):
+            wrong.append(c.params.lam)
+    assert wrong == []
 
 
 def test_realize_rejects_bad_data():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gencusp.cusp_groups import (
     BlownUpWeylPoint,
     PsiParameter,
+    _calibration_frame,
     build_marked_cusp,
     psi_to_lambda,
 )
@@ -11,12 +13,11 @@ from gencusp.invariants import (
     are_conjugate,
     complete_invariant,
     marked_psi_normal_form,
-    metric_and_scale,
     realize_weight_data,
     recover_psi_from_invariant,
     weight_data,
 )
-from gencusp.linalg import check_symmetric, expm, maxerr
+from gencusp.linalg import check_symmetric, expm, maxerr, unimodular_scale
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
 from gencusp.shape import (
     CubicPoly,
@@ -151,30 +152,57 @@ def _closed_route_cases():
 
 
 def test_closed_cubic_matches_the_composed_tensor_route():
-    # the reference is the former closed route: the calibration tensor
-    # composed with the effective marking M by compose_linear, then scaled
-    # by canonical.  The closed route cubes the composed covectors xi_a M
-    # once instead.  Both sum products of four factors over the n
-    # covectors: the reference after a raw tensor, three dim-term passes and
-    # three symmetrizations, the closed route after dim-term sums for xi_a M
-    # and one symmetrization.  So they differ by at most this many roundings
-    # of the same sum over absolute values, sum_a |coeff_a| (|xi_a| |M|)^3.
+    # the reference is the former closed route: the metric as
+    # M^T (I + kappa kappa^T) M and the calibration tensor composed with the
+    # effective marking M by compose_linear, both scaled by canonical.  The
+    # closed route reads the calibration frame C = [kappa^T; I] M instead:
+    # the metric is C^T C and the cubic cubes C's rows once.
     eps = np.finfo(float).eps
     for c in _closed_route_cases():
         p, m = c.params, c.effective_marking
         n, dim = p.n, p.n - 1
+        kap = np.abs(p.kappa)
+        raw_ref = m.T @ (np.eye(dim) + np.outer(p.kappa, p.kappa)) @ m
         covs = np.vstack([np.eye(dim), p.kappa])
         coeffs = np.concatenate([p.lam[1:] / 3.0, [-p.lam[0] / 3.0]])
         ref = ShapeInvariant.canonical(
-            m.T @ (np.eye(dim) + np.outer(p.kappa, p.kappa)) @ m,
-            CubicPoly.from_covector_cubes(covs, coeffs).compose_linear(m))
+            raw_ref, CubicPoly.from_covector_cubes(covs, coeffs).compose_linear(m))
         got = shape_invariant(c, "closed")
-        # the metric is untouched: same bits, hence the same scale
-        assert np.array_equal(got.q, ref.q)
-        x = np.abs(covs) @ np.abs(m)
+        # The raw metrics.  Both sum the same products over absolute values,
+        # x = |M|^T (I + |kappa| |kappa|^T) |M|: the reference rounds
+        # kappa kappa^T, adds I and takes two dim-term dots, the frame takes
+        # a dim-term dot for kappa^T M and an n-term dot for C^T C.  Each is
+        # within gamma_(2 dim + 2) x of the exact Gram, so they differ by at
+        # most (4 dim + 4) eps x, with room for second-order terms.
+        frame = _calibration_frame(p, m.T)[0]
+        raw_got = check_symmetric(frame @ frame.T)
+        x = np.abs(m).T @ (np.eye(dim) + np.outer(kap, kap)) @ np.abs(m)
+        raw_bound = (4 * dim + 6) * eps * x
+        assert np.all(np.abs(raw_got - raw_ref) <= raw_bound)
+        # The det-1 scales s = det^(-1/dim).  Each det is the det of its
+        # Gram perturbed by the LU's backward error, at most
+        # gamma_dim P |L| |U| (Higham, Thm 9.3), times the rounding of the
+        # product of dim pivots; the power rounds once more.  To first order
+        # log det moves by sum |G^-1| o |dG|^T under dG, so the two scales
+        # differ by at most this over dim, relative.  The two Grams' LUs
+        # agree to first order: twice the reference's bound covers both.
+        pmat, low, up = scipy.linalg.lu(raw_ref)
+        lu_bound = (dim + 1) * eps * (pmat @ np.abs(low) @ np.abs(up))
+        dlogdet = np.sum(np.abs(np.linalg.inv(raw_ref)) * (raw_bound + 2 * lu_bound).T)
+        s_ref = unimodular_scale(raw_ref, "q")[1]
+        ds = 1.01 * s_ref * (dlogdet / dim + (2 * dim + 2) * eps)
+        q_bound = s_ref * (raw_bound + 2 * eps * x) + ds * x
+        assert np.all(np.abs(got.q - ref.q) <= q_bound)
+        # The cubics.  Both sum products of four factors over the n
+        # covectors: the reference after a raw tensor, three dim-term passes
+        # and three symmetrizations, the closed route after dim-term sums for
+        # C's rows and one symmetrization.  So at one scale they differ by at
+        # most this many roundings of the same sum over absolute values,
+        # sum_a |coeff_a| (|xi_a| |M|)^3; the two scales add ds times it.
+        xm = np.abs(covs) @ np.abs(m)
+        cubes = np.einsum("a,ai,aj,ak->ijk", np.abs(coeffs), xm, xm, xm)
         budget = (2 * n + 6 * dim + 27) * eps
-        scale = metric_and_scale(c)[1]
-        bound = budget * scale * np.einsum("a,ai,aj,ak->ijk", np.abs(coeffs), x, x, x)
+        bound = budget * s_ref * cubes + ds * cubes
         assert np.all(np.abs(got.c.tensor - ref.c.tensor) <= bound)
 
 
@@ -323,7 +351,7 @@ def test_sphere_maxima_do_not_depend_on_the_cubic_scale():
     assert len(base.points) == 4
     for s in 10.0 ** np.random.default_rng(0).uniform(-9.0, 9.0, 12):
         found = sphere_local_maxima(q, c.scaled(s))
-        assert not found.degenerate and len(found.points) == 4
+        assert len(found.points) == 4
         assert np.max(np.abs(found.points - base.points)) < 1e-12
         assert np.max(np.abs(found.values / s - base.values) / base.values) < 1e-12
 
@@ -338,7 +366,7 @@ def test_sphere_maxima_keep_a_weakly_curved_maximum(m, eps):
     c = CubicPoly.from_monomials(m, mono)
     for s in (1e-6, 1.0, 1e6):
         found = sphere_local_maxima(np.eye(m), c.scaled(s))
-        assert not found.degenerate and len(found.points) == 1
+        assert len(found.points) == 1
         assert maxerr(np.abs(found.points[0]), np.eye(m)[0]) < 1e-9
         assert abs(found.values[0] / s - 1.0) < 1e-12
 
@@ -360,17 +388,17 @@ def test_height_jet_does_not_depend_on_the_generator_scale():
         assert maxerr(cs.tensor / s ** 5, c.tensor) < 1e-12
 
 
-def test_sphere_maxima_degenerate_flag():
+def test_sphere_maxima_are_empty_only_for_the_zero_cubic():
+    # the zero cubic is constant on the sphere: no maxima
     out = sphere_local_maxima(np.eye(2), CubicPoly.zero(2))
-    assert out.degenerate and len(out.points) == 0
-    # only the zero cubic: s c has c's maxima and s times their values, at
-    # any size s
+    assert out.points.shape == (0, 2) and out.values.shape == (0,)
+    # any other: s c has c's maxima and s times their values, at any size s
     q, c, _ = restricted_diag_calibration(_PSI4)
     ref = sphere_local_maxima(q, c)
     assert len(ref.points) == 4
     for s in (1e-11, 1e-200, 1e100):
         out = sphere_local_maxima(q, c.scaled(s))
-        assert not out.degenerate and out.points.shape == ref.points.shape
+        assert out.points.shape == ref.points.shape
         assert np.abs(out.points - ref.points).max() <= 1e-12
         assert np.all(np.abs(out.values / s - ref.values) <= 1e-12 * np.abs(ref.values))
 

@@ -191,7 +191,7 @@ def test_one_owner_of_the_floating_point_warning_policy():
 
 def test_generator_stack_is_built_only_where_it_is_read():
     # a cusp's generator stack is built on first read: the complete
-    # invariant reads its weights from cusp_groups._generator_parts instead,
+    # invariant reads its weights from cusp_groups._calibration_frame instead,
     # and outside cusp_groups only verify's independent checks build
     # lie_algebra_phi stacks of their own
     builders = sorted(
@@ -217,3 +217,29 @@ def test_one_owner_decides_which_weights_are_live():
     # the import itself is a module-level reference
     assert reads == [("invariants.py", []), ("invariants.py", ["_live_rows"])], (
         "nonzero read outside invariants._live_rows: %s" % reads)
+
+
+def _attribute_reads(name, attr):
+    """The top-level function or class (or '<module>') of each read of
+    ``.attr`` in the library module ``name``."""
+    path = next(p for p in _MODULES if p.name == name)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_one_owner_of_the_calibration_frame():
+    # the frame C = [kappa^T; I] M is built by cusp_groups._calibration_frame
+    # alone: the generators, the weights, the metric and the closed cubic
+    # read it, so none of them forms <v, kappa> or I + kappa kappa^T itself.
+    # Only the closed-form oracles read kappa in invariants and shape.
+    dots = _attribute_reads("cusp_groups.py", "vecdot")
+    assert dots == ["_calibration_frame"], "np.vecdot outside _calibration_frame: %s" % dots
+    oracles = {"marked_psi_normal_form", "varpi_closed_form"}
+    readers = sorted(
+        (name, fn) for name in ("invariants.py", "shape.py")
+        for fn in _attribute_reads(name, "kappa") if fn not in oracles
+    )
+    assert readers == [], ".kappa read outside the closed-form oracles: %s" % readers
