@@ -66,9 +66,9 @@ REALIZE_TOL = 1e-8
 
 class NotRealizable(ValueError):
     """Input that a recovery map rejects as data, not as a numerical failure:
-    what no marked cusp realizes (weight data off the weights equation, a
-    complete invariant whose weights admit no positive relation, a cubic off
-    the shape cone), and an invariant with n < 3, below the range of
+    what no marked cusp realizes (weight data off the weights equation, also
+    as the weight data of a complete invariant, and a cubic off the shape
+    cone), and an invariant with n < 3, below the range of
     ``recover_psi_from_invariant`` and ``recover_cusp_from_shape``."""
 
 
@@ -149,7 +149,9 @@ class WeightData:
 
     @property
     def type_t(self):
-        return int(np.count_nonzero(_live_rows(self.weights)))
+        """The type ``realize_weight_data`` builds (``_realized_type``)."""
+        ws = _unit_scaled(self.weights)[0]
+        return _realized_type(ws, *dual_gram(ws, self.metric)[1:])
 
 
 @lru_cache(maxsize=None)
@@ -366,63 +368,57 @@ def _live_rows(w):
 
 
 def _linear_weights(weights):
-    """The linear-part weights: the affine ones with their first zero
-    covector removed."""
+    """The linear-part weights: the affine ones less their smallest row (by
+    max-abs coordinate), which must be dead.  It is the translation line's
+    exact zero when there is one, so a tiny weight ~lambda0^2 stays."""
     w = np.asarray(weights, dtype=float)
-    live = _live_rows(w)
-    first = int(live.argmin())  # the first zero row, if there is one
-    if live[first]:
+    smallest = int(np.abs(w).max(axis=1, initial=0.0).argmin())
+    if _live_rows(w)[smallest]:
         raise ValueError("weights contain no zero covector")
-    return np.concatenate((w[:first], w[first + 1:]))
+    return np.concatenate((w[:smallest], w[smallest + 1:]))
+
+
+def _unit_scaled(w):
+    """(w / 2^e, e), 2^e the power of 2 just above max|w|, as ``sort_weights``
+    reads it: exact, so the dual pairings of the scaled rows neither
+    underflow nor overflow at any size of the weights."""
+    e = math.frexp(float(np.abs(w).max(initial=0.0)))[1]
+    return np.ldexp(w, -e), e
+
+
+def _realized_type(weights, off, varpi):
+    """The type of weight data from its rows (at unit size), pairings and
+    varpi (``dual_gram``): n when varpi is above the pairings' spread, the
+    weights-equation residual, else the number of live rows, at most n - 1.
+    ``WeightData.type_t``, ``realize_weight_data`` and through it
+    ``recover_psi_from_invariant`` all read it.
+
+    A zero weight pairs to exactly 0 with every other, so data with one has a
+    spread of at least varpi, at any size of the rest.  Data with n live
+    weights reads type n - 1 only when varpi ~ lambda0^2 has sunk into the
+    pairings' spread; the dependent weight, of size ~lambda0^2 kappa, is then
+    the smallest of the n and is taken as the zero one.  Data with n
+    genuinely nonzero weights fails the weights equation instead: n vectors
+    in R^(n-1) whose pairings all lie within the slack of each other include
+    a tiny one.
+    """
+    n = weights.shape[0]
+    if varpi > _equation_residual(off, varpi):
+        return n
+    return min(int(np.count_nonzero(_live_rows(weights))), n - 1)
 
 
 def recover_psi_from_invariant(eta):
     """The unique ordered diagonal-model parameter with complete invariant
-    ``eta``.
-
-    For 0 < t < n the dual norms N_i of the nonzero weights satisfy
-    log N_i = -x_i + (x_1 + ... + x_{t-1} + (t+n) x_t) / (n-1) with
-    x_i = log psi_i (psi non-increasing, N non-decreasing); the system matrix
-    I - 1 a^T has determinant 1 - sum(a) = -2t/(n-1), nonzero for every
-    t >= 1.  For t = n the weights satisfy a unique positive linear relation
-    whose coefficients are psi up to one scale, fixed by the |det| = 1
-    marking normalization; weights with no positive relation, or degenerate
-    ones, raise ``NotRealizable``.
+    ``eta``: the normal form (``marked_psi_normal_form``) of the cusp that
+    its weight data realizes (``realize_weight_data``), whose refusals it
+    shares.  The battery's ``psi-recovery-roundtrip`` checks it against the
+    weights' own relations as well.
     """
-    w = eta.character.weights
-    n = w.shape[0] - 1
+    n = eta.character.weights.shape[0] - 1
     if n < 3:
         raise NotRealizable("recovery requires n >= 3, got n = %d" % n)
-    live = w[_live_rows(w)]
-    t = live.shape[0]
-    if t == 0:
-        return PsiParameter(n, np.zeros(n), ordered=True)
-    if t == n:
-        r = live
-        # left null vector of the n x (n-1) weight matrix: the relation
-        # sum_i coeff_i * xi_i = 0 has all-positive coefficients
-        uu, _ss, _vt = np.linalg.svd(r, full_matrices=True)
-        coeff = uu[:, -1]
-        if np.max(coeff) < -np.min(coeff):
-            coeff = -coeff
-        if np.min(coeff) <= 0:
-            raise NotRealizable("weight relation is not positive; not a valid invariant")
-        j = int(np.argmax(coeff))
-        rows = np.delete(np.arange(n), j)
-        det = abs(np.linalg.det(r[rows]))
-        if det <= 0:
-            raise NotRealizable("weight covectors are degenerate")
-        psi_n = det ** (1.0 / (n - 1))
-        psi = (psi_n / coeff[j]) * coeff
-        return PsiParameter(n, np.sort(psi)[::-1], ordered=True)
-    y = np.log(np.sort(dual_gram(live, eta.metric)[0]))  # ascending N <-> non-increasing psi
-    a = np.full(t, 1.0 / (n - 1))
-    a[-1] = (t + n) / (n - 1.0)
-    sys = np.eye(t) - np.outer(np.ones(t), a)
-    x = np.linalg.solve(sys, -y)
-    psi = np.zeros(n)
-    psi[:t] = np.exp(x)
-    return PsiParameter(n, np.sort(psi)[::-1], ordered=True)
+    return marked_psi_normal_form(realize_weight_data(_weight_data_of(eta)).params)
 
 
 def marked_psi_normal_form(p):
@@ -434,25 +430,33 @@ def marked_psi_normal_form(p):
     on psi: for type t = n the factor is |det f|^(1/(n-1)) with
     f = Diag(lam0^2 lam_i); for 0 < t < n it is
     (vk^((n-1)/2) / prod c_i)^(1/t) with c_i the diagonal reparametrization
-    of the standardized model and vk^(n-1) = 1 + |kappa|^2.
+    of the standardized model and vk^(n-1) = 1 + |kappa|^2.  The factor is
+    taken in logs (2 log lam0 + mean log lam_i, and log prod c_i), so the
+    normal form is finite wherever psi0 = lambda^-2 (``lambda_to_psi``) is.
     """
     n = p.n
     t = p.type_t
     psi0 = np.sort(lambda_to_psi(p).psi)[::-1]
     if t == 0:
         return PsiParameter(n, psi0, ordered=True)
+    logs = np.log(psi0[:t])
     if t == n:
-        s = p.lam[0] ** 2 * float(np.prod(p.lam[1:])) ** (1.0 / (n - 1))
-        return PsiParameter(n, s * psi0, ordered=True)
-    u = n - 1 - t
-    vk_half = np.sqrt(1.0 + float(np.dot(p.kappa, p.kappa)))
-    det_c = psi0[t - 1] ** t * np.sqrt(np.prod(psi0[:t])) * psi0[t - 1] ** (u / 2.0)
-    s = (vk_half / det_c) ** (1.0 / t)
-    return PsiParameter(n, s * psi0, ordered=True)
+        log_s = 2.0 * math.log(p.lam[0]) + float(np.log(p.lam[1:]).mean())
+    else:
+        u = n - 1 - t
+        log_det_c = (t + u / 2.0) * logs[-1] + 0.5 * float(logs.sum())
+        log_s = (0.5 * math.log1p(float(np.dot(p.kappa, p.kappa))) - log_det_c) / t
+    psi = np.zeros(n)
+    psi[:t] = np.exp(log_s + logs)
+    return PsiParameter(n, psi, ordered=True)
 
 
 def weight_data(cusp):
-    eta = complete_invariant(cusp)
+    return _weight_data_of(complete_invariant(cusp))
+
+
+def _weight_data_of(eta):
+    """The weight data of a complete invariant."""
     return WeightData._from_canonical(_linear_weights(eta.character.weights), eta.metric)
 
 
@@ -502,55 +506,46 @@ def realize_weight_data(w, tol=REALIZE_TOL):
     """A marked cusp whose weight data is ``w``; since weight data determines
     the marked class completely, the round trip is the correctness oracle.
 
-    varpi = 0: the nonzero weights are pairwise dual-orthogonal; lambda reads
-    off their dual norms and the marking is an isometry aligning them with
-    coordinate covectors.  varpi > 0: all n weights are nonzero, lambda_i =
+    The weights are read at unit size (``_unit_scaled``), and lambda is scaled
+    back by the same power of 2, so the map is free of the weights' size.
+    Data off the weights equation raises ``NotRealizable``: the residual gate
+    reads tol max N_i, which bounds every pairing (Cauchy-Schwarz).  Then
+    ``_realized_type`` decides the type t.  t = n: lambda_i =
     sqrt((N_i + varpi)/vk) with vk^(n-1) = (N_0 + varpi)/varpi, and the
-    marking is determined by the n-1 largest weights.  Data off the weights
-    equation raises ``NotRealizable``.  The residual gate reads tol max N_i,
-    which bounds every pairing (Cauchy-Schwarz).  varpi is zero when it is
-    within the spread of the pairings, the weights-equation residual: a zero
-    weight pairs to exactly 0 with every other, so data with one has a
-    spread of at least varpi, at any size of the rest.
+    marking is determined by the n-1 largest weights.  t < n: the nonzero
+    weights are pairwise dual-orthogonal; lambda reads off their dual norms
+    and the marking is an isometry aligning them with coordinate covectors.
     """
     beta = w.metric
-    norms, off, varpi = dual_gram(w.weights, beta)
+    ws, e = _unit_scaled(w.weights)
+    norms, off, varpi = dual_gram(ws, beta)
     resid = _equation_residual(off, varpi)
-    slack = tol * float(norms.max())
-    if resid > slack:
-        raise NotRealizable("weights equation residual %g exceeds %g" % (resid, slack))
-    n = w.weights.shape[0]
+    top = float(norms.max())
+    if resid > tol * top:
+        raise NotRealizable("weights equation residual %g exceeds %g of the largest dual norm"
+                            % (resid / top, tol))
+    t = _realized_type(ws, off, varpi)
+    n = ws.shape[0]
     dim = n - 1
     order = np.argsort(norms)
-    ws = w.weights[order]
+    ws = ws[order]
     norms = norms[order]
-    varpi = max(varpi, 0.0)
-    if varpi > resid:
+    if t == n:
         # the smallest weight may read as zero: as lambda0 -> 0 its dual
         # norm N_0 ~ lambda0^4 sinks to roundoff while varpi ~ lambda0^2
-        # is still resolved.  Data no cusp realizes fails the weights
-        # equation above (a truly zero weight pairs to 0, not -varpi).
+        # is still resolved
         vk = ((norms[0] + varpi) / varpi) ** (1.0 / dim)
         lam = np.sqrt((norms + varpi) / vk)
-        p = BlownUpWeylPoint(n, lam, lam[0] / lam[1:])
+        p = BlownUpWeylPoint(n, np.ldexp(lam, e), lam[0] / lam[1:])
         marking = ws[1:] / lam[1:, None]
         # the model's weights at this marking, the first one dependent
         model = (p.coefficients * _calibration_frame(p, marking.T)[0]).T
-        if np.abs(model - ws).max() > 1e-6 * np.abs(ws).max():
+        if np.abs(model - w.weights[order]).max() > 1e-6 * np.abs(w.weights).max():
             raise ValueError("dependent weight inconsistent with the remaining ones")
         return build_marked_cusp(p, marking)
-    mags = np.sqrt(np.maximum(norms, 0.0))
-    # At most n - 1 weights are nonzero here: data with a zero weight always
-    # lands in this branch.  Data with n nonzero weights lands here only when
-    # varpi ~ lambda0^2 has sunk into the pairings' spread; the dependent
-    # weight, of size ~ lambda0^2 kappa, is then the smallest of the n and is
-    # taken as the zero one.  Data with n genuinely nonzero weights fails the
-    # weights equation instead: n vectors in R^(n-1) whose pairings all lie
-    # within the slack of each other include a tiny one.
-    t = min(int(np.count_nonzero(_live_rows(ws))), dim)
     lam = np.zeros(n)
-    lam[n - t:] = mags[n - t:]
-    p = BlownUpWeylPoint(n, lam, np.zeros(dim))
+    lam[n - t:] = np.sqrt(np.maximum(norms[n - t:], 0.0))
+    p = BlownUpWeylPoint(n, np.ldexp(lam, e), np.zeros(dim))
     # rows q_j = beta^(-1/2) xi_j / lam_j are orthonormal; complete and pull back
     sqrt_beta, inv_sqrt, _ = sqrt_forms(beta)
     qrows = [(inv_sqrt @ ws[n - t + j]) / lam[n - t + j] for j in range(t)]

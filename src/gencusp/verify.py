@@ -43,7 +43,9 @@ from .invariants import (
     weights_equation_residual,
     weights_of,
     limit_demo_rows,
+    _live_rows,
     _match_multisets,
+    dual_gram,
 )
 from .linalg import SLACK, expm, f_k, maxerr, newton_to_elementary, unimodular
 from .sampling import random_blownup_point, random_cusp, random_marking
@@ -385,8 +387,45 @@ def _random_weight_data(rng, n):
     return frame_to_weight_data(a, vs)
 
 
+def _psi_by_relations(eta):
+    """psi of a complete invariant from the weights' own relations, the
+    reference route to ``recover_psi_from_invariant``'s normal form of the
+    realized cusp, in non-increasing order.
+
+    For 0 < t < n the dual norms N_i of the nonzero weights satisfy
+    log N_i = -x_i + (x_1 + ... + x_{t-1} + (t+n) x_t) / (n-1) with
+    x_i = log psi_i (psi non-increasing, N non-decreasing); the system matrix
+    I - 1 a^T has determinant 1 - sum(a) = -2t/(n-1), nonzero for every
+    t >= 1.  For t = n the weights satisfy a unique positive linear relation
+    whose coefficients are psi up to one scale, fixed by the |det| = 1
+    marking normalization.
+    """
+    w = eta.character.weights
+    n = w.shape[0] - 1
+    live = w[_live_rows(w)]
+    t = live.shape[0]
+    psi = np.zeros(n)
+    if t == n:
+        # left null vector of the n x (n-1) weight matrix: the relation
+        # sum_i coeff_i * xi_i = 0 has all-positive coefficients
+        coeff = np.linalg.svd(live, full_matrices=True)[0][:, -1]
+        if np.max(coeff) < -np.min(coeff):
+            coeff = -coeff
+        j = int(np.argmax(coeff))
+        det = abs(np.linalg.det(np.delete(live, j, axis=0)))
+        psi = (det ** (1.0 / (n - 1)) / coeff[j]) * coeff
+    elif t:
+        y = np.log(np.sort(dual_gram(live, eta.metric)[0]))  # ascending N <-> non-increasing psi
+        a = np.full(t, 1.0 / (n - 1))
+        a[-1] = (t + n) / (n - 1.0)
+        psi[:t] = np.exp(np.linalg.solve(np.eye(t) - np.outer(np.ones(t), a), -y))
+    return np.sort(psi)[::-1]
+
+
 @_register("psi-recovery-roundtrip", "parameter-from-invariant", 1e-7, whole=True)
 def _check_psi_recovery(rng, samples, dims):
+    # the recovered psi against the normal form of the parameters and against
+    # the weights' own relations
     worst = 0.0
     count = 0
     for n in dims:
@@ -394,9 +433,10 @@ def _check_psi_recovery(rng, samples, dims):
             for _ in range(max(1, samples // (len(dims) * (n + 1)))):
                 p = random_blownup_point(rng, n, t=t)
                 c = build_marked_cusp(p, random_marking(rng, n - 1))
-                psi_true = marked_psi_normal_form(p).psi
-                psi_rec = recover_psi_from_invariant(complete_invariant(c)).psi
-                worst = max(worst, maxerr(psi_rec, psi_true))
+                eta = complete_invariant(c)
+                psi_rec = recover_psi_from_invariant(eta).psi
+                for psi_ref in (marked_psi_normal_form(p).psi, _psi_by_relations(eta)):
+                    worst = max(worst, maxerr(psi_rec, psi_ref))
                 count += 1
     return worst, count
 

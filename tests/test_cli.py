@@ -244,7 +244,7 @@ def test_recover_psi_rejects_weights_without_positive_relation(tmp_path, capsys)
     eta = {"weights": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]],
            "beta": [[1.0, 0.0], [0.0, 1.0]]}
     assert main(["recover", "psi", _write(tmp_path, "eta.json", {"eta": eta})]) == 1
-    assert "not positive" in capsys.readouterr().err
+    assert "weights equation residual" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, obj", [

@@ -363,13 +363,17 @@ def test_build_folds_a_scaled_identity(s, folds):
 
 def test_type_is_free_of_the_size_of_lambda():
     # scaling lambda leaves the cusp's type alone, for the parameters and
-    # for the weights read off the built cusp
-    from gencusp.invariants import weight_data
+    # for the weights read off the built cusp, and the weight data realizes
+    # a conjugate cusp at every size
+    from gencusp.invariants import are_conjugate, realize_weight_data, weight_data
 
     for s in 10.0 ** np.arange(-300.0, 301.0, 25.0):
         p = BlownUpWeylPoint(3, s * np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
         assert p.type_t == 3
-        assert weight_data(build_marked_cusp(p)).type_t == 3
+        cusp = build_marked_cusp(p)
+        wd = weight_data(cusp)
+        assert wd.type_t == 3
+        assert are_conjugate(realize_weight_data(wd), cusp)
 
 
 def test_build_refuses_a_fold_out_of_the_float_range():

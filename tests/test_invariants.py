@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -488,29 +489,40 @@ def test_realize_lambda0_sweep():
 
 
 def test_realize_keeps_the_type_near_the_boundary():
-    # lambda0 / lambda_max in {1e-4, 3e-5, 1e-5}, random markings: varpi
-    # ~ lambda0^2 is far above the spread of the pairings, so the rebuilt
-    # cusp has the type its weights show and is conjugate at the default
-    # tolerance.  A snap of varpi at tol max N read these as type n - 1, and
+    # lambda0 / lambda_max in {1e-4, 3e-5, 1e-5, 1e-6}, random markings:
+    # varpi ~ lambda0^2 is far above the spread of the pairings, so psi, the
+    # weight data and the rebuilt cusp all read type n, psi is the normal
+    # form and the rebuilt cusp is conjugate at the default tolerance.  A
+    # snap of varpi at tol max N read these as type n - 1, and
     # lambda = [1e-4, 0.5, 1, 2] then missed eta by 2e-8.
     rng = np.random.default_rng(31)
     cases = [_cusp([1e-4, 0.5, 1.0, 2.0], 1e-4 / np.array([0.5, 1.0, 2.0]))]
     for n in range(4, 8):
         for i in range(40):
             top = np.sort(rng.uniform(0.5, 2.0, n - 1))
-            lam = np.concatenate([[(1e-4, 3e-5, 1e-5)[i % 3] * top[-1]], top])
+            lam = np.concatenate([[(1e-4, 3e-5, 1e-5, 1e-6)[i % 4] * top[-1]], top])
             cases.append(_cusp(lam, lam[0] / lam[1:], random_marking(rng, n - 1)))
     wrong = []
     for c in cases:
         wd = weight_data(c)
         back = realize_weight_data(wd)
-        # the dependent weight, of size ~lambda0^2, can fall under the
-        # character's zero test and be dropped as the zero covector; then
-        # the data holds an exact zero and shows type n - 1
-        kept = np.abs(wd.weights).max(axis=1).all()
-        if (kept and back.params.type_t != c.params.type_t) or not are_conjugate(c, back):
+        psi = recover_psi_from_invariant(complete_invariant(c))
+        want = marked_psi_normal_form(c.params).psi
+        types = {c.params.type_t, wd.type_t, back.params.type_t, psi.type_t}
+        off = np.abs(psi.psi - want).max() / want.max()
+        if types != {c.n} or off > 1e-7 or not are_conjugate(c, back):
             wrong.append(c.params.lam)
     assert wrong == []
+
+
+def test_linear_weights_drop_the_exact_zero():
+    # a live-looking dependent weight of size ~lambda0^2 can sort before the
+    # translation line's exact zero and fall under the zero test: the
+    # linear weights keep it and lose the exact zero
+    w = np.array([[-1e-13, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert _linear_weights(w).tolist() == [[-1e-13, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="no zero covector"):
+        _linear_weights(w[[0, 2, 3]] + [0.5, 0.0])
 
 
 def test_realize_rejects_bad_data():
@@ -546,7 +558,7 @@ def test_weight_data_requires_unimodular_metric():
 
 def test_psi_recovery_rejects_weights_without_positive_relation():
     w = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NotRealizable, match="not positive"):
+    with pytest.raises(NotRealizable, match="weights equation residual"):
         recover_psi_from_invariant(CompleteInvariant(CharacterData(w), np.eye(2)))
 
 
@@ -671,6 +683,25 @@ def test_psi_normal_form_keeps_type_n_as_lambda0_shrinks():
             assert p.type_t == n
             assert lambda_to_psi(p).type_t == n
             assert marked_psi_normal_form(p).type_t == n
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_psi_normal_form_scales_with_lambda(n):
+    # psi0 = lambda^-2 and the fold's scale s make NF(2^e lambda) =
+    # 2^(e (1 + u/t)) NF(lambda); taken in logs, the scale stays in the
+    # float range where a product of n - 1 lambdas or a power of psi0 leaves it
+    rng = np.random.default_rng(40 + n)
+    for t in range(1, n + 1):
+        u = n - 1 - min(t, n - 1)
+        for _ in range(10):
+            p = random_blownup_point(rng, n, t=t)
+            base = marked_psi_normal_form(p).psi
+            for e in (-170, -70, 70, 170) if t == n else (-70, 70):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = marked_psi_normal_form(p.scaled(2.0 ** e)).psi
+                want = 2.0 ** (e * (1.0 + u / t)) * base
+                assert np.abs(got - want).max() <= 1e-12 * want.max(), (t, e)
 
 
 def test_psi_recovery_direct_diagonal_model():

@@ -243,3 +243,29 @@ def test_one_owner_of_the_calibration_frame():
         for fn in _attribute_reads(name, "kappa") if fn not in oracles
     )
     assert readers == [], ".kappa read outside the closed-form oracles: %s" % readers
+
+
+def test_one_owner_of_the_type_of_weight_data():
+    # the type of weight data is invariants._realized_type's decision alone:
+    # WeightData.type_t and realize_weight_data, and through it the psi
+    # recovery, read it, so nothing else counts the live rows.  The psi
+    # recovery is the normal form of the realized cusp, with no solver of its
+    # own
+    path = next(p for p in _MODULES if p.name == "invariants.py")
+    counters = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = node.name
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "count_nonzero"
+                and any(isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "_live_rows"
+                        for arg in node.args)):
+            counters.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "<module>")
+    assert counters == ["_realized_type"], "live rows counted outside _realized_type: %s" % counters
+    solvers = [name for name, scopes in _references(path)
+               if "recover_psi_from_invariant" in scopes and name == "linalg"]
+    assert solvers == [], "recover_psi_from_invariant calls np.linalg"
