@@ -427,5 +427,23 @@ def main(argv=None):
         return 2
 
 
+def run(argv=None):
+    """The process entry of both ``gencusp`` and ``python -m gencusp.cli``:
+    ``main(argv)``, then exit with its code.  ``main`` has no process-wide
+    effect, so tests and in-process callers call it directly."""
+    # Finalization runs several full cyclic collections, each a walk over
+    # every object numpy and gencusp built at import (~21k objects, ~2.8 ms
+    # a walk).  Frozen objects are skipped, so the exit is ~10 ms shorter;
+    # stdio is still flushed, atexit handlers still run, and the code is
+    # the same.  The collector ran as usual during the command; cyclic
+    # garbage left at the freeze is not finalized, and every command has
+    # closed its files by then.
+    import gc
+
+    code = main(argv)
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,6 +6,7 @@ never by pointwise sampling (exp blowup makes pointwise comparison fragile).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,7 +17,6 @@ from .cusp_groups import (
     PsiParameter,
     _calibration_frame,
     build_marked_cusp,
-    lambda_to_psi,
 )
 from .linalg import (
     _identity,
@@ -430,24 +430,31 @@ def marked_psi_normal_form(p):
     on psi: for type t = n the factor is |det f|^(1/(n-1)) with
     f = Diag(lam0^2 lam_i); for 0 < t < n it is
     (vk^((n-1)/2) / prod c_i)^(1/t) with c_i the diagonal reparametrization
-    of the standardized model and vk^(n-1) = 1 + |kappa|^2.  The factor is
-    taken in logs (2 log lam0 + mean log lam_i, and log prod c_i), so the
-    normal form is finite wherever psi0 = lambda^-2 (``lambda_to_psi``) is.
+    of the standardized model and vk^(n-1) = 1 + |kappa|^2.  Everything is
+    taken in logs, from lambda itself: log psi0 = -2 log lam over the t live
+    lambdas (``lambda_to_psi``'s psi0, which leaves the float range with
+    lambda beyond 1e+-154), the factor as 2 log lam0 + mean log lam_i or
+    log prod c_i.  So the normal form is refused only where psi itself is
+    out of the float range.
     """
     n = p.n
     t = p.type_t
-    psi0 = np.sort(lambda_to_psi(p).psi)[::-1]
+    psi = np.zeros(n)
     if t == 0:
-        return PsiParameter(n, psi0, ordered=True)
-    logs = np.log(psi0[:t])
+        return PsiParameter(n, psi, ordered=True)
+    # lambda ascends, so its live tail gives psi0's positive entries descending
+    logs = -2.0 * np.log(p.lam[n - t:])
     if t == n:
         log_s = 2.0 * math.log(p.lam[0]) + float(np.log(p.lam[1:]).mean())
     else:
         u = n - 1 - t
         log_det_c = (t + u / 2.0) * logs[-1] + 0.5 * float(logs.sum())
         log_s = (0.5 * math.log1p(float(np.dot(p.kappa, p.kappa))) - log_det_c) / t
-    psi = np.zeros(n)
-    psi[:t] = np.exp(log_s + logs)
+    log_psi = log_s + logs
+    lo, hi = float(log_psi.min()), float(log_psi.max())
+    if not (math.log(sys.float_info.min) <= lo and hi < math.log(sys.float_info.max)):
+        raise ValueError("psi is out of the float range: log psi in [%.6g, %.6g]" % (lo, hi))
+    psi[:t] = np.exp(log_psi)
     return PsiParameter(n, psi, ordered=True)
 
 

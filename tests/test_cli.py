@@ -1,4 +1,5 @@
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -11,8 +12,8 @@ import pytest
 
 import gencusp
 from gencusp.cli import main, make_parser
-from gencusp.cusp_groups import BlownUpWeylPoint
-from gencusp.invariants import are_conjugate
+from gencusp.cusp_groups import BlownUpWeylPoint, build_marked_cusp
+from gencusp.invariants import are_conjugate, complete_invariant
 from gencusp.sampling import random_cusp
 from gencusp.cli import parse_cusp_params
 
@@ -582,11 +583,16 @@ def test_invariant_json_round12_is_diff_clean(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+def _subprocess_env():
+    """The environment with this checkout's gencusp first on the path."""
+    src = str(Path(gencusp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def _loaded_modules(argv):
     """Run ``gencusp.cli.main(argv)`` in a fresh interpreter; returns its exit
     code and the gencusp, numpy.random and scipy modules it loaded."""
-    src = str(Path(gencusp.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = (
         "import json, sys\n"
         "from gencusp.cli import main\n"
@@ -597,7 +603,7 @@ def _loaded_modules(argv):
     )
     out = subprocess.run(
         [sys.executable, "-c", code, json.dumps(argv)],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_subprocess_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -643,6 +649,63 @@ def cli_files(tmp_path_factory):
 def test_command_loads_only_its_modules(cli_files, argv, expected):
     argv = [cli_files.get(t, t) for t in argv.split()] + ["--out", cli_files["out"]]
     assert _loaded_modules(argv) == (0, expected)
+
+
+@pytest.fixture(scope="module")
+def parity_files(cli_files, tmp_path_factory):
+    # recover psi refuses this invariant: the type-1 cusp of lambda 2e200
+    # has psi ~ 4e400, out of the float range
+    d = tmp_path_factory.mktemp("parity")
+    p = BlownUpWeylPoint(3, np.array([0.0, 0.0, 2e200]), np.zeros(2))
+    eta = complete_invariant(build_marked_cusp(p))
+    files = dict(cli_files)
+    files["huge"] = _write(d, "huge.json", {"eta": {
+        "weights": eta.character.weights.tolist(), "beta": eta.metric.tolist()}})
+    files["new"] = str(d / "new.json")
+    files["nodir"] = str(d / "missing" / "new.json")
+    return files
+
+
+def _run_in_process(argv, capsys):
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    code = main(argv)
+    # main has no process-wide effect: the freeze is run's, before exit
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# the process entry (cli.run) against main in process, at each exit code:
+# 0 with --out and with stdout alone, 1 for a flag its command does not
+# take, 2 for a numerical refusal and 3 for an --out it cannot write
+@pytest.mark.parametrize("argv, exit_code", [
+    ("build p3 --out new", 0),
+    ("invariants p3 --out new", 0),
+    ("conjugate p3 p3", 0),
+    ("recover psi inv3", 0),
+    ("build p3 --tol 1", 1),
+    ("recover psi huge", 2),
+    ("conjugate p3 p3 --out nodir", 3),
+], ids=["build-out", "invariants-out", "conjugate", "recover-psi", "flag", "refusal",
+        "unwritable"])
+def test_process_entry_matches_main_in_process(parity_files, capsys, argv, exit_code):
+    writes = argv.endswith("--out new") and exit_code == 0
+    argv = [parity_files.get(t, t) for t in argv.split()]
+    new = Path(parity_files["new"])
+    runs = []
+    for in_process in (True, False):
+        new.unlink(missing_ok=True)
+        if in_process:
+            code, out, err = _run_in_process(argv, capsys)
+        else:
+            proc = subprocess.run([sys.executable, "-m", "gencusp.cli"] + argv,
+                                  env=_subprocess_env(), capture_output=True, text=True,
+                                  timeout=60)
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        runs.append((code, out, err, new.read_bytes() if new.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == exit_code
+    assert (runs[0][3] is not None) == writes
 
 
 def test_package_exports_resolve_lazily_to_their_submodules():

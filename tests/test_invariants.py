@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -702,6 +703,59 @@ def test_psi_normal_form_scales_with_lambda(n):
                     got = marked_psi_normal_form(p.scaled(2.0 ** e)).psi
                 want = 2.0 ** (e * (1.0 + u / t)) * base
                 assert np.abs(got - want).max() <= 1e-12 * want.max(), (t, e)
+
+
+def _psi_normal_form_mp(p):
+    """The normal form's positive entries, descending, in mpmath, whose
+    exponent range holds psi0 = lambda^-2 at any lambda: psi0 s with
+    s = lam0^2 (prod lam_i)^(1/(n-1)) at t = n, and
+    s = (sqrt(1 + |kappa|^2) / (psi0_t^(t + u/2) sqrt(prod psi0)))^(1/t) at
+    0 < t < n."""
+    n, t = p.n, p.type_t
+    with mpmath.workdps(50):
+        lam = [mpmath.mpf(float(v)) for v in p.lam[n - t:]]
+        psi0 = [v ** -2 for v in lam]
+        if t == n:
+            s = lam[0] ** 2 * mpmath.fprod(lam[1:]) ** (mpmath.mpf(1) / (n - 1))
+        else:
+            u = n - 1 - t
+            vk = mpmath.sqrt(1 + mpmath.fsum(mpmath.mpf(float(k)) ** 2 for k in p.kappa))
+            c = psi0[-1] ** (t + mpmath.mpf(u) / 2) * mpmath.sqrt(mpmath.fprod(psi0))
+            s = (vk / c) ** (mpmath.mpf(1) / t)
+        return [v * s for v in psi0]
+
+
+# (lambda at k = 0, how many of the 13 scales put psi out of the float range):
+# psi ~ lambda^(1 + u/t) (see the test above), so types t >= n - 1 keep psi
+# in range wherever lambda is, and lower types leave it
+@pytest.mark.parametrize("lam, refusals", [
+    ((0.5, 1.0, 2.0), 0), ((0.0, 1.0, 2.0), 0), ((0.0, 0.0, 2.0), 6),
+    ((0.0, 1.0, 2.0, 3.0), 0), ((0.0, 0.0, 1.0, 2.0), 4), ((0.0, 0.0, 0.0, 3.0), 8),
+])
+def test_psi_recovery_across_the_float_range(lam, refusals):
+    # psi0 = lambda^-2 leaves the float range at lambda beyond 1e+-154, psi
+    # itself only where its own entries do: psi is the normal form wherever
+    # that is a normal float, and a refusal naming the range elsewhere,
+    # never inf or 0
+    big, tiny = mpmath.mpf(np.finfo(float).max), mpmath.mpf(np.finfo(float).tiny)
+    refused = 0
+    for k in range(-300, 301, 50):
+        lam_k = np.array(lam) * 10.0 ** k
+        n = lam_k.size
+        kappa = lam_k[0] / lam_k[1:] if lam_k[0] > 0 else np.zeros(n - 1)
+        p = BlownUpWeylPoint(n, lam_k, kappa)
+        eta = complete_invariant(build_marked_cusp(p))
+        want = _psi_normal_form_mp(p)
+        if not all(tiny <= v < big for v in want):
+            refused += 1
+            with pytest.raises(ValueError, match="out of the float range"):
+                recover_psi_from_invariant(eta)
+            continue
+        got = recover_psi_from_invariant(eta).psi
+        assert np.all(np.isfinite(got)) and np.all(got[len(want):] == 0.0), k
+        rel = max(abs((mpmath.mpf(float(g)) - w) / w) for g, w in zip(got, want))
+        assert rel < 1e-12, (k, float(rel))
+    assert refused == refusals
 
 
 def test_psi_recovery_direct_diagonal_model():

@@ -82,9 +82,11 @@ def test_no_unit_floor_under_a_size():
 
 _PERFBENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
 
-# psi_to_lambda is the inverse of lambda_to_psi: no library route needs it,
-# and tests build cusps from psi with it
-_UNREACHED_EXPORTS = {"psi_to_lambda"}
+# lambda_to_psi and its inverse psi_to_lambda are the paper's maps between
+# the two parameter spaces: no library route needs them (the psi normal form
+# takes log psi0 from lambda, since psi0 = lambda^-2 leaves the float range
+# first), and tests build and check psi with them
+_UNREACHED_EXPORTS = {"lambda_to_psi", "psi_to_lambda"}
 
 
 def _references(path):
@@ -269,3 +271,28 @@ def test_one_owner_of_the_type_of_weight_data():
     solvers = [name for name, scopes in _references(path)
                if "recover_psi_from_invariant" in scopes and name == "linalg"]
     assert solvers == [], "recover_psi_from_invariant calls np.linalg"
+
+
+def test_one_owner_of_the_process_lifecycle():
+    # cli.run is the one process entry: the console script and
+    # `python -m gencusp.cli` both call it, and it alone touches the cyclic
+    # collector (its freeze before exit), so main and the library stay free
+    # of process-wide effects
+    import tomllib
+
+    touches = [
+        (path.name, sorted(scopes)) for path in _MODULES
+        for name, scopes in _references(path) if name == "gc"
+    ]
+    assert touches and all(t == ("cli.py", ["run"]) for t in touches), (
+        "gc outside cli.run: %s" % touches)
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"gencusp": "gencusp.cli:run"}
+    path = next(p for p in _MODULES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    blocks = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for block in blocks for stmt in block.body] == ["run()"]
+    assert all(not block.orelse for block in blocks)
