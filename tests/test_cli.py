@@ -666,15 +666,6 @@ def parity_files(cli_files, tmp_path_factory):
     return files
 
 
-def _run_in_process(argv, capsys):
-    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
-    code = main(argv)
-    # main has no process-wide effect: the freeze is run's, before exit
-    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
 # the process entry (cli.run) against main in process, at each exit code:
 # 0 with --out and with stdout alone, 1 for a flag its command does not
 # take, 2 for a numerical refusal and 3 for an --out it cannot write
@@ -692,20 +683,19 @@ def test_process_entry_matches_main_in_process(parity_files, capsys, argv, exit_
     writes = argv.endswith("--out new") and exit_code == 0
     argv = [parity_files.get(t, t) for t in argv.split()]
     new = Path(parity_files["new"])
-    runs = []
-    for in_process in (True, False):
-        new.unlink(missing_ok=True)
-        if in_process:
-            code, out, err = _run_in_process(argv, capsys)
-        else:
-            proc = subprocess.run([sys.executable, "-m", "gencusp.cli"] + argv,
-                                  env=_subprocess_env(), capture_output=True, text=True,
-                                  timeout=60)
-            code, out, err = proc.returncode, proc.stdout, proc.stderr
-        runs.append((code, out, err, new.read_bytes() if new.exists() else None))
-    assert runs[0] == runs[1]
-    assert runs[0][0] == exit_code
-    assert (runs[0][3] is not None) == writes
+    new.unlink(missing_ok=True)
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    code = main(argv)
+    # main has no process-wide effect: the freeze is run's, before exit
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    in_process = (code, *capsys.readouterr(), new.read_bytes() if new.exists() else None)
+    new.unlink(missing_ok=True)
+    proc = subprocess.run([sys.executable, "-m", "gencusp.cli"] + argv, env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    entry = (proc.returncode, proc.stdout, proc.stderr,
+             new.read_bytes() if new.exists() else None)
+    assert entry == in_process
+    assert code == exit_code and (entry[3] is not None) == writes
 
 
 def test_package_exports_resolve_lazily_to_their_submodules():
