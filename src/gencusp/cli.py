@@ -179,14 +179,27 @@ def _shape_from_dict(data, path):
 
 
 def invariants_payload(cusp):
-    from .invariants import complete_invariant, dual_gram, weight_data
+    from .invariants import _unit_scaled, complete_invariant, dual_gram, weight_data
     from .shape import cubic_from_weights, shape_invariant
 
     eta = complete_invariant(cusp)
     nu = weight_data(cusp)
     s = shape_invariant(cusp, "closed")
     from_weights = cubic_from_weights(nu)
-    norms, _, varpi = dual_gram(nu.weights, nu.metric)
+    # varpi and the largest dual norm, which sets varpi's digits, from the
+    # weights at unit size, w = 2^e w', and back by 2^2e: both are squares
+    # of the weights, whose pairings overflow from ~1e154 on
+    ws, e = _unit_scaled(nu.weights)
+    norms, _, unit_varpi = dual_gram(ws, nu.metric)
+    try:
+        varpi = math.ldexp(max(unit_varpi, 0.0), 2 * e)
+    except OverflowError:
+        raise ValueError("varpi is out of the float range: %.6g times 2^%d"
+                         % (unit_varpi, 2 * e)) from None
+    m, k = math.frexp(float(norms.max()))
+    k += 2 * e
+    # exact, and an int past the float range: only its decade is read
+    top = math.ldexp(m, k) if k <= 1024 else int(math.ldexp(m, 53)) << (k - 53)
     payload = {
         "eta": {
             "weights": _round12(eta.character.weights),
@@ -195,7 +208,7 @@ def invariants_payload(cusp):
         "nu": {
             "weights": _round12(nu.weights),
             "beta": _round12(nu.metric, 1.0),
-            "varpi": _round12(max(varpi, 0.0), norms.max()),
+            "varpi": _round12(varpi, top),
             "type": int(nu.type_t),
         },
         "shape": _shape_to_dict(s),

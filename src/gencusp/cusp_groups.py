@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .linalg import DET_TOL, SLACK, ZERO, _identity, expm, f_k, g_surface, h_log, nonzero
+from .linalg import DET_TOL, SLACK, ZERO, _identity, expm, f_k, g_surface, h_log
 
 __all__ = [
     "PsiParameter",
@@ -89,12 +89,15 @@ class BlownUpWeylPoint:
     0 <= lam[0] <= ... <= lam[n-1] and kappa in [0,1]^(n-1).
 
     Slotted: a point carries no instance dict, a third of its footprint
-    besides its two arrays, since callers hold many of them.
+    besides its two arrays, since callers hold many of them.  For the same
+    reason it memoizes nothing but its type, an int taken while it is
+    validated; what is read per cusp lives on the ``MarkedCusp``.
     """
 
     n: int
     lam: np.ndarray
     kappa: np.ndarray
+    _type: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -121,6 +124,9 @@ class BlownUpWeylPoint:
             raise ValueError(
                 "constraint lam[0] = lam[i]*kappa[i] violated (residual %g)" % resid
             )
+        # linalg.nonzero(lam), the type, over the same Python floats
+        floor = ZERO * max(ls)
+        object.__setattr__(self, "_type", sum(v > floor for v in ls))
         lam = lam.copy()
         kap = kap.copy()
         lam.setflags(write=False)
@@ -130,7 +136,7 @@ class BlownUpWeylPoint:
 
     @property
     def type_t(self):
-        return int(np.count_nonzero(nonzero(self.lam)))
+        return self._type
 
     @property
     def unipotent_u(self):
@@ -182,15 +188,15 @@ def lie_algebra_zeta(psi, v):
 
 
 def _calibration_frame(p, rows):
-    """(frame, top) of the blown-up model at the k rows v (k, n-1) of
-    ``rows``: the frame's rows (<v,kappa>, v) and the generators' top rows
-    past the corner, v + <v,kappa> kappa.
+    """The frame of the blown-up model at the k rows v (k, n-1) of ``rows``:
+    its rows are (<v,kappa>, v).
 
     At the columns of a marking M the frame is C^T, C = [kappa^T; I] M.
     Scaled by the ``coefficients`` a, its rows are the generators' diagonals
     and C's rows the weights; C^T C is the horosphere metric and
     sum_i a_i (C_i x)^3 / 3 the shape's cubic.  Every one of them reads
-    this frame, so the weights are the stack's diagonal bit for bit.
+    this frame, so the weights are the stack's diagonal bit for bit; a
+    ``MarkedCusp`` builds it once (``MarkedCusp.calibration_frame``).
     """
     # one dot per row, by np.dot's own kernel: bit for bit the np.dot of
     # each row, where a matmul would sum in another order, off by an ulp
@@ -198,7 +204,19 @@ def _calibration_frame(p, rows):
     frame = np.empty((len(rows), p.n))
     frame[:, 0] = vk
     frame[:, 1:] = rows
-    return frame, rows + vk[:, None] * p.kappa
+    return frame
+
+
+def _phi_stack(p, rows, frame):
+    """``lie_algebra_phi`` at ``rows`` from their ``_calibration_frame``:
+    the diagonals, and the top rows past the corner, v + <v,kappa> kappa."""
+    n = p.n
+    m = np.zeros((len(rows), n + 1, n + 1))
+    every = np.arange(n)
+    m[:, every, every] = p.coefficients * frame
+    m[:, 0, 1:n] = rows + frame[:, :1] * p.kappa
+    m[:, 1:n, n] = rows
+    return m
 
 
 def lie_algebra_phi(p, v):
@@ -207,18 +225,11 @@ def lie_algebra_phi(p, v):
     <v,kappa> times the rank-one part."""
     if not isinstance(p, BlownUpWeylPoint):
         raise TypeError("expected a BlownUpWeylPoint")
-    n = p.n
     rows = np.asarray(v, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != n - 1:
+    if rows.ndim != 2 or rows.shape[1] != p.n - 1:
         raise ValueError("v must be a stack (k, n-1) of rows, n-1=%d, got %r"
-                         % (n - 1, rows.shape))
-    frame, top = _calibration_frame(p, rows)
-    m = np.zeros((len(rows), n + 1, n + 1))
-    every = np.arange(n)
-    m[:, every, every] = p.coefficients * frame
-    m[:, 0, 1:n] = top
-    m[:, 1:n, n] = rows
-    return m
+                         % (p.n - 1, rows.shape))
+    return _phi_stack(p, rows, _calibration_frame(p, rows))
 
 
 def preferred_sqrt(kappa):
@@ -306,11 +317,14 @@ class MarkedCusp:
     * ``effective_marking``, the matrix composed into the model: S^-1 B for
       the orthonormalized variant (S the preferred square root of
       I + kappa kappa^T), B itself otherwise;
+    * ``calibration_frame``, C^T for C = [kappa^T; I] M at the effective
+      marking M (``_calibration_frame``), built on first read: the weights,
+      the metric, the closed cubic and the generator diagonals all read
+      this one array;
     * ``generators``, the (n-1, n+1, n+1) stack of Lie-algebra generators of
       the marked holonomy, ``lie_algebra_phi`` at the effective marking's
-      columns, built on first read: the complete invariant does not read
-      it, since its weights come from the same calibration frame
-      (``_calibration_frame``).
+      columns, built on first read from the same frame: the complete
+      invariant does not read it.
     """
 
     params: BlownUpWeylPoint
@@ -321,10 +335,11 @@ class MarkedCusp:
     # (``_checked_marking``), so that its LU is not taken twice
     _log_det: InitVar[object] = None
     effective_marking: np.ndarray = field(init=False, repr=False)
-    # the generator stack, the unimodular metric and its scale, and the
-    # complete invariant, each filled on first use (``generators``,
-    # invariants.metric_and_scale, invariants.complete_invariant); they
-    # live and die with this instance
+    # the calibration frame, the generator stack, the unimodular metric and
+    # its scale, and the complete invariant, each filled on first use
+    # (``calibration_frame``, ``generators``, invariants.metric_and_scale,
+    # invariants.complete_invariant); they live and die with this instance
+    _frame: object = field(init=False, repr=False, default=None)
     _generators: object = field(init=False, repr=False, default=None)
     _metric: object = field(init=False, repr=False, default=None)
     _invariant: object = field(init=False, repr=False, default=None)
@@ -346,10 +361,19 @@ class MarkedCusp:
         object.__setattr__(self, "effective_marking", eff)
 
     @property
+    def calibration_frame(self):
+        frame = self._frame
+        if frame is None:
+            frame = _calibration_frame(self.params, self.effective_marking.T)
+            frame.setflags(write=False)
+            object.__setattr__(self, "_frame", frame)
+        return frame
+
+    @property
     def generators(self):
         gens = self._generators
         if gens is None:
-            gens = lie_algebra_phi(self.params, self.effective_marking.T)
+            gens = _phi_stack(self.params, self.effective_marking.T, self.calibration_frame)
             gens.setflags(write=False)
             object.__setattr__(self, "_generators", gens)
         return gens

@@ -3,6 +3,7 @@ harmonic/radial splitting of binary cubics, boundary strata, closed-form
 surface heights, and mesh export."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -221,44 +222,54 @@ def _grid_heights(p, xs, ys):
     return hypersurface_F(p, np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1))
 
 
+@lru_cache(maxsize=1)
+def _mesh_vertices(p, grid):
+    """The vertices of the grid of ``_grid_points`` as a tuple of strings,
+    (x1, x2, y) for each in row order, each coordinate formatted once with
+    17 significant digits so that a re-read is bit-exact.  Both mesh files
+    of a point read it: the last point and grid are kept, so the surface is
+    sampled and formatted once for the two."""
+    if p.n != 3:
+        raise ValueError("mesh export is for 3-dimensional cusps, got n = %d" % p.n)
+    xs, ys = _grid_points(p, grid)
+    heights = _grid_heights(p, xs, ys).ravel().tolist()
+    verts = np.empty((len(xs), len(ys), 3), dtype=object)
+    verts[..., 0] = np.array(["%.17g" % v for v in xs.tolist()], dtype=object)[:, None]
+    verts[..., 1] = ["%.17g" % v for v in ys.tolist()]
+    verts[..., 2] = np.array(("%.17g\n" * len(heights) % tuple(heights)).split(),
+                             dtype=object).reshape(verts.shape[:2])
+    return tuple(verts.ravel().tolist())
+
+
+def _write_mesh(path, what, text):
+    """Write one mesh file; an I/O failure names the file and its kind."""
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError("mesh %s export failed for %r: %s" % (what, path, exc)) from exc
+
+
 def export_mesh_csv(p, grid, path):
     """Write "x1,x2,y" rows sampling the canonical surface on the grid of
     ``_grid_points`` (half-width _MESH_SPAN = 2); values are formatted with
     17 significant digits so a re-read is bit-exact."""
-    if p.n != 3:
-        raise ValueError("mesh export is for 3-dimensional cusps, got n = %d" % p.n)
-    xs, ys = _grid_points(p, grid)
-    heights = _grid_heights(p, xs, ys)
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("x1,x2,y\n")
-            for x1, row in zip(xs, heights):
-                fh.write("".join("%.17g,%.17g,%.17g\n" % (x1, x2, y) for x2, y in zip(ys, row)))
-    except OSError as exc:
-        raise OSError("mesh CSV export failed for %r: %s" % (path, exc)) from exc
-    return len(xs) * len(ys)
+    verts = _mesh_vertices(p, tuple(grid))
+    rows = len(verts) // 3
+    _write_mesh(path, "CSV", "x1,x2,y\n" + "%s,%s,%s\n" * rows % verts)
+    return rows
 
 
 def export_mesh_obj(p, grid, path):
     """Triangulated OBJ of the same grid: g1*g2 vertices and
     2(g1-1)(g2-1) faces, 1-based indices."""
-    if p.n != 3:
-        raise ValueError("mesh export is for 3-dimensional cusps, got n = %d" % p.n)
-    xs, ys = _grid_points(p, grid)
-    heights = _grid_heights(p, xs, ys)
-    g1, g2 = len(xs), len(ys)
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            for x1, row in zip(xs, heights):
-                fh.write("".join("v %.17g %.17g %.17g\n" % (x1, x2, y) for x2, y in zip(ys, row)))
-            for i in range(g1 - 1):
-                for j in range(g2 - 1):
-                    a = i * g2 + j + 1
-                    b = a + 1
-                    c = a + g2
-                    d = c + 1
-                    fh.write("f %d %d %d\n" % (a, b, d))
-                    fh.write("f %d %d %d\n" % (a, d, c))
-    except OSError as exc:
-        raise OSError("mesh OBJ export failed for %r: %s" % (path, exc)) from exc
-    return g1 * g2, 2 * (g1 - 1) * (g2 - 1)
+    g1, g2 = grid
+    verts = _mesh_vertices(p, (g1, g2))
+    # cell (i, j) has corners a = i g2 + j + 1, b = a + 1, c = a + g2 and
+    # d = c + 1, and the faces (a, b, d) and (a, d, c)
+    a = (np.arange(g1 - 1)[:, None] * g2 + np.arange(1, g2)).ravel()
+    faces = np.stack([a, a + 1, a + g2 + 1, a, a + g2 + 1, a + g2], axis=1)
+    text = ("v %s %s %s\n" * (g1 * g2) % verts
+            + "f %d %d %d\nf %d %d %d\n" * len(a) % tuple(faces.ravel().tolist()))
+    _write_mesh(path, "OBJ", text)
+    return g1 * g2, 2 * len(a)

@@ -7,7 +7,7 @@ never by pointwise sampling (exp blowup makes pointwise comparison fragile).
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -76,15 +76,24 @@ def sort_weights(w):
     """Canonical order: lexicographic by coordinates rounded to 12 decimals
     of w / 2^e, 2^e the power of 2 just above max|w| (exact, so free of the
     weights' size).  Non-finite weights raise ValueError."""
+    return _canonical_rows(w)[0]
+
+
+def _canonical_rows(w):
+    """(rows, sizes, size): w's rows in ``sort_weights``' order, each row's
+    max-abs coordinate in the same order (what ``_live_rows`` tests), and
+    max|w|, the largest of them: one reduction, read by every caller."""
     w = np.asarray(w, dtype=float)
-    size = float(np.abs(w).max(initial=0.0))  # NaN or inf if any entry is
+    sizes = np.abs(w).max(axis=1, initial=0.0)
+    size = float(sizes.max(initial=0.0))  # NaN or inf if any entry is
     if not math.isfinite(size):
         raise ValueError("weights must be finite")
     if w.shape[1] == 0:
         # lexsort needs at least one key; rows with no coordinates all tie
-        return w.copy()
+        return w.copy(), sizes, size
     # lexsort's last key is the primary one, so the columns go in reverse
-    return w[np.lexsort(np.ldexp(w, -math.frexp(size)[1]).round(12).T[::-1])]
+    order = np.lexsort(np.ldexp(w, -math.frexp(size)[1]).round(12).T[::-1])
+    return w[order], sizes[order], size
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,16 +101,27 @@ class CharacterData:
     """Multiset of the n+1 Lie-algebra weight covectors (rows) of the affine
     character, stored in canonical order.  The translation line contributes
     a zero covector, so a multiset without one is rejected.
+
+    Each row's max-abs coordinate (``sizes``), their largest (``size``,
+    max|w|) and the mask of the live rows (``live``, by ``_live_rows``) are
+    taken once here, with the order, and read by ``eta_distance`` and the
+    weight data.
     """
 
     weights: np.ndarray
+    sizes: np.ndarray = field(init=False, repr=False)
+    size: float = field(init=False, repr=False)
+    live: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = sort_weights(self.weights)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        if _live_rows(w).all():
+        w, sizes, size = _canonical_rows(self.weights)
+        live = _live_rows(w, sizes, size)
+        if live.all():
             raise ValueError("affine character data must contain a zero covector")
+        for name, a in (("weights", w), ("sizes", sizes), ("live", live)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "size", size)
 
     def chi(self, v):
         return float(np.sum(np.exp(self.weights @ np.asarray(v, dtype=float))))
@@ -177,8 +197,8 @@ def dual_gram(weights, metric):
 
 def weights_of(cusp):
     """All n+1 affine weight covectors: the rows of the cusp's calibration
-    frame C = [kappa^T; I] M (``cusp_groups._calibration_frame`` at its
-    effective marking M) scaled by the model's ``coefficients``, and the
+    frame C = [kappa^T; I] M at its effective marking M (the cusp's one
+    ``calibration_frame``) scaled by the model's ``coefficients``, and the
     zero row of the translation line.  They are the products
     ``lie_algebra_phi`` puts on the stack's diagonal, so the reading is that
     diagonal bit for bit whether or not the stack is ever built.
@@ -202,21 +222,20 @@ def weights_of(cusp):
             raise ValueError(
                 "character cross-check failed: generator %d has a non-finite entry" % g)
     weights = np.zeros((p.n + 1, p.n - 1))
-    weights[:-1] = (p.coefficients * _calibration_frame(p, m)[0]).T
+    weights[:-1] = (p.coefficients * cusp.calibration_frame).T
     return CharacterData(weights)
 
 
 def metric_and_scale(cusp):
     """(q, s): the unimodular metric q = s C^T C = s M^T (I + kappa kappa^T) M,
-    with C the calibration frame at the effective marking M, and its scale
-    s = det(C^T C)^(-1/(n-1)), memoized on the cusp.  q is built and checked
-    in full once per cusp instance (``linalg.unimodular_scale``), and is
-    read-only:
-    ``horosphere_metric``, ``complete_invariant`` and the closed shape route
-    share it."""
+    with C the cusp's ``calibration_frame`` at the effective marking M, and
+    its scale s = det(C^T C)^(-1/(n-1)), memoized on the cusp.  q is built
+    and checked in full once per cusp instance (``linalg.unimodular_scale``),
+    and is read-only: ``horosphere_metric``, ``complete_invariant`` and the
+    closed shape route share it."""
     memo = cusp._metric
     if memo is None:
-        frame = _calibration_frame(cusp.params, cusp.effective_marking.T)[0]
+        frame = cusp.calibration_frame
         memo = unimodular_scale(frame @ frame.T, "metric")
         object.__setattr__(cusp, "_metric", memo)
     return memo
@@ -349,7 +368,7 @@ def eta_distance(e1, e2):
     w1, w2 = e1.character.weights, e2.character.weights
     if w1.shape != w2.shape:
         return np.inf
-    size = max(float(np.abs(w1).max()), float(np.abs(w2).max()))
+    size = max(e1.character.size, e2.character.size)
     dw = _match_multisets(w1, w2) / size if size else 0.0
     return max(dw, maxerr_symmetric(e1.metric, e2.metric))
 
@@ -361,19 +380,29 @@ def are_conjugate(c1, c2, tol=CONJUGATE_TOL):
     return eta_distance(complete_invariant(c1), complete_invariant(c2)) <= tol
 
 
-def _live_rows(w):
+def _live_rows(w, sizes=None, size=None):
     """Mask of the nonzero covectors (rows) of the weights w, by
-    ``linalg.nonzero`` on each row's max-abs coordinate: the one such test."""
-    return nonzero(np.abs(w).max(axis=1, initial=0.0))
+    ``linalg.nonzero`` on each row's max-abs coordinate: the one such test.
+    ``sizes`` and ``size``, when given, are those coordinates and their
+    largest, already taken by the caller (``_canonical_rows``)."""
+    if sizes is None:
+        sizes = np.abs(w).max(axis=1, initial=0.0)
+    return nonzero(sizes, size)
 
 
-def _linear_weights(weights):
+def _linear_weights(weights, sizes=None, live=None):
     """The linear-part weights: the affine ones less their smallest row (by
     max-abs coordinate), which must be dead.  It is the translation line's
-    exact zero when there is one, so a tiny weight ~lambda0^2 stays."""
+    exact zero when there is one, so a tiny weight ~lambda0^2 stays.
+    ``sizes`` and ``live``, when given, are the rows' max-abs coordinates
+    and their ``_live_rows`` mask (a ``CharacterData``'s own)."""
     w = np.asarray(weights, dtype=float)
-    smallest = int(np.abs(w).max(axis=1, initial=0.0).argmin())
-    if _live_rows(w)[smallest]:
+    if sizes is None:
+        sizes = np.abs(w).max(axis=1, initial=0.0)
+    if live is None:
+        live = _live_rows(w, sizes)
+    smallest = int(sizes.argmin())
+    if live[smallest]:
         raise ValueError("weights contain no zero covector")
     return np.concatenate((w[:smallest], w[smallest + 1:]))
 
@@ -464,7 +493,9 @@ def weight_data(cusp):
 
 def _weight_data_of(eta):
     """The weight data of a complete invariant."""
-    return WeightData._from_canonical(_linear_weights(eta.character.weights), eta.metric)
+    chi = eta.character
+    return WeightData._from_canonical(_linear_weights(chi.weights, chi.sizes, chi.live),
+                                      eta.metric)
 
 
 def weights_equation_residual(w):
@@ -546,7 +577,7 @@ def realize_weight_data(w, tol=REALIZE_TOL):
         p = BlownUpWeylPoint(n, np.ldexp(lam, e), lam[0] / lam[1:])
         marking = ws[1:] / lam[1:, None]
         # the model's weights at this marking, the first one dependent
-        model = (p.coefficients * _calibration_frame(p, marking.T)[0]).T
+        model = (p.coefficients * _calibration_frame(p, marking.T)).T
         if np.abs(model - w.weights[order]).max() > 1e-6 * np.abs(w.weights).max():
             raise ValueError("dependent weight inconsistent with the remaining ones")
         return build_marked_cusp(p, marking)

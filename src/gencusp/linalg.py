@@ -90,11 +90,14 @@ def _series_or_closed(z, series, closed):
         return np.where(np.abs(z) < _SERIES_CUT, series(), closed())[()]
 
 
-def nonzero(mags):
+def nonzero(mags, largest=None):
     """Mask of the magnitudes above ZERO * max(mags): a magnitude that is
-    itself the largest is nonzero unless it is 0."""
+    itself the largest is nonzero unless it is 0.  ``largest``, when given,
+    is max(mags) (0 for none), already taken by the caller."""
     mags = np.asarray(mags, dtype=float)
-    return mags > ZERO * mags.max(initial=0.0)
+    if largest is None:
+        largest = mags.max(initial=0.0)
+    return mags > ZERO * largest
 
 
 # The forms check_unimodular and unimodular_scale returned, keyed by id and
@@ -292,6 +295,12 @@ def newton_to_elementary(power_sums):
 def check_symmetric(q):
     """Validate a finite form, symmetric to SLACK = 1e-12 relative to its
     largest entry; returns the symmetrized matrix, a new array."""
+    return _symmetrized(q)[0]
+
+
+def _symmetrized(q):
+    """(check_symmetric(q), max|q|): the form's largest magnitude is taken
+    once, for the finiteness and symmetry tests and for the caller."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (q.shape,))
@@ -301,25 +310,27 @@ def check_symmetric(q):
         raise ValueError("matrix entries must be finite")
     # bitwise symmetric (signed zeros included): 0.5 (q + q^T) is q itself
     if q.tobytes() == q.T.tobytes():
-        return q.copy()
+        return q.copy(), largest
     if np.abs(q - q.T).max() > SLACK * largest:
         raise ValueError("matrix is not symmetric within %g" % SLACK)
-    return 0.5 * (q + q.T)
+    return 0.5 * (q + q.T), largest
 
 
 def unimodular_scale(q, what):
     """(s q, s): q scaled to det 1 by s = det(q)^(-1/dim) and checked as
     ``check_unimodular`` checks, read-only (errors name ``what``).  s q of
     the symmetrized q is bitwise symmetric: it is not symmetrized again."""
-    q = check_symmetric(q)
+    q, largest = _symmetrized(q)
     det = np.linalg.det(q)
     if det <= 0.0:
         raise ValueError("%s must be positive definite (det %g)" % (what, det))
     s = det ** (-1.0 / q.shape[0])
-    # max|s q| is fl(s max|q|), tested before any entry can overflow
-    if not math.isfinite(float(s) * float(np.abs(q).max())):
+    # max|s q| is at most fl(s max|q|), max|q| of the form before it was
+    # symmetrized (its very value for a symmetric one): tested before any
+    # entry can overflow
+    if not math.isfinite(float(s) * largest):
         raise ValueError("matrix entries must be finite")
-    q *= s  # check_symmetric's own copy; q * s bit for bit
+    q *= s  # _symmetrized's own copy; q * s bit for bit
     return _validated(q, what), s
 
 

@@ -16,12 +16,13 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .cusp_groups import PsiParameter, _calibration_frame, orbit_point
+from .cusp_groups import PsiParameter, orbit_point
 from .invariants import (
     REALIZE_TOL,
     NotRealizable,
     WeightData,
     _live_rows,
+    _unit_scaled,
     dual_gram,
     metric_and_scale,
     realize_weight_data,
@@ -270,7 +271,7 @@ def shape_invariant(cusp, method="fit"):
     to det q = 1.  "closed" takes q from the cusp's shared metric
     (``invariants.metric_and_scale``), the very array of its complete
     invariant, which is s C^T C for the calibration frame C = [kappa^T; I] M
-    at the effective marking M (``cusp_groups._calibration_frame``), and
+    at the effective marking M (the cusp's ``calibration_frame``), and
     cubes C's rows with coefficients (s/3) a, a the model's
     ``coefficients``.  The two routes agree as functions.
     """
@@ -279,9 +280,9 @@ def shape_invariant(cusp, method="fit"):
         return ShapeInvariant.canonical(q_raw, c_raw)
     if method == "closed":
         q, s = metric_and_scale(cusp)
-        p = cusp.params
-        frame = _calibration_frame(p, cusp.effective_marking.T)[0]
-        return ShapeInvariant(q, CubicPoly.from_covector_cubes(frame.T, (s / 3.0) * p.coefficients))
+        frame = cusp.calibration_frame
+        return ShapeInvariant(q, CubicPoly.from_covector_cubes(
+            frame.T, (s / 3.0) * cusp.params.coefficients))
     raise ValueError("unknown method %r" % (method,))
 
 
@@ -306,16 +307,21 @@ def cubic_from_weights(wd):
     """Shape invariant straight from weight data:
     c = (1/3) sum_i xi_i^3 / (<xi_i,xi_i>* + varpi), with the zero weights
     (``invariants._live_rows``) dropped.  Every kept denominator is
-    positive: a live weight has a positive dual norm, and varpi >= 0."""
+    positive: a live weight has a positive dual norm, and varpi >= 0.
+
+    It is taken from the weights at unit size, w = 2^e w' (``_unit_scaled``):
+    c = sum_i (2^e c'_i) w'_i^3 with c'_i the coefficients of w', each
+    product the same up to an exact power of 2, so the dual norms do not
+    overflow (from weights ~1e154) and the cubic keeps its bits."""
     if not isinstance(wd, WeightData):
         raise TypeError("expected WeightData")
     beta = wd.metric
-    w = wd.weights
+    w, e = _unit_scaled(wd.weights)
     norms2, _, varpi = dual_gram(w, beta)
     live = _live_rows(w)
     if not live.any():
         return ShapeInvariant(beta, CubicPoly.zero(w.shape[1]))
-    coeffs = 1.0 / (3.0 * (norms2[live] + max(varpi, 0.0)))
+    coeffs = np.ldexp(1.0 / (3.0 * (norms2[live] + max(varpi, 0.0))), e)
     return ShapeInvariant(beta, CubicPoly.from_covector_cubes(w[live], coeffs))
 
 

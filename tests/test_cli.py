@@ -2,6 +2,7 @@ import argparse
 import gc
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -705,3 +706,41 @@ def test_package_exports_resolve_lazily_to_their_submodules():
         assert getattr(gencusp, name) is getattr(module, name), name
     with pytest.raises(AttributeError):
         gencusp.not_an_export
+
+
+def _strict_json(text):
+    """json.loads refusing NaN and the infinities, which JSON does not have."""
+    def refuse(name):
+        raise ValueError("not JSON: %s" % name)
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("lam, kap, code", [
+    # varpi ~ (5e159)^2 is past the float range
+    ([5e159, 1e160, 2e160], [0.5, 0.25], 2),
+    # the dual norm (2e200)^2 is, and varpi is 0
+    ([0.0, 0.0, 2e200], [0.0, 0.0], 0),
+    # the dual norms ~ 1e310 are, and varpi ~ 1e200 is not
+    ([1e100, 1e155, 2e155], [1e-55, 5e-56], 0),
+], ids=["varpi-overflows", "type-1", "norms-overflow"])
+def test_invariants_of_weights_past_1e154(tmp_path, capsys, lam, kap, code):
+    # the pairings of weights past ~1e154 overflow: the payload reads varpi
+    # and the largest dual norm at unit size, so it writes JSON, its cubic
+    # routes agreeing, or refuses varpi by name with exit 2; a floating-point
+    # warning fails the test (pyproject's filterwarnings)
+    src = _write(tmp_path, "p.json", _params(lam, kap))
+    out = tmp_path / "inv.json"
+    assert main(["invariants", src, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("numerical error: varpi is out of the float range: ")
+        assert not out.exists()
+        return
+    assert err == ""
+    data = _strict_json(out.read_text())
+    assert data["cross_check"]["cubic_routes_residual"] <= 1e-5
+    # varpi of the cusp scaled by 2^-600, which fits, scaled back by 2^1200
+    down = _write(tmp_path, "down.json", _params([math.ldexp(v, -600) for v in lam], kap))
+    assert main(["invariants", down, "--out", str(out)]) == 0
+    ref = math.ldexp(_strict_json(out.read_text())["nu"]["varpi"], 1200)
+    assert abs(data["nu"]["varpi"] - ref) <= 1e-11 * ref

@@ -155,8 +155,11 @@ def test_blownup_point_is_slotted_and_frozen():
     with pytest.raises(AttributeError):
         p.lam = np.zeros(3)
     assert not p.lam.flags.writeable and not p.kappa.flags.writeable
-    # one chart: lambda is always ascending, and no field picks another
-    assert [f.name for f in dataclasses.fields(p)] == ["n", "lam", "kappa"]
+    # one chart: lambda is always ascending, and no field picks another;
+    # the one field past the three it is built from is its type, an int
+    assert [f.name for f in dataclasses.fields(p) if f.init] == ["n", "lam", "kappa"]
+    assert [f.name for f in dataclasses.fields(p) if not f.init] == ["_type"]
+    assert type(p.type_t) is int and p.type_t == 3
 
 
 @pytest.mark.parametrize("lam, kap, order_error", [

@@ -344,6 +344,35 @@ def test_mesh_rows_match_pointwise_heights(tmp_path, lam, kap):
     assert verts == ["v %.17g %.17g %.17g" % pt for pt in points]
 
 
+def test_mesh_files_of_one_point_share_one_sampling(tmp_path, monkeypatch):
+    # the CSV and the OBJ of one point and grid sample the surface (and
+    # format its vertices) once between them; another point or another
+    # grid is sampled anew, and its files are its own
+    import gencusp.dim3 as dim3_mod
+
+    sampled = []
+    real = dim3_mod._grid_heights
+
+    def counted(p, xs, ys):
+        sampled.append((p, len(xs), len(ys)))
+        return real(p, xs, ys)
+
+    monkeypatch.setattr(dim3_mod, "_grid_heights", counted)
+    p = BlownUpWeylPoint(3, np.array([0.1, 0.2, 0.4]), np.array([0.5, 0.25]))
+    q = BlownUpWeylPoint(3, np.array([0.0, 0.3, 0.4]), np.zeros(2))
+    files = {}
+    for point, grid, name in ((p, (4, 3), "p"), (q, (4, 3), "q"), (q, (3, 4), "q34")):
+        csv, obj = tmp_path / (name + ".csv"), tmp_path / (name + ".obj")
+        assert export_mesh_csv(point, grid, str(csv)) == 12
+        assert export_mesh_obj(point, grid, str(obj)) == (12, 12)
+        rows = csv.read_text().splitlines()[1:]
+        verts = [line for line in obj.read_text().splitlines() if line.startswith("v ")]
+        assert verts == ["v " + row.replace(",", " ") for row in rows]
+        files[name] = rows
+    assert sampled == [(p, 4, 3), (q, 4, 3), (q, 3, 4)]
+    assert files["p"] != files["q"] and sorted(files["q"]) != sorted(files["q34"])
+
+
 def test_mesh_csv_trivial_grid(tmp_path):
     p = BlownUpWeylPoint(3, np.zeros(3), np.zeros(2))
     path = tmp_path / "m.csv"

@@ -41,7 +41,14 @@ from gencusp.invariants import (
     _linear_weights,
     _match_multisets,
 )
-from gencusp.linalg import expm, maxerr, unimodular, unimodular_scale
+from gencusp.linalg import (
+    expm,
+    maxerr,
+    maxerr_symmetric,
+    nonzero,
+    unimodular,
+    unimodular_scale,
+)
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
 from gencusp.shape import (
     CubicPoly,
@@ -219,12 +226,12 @@ def test_forward_case_work_budget(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(la_mod, "_VALIDATED", CountingMemo())
-    monkeypatch.setattr(la_mod, "check_symmetric", counted("symmetric", la_mod.check_symmetric))
-    monkeypatch.setattr(cg_mod, "lie_algebra_phi", counted("phi", cg_mod.lie_algebra_phi))
+    monkeypatch.setattr(la_mod, "_symmetrized", counted("symmetric", la_mod._symmetrized))
+    monkeypatch.setattr(cg_mod, "_phi_stack", counted("phi", cg_mod._phi_stack))
     monkeypatch.setattr(cg_mod.MarkedCusp, "__post_init__",
                         counted("cusps", cg_mod.MarkedCusp.__post_init__))
     monkeypatch.setattr(inv_mod, "weights_of", counted("weights_of", inv_mod.weights_of))
-    monkeypatch.setattr(inv_mod, "sort_weights", counted("sort", inv_mod.sort_weights))
+    monkeypatch.setattr(inv_mod, "_canonical_rows", counted("sort", inv_mod._canonical_rows))
     monkeypatch.setattr(inv_mod, "expm", counted("expm", inv_mod.expm))
     monkeypatch.setattr(inv_mod, "linear_sum_assignment",
                         counted("lsa", inv_mod.linear_sum_assignment))
@@ -283,19 +290,54 @@ def test_weights_of_reads_the_generator_diagonals():
         assert first.generators.tobytes() == second.generators.tobytes()
 
 
+def _remarked(c):
+    """A conjugate twin of c with the other marking variant and the same
+    effective marking (S the preferred square root of I + kappa kappa^T):
+    marking S B, orthonormalized, for B plain, and S^-1 B, plain, for B
+    orthonormalized."""
+    p, b = c.params, c.marking
+    s = preferred_sqrt(p.kappa)
+    if c.orthonormalized:
+        return build_marked_cusp(p, np.linalg.solve(s, b))
+    return build_marked_cusp(p, s @ b, orthonormalized=True)
+
+
+def _rebuilt_by_each_reader(c):
+    """eta, nu and both cubics of c as each reader built them from a frame
+    of its own: C from _calibration_frame anew for the weights, the metric
+    and the closed cubic; nu through the public WeightData; the weights
+    route from the weights at their own size."""
+    p, m = c.params, c.effective_marking.T
+    a = p.coefficients
+    weights = np.vstack([(a * _calibration_frame(p, m)).T, np.zeros(p.n - 1)])
+    frame = _calibration_frame(p, m)
+    q, s = unimodular_scale(frame @ frame.T, "metric")
+    eta = CompleteInvariant(CharacterData(weights), q)
+    nu = WeightData(_linear_weights(eta.character.weights), q)
+    closed = CubicPoly.from_covector_cubes(_calibration_frame(p, m).T, (s / 3.0) * a)
+    norms, _, varpi = dual_gram(nu.weights, q)
+    live = nonzero(np.abs(nu.weights).max(axis=1))
+    coeffs = 1.0 / (3.0 * (norms[live] + max(varpi, 0.0)))
+    by_weights = CubicPoly.from_covector_cubes(nu.weights[live], coeffs) if live.any() else None
+    return eta, nu, closed, by_weights
+
+
 def test_weights_metric_and_cubic_read_one_calibration_frame():
     # one frame C^T = (<v, kappa>, v) over the effective marking's columns v:
     # its rows scaled by the coefficients are the stack's diagonal and the
     # weights, the metric is unimodular_scale of its Gram matrix, and the
     # closed cubic cubes C's rows with (s/3) times the coefficients, all bit
-    # for bit
+    # for bit.  Read from the cusp's one memoized frame, eta, nu, both
+    # cubics and eta_distance to a remarked twin keep the bits of each
+    # reader's own rebuild, the twin's distance with sizes taken anew
     rng = np.random.default_rng(17)
     for n in range(3, 8):
         for t in range(n + 1):
             for orth in (False, True):
                 c = random_cusp(rng, n, t=t, orthonormalized=orth)
                 p = c.params
-                frame = _calibration_frame(p, c.effective_marking.T)[0]
+                frame = _calibration_frame(p, c.effective_marking.T)
+                assert c.calibration_frame.tobytes() == frame.tobytes()
                 a = p.coefficients
                 assert a.tobytes() == np.concatenate(([-p.lam[0]], p.lam[1:])).tobytes()
                 diag = np.diagonal(c.generators, axis1=1, axis2=2).T
@@ -305,6 +347,59 @@ def test_weights_metric_and_cubic_read_one_calibration_frame():
                 assert horosphere_metric(c).tobytes() == q.tobytes()
                 cubic = CubicPoly.from_covector_cubes(frame.T, (s / 3.0) * a)
                 assert shape_invariant(c, "closed").c.tensor.tobytes() == cubic.tensor.tobytes()
+
+                eta, nu, closed, by_weights = _rebuilt_by_each_reader(c)
+                got_eta, got_nu = complete_invariant(c), weight_data(c)
+                for got, ref in ((got_eta.character.weights, eta.character.weights),
+                                 (got_eta.metric, eta.metric), (got_nu.weights, nu.weights),
+                                 (got_nu.metric, nu.metric),
+                                 (shape_invariant(c, "closed").c.tensor, closed.tensor)):
+                    assert got.tobytes() == ref.tobytes()
+                got_cubic = cubic_from_weights(got_nu).c.tensor
+                if by_weights is None:
+                    assert not got_cubic.any()
+                else:
+                    assert got_cubic.tobytes() == by_weights.tensor.tobytes()
+                twin = _remarked(c)
+                twin_eta = _rebuilt_by_each_reader(twin)[0]
+                w1, w2 = eta.character.weights, twin_eta.character.weights
+                size = max(float(np.abs(w1).max()), float(np.abs(w2).max()))
+                dw = _match_multisets(w1, w2) / size if size else 0.0
+                ref = max(dw, maxerr_symmetric(eta.metric, twin_eta.metric))
+                got = eta_distance(got_eta, complete_invariant(twin))
+                assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+def test_each_cusp_builds_one_calibration_frame(monkeypatch):
+    # the forward map of one cusp and its conjugacy test against a remarked
+    # twin build _calibration_frame once per cusp: the weights, the metric,
+    # the closed cubic and the weights route read the cusp's memo, and so
+    # does its generator stack when it is read
+    import gencusp.cusp_groups as cg_mod
+
+    built = []
+    real = cg_mod._calibration_frame
+
+    def counted(p, rows):
+        built.append(p)
+        return real(p, rows)
+
+    monkeypatch.setattr(cg_mod, "_calibration_frame", counted)
+    rng = np.random.default_rng(33)
+    for n in range(3, 8):
+        for t in range(n + 1):
+            for orth in (False, True):
+                c = random_cusp(rng, n, t=t, orthonormalized=orth)
+                twin = _remarked(c)
+                built.clear()
+                complete_invariant(c)
+                nu = weight_data(c)
+                closed = shape_invariant(c, "closed")
+                assert closed.distance(cubic_from_weights(nu)) <= 1e-5
+                assert are_conjugate(c, twin)
+                assert built == [c.params, twin.params]
+                assert c.generators is not None and twin.generators is not None
+                assert built == [c.params, twin.params]
 
 
 def _sort_weights_reference(w):

@@ -174,7 +174,7 @@ def test_closed_cubic_matches_the_composed_tensor_route():
         # a dim-term dot for kappa^T M and an n-term dot for C^T C.  Each is
         # within gamma_(2 dim + 2) x of the exact Gram, so they differ by at
         # most (4 dim + 4) eps x, with room for second-order terms.
-        frame = _calibration_frame(p, m.T)[0]
+        frame = _calibration_frame(p, m.T)
         raw_got = check_symmetric(frame @ frame.T)
         x = np.abs(m).T @ (np.eye(dim) + np.outer(kap, kap)) @ np.abs(m)
         raw_bound = (4 * dim + 6) * eps * x

@@ -3,6 +3,7 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gencusp
@@ -296,3 +297,28 @@ def test_one_owner_of_the_process_lifecycle():
               and ast.unparse(node.test) == "__name__ == '__main__'"]
     assert [ast.unparse(stmt) for block in blocks for stmt in block.body] == ["run()"]
     assert all(not block.orelse for block in blocks)
+
+
+def test_blownup_point_holds_no_array_but_lambda_and_kappa():
+    # callers hold many points: the forward benchmark keeps every point it
+    # draws for its whole run (~55k in 40 s), where ~170 B more per point
+    # is ~9 MB, ~10% of that workload's peak RSS and of its bound.  So what
+    # is read per cusp (frame, metric, invariant) is memoized on the
+    # MarkedCusp, and a point holds lambda, kappa and ints only
+    from gencusp.cusp_groups import BlownUpWeylPoint
+
+    path = next(p for p in _MODULES if p.name == "cusp_groups.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "BlownUpWeylPoint")
+    fields = {stmt.target.id: ast.unparse(stmt.annotation) for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign)}
+    assert {k: v for k, v in fields.items() if v != "int"} == {
+        "lam": "np.ndarray", "kappa": "np.ndarray"}
+    assert sorted(BlownUpWeylPoint.__slots__) == sorted(fields)
+    for lam in ([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 1.0, 2.0]):
+        p = BlownUpWeylPoint(3, np.array(lam), np.array([lam[0] / v if v else 0.0
+                                                         for v in lam[1:]]))
+        values = {name: getattr(p, name) for name in BlownUpWeylPoint.__slots__}
+        assert [k for k, v in values.items() if isinstance(v, np.ndarray)] == ["lam", "kappa"]
+        assert all(type(v) is int for k, v in values.items() if k not in ("lam", "kappa"))
