@@ -82,7 +82,7 @@ def sort_weights(w):
 def _canonical_rows(w):
     """(rows, sizes, size): w's rows in ``sort_weights``' order, each row's
     max-abs coordinate in the same order (what ``_live_rows`` tests), and
-    max|w|, the largest of them: one reduction, read by every caller."""
+    max|w|, the largest of them: taken once, for every caller."""
     w = np.asarray(w, dtype=float)
     sizes = np.abs(w).max(axis=1, initial=0.0)
     size = float(sizes.max(initial=0.0))  # NaN or inf if any entry is
