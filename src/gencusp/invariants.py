@@ -102,23 +102,20 @@ class CharacterData:
     character, stored in canonical order.  The translation line contributes
     a zero covector, so a multiset without one is rejected.
 
-    Each row's max-abs coordinate (``sizes``), their largest (``size``,
-    max|w|) and the mask of the live rows (``live``, by ``_live_rows``) are
-    taken once here, with the order, and read by ``eta_distance`` and the
-    weight data.
+    Each row's max-abs coordinate (``sizes``) and their largest (``size``,
+    max|w|) are taken once here, with the order, and read by
+    ``eta_distance`` and the weight data.
     """
 
     weights: np.ndarray
     sizes: np.ndarray = field(init=False, repr=False)
     size: float = field(init=False, repr=False)
-    live: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w, sizes, size = _canonical_rows(self.weights)
-        live = _live_rows(w, sizes, size)
-        if live.all():
+        if _live_rows(w, sizes, size).all():
             raise ValueError("affine character data must contain a zero covector")
-        for name, a in (("weights", w), ("sizes", sizes), ("live", live)):
+        for name, a in (("weights", w), ("sizes", sizes)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         object.__setattr__(self, "size", size)
@@ -138,40 +135,65 @@ class CompleteInvariant:
 
 @dataclass(frozen=True, eq=False)
 class WeightData:
-    """The n linear-part weight covectors plus the unimodular metric."""
+    """The n linear-part weight covectors plus the unimodular metric, read
+    once at unit size: the rows w' = w / 2^e (``unit_weights``), 2^e the
+    power of 2 just above max|w| (``exponent``, ``sort_weights``' own), and
+    their ``dual_gram`` (``unit_gram``).  Every reader of the data's dual
+    Gram data reads these and scales back by a power of 2, exactly, so none
+    under- or overflows at any size of the weights."""
 
     weights: np.ndarray
     metric: np.ndarray
+    unit_weights: np.ndarray = field(init=False, repr=False)
+    exponent: int = field(init=False, repr=False)
+    unit_gram: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = sort_weights(self.weights)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "metric", check_unimodular(self.metric, "metric"))
+        w, _, size = _canonical_rows(self.weights)
+        self._read(w, self.metric, size)
 
     @classmethod
-    def _from_canonical(cls, weights, metric):
-        """Weight data from rows already finite and in canonical order, taken
-        as they are (made read-only) where the constructor would sort them
-        again: a character's weights less one zero row, which a stable sort
-        leaves in place."""
-        weights.setflags(write=False)
+    def _from_canonical(cls, weights, metric, size):
+        """Weight data from rows already finite and in canonical order, and
+        their max|w| ``size``, taken as they are where the constructor would
+        sort them again: a character's weights less its smallest row, which
+        a stable sort leaves in place and whose removal leaves its size."""
         data = object.__new__(cls)
-        object.__setattr__(data, "weights", weights)
-        object.__setattr__(data, "metric", check_unimodular(metric, "metric"))
+        data._read(weights, metric, size)
         return data
+
+    def _read(self, weights, metric, size):
+        metric = check_unimodular(metric, "metric")
+        if weights.shape[1] != metric.shape[0]:
+            raise ValueError("weights have %d coordinates, the metric is %d x %d"
+                             % (weights.shape[1], *metric.shape))
+        e = math.frexp(size)[1]
+        unit = np.ldexp(weights, -e)
+        gram = dual_gram(unit, metric)
+        for a in (weights, unit) + gram[:2]:
+            a.setflags(write=False)
+        for name, value in (("weights", weights), ("metric", metric), ("unit_weights", unit),
+                            ("exponent", e), ("unit_gram", gram)):
+            object.__setattr__(self, name, value)
+
+    def _scaled_back(self, x, what):
+        """x, a square of the weights at unit size, times 4^e, or refused."""
+        try:
+            return math.ldexp(x, 2 * self.exponent)
+        except OverflowError:
+            raise ValueError("%s is out of the float range: %.6g times 2^%d"
+                             % (what, x, 2 * self.exponent)) from None
 
     @property
     def varpi(self):
         """Negated mean of the off-diagonal dual pairings (symmetric,
         unbiased estimate of the weights-equation constant)."""
-        return dual_gram(self.weights, self.metric)[2]
+        return self._scaled_back(self.unit_gram[2], "varpi")
 
     @property
     def type_t(self):
         """The type ``realize_weight_data`` builds (``_realized_type``)."""
-        ws = _unit_scaled(self.weights)[0]
-        return _realized_type(ws, *dual_gram(ws, self.metric)[1:])
+        return _realized_type(self.unit_weights, *self.unit_gram[1:])
 
 
 @lru_cache(maxsize=None)
@@ -390,35 +412,19 @@ def _live_rows(w, sizes=None, size=None):
     return nonzero(sizes, size)
 
 
-def _linear_weights(weights, sizes=None, live=None):
-    """The linear-part weights: the affine ones less their smallest row (by
-    max-abs coordinate), which must be dead.  It is the translation line's
-    exact zero when there is one, so a tiny weight ~lambda0^2 stays.
-    ``sizes`` and ``live``, when given, are the rows' max-abs coordinates
-    and their ``_live_rows`` mask (a ``CharacterData``'s own)."""
-    w = np.asarray(weights, dtype=float)
-    if sizes is None:
-        sizes = np.abs(w).max(axis=1, initial=0.0)
-    if live is None:
-        live = _live_rows(w, sizes)
-    smallest = int(sizes.argmin())
-    if live[smallest]:
-        raise ValueError("weights contain no zero covector")
-    return np.concatenate((w[:smallest], w[smallest + 1:]))
-
-
-def _unit_scaled(w):
-    """(w / 2^e, e), 2^e the power of 2 just above max|w|, as ``sort_weights``
-    reads it: exact, so the dual pairings of the scaled rows neither
-    underflow nor overflow at any size of the weights."""
-    e = math.frexp(float(np.abs(w).max(initial=0.0)))[1]
-    return np.ldexp(w, -e), e
+def _linear_weights(chi):
+    """The linear-part weights of the character ``chi``: its rows less the
+    smallest (by max-abs coordinate), which is dead, as a character has a
+    dead row.  It is the translation line's exact zero when there is one,
+    so a tiny weight ~lambda0^2 stays."""
+    smallest = int(chi.sizes.argmin())
+    return np.concatenate((chi.weights[:smallest], chi.weights[smallest + 1:]))
 
 
 def _realized_type(weights, off, varpi):
-    """The type of weight data from its rows (at unit size), pairings and
-    varpi (``dual_gram``): n when varpi is above the pairings' spread, the
-    weights-equation residual, else the number of live rows, at most n - 1.
+    """The type of weight data from its reading at unit size (``WeightData``):
+    n when varpi is above the pairings' spread, the weights-equation
+    residual, else the number of live rows, at most n - 1.
     ``WeightData.type_t``, ``realize_weight_data`` and through it
     ``recover_psi_from_invariant`` all read it.
 
@@ -494,15 +500,14 @@ def weight_data(cusp):
 def _weight_data_of(eta):
     """The weight data of a complete invariant."""
     chi = eta.character
-    return WeightData._from_canonical(_linear_weights(chi.weights, chi.sizes, chi.live),
-                                      eta.metric)
+    return WeightData._from_canonical(_linear_weights(chi), eta.metric, chi.size)
 
 
 def weights_equation_residual(w):
     """Max deviation of the off-diagonal dual pairings from the constant
     -varpi (the defining equation of realizable weight data), or -varpi
     itself when varpi is negative, since realizable data has varpi >= 0."""
-    return _equation_residual(*dual_gram(w.weights, w.metric)[1:])
+    return w._scaled_back(_equation_residual(*w.unit_gram[1:]), "weights equation residual")
 
 
 def _equation_residual(off, varpi):
@@ -544,8 +549,8 @@ def realize_weight_data(w, tol=REALIZE_TOL):
     """A marked cusp whose weight data is ``w``; since weight data determines
     the marked class completely, the round trip is the correctness oracle.
 
-    The weights are read at unit size (``_unit_scaled``), and lambda is scaled
-    back by the same power of 2, so the map is free of the weights' size.
+    The weights are read at unit size (``WeightData.unit_gram``) and lambda
+    scaled back by the same power of 2, so the map is free of their size.
     Data off the weights equation raises ``NotRealizable``: the residual gate
     reads tol max N_i, which bounds every pairing (Cauchy-Schwarz).  Then
     ``_realized_type`` decides the type t.  t = n: lambda_i =
@@ -554,9 +559,8 @@ def realize_weight_data(w, tol=REALIZE_TOL):
     weights are pairwise dual-orthogonal; lambda reads off their dual norms
     and the marking is an isometry aligning them with coordinate covectors.
     """
-    beta = w.metric
-    ws, e = _unit_scaled(w.weights)
-    norms, off, varpi = dual_gram(ws, beta)
+    beta, ws, e = w.metric, w.unit_weights, w.exponent
+    norms, off, varpi = w.unit_gram
     resid = _equation_residual(off, varpi)
     top = float(norms.max())
     if resid > tol * top:

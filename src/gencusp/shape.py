@@ -22,8 +22,6 @@ from .invariants import (
     NotRealizable,
     WeightData,
     _live_rows,
-    _unit_scaled,
-    dual_gram,
     metric_and_scale,
     realize_weight_data,
 )
@@ -99,7 +97,7 @@ def _transpose_gather(dim):
 
 @dataclass(frozen=True, eq=False)
 class CubicPoly:
-    """Homogeneous cubic on R^dim stored as a symmetric 3-tensor."""
+    """Homogeneous cubic on R^dim stored as a symmetric, finite 3-tensor."""
 
     dim: int
     tensor: np.ndarray
@@ -114,6 +112,9 @@ class CubicPoly:
         # sum of zeros keeps its sign, as t + t^(021) + ... + t^(210) does
         t = np.add.reduce(t.reshape(-1)[_transpose_gather(self.dim)], axis=0, initial=-0.0)
         t = (t / 6.0).reshape(shape)
+        # as check_symmetric refuses a form, so NaN cannot hide in a distance
+        if not np.isfinite(t).all():
+            raise ValueError("cubic entries must be finite")
         t.setflags(write=False)
         object.__setattr__(self, "tensor", t)
 
@@ -264,7 +265,7 @@ def fit_height_jet(cusp):
     return height_jet(cusp.generators, np.eye(cusp.n + 1)[cusp.n])
 
 
-def shape_invariant(cusp, method="fit"):
+def shape_invariant(cusp, method):
     """Canonical shape invariant of a marked cusp.
 
     "fit" takes the exact series jet of the height function and scales it
@@ -309,15 +310,14 @@ def cubic_from_weights(wd):
     (``invariants._live_rows``) dropped.  Every kept denominator is
     positive: a live weight has a positive dual norm, and varpi >= 0.
 
-    It is taken from the weights at unit size, w = 2^e w' (``_unit_scaled``):
+    It is taken from the data's reading at unit size, w = 2^e w' (``WeightData``):
     c = sum_i (2^e c'_i) w'_i^3 with c'_i the coefficients of w', each
     product the same up to an exact power of 2, so the dual norms do not
     overflow (from weights ~1e154) and the cubic keeps its bits."""
     if not isinstance(wd, WeightData):
         raise TypeError("expected WeightData")
-    beta = wd.metric
-    w, e = _unit_scaled(wd.weights)
-    norms2, _, varpi = dual_gram(w, beta)
+    beta, w, e = wd.metric, wd.unit_weights, wd.exponent
+    norms2, _, varpi = wd.unit_gram
     live = _live_rows(w)
     if not live.any():
         return ShapeInvariant(beta, CubicPoly.zero(w.shape[1]))

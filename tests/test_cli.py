@@ -276,6 +276,15 @@ def test_recover_below_dimension_three_is_validation_error(tmp_path, capsys, kin
     assert "requires n >= 3" in capsys.readouterr().err
 
 
+def test_recover_weights_refuses_weights_of_another_dimension(tmp_path, capsys):
+    # the weight data reads its dual Gram data when it is made, so a metric
+    # of another dimension is refused there, by name, as bad input
+    nu = {"weights": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], "beta": np.eye(3).tolist()}
+    src = _write(tmp_path, "nu.json", {"nu": nu})
+    assert main(["recover", "weights", src]) == 1
+    assert "weights have 2 coordinates, the metric is 3 x 3" in capsys.readouterr().err
+
+
 def test_recover_rejects_ragged_matrix(tmp_path):
     nu = {"weights": [[1.0, 0.0], [0.0]], "beta": [[1.0, 0.0], [0.0, 1.0]]}
     assert main(["recover", "weights", _write(tmp_path, "nu.json", {"nu": nu})]) == 1

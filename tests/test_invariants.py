@@ -159,7 +159,7 @@ def test_weight_data_matches_uncached_route_bit_for_bit():
     for n in range(3, 8):
         for t in range(n + 1):
             c = random_cusp(rng, n, t=t, orthonormalized=bool(t % 2))
-            expected = WeightData(_linear_weights(weights_of(c).weights), horosphere_metric(c))
+            expected = WeightData(_linear_weights(weights_of(c)), horosphere_metric(c))
             got = weight_data(c)
             assert np.array_equal(got.weights, expected.weights)
             assert np.array_equal(got.metric, expected.metric)
@@ -313,7 +313,7 @@ def _rebuilt_by_each_reader(c):
     frame = _calibration_frame(p, m)
     q, s = unimodular_scale(frame @ frame.T, "metric")
     eta = CompleteInvariant(CharacterData(weights), q)
-    nu = WeightData(_linear_weights(eta.character.weights), q)
+    nu = WeightData(_linear_weights(eta.character), q)
     closed = CubicPoly.from_covector_cubes(_calibration_frame(p, m).T, (s / 3.0) * a)
     norms, _, varpi = dual_gram(nu.weights, q)
     live = nonzero(np.abs(nu.weights).max(axis=1))
@@ -611,14 +611,32 @@ def test_realize_keeps_the_type_near_the_boundary():
     assert wrong == []
 
 
+def test_weight_data_reads_weights_past_1e154_at_unit_size():
+    # weights ~1e155 pair to ~1e310, past the float range: varpi, the
+    # residual and the type are read at unit size, so they are finite, and
+    # at lambda 2^k they are 4^k times the k = 0 values exactly
+    b = np.array([[1.0, 0.3], [0.2, 1.0]])
+    lam = np.array([1e100, 1e155, 2e155])
+    readings = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (0, -600, -20, 1, 20):
+            wd = weight_data(_cusp(np.ldexp(lam, k), [1e-55, 5e-56], b / np.sqrt(np.linalg.det(b))))
+            readings[k] = (wd.varpi, weights_equation_residual(wd), wd.type_t)
+    varpi, resid, t = readings[0]
+    assert math.isfinite(varpi) and math.isfinite(resid)
+    for k, reading in readings.items():
+        assert reading == (math.ldexp(varpi, 2 * k), math.ldexp(resid, 2 * k), t)
+
+
 def test_linear_weights_drop_the_exact_zero():
     # a live-looking dependent weight of size ~lambda0^2 can sort before the
     # translation line's exact zero and fall under the zero test: the
     # linear weights keep it and lose the exact zero
-    w = np.array([[-1e-13, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert _linear_weights(w).tolist() == [[-1e-13, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    with pytest.raises(ValueError, match="no zero covector"):
-        _linear_weights(w[[0, 2, 3]] + [0.5, 0.0])
+    w = np.array([[-1e-13, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    assert _linear_weights(CharacterData(w)).tolist() == [[-1e-13, 0.0], [0.0, 1.0], [1.0, 0.0]]
+    with pytest.raises(ValueError, match="zero covector"):
+        _linear_weights(CharacterData(w[[0, 2, 3]] + [0.5, 0.0]))
 
 
 def test_realize_rejects_bad_data():

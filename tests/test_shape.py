@@ -283,6 +283,19 @@ def test_cubic_symmetrization_matches_the_transpose_chain_bit_for_bit(d):
         assert got.tobytes() == _six_transpose_mean(t).tobytes()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cubic_refuses_a_non_finite_tensor(bad):
+    # NaN fails every comparison, so a NaN cubic would read 0.0 in
+    # ShapeInvariant.distance (max(dq, NaN) is dq), in either order: the
+    # cubic refuses it, as check_symmetric refuses a non-finite form
+    t = np.ones((2, 2, 2))
+    t[0, 1, 1] = bad
+    with pytest.raises(ValueError, match="cubic entries must be finite"):
+        CubicPoly(2, t)
+    with pytest.raises(ValueError, match="cubic entries must be finite"):
+        CubicPoly.from_covector_cubes([[1.0, bad]], [1.0])
+
+
 def test_cubic_from_weights_examples():
     wd = weight_data(_cusp([0, 0, 0], [0.5, 0.5]))
     s = cubic_from_weights(wd)

@@ -248,6 +248,23 @@ def test_one_owner_of_the_calibration_frame():
     assert readers == [], ".kappa read outside the closed-form oracles: %s" % readers
 
 
+def test_one_owner_of_the_unit_size_reading():
+    # WeightData reads its rows at unit size and their dual Gram data once,
+    # when it is made: varpi, the type, the residual, realization, the
+    # weights route of the shape and the CLI payload read that reading, so
+    # neither shape nor cli forms dual Gram data or scales weights itself
+    for name in ("shape.py", "cli.py"):
+        path = next(p for p in _MODULES if p.name == name)
+        found = sorted({ident for ident, _ in _references(path)
+                        if ident == "dual_gram" or "unit_scal" in ident})
+        assert found == [], "%s forms the weights' unit-size reading: %s" % (name, found)
+    path = next(p for p in _MODULES if p.name == "invariants.py")
+    owners = {"WeightData", "dual_gram", "frame_to_weight_data"}
+    readers = sorted({tuple(sorted(scopes)) for ident, scopes in _references(path)
+                      if ident == "dual_gram" and not scopes & owners})
+    assert readers == [], "dual_gram read outside its owners: %s" % readers
+
+
 def test_one_owner_of_the_type_of_weight_data():
     # the type of weight data is invariants._realized_type's decision alone:
     # WeightData.type_t and realize_weight_data, and through it the psi
