@@ -15,7 +15,8 @@ Conventions used throughout the package:
 """
 
 import math
-from dataclasses import InitVar, dataclass, field
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -233,14 +234,18 @@ def lie_algebra_phi(p, v):
 
 
 def preferred_sqrt(kappa):
-    """Symmetric positive square root of I + kappa (x) kappa in closed form:
-    I + ((sqrt(1+a)-1)/a) * kappa (x) kappa with a = |kappa|^2."""
+    """Symmetric positive square root S of I + kappa (x) kappa in closed form:
+    I + kappa (x) kappa / (1 + r), r = sqrt(1 + |kappa|^2) = det S."""
     kap = np.asarray(kappa, dtype=float)
-    k = kap.shape[0]
-    alpha = float(np.dot(kap, kap))
-    if alpha == 0.0:
-        return np.eye(k)
-    return _identity(k) + ((math.sqrt(1.0 + alpha) - 1.0) / alpha) * (kap[:, None] * kap)
+    r = math.sqrt(1.0 + float(np.dot(kap, kap)))
+    return _identity(kap.shape[0]) + (kap[:, None] * kap) / (1.0 + r)
+
+
+def _inverse_sqrt(kappa):
+    """S^-1 for S = ``preferred_sqrt(kappa)``, in closed form:
+    I - kappa (x) kappa / (r (1 + r))."""
+    r = math.sqrt(1.0 + float(np.dot(kappa, kappa)))
+    return _identity(kappa.shape[0]) - (kappa[:, None] * kappa) / (r * (1.0 + r))
 
 
 def lambda_to_psi(p):
@@ -316,11 +321,13 @@ class MarkedCusp:
 
     * ``effective_marking``, the matrix composed into the model: S^-1 B for
       the orthonormalized variant (S the preferred square root of
-      I + kappa kappa^T), B itself otherwise;
+      I + kappa kappa^T, inverted in closed form), B itself otherwise;
     * ``calibration_frame``, C^T for C = [kappa^T; I] M at the effective
       marking M (``_calibration_frame``), built on first read: the weights,
       the metric, the closed cubic and the generator diagonals all read
       this one array;
+    * ``gram_log_det``, log det(C^T C), the metric's det-1 scale, from the
+      marking's own log|det B|;
     * ``generators``, the (n-1, n+1, n+1) stack of Lie-algebra generators of
       the marked holonomy, ``lie_algebra_phi`` at the effective marking's
       columns, built on first read from the same frame: the complete
@@ -331,9 +338,10 @@ class MarkedCusp:
     marking: np.ndarray
     orthonormalized: bool = False
     rescaled: bool = False
-    # log|det B| of a marking that build_marked_cusp has already checked
+    # log|det B|, which the metric's scale reads (``gram_log_det``): given
+    # by build_marked_cusp, which has already checked the marking
     # (``_checked_marking``), so that its LU is not taken twice
-    _log_det: InitVar[object] = None
+    log_det: float = field(default=None, repr=False)
     effective_marking: np.ndarray = field(init=False, repr=False)
     # the calibration frame, the generator stack, the unimodular metric and
     # its scale, and the complete invariant, each filled on first use
@@ -344,19 +352,19 @@ class MarkedCusp:
     _metric: object = field(init=False, repr=False, default=None)
     _invariant: object = field(init=False, repr=False, default=None)
 
-    def __post_init__(self, _log_det):
-        if _log_det is None:
-            b, (_log_det, _, _) = _checked_marking(self.params.n, self.marking)
-        else:
-            b = self.marking
-        if abs(_log_det) > DET_TOL:
-            raise ValueError("marking must have |det| = 1, got log|det| = %g" % _log_det)
+    def __post_init__(self):
+        b, log_det = self.marking, self.log_det
+        if log_det is None:
+            b, (log_det, _, _) = _checked_marking(self.params.n, b)
+            object.__setattr__(self, "log_det", log_det)
+        if abs(log_det) > DET_TOL:
+            raise ValueError("marking must have |det| = 1, got log|det| = %g" % log_det)
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "marking", b)
         eff = b
         if self.orthonormalized:
-            eff = np.linalg.solve(preferred_sqrt(self.params.kappa), b)
+            eff = _inverse_sqrt(self.params.kappa) @ b
             eff.setflags(write=False)
         object.__setattr__(self, "effective_marking", eff)
 
@@ -368,6 +376,17 @@ class MarkedCusp:
             frame.setflags(write=False)
             object.__setattr__(self, "_frame", frame)
         return frame
+
+    @property
+    def gram_log_det(self):
+        """log det(C^T C) of the calibration frame C = [kappa^T; I] M, by the
+        matrix determinant lemma: det(C^T C) = det(M)^2 (1 + |kappa|^2).
+        The orthonormalized M = S^-1 B has det M = det B / r, r^2 = 1 +
+        |kappa|^2, so there det(C^T C) = det(B)^2.  Its error is the LU's of
+        B, about eps cond(B), where an LU of C^T C errs by eps cond(B)^2."""
+        kap = self.params.kappa
+        lemma = 0.0 if self.orthonormalized else math.log1p(float(np.dot(kap, kap)))
+        return 2.0 * self.log_det + lemma
 
     @property
     def generators(self):
@@ -394,6 +413,11 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     s = (|det B^| 2^r)^(1/(n-1)) 2^a: the power of 2 is taken out whole, so
     s carries one root's rounding at any size of B.
 
+    B / s needs no LU of its own: log|det(B / s)| = log|det B| - (n-1) log s,
+    = log(|det B^| 2^r) - (n-1) log(s 2^-a), free of B's size; unless a
+    nonzero entry of B / s is subnormal, whose quotient keeps fewer digits:
+    then B / s is checked anew, by its own LU.
+
     A singular B is rejected (see ``_marking_log_det``), and so is a fold
     out of the float range: s lambda or B / s overflows, or s lambda
     underflows into another type (lambda at 1e-300 folded by 1e-30 I reads
@@ -402,12 +426,14 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     n = p.n
     b, (logdet, det, e) = _checked_marking(n, np.eye(n - 1) if marking is None else marking)
     if abs(logdet) <= DET_TOL:
-        return MarkedCusp(p, b, orthonormalized=orthonormalized, _log_det=logdet)
+        return MarkedCusp(p, b, orthonormalized=orthonormalized, log_det=logdet)
     a, r = divmod(e, n - 1)
-    s = math.ldexp((det * 2.0 ** r) ** (1.0 / (n - 1)), a)
+    x = det * 2.0 ** r
+    root = x ** (1.0 / (n - 1))
+    s = math.ldexp(root, a)
     # in Python floats, so that nothing overflows before the refusal
-    big = float(np.abs(b).max())
-    if not (s > 0.0 and math.isfinite(big / s) and math.isfinite(float(p.lam[-1]) * s)):
+    mags = [abs(x) for x in b.ravel().tolist() if x]
+    if not (s > 0.0 and math.isfinite(max(mags) / s) and math.isfinite(float(p.lam[-1]) * s)):
         raise ValueError("marking (log|det| = %g) overflows lambda or B when folded" % logdet)
     folded = p.scaled(s)
     if folded.type_t != p.type_t:
@@ -415,8 +441,12 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
             "marking (log|det| = %g) underflows lambda: type %d reads as %d"
             % (logdet, p.type_t, folded.type_t)
         )
-    # B / s is checked anew, by its own LU
-    return MarkedCusp(folded, b / s, orthonormalized=orthonormalized, rescaled=True)
+    # log|det B| - (n-1) log s with 2^((n-1) a) taken out of both, exactly
+    logdet = math.log(x) - (n - 1) * math.log(root)
+    if min(mags) / s < sys.float_info.min:
+        logdet = None
+    return MarkedCusp(folded, b / s, orthonormalized=orthonormalized, rescaled=True,
+                      log_det=logdet)
 
 
 def rho(cusp, v):

@@ -27,7 +27,7 @@ from .linalg import (
     nonzero,
     sqrt_forms,
     unimodular,
-    unimodular_scale,
+    unimodular_from_log_det,
 )
 
 __all__ = [
@@ -130,7 +130,17 @@ class CompleteInvariant:
     metric: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "metric", check_unimodular(self.metric, "metric"))
+        object.__setattr__(self, "metric", _metric_of(self.character.weights, self.metric))
+
+
+def _metric_of(weights, metric):
+    """The metric checked (``check_unimodular``) for weight rows of as many
+    coordinates as it has rows."""
+    metric = check_unimodular(metric, "metric")
+    if weights.shape[1] != metric.shape[0]:
+        raise ValueError("weights have %d coordinates, the metric is %d x %d"
+                         % (weights.shape[1], *metric.shape))
+    return metric
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,10 +173,7 @@ class WeightData:
         return data
 
     def _read(self, weights, metric, size):
-        metric = check_unimodular(metric, "metric")
-        if weights.shape[1] != metric.shape[0]:
-            raise ValueError("weights have %d coordinates, the metric is %d x %d"
-                             % (weights.shape[1], *metric.shape))
+        metric = _metric_of(weights, metric)
         e = math.frexp(size)[1]
         unit = np.ldexp(weights, -e)
         gram = dual_gram(unit, metric)
@@ -251,14 +258,17 @@ def weights_of(cusp):
 def metric_and_scale(cusp):
     """(q, s): the unimodular metric q = s C^T C = s M^T (I + kappa kappa^T) M,
     with C the cusp's ``calibration_frame`` at the effective marking M, and
-    its scale s = det(C^T C)^(-1/(n-1)), memoized on the cusp.  q is built
-    and checked in full once per cusp instance (``linalg.unimodular_scale``),
-    and is read-only: ``horosphere_metric``, ``complete_invariant`` and the
-    closed shape route share it."""
+    its scale s = det(C^T C)^(-1/(n-1)), memoized on the cusp.  det(C^T C)
+    is the cusp's ``gram_log_det``, from the marking's own LU by the matrix
+    determinant lemma: an LU of C^T C would err by eps cond(B)^2.  q is built
+    and checked in full once per cusp instance
+    (``linalg.unimodular_from_log_det``), and is read-only:
+    ``horosphere_metric``, ``complete_invariant`` and the closed shape route
+    share it."""
     memo = cusp._metric
     if memo is None:
         frame = cusp.calibration_frame
-        memo = unimodular_scale(frame @ frame.T, "metric")
+        memo = unimodular_from_log_det(frame @ frame.T, cusp.gram_log_det, "metric")
         object.__setattr__(cusp, "_metric", memo)
     return memo
 
@@ -522,11 +532,12 @@ def varpi_closed_form(cusp):
     """varpi of a marked cusp: (s lam0)^2 * ((1+|kappa|^2)^(1/(n-1)))^(2-n),
     where s = |det M|^(1/(n-1)) of its effective marking M.  s is 1 but for
     the orthonormalized variant, whose effective marking S^-1 B rescales the
-    effective lambda (and hence varpi)."""
-    params = cusp.params
-    scale = abs(np.linalg.det(cusp.effective_marking)) ** (1.0 / (params.n - 1))
-    vk = (1.0 + float(np.dot(params.kappa, params.kappa))) ** (1.0 / (params.n - 1))
-    return (scale * params.lam[0]) ** 2 * vk ** (2 - params.n)
+    effective lambda (and hence varpi): there |det M| = |det B| / r, r =
+    det S = sqrt(1 + |kappa|^2), with log|det B| the marking's own."""
+    n, lam0, kap = cusp.n, cusp.params.lam[0], cusp.params.kappa
+    log_vk = math.log1p(float(np.dot(kap, kap)))
+    log_det = cusp.log_det - (0.5 * log_vk if cusp.orthonormalized else 0.0)
+    return lam0 ** 2 * math.exp((2.0 * log_det + (2 - n) * log_vk) / (n - 1))
 
 
 def _complete_orthonormal(rows, dim):

@@ -45,6 +45,7 @@ __all__ = [
     "newton_to_elementary",
     "unimodular",
     "unimodular_scale",
+    "unimodular_from_log_det",
     "check_symmetric",
     "maxerr",
     "maxerr_symmetric",
@@ -324,7 +325,20 @@ def unimodular_scale(q, what):
     det = np.linalg.det(q)
     if det <= 0.0:
         raise ValueError("%s must be positive definite (det %g)" % (what, det))
-    s = det ** (-1.0 / q.shape[0])
+    return _scaled(q, largest, det ** (-1.0 / q.shape[0]), what)
+
+
+def unimodular_from_log_det(q, log_det, what):
+    """``unimodular_scale`` with s = exp(-log_det / dim) from log_det = log
+    det q, which the caller knows by another route than q's own LU (the
+    metric's, by the matrix determinant lemma).  ``_validated`` still checks
+    that s q has det 1, by its eigenvalues: a second, independent route."""
+    q, largest = _symmetrized(q)
+    return _scaled(q, largest, math.exp(-log_det / q.shape[0]), what)
+
+
+def _scaled(q, largest, s, what):
+    """(s q, s) checked, q our own symmetrized copy and largest its max|q|."""
     # max|s q| is at most fl(s max|q|), max|q| of the form before it was
     # symmetrized (its very value for a symmetric one): tested before any
     # entry can overflow

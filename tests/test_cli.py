@@ -285,6 +285,17 @@ def test_recover_weights_refuses_weights_of_another_dimension(tmp_path, capsys):
     assert "weights have 2 coordinates, the metric is 3 x 3" in capsys.readouterr().err
 
 
+def test_recover_psi_refuses_weights_of_another_dimension(tmp_path, capsys):
+    # the complete invariant is made with the same check as the weight
+    # data: a metric of another dimension is bad input, refused by name
+    eta = {"weights": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.0, 0.0]],
+           "beta": np.eye(3).tolist()}
+    src = _write(tmp_path, "eta.json", {"eta": eta})
+    assert main(["recover", "psi", src]) == 1
+    err = capsys.readouterr().err
+    assert "eta.json" in err and "weights have 2 coordinates, the metric is 3 x 3" in err
+
+
 def test_recover_rejects_ragged_matrix(tmp_path):
     nu = {"weights": [[1.0, 0.0], [0.0]], "beta": [[1.0, 0.0], [0.0, 1.0]]}
     assert main(["recover", "weights", _write(tmp_path, "nu.json", {"nu": nu})]) == 1

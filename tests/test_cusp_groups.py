@@ -14,6 +14,7 @@ from gencusp.cusp_groups import (
     BlownUpWeylPoint,
     MarkedCusp,
     PsiParameter,
+    _inverse_sqrt,
     _marking_log_det,
     build_marked_cusp,
     hypersurface_F,
@@ -105,6 +106,9 @@ def test_preferred_sqrt():
     s = preferred_sqrt(kap)
     assert maxerr(s, np.eye(2) + (np.sqrt(3) - 1) / 2 * np.outer(kap, kap)) < 1e-15
     assert maxerr(s @ s, np.eye(2) + np.outer(kap, kap)) < 1e-12
+    # the orthonormalized marking's S^-1, in closed form
+    for kap in (np.zeros(3), np.array([1.0, 1.0, 0.0]), np.array([0.3, 1e-9, 0.8])):
+        assert maxerr(_inverse_sqrt(kap) @ preferred_sqrt(kap), np.eye(3)) < 1e-15
 
 
 def test_lambda_psi_dictionary():
@@ -290,19 +294,27 @@ def test_marked_cusp_refuses_a_marking_off_det_one():
     assert build_marked_cusp(p, 2.0 * np.eye(2)).rescaled
 
 
-@pytest.mark.parametrize("scale, lus", [(1.0, 1), (2.0, 2), (1e200, 2)])
-def test_build_takes_one_lu_per_marking(monkeypatch, scale, lus):
-    # log|det B| is taken once, up front; a folded marking B / s is checked
-    # again by its own LU
+@pytest.mark.parametrize("b, lus", [
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), 1),
+    (2.0 * np.array([[1.0, 0.5], [0.0, 1.0]]), 1),
+    (1e200 * np.array([[1.0, 0.5], [0.0, 1.0]]), 1),
+    # B / s = [[1, 5e-309], [0, 1]]: a subnormal entry keeps fewer digits
+    (np.array([[2.0, 1e-308], [0.0, 2.0]]), 2),
+])
+def test_build_takes_one_lu_per_marking(monkeypatch, b, lus):
+    # log|det B| is taken once, up front, and a folded marking B / s reads
+    # its own from it; only a B / s with a subnormal entry is checked again,
+    # by its own LU
     import gencusp.cusp_groups as cg_mod
 
     calls = []
     real = cg_mod._marking_log_det
     monkeypatch.setattr(cg_mod, "_marking_log_det", lambda b: calls.append(b) or real(b))
     p = BlownUpWeylPoint(3, np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
-    c = build_marked_cusp(p, scale * np.array([[1.0, 0.5], [0.0, 1.0]]))
-    assert len(calls) == lus and c.rescaled == (lus == 2)
-    assert np.array_equal(calls[-1], c.marking)
+    c = build_marked_cusp(p, b)
+    assert len(calls) == lus and c.rescaled == (b[0, 0] != 1.0)
+    assert np.array_equal(calls[-1], c.marking) == (lus == 2 or not c.rescaled)
+    assert abs(c.log_det - real(c.marking)[0]) <= 1e-15
 
 
 def test_generators_are_built_on_first_read_only():

@@ -10,6 +10,7 @@ from gencusp.cusp_groups import (
     BlownUpWeylPoint,
     PsiParameter,
     _calibration_frame,
+    _marking_log_det,
     build_marked_cusp,
     lambda_to_psi,
     lie_algebra_phi,
@@ -17,6 +18,7 @@ from gencusp.cusp_groups import (
     psi_to_lambda,
 )
 from gencusp.invariants import (
+    CONJUGATE_TOL,
     CharacterData,
     CompleteInvariant,
     NotRealizable,
@@ -28,6 +30,7 @@ from gencusp.invariants import (
     frame_to_weight_data,
     horosphere_metric,
     limit_demo_rows,
+    metric_and_scale,
     linear_sum_assignment,
     marked_psi_normal_form,
     realize_weight_data,
@@ -47,6 +50,7 @@ from gencusp.linalg import (
     maxerr_symmetric,
     nonzero,
     unimodular,
+    unimodular_from_log_det,
     unimodular_scale,
 )
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
@@ -186,16 +190,19 @@ def test_weights_of_runs_once_per_cusp(monkeypatch):
 
 def test_forward_case_work_budget(monkeypatch):
     # one case of the forward benchmark workload holds two distinct forms
-    # (the cusp's metric, which its shape's q is, and the copy's metric),
-    # each symmetrized once (by unimodular_scale) and checked in full once;
-    # no MarkedCusp builds its generator stack (lie_algebra_phi), weights_of
-    # makes no expm call, and each cusp's weights are sorted once, by its
-    # CharacterData: weight_data keeps their canonical order.  Every draw is
-    # a conjugate pair, whose weights the canonical order already matches:
-    # eta_distance calls no Hungarian method.
-    # The determinants: one per build of a marking that needs no rescale,
-    # one per metric, none for the closed shape, which reads its cusp's
-    # metric and scale, and none inside check_unimodular.  The inverses:
+    # (the cusp's metric, which its shape's q is, and its re-marked twin's
+    # metric), each symmetrized once (by unimodular_from_log_det) and checked
+    # in full once; no MarkedCusp builds its generator stack
+    # (lie_algebra_phi), weights_of makes no expm call, and each cusp's
+    # weights are sorted once, by its CharacterData: weight_data keeps their
+    # canonical order.  Every draw is a conjugate pair, whose weights the
+    # canonical order already matches: eta_distance calls no Hungarian
+    # method.
+    # The determinants: one per build, the twin's folded one included (B / s
+    # reads its log|det| from B's), none per metric (its scale is the
+    # build's, by the matrix determinant lemma), none for the closed shape,
+    # which reads its cusp's metric and scale, and none inside
+    # check_unimodular.  The inverses:
     # dual_gram's one of the metric in cubic_from_weights; coords_from_shape
     # at n = 3 inverts its frame in closed form.  No gencusp module but
     # linalg enters np.errstate, and none of these cases reaches it there.
@@ -254,11 +261,13 @@ def test_forward_case_work_budget(monkeypatch):
         assert s.distance(cubic_from_weights(nu)) <= 1e-5
         if n == 3:
             coords_from_shape(s)
-        assert are_conjugate(c, build_marked_cusp(p, b, orthonormalized=orth))
+        twin = _remarked(c)
+        assert twin.rescaled == bool(p.kappa.any())
+        assert are_conjugate(c, twin)
     cases = len(draws)
     assert counts == {"checks": 2 * cases, "symmetric": 2 * cases, "cusps": 2 * cases,
                       "phi": 0, "weights_of": 2 * cases, "sort": 2 * cases, "expm": 0,
-                      "det": 4 * cases, "inv": cases, "lsa": 0, "errstate": 0}
+                      "det": 2 * cases, "inv": cases, "lsa": 0, "errstate": 0}
 
 
 def _ill_marking(n, k, angle):
@@ -302,6 +311,14 @@ def _remarked(c):
     return build_marked_cusp(p, s @ b, orthonormalized=True)
 
 
+def _lemma_log_det(c):
+    """log det(C^T C) by the matrix determinant lemma, from c's log|det B|:
+    det(C^T C) = det(M)^2 (1 + |kappa|^2) at the effective marking M, which
+    is det(B)^2 for M = S^-1 B."""
+    kap = c.params.kappa
+    return 2.0 * c.log_det + (0.0 if c.orthonormalized else math.log1p(float(np.dot(kap, kap))))
+
+
 def _rebuilt_by_each_reader(c):
     """eta, nu and both cubics of c as each reader built them from a frame
     of its own: C from _calibration_frame anew for the weights, the metric
@@ -311,7 +328,7 @@ def _rebuilt_by_each_reader(c):
     a = p.coefficients
     weights = np.vstack([(a * _calibration_frame(p, m)).T, np.zeros(p.n - 1)])
     frame = _calibration_frame(p, m)
-    q, s = unimodular_scale(frame @ frame.T, "metric")
+    q, s = unimodular_from_log_det(frame @ frame.T, _lemma_log_det(c), "metric")
     eta = CompleteInvariant(CharacterData(weights), q)
     nu = WeightData(_linear_weights(eta.character), q)
     closed = CubicPoly.from_covector_cubes(_calibration_frame(p, m).T, (s / 3.0) * a)
@@ -325,7 +342,8 @@ def _rebuilt_by_each_reader(c):
 def test_weights_metric_and_cubic_read_one_calibration_frame():
     # one frame C^T = (<v, kappa>, v) over the effective marking's columns v:
     # its rows scaled by the coefficients are the stack's diagonal and the
-    # weights, the metric is unimodular_scale of its Gram matrix, and the
+    # weights, the metric is its Gram matrix scaled to det 1 by the matrix
+    # determinant lemma on the marking's own LU (_lemma_log_det), and the
     # closed cubic cubes C's rows with (s/3) times the coefficients, all bit
     # for bit.  Read from the cusp's one memoized frame, eta, nu, both
     # cubics and eta_distance to a remarked twin keep the bits of each
@@ -338,12 +356,13 @@ def test_weights_metric_and_cubic_read_one_calibration_frame():
                 p = c.params
                 frame = _calibration_frame(p, c.effective_marking.T)
                 assert c.calibration_frame.tobytes() == frame.tobytes()
+                assert not c.rescaled and c.log_det == _marking_log_det(c.marking)[0]
                 a = p.coefficients
                 assert a.tobytes() == np.concatenate(([-p.lam[0]], p.lam[1:])).tobytes()
                 diag = np.diagonal(c.generators, axis1=1, axis2=2).T
                 assert diag.tobytes() == np.vstack([(a * frame).T, np.zeros(n - 1)]).tobytes()
                 assert weights_of(c).weights.tobytes() == CharacterData(diag).weights.tobytes()
-                q, s = unimodular_scale(frame @ frame.T, "metric")
+                q, s = unimodular_from_log_det(frame @ frame.T, _lemma_log_det(c), "metric")
                 assert horosphere_metric(c).tobytes() == q.tobytes()
                 cubic = CubicPoly.from_covector_cubes(frame.T, (s / 3.0) * a)
                 assert shape_invariant(c, "closed").c.tensor.tobytes() == cubic.tensor.tobytes()
@@ -368,6 +387,59 @@ def test_weights_metric_and_cubic_read_one_calibration_frame():
                 ref = max(dw, maxerr_symmetric(eta.metric, twin_eta.metric))
                 got = eta_distance(got_eta, complete_invariant(twin))
                 assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+def _spread_marking(rng, d, k):
+    """Q1 diag(geomspace(1, k)) Q2 / sqrt(k), Q1 and Q2 random orthogonal:
+    |det| 1, condition k, singular values spread over the whole range."""
+    q1, q2 = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+    return q1 @ np.diag(np.geomspace(1.0, k, d) / math.sqrt(k)) @ q2
+
+
+def _spread_cusps(k, seed):
+    """Cusps with _spread_marking(k), two per type for n = 3..7 (plain and
+    orthonormalized), and their _remarked twins; None for a pair that a
+    build refuses as singular (see _marking_log_det)."""
+    rng = np.random.default_rng(seed)
+    for n in range(3, 8):
+        for j in range(2 * (n + 1)):
+            p = random_blownup_point(rng, n, j % (n + 1))
+            b = _spread_marking(rng, n - 1, k)
+            try:
+                c = build_marked_cusp(p, b, orthonormalized=j > n)
+                yield c, _remarked(c)
+            except ValueError:
+                yield None
+
+
+@pytest.mark.parametrize("k", [1e3, 1e4, 1e5])
+def test_twins_of_ill_conditioned_markings_read_conjugate(k):
+    # a cusp and its re-marked twin (the forward benchmark's pair) have the
+    # same effective marking, so their metrics agree to eps cond(B): the
+    # scale from an LU of the Gram C^T C, eps cond(B)^2, read 22 of 37 such
+    # pairs at k = 1e5 as not conjugate
+    pairs = [pair for pair in _spread_cusps(k, int(math.log10(k))) if pair]
+    assert len(pairs) >= 30
+    for c, twin in pairs:
+        assert twin.rescaled == bool(c.params.kappa.any())
+        assert are_conjugate(c, twin, CONJUGATE_TOL), eta_distance(
+            complete_invariant(c), complete_invariant(twin))
+
+
+@pytest.mark.parametrize("k", [1e3, 1e4, 1e5, 1e6])
+def test_metric_scale_against_a_50_digit_determinant(k):
+    # s = det(C^T C)^(-1/(n-1)) of the frame's very floats, in 50 digits:
+    # the lemma's scale, from the LU of B, errs by at most 4 eps cond(B)
+    # (0.3 measured); the Gram's own LU erred by up to 6e4 eps cond(B) at
+    # k = 1e6
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for pair in _spread_cusps(k, 10 + int(math.log10(k))):
+            for c in pair or ():
+                frame = mpmath.matrix(c.calibration_frame.tolist())
+                ref = mpmath.det(frame * frame.T) ** (mpmath.mpf(-1) / (c.n - 1))
+                err = float(abs(metric_and_scale(c)[1] - ref) / ref)
+                assert err <= 4.0 * eps * np.linalg.cond(c.marking)
 
 
 def test_each_cusp_builds_one_calibration_frame(monkeypatch):

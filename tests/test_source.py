@@ -156,7 +156,8 @@ def test_only_cli_imports_cli():
 def test_one_owner_per_form_decision():
     # the weights' dual Gram data comes from invariants.dual_gram, the one
     # inverse of a weight metric; a form is scaled to det 1, s = det^(-1/dim),
-    # by linalg.unimodular_scale alone
+    # by linalg alone (unimodular_scale, or unimodular_from_log_det from a
+    # log det known by another route)
     inverses = [
         (path.name, sorted(scopes)) for path in _MODULES
         if path.name in ("invariants.py", "shape.py")
@@ -246,6 +247,17 @@ def test_one_owner_of_the_calibration_frame():
         for fn in _attribute_reads(name, "kappa") if fn not in oracles
     )
     assert readers == [], ".kappa read outside the closed-form oracles: %s" % readers
+
+
+def test_the_metric_takes_no_determinant():
+    # the metric's det-1 scale is the cusp's gram_log_det, from the
+    # marking's own LU by the matrix determinant lemma: invariants.py takes
+    # no determinant (an LU of the Gram errs by eps cond(B)^2) and scales no
+    # form to det 1 by one
+    path = next(p for p in _MODULES if p.name == "invariants.py")
+    found = sorted({ident for ident, _ in _references(path)
+                    if ident in ("det", "slogdet", "unimodular_scale")})
+    assert found == [], "invariants.py takes a determinant: %s" % found
 
 
 def test_one_owner_of_the_unit_size_reading():
