@@ -338,9 +338,8 @@ class MarkedCusp:
     marking: np.ndarray
     orthonormalized: bool = False
     rescaled: bool = False
-    # log|det B|, which the metric's scale reads (``gram_log_det``): given
-    # by build_marked_cusp, which has already checked the marking
-    # (``_checked_marking``), so that its LU is not taken twice
+    # log|det B|, given by build_marked_cusp, which has already checked the
+    # marking (``_checked_marking``), so that its LU is not taken twice
     log_det: float = field(default=None, repr=False)
     effective_marking: np.ndarray = field(init=False, repr=False)
     # the calibration frame, the generator stack, the unimodular metric and
@@ -379,11 +378,9 @@ class MarkedCusp:
 
     @property
     def gram_log_det(self):
-        """log det(C^T C) of the calibration frame C = [kappa^T; I] M, by the
-        matrix determinant lemma: det(C^T C) = det(M)^2 (1 + |kappa|^2).
-        The orthonormalized M = S^-1 B has det M = det B / r, r^2 = 1 +
-        |kappa|^2, so there det(C^T C) = det(B)^2.  Its error is the LU's of
-        B, about eps cond(B), where an LU of C^T C errs by eps cond(B)^2."""
+        """log det(C^T C) by the matrix determinant lemma, det(M)^2 (1 +
+        |kappa|^2), det(B)^2 for the orthonormalized M = S^-1 B: off by
+        about eps cond(B), where an LU of C^T C errs by eps cond(B)^2."""
         kap = self.params.kappa
         lemma = 0.0 if self.orthonormalized else math.log1p(float(np.dot(kap, kap)))
         return 2.0 * self.log_det + lemma
@@ -413,10 +410,9 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     s = (|det B^| 2^r)^(1/(n-1)) 2^a: the power of 2 is taken out whole, so
     s carries one root's rounding at any size of B.
 
-    B / s needs no LU of its own: log|det(B / s)| = log|det B| - (n-1) log s,
-    = log(|det B^| 2^r) - (n-1) log(s 2^-a), free of B's size; unless a
-    nonzero entry of B / s is subnormal, whose quotient keeps fewer digits:
-    then B / s is checked anew, by its own LU.
+    log|det(B / s)| = log(|det B^| 2^r) - (n-1) log(s 2^-a), free of B's
+    size, needs no LU of B / s but where a nonzero entry of B / s is
+    subnormal and keeps fewer digits: that B / s is checked by its own LU.
 
     A singular B is rejected (see ``_marking_log_det``), and so is a fold
     out of the float range: s lambda or B / s overflows, or s lambda
@@ -432,7 +428,7 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
     root = x ** (1.0 / (n - 1))
     s = math.ldexp(root, a)
     # in Python floats, so that nothing overflows before the refusal
-    mags = [abs(x) for x in b.ravel().tolist() if x]
+    mags = [abs(v) for v in b.ravel().tolist() if v]
     if not (s > 0.0 and math.isfinite(max(mags) / s) and math.isfinite(float(p.lam[-1]) * s)):
         raise ValueError("marking (log|det| = %g) overflows lambda or B when folded" % logdet)
     folded = p.scaled(s)
@@ -441,7 +437,6 @@ def build_marked_cusp(p, marking=None, orthonormalized=False):
             "marking (log|det| = %g) underflows lambda: type %d reads as %d"
             % (logdet, p.type_t, folded.type_t)
         )
-    # log|det B| - (n-1) log s with 2^((n-1) a) taken out of both, exactly
     logdet = math.log(x) - (n - 1) * math.log(root)
     if min(mags) / s < sys.float_info.min:
         logdet = None

@@ -258,11 +258,9 @@ def weights_of(cusp):
 def metric_and_scale(cusp):
     """(q, s): the unimodular metric q = s C^T C = s M^T (I + kappa kappa^T) M,
     with C the cusp's ``calibration_frame`` at the effective marking M, and
-    its scale s = det(C^T C)^(-1/(n-1)), memoized on the cusp.  det(C^T C)
-    is the cusp's ``gram_log_det``, from the marking's own LU by the matrix
-    determinant lemma: an LU of C^T C would err by eps cond(B)^2.  q is built
-    and checked in full once per cusp instance
-    (``linalg.unimodular_from_log_det``), and is read-only:
+    its scale s = det(C^T C)^(-1/(n-1)) from the cusp's ``gram_log_det``,
+    memoized on the cusp.  q is built and checked in full once per cusp
+    instance (``linalg.unimodular_from_log_det``), and is read-only:
     ``horosphere_metric``, ``complete_invariant`` and the closed shape route
     share it."""
     memo = cusp._metric

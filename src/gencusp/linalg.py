@@ -329,10 +329,8 @@ def unimodular_scale(q, what):
 
 
 def unimodular_from_log_det(q, log_det, what):
-    """``unimodular_scale`` with s = exp(-log_det / dim) from log_det = log
-    det q, which the caller knows by another route than q's own LU (the
-    metric's, by the matrix determinant lemma).  ``_validated`` still checks
-    that s q has det 1, by its eigenvalues: a second, independent route."""
+    """``unimodular_scale`` by s = exp(-log_det / dim), log_det = log det q
+    known by another route than an LU of q; the eigenvalues still check it."""
     q, largest = _symmetrized(q)
     return _scaled(q, largest, math.exp(-log_det / q.shape[0]), what)
 

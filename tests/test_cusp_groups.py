@@ -295,11 +295,11 @@ def test_marked_cusp_refuses_a_marking_off_det_one():
 
 
 @pytest.mark.parametrize("b, lus", [
-    (np.array([[1.0, 0.5], [0.0, 1.0]]), 1),
-    (2.0 * np.array([[1.0, 0.5], [0.0, 1.0]]), 1),
-    (1e200 * np.array([[1.0, 0.5], [0.0, 1.0]]), 1),
+    pytest.param(scale * np.array([[1.0, 0.5], [0.0, 1.0]]), 1, id="%r-1" % scale)
+    for scale in (1.0, 2.0, 1e200)
+] + [
     # B / s = [[1, 5e-309], [0, 1]]: a subnormal entry keeps fewer digits
-    (np.array([[2.0, 1e-308], [0.0, 2.0]]), 2),
+    pytest.param(np.array([[2.0, 1e-308], [0.0, 2.0]]), 2, id="subnormal-2"),
 ])
 def test_build_takes_one_lu_per_marking(monkeypatch, b, lus):
     # log|det B| is taken once, up front, and a folded marking B / s reads
