@@ -207,7 +207,10 @@ def invariants_payload(cusp):
             "type": int(nu.type_t),
         },
         "shape": _shape_to_dict(s),
-        "cross_check": {"cubic_routes_residual": _round12(s.distance(from_weights), 1.0)},
+        "cross_check": {
+            "cubic_routes_residual": _round12(s.distance(from_weights), 1.0),
+            "weights_equation_residual": _round12(nu.residual_ratio, 1.0),
+        },
     }
     if cusp.n == 3:
         from .dim3 import coords_from_shape

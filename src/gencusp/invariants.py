@@ -72,17 +72,14 @@ class NotRealizable(ValueError):
     ``recover_psi_from_invariant`` and ``recover_cusp_from_shape``."""
 
 
-def sort_weights(w):
-    """Canonical order: lexicographic by coordinates rounded to 12 decimals
-    of w / 2^e, 2^e the power of 2 just above max|w| (exact, so free of the
-    weights' size).  Non-finite weights raise ValueError."""
-    return _canonical_rows(w)[0]
-
-
 def _canonical_rows(w):
-    """(rows, sizes, size): w's rows in ``sort_weights``' order, each row's
-    max-abs coordinate in the same order (what ``_live_rows`` tests), and
-    max|w|, the largest of them: taken once, for every caller."""
+    """(rows, sizes, size): w's rows in canonical order, each row's max-abs
+    coordinate in the same order (what ``_live_rows`` tests), and max|w|,
+    the largest of them: taken once, for every caller.
+
+    The canonical order is lexicographic by coordinates rounded to 12
+    decimals of w / 2^e, 2^e the power of 2 just above max|w| (exact, so
+    free of the weights' size).  Non-finite weights raise ValueError."""
     w = np.asarray(w, dtype=float)
     sizes = np.abs(w).max(axis=1, initial=0.0)
     size = float(sizes.max(initial=0.0))  # NaN or inf if any entry is
@@ -147,7 +144,7 @@ def _metric_of(weights, metric):
 class WeightData:
     """The n linear-part weight covectors plus the unimodular metric, read
     once at unit size: the rows w' = w / 2^e (``unit_weights``), 2^e the
-    power of 2 just above max|w| (``exponent``, ``sort_weights``' own), and
+    power of 2 just above max|w| (``exponent``, ``_canonical_rows``' own), and
     their ``dual_gram`` (``unit_gram``).  Every reader of the data's dual
     Gram data reads these and scales back by a power of 2, exactly, so none
     under- or overflows at any size of the weights."""
@@ -198,6 +195,15 @@ class WeightData:
         return self._scaled_back(self.unit_gram[2], "varpi")
 
     @property
+    def residual_ratio(self):
+        """The weights-equation residual over the largest dual norm, both
+        read at unit size, so free of the weights' size: the ratio that
+        ``realize_weight_data`` gates on (0 when the residual is)."""
+        norms, off, varpi = self.unit_gram
+        resid = _equation_residual(off, varpi)
+        return resid / float(norms.max()) if resid else 0.0
+
+    @property
     def type_t(self):
         """The type ``realize_weight_data`` builds (``_realized_type``)."""
         return _realized_type(self.unit_weights, *self.unit_gram[1:])
@@ -213,12 +219,12 @@ def _off_diagonal(k):
 
 def dual_gram(weights, metric):
     """(N, off, varpi) of the weight rows W under ``metric``, from its one
-    inverse: the dual norms, the off-diagonal pairings of W q^-1 W^T, and
-    varpi, their negated mean (zero for one row).  A row's N can depend on
-    the other rows (at n = 3 it does): pass only the rows whose N you need."""
-    qinv = np.linalg.inv(metric)
-    norms = np.einsum("ij,jk,ik->i", weights, qinv, weights)
-    gram = weights @ qinv @ weights.T
+    inverse and one product W q^-1 W^T: the dual norms, its diagonal, the
+    off-diagonal pairings, and varpi, their negated mean (zero for one
+    row).  A row's N can depend on the other rows (at n = 3 it does): pass
+    only the rows whose N you need."""
+    gram = weights @ np.linalg.inv(metric) @ weights.T
+    norms = gram.diagonal()
     off = gram[_off_diagonal(gram.shape[0])]
     # np.mean's own sum and division, without its per-call overhead
     return norms, off, -float(np.add.reduce(off) / max(off.size, 1))
@@ -361,7 +367,7 @@ def _match_multisets(a, b):
     """Largest covector deviation (max-abs norm) between matched rows, under
     the assignment that minimizes the sum of the deviations.
 
-    Both sides arrive in ``sort_weights``' canonical order, and for conjugate
+    Both sides arrive in ``_canonical_rows``' order, and for conjugate
     cusps that order is almost always an optimal matching already.  It is
     taken without the Hungarian method when it is certified: every diagonal
     entry is finite and is the minimum of its row.  Then the diagonal's sum
@@ -561,7 +567,8 @@ def realize_weight_data(w, tol=REALIZE_TOL):
     The weights are read at unit size (``WeightData.unit_gram``) and lambda
     scaled back by the same power of 2, so the map is free of their size.
     Data off the weights equation raises ``NotRealizable``: the residual gate
-    reads tol max N_i, which bounds every pairing (Cauchy-Schwarz).  Then
+    reads it over max N_i, which bounds every pairing (Cauchy-Schwarz), so
+    against tol (``WeightData.residual_ratio``).  Then
     ``_realized_type`` decides the type t.  t = n: lambda_i =
     sqrt((N_i + varpi)/vk) with vk^(n-1) = (N_0 + varpi)/varpi, and the
     marking is determined by the n-1 largest weights.  t < n: the nonzero
@@ -570,11 +577,10 @@ def realize_weight_data(w, tol=REALIZE_TOL):
     """
     beta, ws, e = w.metric, w.unit_weights, w.exponent
     norms, off, varpi = w.unit_gram
-    resid = _equation_residual(off, varpi)
-    top = float(norms.max())
-    if resid > tol * top:
+    ratio = w.residual_ratio
+    if ratio > tol:
         raise NotRealizable("weights equation residual %g exceeds %g of the largest dual norm"
-                            % (resid / top, tol))
+                            % (ratio, tol))
     t = _realized_type(ws, off, varpi)
     n = ws.shape[0]
     dim = n - 1

@@ -12,7 +12,7 @@ lifted weights; varpi itself comes from the commutators of c's slices.
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -95,6 +95,23 @@ def _transpose_gather(dim):
     return gather
 
 
+@lru_cache(maxsize=None)
+def _triple_table(dim):
+    """(slots, scatter) for a (dim, dim, dim) tensor, read-only: slots is
+    (3, U), the U index triples i <= j <= k in lexicographic order, one row
+    per slot; scatter is (dim^3,), the column of slots that holds each flat
+    position's indices sorted, so every transpose of a position reads the
+    same column."""
+    triples = list(combinations_with_replacement(range(dim), 3))
+    column = {idx: u for u, idx in enumerate(triples)}
+    slots = np.array(triples, dtype=np.intp).reshape(-1, 3).T
+    scatter = np.array([column[tuple(sorted(idx))] for idx in product(range(dim), repeat=3)],
+                       dtype=np.intp)
+    for a in (slots, scatter):
+        a.setflags(write=False)
+    return slots, scatter
+
+
 @dataclass(frozen=True, eq=False)
 class CubicPoly:
     """Homogeneous cubic on R^dim stored as a symmetric, finite 3-tensor."""
@@ -111,7 +128,10 @@ class CubicPoly:
         # gather's row order; -0.0 is the exact identity of addition, so a
         # sum of zeros keeps its sign, as t + t^(021) + ... + t^(210) does
         t = np.add.reduce(t.reshape(-1)[_transpose_gather(self.dim)], axis=0, initial=-0.0)
-        t = (t / 6.0).reshape(shape)
+        self._keep((t / 6.0).reshape(shape))
+
+    def _keep(self, t):
+        """Store t, a symmetric tensor of our own, read-only."""
         # as check_symmetric refuses a form, so NaN cannot hide in a distance
         if not np.isfinite(t).all():
             raise ValueError("cubic entries must be finite")
@@ -124,12 +144,21 @@ class CubicPoly:
 
     @classmethod
     def from_covector_cubes(cls, covectors, coefficients):
-        """sum_i coeff_i * (xi_i)^3 as a cubic polynomial."""
-        covectors = np.asarray(covectors, dtype=float)
-        dim = covectors.shape[1]
-        t = np.einsum("a,ai,aj,ak->ijk", np.asarray(coefficients, float), covectors,
-                      covectors, covectors)
-        return cls(dim, t)
+        """sum_a coeff_a * (xi_a)^3 as a cubic polynomial.
+
+        Each entry is summed once per index triple i <= j <= k, as the
+        coefficient row times the covectors' products xi_ai xi_aj xi_ak
+        (``_triple_table``), and scattered to all its transposes, so the
+        tensor is symmetric bit for bit and skips the constructor's mean."""
+        x = np.asarray(covectors, dtype=float)
+        dim = x.shape[1]
+        slots, scatter = _triple_table(dim)
+        g = x.T.take(slots, axis=0)  # g[s, u, a] = x[a, slots[s, u]]
+        entries = (g[0] * g[1] * g[2]) @ np.asarray(coefficients, dtype=float)
+        cubic = object.__new__(cls)
+        object.__setattr__(cubic, "dim", dim)
+        cubic._keep(entries.take(scatter).reshape((dim,) * 3))
+        return cubic
 
     @classmethod
     def from_monomials(cls, dim, mono):
@@ -202,8 +231,10 @@ class ShapeInvariant:
     def distance(self, other):
         """Symmetric in the two shapes: the larger of ``maxerr_symmetric`` on
         q (unimodular, so it has no size) and the cubic deviation relative
-        to the larger ``coeff_norm`` (0 when both cubics are zero)."""
-        dq = maxerr_symmetric(self.q, other.q)
+        to the larger ``coeff_norm`` (0 when both cubics are zero).  Shapes
+        that hold the same q array, as a cusp's closed shape and its weights
+        route do, have dq = 0 without a comparison."""
+        dq = 0.0 if self.q is other.q else maxerr_symmetric(self.q, other.q)
         dc = float(np.abs(self.c.tensor - other.c.tensor).max()) * 6.0
         if dc:
             dc /= max(self.c.coeff_norm(), other.c.coeff_norm())

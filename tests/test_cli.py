@@ -123,7 +123,10 @@ def test_invariants_blocks(tmp_path):
     assert set(data) == {"eta", "nu", "shape", "coords3d", "cross_check"}
     assert data["nu"]["type"] == 2
     assert data["nu"]["varpi"] == 0.0
+    assert set(data["cross_check"]) == {"cubic_routes_residual", "weights_equation_residual"}
     assert data["cross_check"]["cubic_routes_residual"] <= 1e-5
+    # the diagonal weights pair to exactly 0
+    assert data["cross_check"]["weights_equation_residual"] == 0.0
     w, h, r = data["coords3d"]["w"], data["coords3d"]["h"], data["coords3d"]["r"]
     assert abs(w[0]) < 1e-9 and abs(w[1] - 1) < 1e-9
     assert abs(12 * h[0] - 1) < 1e-8 and abs(12 * h[1] - 2) < 1e-8
@@ -759,6 +762,8 @@ def test_invariants_of_weights_past_1e154(tmp_path, capsys, lam, kap, code):
     assert err == ""
     data = _strict_json(out.read_text())
     assert data["cross_check"]["cubic_routes_residual"] <= 1e-5
+    # relative to the largest dual norm, so roundoff at any size of the weights
+    assert data["cross_check"]["weights_equation_residual"] <= 1e-12
     # varpi of the cusp scaled by 2^-600, which fits, scaled back by 2^1200
     down = _write(tmp_path, "down.json", _params([math.ldexp(v, -600) for v in lam], kap))
     assert main(["invariants", down, "--out", str(out)]) == 0

@@ -22,6 +22,7 @@ from gencusp.invariants import (
     CharacterData,
     CompleteInvariant,
     NotRealizable,
+    REALIZE_TOL,
     WeightData,
     are_conjugate,
     complete_invariant,
@@ -35,12 +36,12 @@ from gencusp.invariants import (
     marked_psi_normal_form,
     realize_weight_data,
     recover_psi_from_invariant,
-    sort_weights,
     stratum_dim,
     varpi_closed_form,
     weight_data,
     weights_equation_residual,
     weights_of,
+    _canonical_rows,
     _linear_weights,
     _match_multisets,
 )
@@ -206,11 +207,16 @@ def test_forward_case_work_budget(monkeypatch):
     # dual_gram's one of the metric in cubic_from_weights; coords_from_shape
     # at n = 3 inverts its frame in closed form.  No gencusp module but
     # linalg enters np.errstate, and none of these cases reaches it there.
+    # No np.einsum: the cubics are sums of cubes by one matrix product each,
+    # and the dual norms the diagonal of the pairings' product.  One
+    # maxerr_symmetric, eta_distance's: the closed shape and the weights
+    # route hold the same q array, so their distance compares no metrics.
     import weakref
 
     import gencusp.cusp_groups as cg_mod
     import gencusp.invariants as inv_mod
     import gencusp.linalg as la_mod
+    import gencusp.shape as shape_mod
     from gencusp.dim3 import coords_from_shape
     from gencusp.shape import shape_invariant
 
@@ -219,7 +225,7 @@ def test_forward_case_work_budget(monkeypatch):
              for n in range(3, 8) for t in range(n + 1)]
     counts = dict.fromkeys(
         ["checks", "symmetric", "cusps", "phi", "weights_of", "sort", "expm", "det", "inv",
-         "lsa", "errstate"], 0)
+         "lsa", "errstate", "einsum", "maxerr_symmetric", "eta_distance"], 0)
 
     class CountingMemo(weakref.WeakValueDictionary):
         def __setitem__(self, key, value):
@@ -244,6 +250,20 @@ def test_forward_case_work_budget(monkeypatch):
                         counted("lsa", inv_mod.linear_sum_assignment))
     monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
     monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    monkeypatch.setattr(np, "einsum", counted("einsum", np.einsum))
+    for mod in (inv_mod, shape_mod):
+        monkeypatch.setattr(mod, "maxerr_symmetric",
+                            counted("maxerr_symmetric", la_mod.maxerr_symmetric))
+    real_eta_distance = inv_mod.eta_distance
+
+    def counted_eta_distance(e1, e2):
+        # the maxerr_symmetric calls made within it
+        before = counts["maxerr_symmetric"]
+        result = real_eta_distance(e1, e2)
+        counts["eta_distance"] += counts["maxerr_symmetric"] - before
+        return result
+
+    monkeypatch.setattr(inv_mod, "eta_distance", counted_eta_distance)
     real_errstate = np.errstate
 
     def counted_errstate(**kwargs):
@@ -267,7 +287,8 @@ def test_forward_case_work_budget(monkeypatch):
     cases = len(draws)
     assert counts == {"checks": 2 * cases, "symmetric": 2 * cases, "cusps": 2 * cases,
                       "phi": 0, "weights_of": 2 * cases, "sort": 2 * cases, "expm": 0,
-                      "det": 2 * cases, "inv": cases, "lsa": 0, "errstate": 0}
+                      "det": 2 * cases, "inv": cases, "lsa": 0, "errstate": 0, "einsum": 0,
+                      "maxerr_symmetric": cases, "eta_distance": cases}
 
 
 def _ill_marking(n, k, angle):
@@ -474,7 +495,7 @@ def test_each_cusp_builds_one_calibration_frame(monkeypatch):
                 assert built == [c.params, twin.params]
 
 
-def _sort_weights_reference(w):
+def _canonical_order_reference(w):
     """The canonical order as a stable sort of row tuples, divided by the
     power of 2 just above max|w| and rounded to 12 decimals."""
     w = np.asarray(w, dtype=float)
@@ -483,7 +504,7 @@ def _sort_weights_reference(w):
     return w[sorted(range(len(keys)), key=lambda i: keys[i])]
 
 
-def test_sort_weights_matches_tuple_sort():
+def test_canonical_rows_match_tuple_sort():
     rng = np.random.default_rng(15)
     # few distinct values, signed zeros and offsets below the rounding, so
     # most rows tie on some leading coordinates and many tie outright; the
@@ -493,7 +514,7 @@ def test_sort_weights_matches_tuple_sort():
     draws += [rng.choice(values, size=rng.integers(0, [9, 5])) * 10.0 ** rng.integers(-300, 300)
               for _ in range(2000)]
     for w in draws:
-        got, ref = sort_weights(w), _sort_weights_reference(w)
+        got, ref = _canonical_rows(w)[0], _canonical_order_reference(w)
         # bytes, so that the order of rows equal only after rounding counts
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
@@ -583,14 +604,12 @@ def test_weight_data_zero_varpi_orthogonal():
 
 
 def _dual_gram_reference(weights, metric):
-    """The dual Gram data as each caller formed it before ``dual_gram``:
-    the metric's inverse, the einsum of the dual norms over every row, and
-    the off-diagonal pairings of W q^-1 W^T with np.mean."""
-    qinv = np.linalg.inv(metric)
-    norms = np.einsum("ij,jk,ik->i", weights, qinv, weights)
-    gram = weights @ qinv @ weights.T
+    """The dual Gram data from the one product W q^-1 W^T: the dual norms
+    are its diagonal, the pairings its off-diagonal entries, and varpi their
+    negated np.mean."""
+    gram = weights @ np.linalg.inv(metric) @ weights.T
     off = gram[~np.eye(len(gram), dtype=bool)]
-    return norms, off, -float(np.mean(off))
+    return np.diag(gram), off, -float(np.mean(off))
 
 
 def test_dual_gram_matches_the_inline_formulas_bit_for_bit():
@@ -732,6 +751,27 @@ def test_realize_honours_tol_for_negative_varpi():
         realize_weight_data(wd, tol=1e-10)
     # the default tol still takes it, as before
     realize_weight_data(wd)
+
+
+def test_residual_ratio_is_what_realization_gates_on():
+    # a type-n cusp's weights moved by ~1e-9 of their size miss the weights
+    # equation by that much: the ratio is the residual over the largest dual
+    # norm, and realize_weight_data refuses the data exactly when the ratio
+    # exceeds its tol
+    rng = np.random.default_rng(36)
+    for n in range(3, 8):
+        for scale in (1e-100, 1.0, 1e100):
+            wd = weight_data(random_cusp(rng, n, t=n))
+            w = wd.weights * (1.0 + 1e-9 * rng.standard_normal(wd.weights.shape))
+            moved = WeightData(scale * w, wd.metric)
+            ratio = moved.residual_ratio
+            top = moved._scaled_back(float(moved.unit_gram[0].max()), "top")
+            assert 0.0 < ratio < REALIZE_TOL
+            assert ratio == pytest.approx(weights_equation_residual(moved) / top, rel=1e-12)
+            with pytest.raises(NotRealizable, match="residual %g exceeds" % ratio):
+                realize_weight_data(moved, tol=0.5 * ratio)
+            realize_weight_data(moved, tol=2.0 * ratio)
+    assert weight_data(_cusp([0.0, 1.0, 2.0], [0.0, 0.0])).residual_ratio == 0.0
 
 
 def test_weight_data_requires_unimodular_metric():
@@ -1039,7 +1079,7 @@ def _match_by_hungarian(a, b):
 
 def _boundary_pair(rng, k):
     # coordinates from a few values plus an offset within 1e-13 of a
-    # rounding boundary of sort_weights' key: one coordinate is 1, so the
+    # rounding boundary of the canonical order's key: one coordinate is 1, so the
     # key is w / 2 and its boundaries sit at odd multiples of 1e-12.  The
     # copy is permuted and its offsets cross the boundary at random, so the
     # two canonical orders can differ
@@ -1093,15 +1133,15 @@ def test_match_multisets_equals_the_hungarian_bit_for_bit(monkeypatch):
     for k in range(1, 10):
         for _ in range(40):
             for a, b in (_weight_like_pair(rng, k), _boundary_pair(rng, k)):
-                near += [(a, b), (sort_weights(a), sort_weights(b))]
+                near += [(a, b), (_canonical_rows(a)[0], _canonical_rows(b)[0])]
     ran = fallbacks(near)
     assert 0 < ran < len(near)
 
     # two rows tie after rounding on the first coordinate in a but not in b
     # (the key is w / 2, so 1e-12 is a rounding boundary), so the canonical
     # orders disagree and the diagonal is not row-minimal
-    a = sort_weights([[1e-12 - 1e-14, 1.0], [1e-12 - 1e-14, 0.0]])
-    b = sort_weights([[1e-12 - 1e-14, 1.0], [1e-12 + 1e-14, 0.0]])
+    a = _canonical_rows([[1e-12 - 1e-14, 1.0], [1e-12 - 1e-14, 0.0]])[0]
+    b = _canonical_rows([[1e-12 - 1e-14, 1.0], [1e-12 + 1e-14, 0.0]])[0]
     assert np.array_equal(a[:, 1], [0.0, 1.0]) and np.array_equal(b[:, 1], [1.0, 0.0])
     before = calls[0]
     assert _match_multisets(a, b) == _match_by_hungarian(a, b) < 1e-13
@@ -1220,7 +1260,7 @@ def test_value_types_reject_non_finite_weights(bad):
     with pytest.raises(ValueError, match="weights must be finite"):
         CharacterData(np.vstack([np.full((1, 2), bad), w[1:], np.ones((1, 2))]))
     with pytest.raises(ValueError, match="weights must be finite"):
-        sort_weights(w)
+        _canonical_rows(w)
 
 
 def test_weights_of_refuses_non_finite_generator_entries():

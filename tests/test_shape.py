@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,6 +18,7 @@ from gencusp.invariants import (
     realize_weight_data,
     recover_psi_from_invariant,
     weight_data,
+    _live_rows,
 )
 from gencusp.linalg import check_symmetric, expm, maxerr, unimodular_scale
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
@@ -294,6 +297,45 @@ def test_cubic_refuses_a_non_finite_tensor(bad):
         CubicPoly(2, t)
     with pytest.raises(ValueError, match="cubic entries must be finite"):
         CubicPoly.from_covector_cubes([[1.0, bad]], [1.0])
+
+
+def test_covector_cubes_are_symmetric_and_near_the_einsum():
+    # every tensor equals its six transposes bit for bit (tobytes, so a
+    # signed zero counts), and is within (rows + 3) eps of the sum over
+    # absolute values S = sum_a |c_a| max|x_a|^3 of the four-operand einsum,
+    # entry by entry: each route sums the rows' products of four factors,
+    # so each is within gamma_(rows + 2) S of the exact sum, and the two
+    # within 2 gamma_(rows + 2) S ~ (rows + 2) eps S; the spare eps covers
+    # the second-order terms
+    rng = np.random.default_rng(36)
+    eps = np.finfo(float).eps
+    cases = []
+    for n in range(3, 8):
+        dim = n - 1
+        for rows in (1, n - 1, n, n + 2):
+            for _ in range(10):
+                x = rng.standard_normal((rows, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+                cases.append((x, rng.standard_normal(rows) * 10.0 ** rng.uniform(-3.0, 3.0, rows)))
+        cases += [(rng.standard_normal((n, dim)), np.zeros(n)),
+                  (rng.standard_normal((n, dim)), np.full(n, -0.0))]
+    cases = [(x, c, CubicPoly.from_covector_cubes(x, c).tensor) for x, c in cases]
+    # the weights route at lambda ~ 1e+-150: the kernel runs on the rows at
+    # unit size, with coefficients carrying the power of 2
+    for n in range(3, 8):
+        for t in range(1, n + 1):
+            p = random_blownup_point(rng, n, t)
+            for scale in (1e-150, 1e150):
+                wd = weight_data(build_marked_cusp(
+                    BlownUpWeylPoint(n, p.lam * scale, p.kappa), random_marking(rng, n - 1)))
+                norms, _, varpi = wd.unit_gram
+                live = _live_rows(wd.unit_weights)
+                coeffs = np.ldexp(1.0 / (3.0 * (norms[live] + max(varpi, 0.0))), wd.exponent)
+                cases.append((wd.unit_weights[live], coeffs, cubic_from_weights(wd).c.tensor))
+    for x, c, t in cases:
+        assert all(t.tobytes() == t.transpose(p).tobytes() for p in permutations(range(3)))
+        ref = np.einsum("a,ai,aj,ak->ijk", c, x, x, x)
+        size = np.abs(c) @ (np.abs(x).max(axis=1) ** 3)
+        assert np.all(np.abs(t - ref) <= (len(x) + 3) * eps * size)
 
 
 def test_cubic_from_weights_examples():
