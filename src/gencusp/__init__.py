@@ -19,12 +19,10 @@ _EXPORTS = {
             "PsiParameter",
             "build_marked_cusp",
             "hypersurface_F",
-            "lambda_to_psi",
             "lie_algebra_phi",
             "lie_algebra_zeta",
             "orbit_point",
             "preferred_sqrt",
-            "psi_to_lambda",
             "rho",
         ),
         "cusp_groups",
@@ -37,7 +35,6 @@ _EXPORTS = {
             "are_conjugate",
             "complete_invariant",
             "eta_distance",
-            "frame_to_weight_data",
             "horosphere_metric",
             "marked_psi_normal_form",
             "realize_weight_data",
@@ -74,7 +71,6 @@ _EXPORTS = {
             "coords_from_shape",
             "decompose_cubic_2d",
             "shape_from_coords",
-            "surface_height_3d",
             "w_to_matrix",
         ),
         "dim3",

@@ -29,8 +29,6 @@ __all__ = [
     "lie_algebra_zeta",
     "lie_algebra_phi",
     "preferred_sqrt",
-    "lambda_to_psi",
-    "psi_to_lambda",
     "build_marked_cusp",
     "rho",
     "orbit_point",
@@ -246,37 +244,6 @@ def _inverse_sqrt(kappa):
     I - kappa (x) kappa / (r (1 + r))."""
     r = math.sqrt(1.0 + float(np.dot(kappa, kappa)))
     return _identity(kappa.shape[0]) - (kappa[:, None] * kappa) / (r * (1.0 + r))
-
-
-def lambda_to_psi(p):
-    """Diagonal-model parameter attached to (lambda, kappa).
-
-    Type t < n: psi = (lam[u+1]^-2, ..., lam[n-1]^-2, 0, ..., 0).
-    Type t = n: psi_i = lam[i]^-2 for i < n and psi_n = lam[0]^-2.
-    Both land in the unordered flavor (positives first).
-    """
-    n, t, lam = p.n, p.type_t, p.lam
-    psi = np.zeros(n)  # the zeros are exact
-    if t == n:
-        psi[: n - 1] = lam[1:] ** -2.0
-        psi[n - 1] = lam[0] ** -2.0
-    else:
-        psi[:t] = lam[p.unipotent_u + 1:] ** -2.0
-    return PsiParameter(n, psi, ordered=False)
-
-
-def psi_to_lambda(psi):
-    """Inverse of lambda_to_psi up to the canonical ascending ordering of
-    lambda; kappa is recomputed as lam[0]/lam[i] (zero when lam[i]=0)."""
-    if not isinstance(psi, PsiParameter):
-        raise TypeError("expected a PsiParameter")
-    n, t = psi.n, psi.type_t
-    if t < n:
-        lam = np.zeros(n)
-        lam[n - t:] = np.sort(psi.psi[:t] ** -0.5)
-        return BlownUpWeylPoint(n, lam, np.zeros(n - 1))
-    lam = np.sort(psi.psi ** -0.5)
-    return BlownUpWeylPoint(n, lam, lam[0] / lam[1:])
 
 
 def _marking_log_det(b):

@@ -1,6 +1,6 @@
 """Dimension-3 specialization: complex (w, h, r) moduli coordinates,
-harmonic/radial splitting of binary cubics, boundary strata, closed-form
-surface heights, and mesh export."""
+harmonic/radial splitting of binary cubics, boundary strata, and mesh
+export."""
 
 from dataclasses import dataclass
 from functools import lru_cache
@@ -8,7 +8,6 @@ from functools import lru_cache
 import numpy as np
 
 from .cusp_groups import hypersurface_F
-from .linalg import g_surface, nonzero
 
 __all__ = [
     "Cubic2D",
@@ -19,8 +18,6 @@ __all__ = [
     "coords_from_shape",
     "shape_from_coords",
     "classify_stratum_3d",
-    "surface_height_3d",
-    "surface_height_printed_row",
     "export_mesh_csv",
     "export_mesh_obj",
 ]
@@ -153,56 +150,6 @@ def classify_stratum_3d(h, r):
         return 3
     size = abs(h)
     return 1 if abs((r / size) ** 3 - 27.0 * (h / size)) <= _BOUNDARY_TOL * 27.0 else 2
-
-
-def surface_height_3d(lam, x1, x2):
-    """Closed-form boundary height y = f_lambda(x1, x2) of the canonical
-    3-dimensional cusp with kappa = 0 for types < 3.
-
-    The rows are the algebraic reductions of the general surface function:
-      t=0: (x1^2+x2^2)/2
-      t=1: x1^2/2 + g(lam2, x2)
-      t=2: g(lam1, x1) + g(lam2, x2)
-      t=3: x1/lam1 + x2/lam2 + lam0^-2 (-1 + prod_i (1+lam_i x_i)^(-(lam0/lam_i)^2))
-    """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (3,):
-        raise ValueError("lambda must have 3 entries")
-    t = int(np.sum(nonzero(lam)))
-    if t == 0:
-        return 0.5 * (x1 * x1 + x2 * x2)
-    if t == 1:
-        return 0.5 * x1 * x1 + g_surface(lam[2], x2)
-    if t == 2:
-        return g_surface(lam[1], x1) + g_surface(lam[2], x2)
-    for ell, x in ((lam[1], x1), (lam[2], x2)):
-        if 1.0 + ell * x <= 0:
-            raise ValueError("surface domain violation: 1 + lambda*x <= 0")
-    # prod - 1 as expm1 of log(prod): no cancellation as lam0 -> 0
-    r1, r2 = (lam[0] / lam[1]) ** 2, (lam[0] / lam[2]) ** 2
-    z = -r1 * np.log1p(lam[1] * x1) - r2 * np.log1p(lam[2] * x2)
-    return x1 / lam[1] + x2 / lam[2] + np.expm1(z) / lam[0] ** 2
-
-
-def surface_height_printed_row(t, lam, x1, x2):
-    """The t in {1,2,3} closed forms as printed in the source table (kept for
-    the discrepancy report; they disagree with the derived surface function,
-    see the verify battery)."""
-    lam = np.asarray(lam, dtype=float)
-    if t == 1:
-        return 0.5 * x1 * x1 + np.log1p(lam[2] * x2) / lam[2] ** 2
-    if t == 2:
-        return (
-            0.5 * (x1 + x2)
-            - np.log1p(lam[1] * x1) / lam[1] ** 2
-            + np.log1p(lam[2] * x2) / lam[2] ** 2
-        )
-    if t == 3:
-        ssum = (1.0 + lam[1] * x1) ** (-((lam[0] / lam[1]) ** 2)) + (
-            1.0 + lam[2] * x2
-        ) ** (-((lam[0] / lam[2]) ** 2))
-        return x1 / lam[1] + x2 / lam[2] + (ssum - 2.0) / lam[0] ** 2
-    raise ValueError("printed rows exist for t in {1,2,3}")
 
 
 def _grid_points(p, grid):

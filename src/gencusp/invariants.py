@@ -19,14 +19,12 @@ from .cusp_groups import (
     build_marked_cusp,
 )
 from .linalg import (
-    _identity,
     check_unimodular,
     expm,
     maxerr,
     maxerr_symmetric,
     nonzero,
     sqrt_forms,
-    unimodular,
     unimodular_from_log_det,
 )
 
@@ -46,17 +44,10 @@ __all__ = [
     "recover_psi_from_invariant",
     "marked_psi_normal_form",
     "weight_data",
-    "weights_equation_residual",
-    "varpi_closed_form",
     "realize_weight_data",
-    "frame_to_weight_data",
     "stratum_dim",
     "limit_demo_rows",
 ]
-
-# frame_to_weight_data's slack on the unit diagonal and on the constant
-# pairwise inner products.
-_FRAME_TOL = 1e-8
 
 # The default gates of are_conjugate, on eta_distance, and of
 # realize_weight_data, on the weights-equation residual.
@@ -481,8 +472,8 @@ def marked_psi_normal_form(p):
     (vk^((n-1)/2) / prod c_i)^(1/t) with c_i the diagonal reparametrization
     of the standardized model and vk^(n-1) = 1 + |kappa|^2.  Everything is
     taken in logs, from lambda itself: log psi0 = -2 log lam over the t live
-    lambdas (``lambda_to_psi``'s psi0, which leaves the float range with
-    lambda beyond 1e+-154), the factor as 2 log lam0 + mean log lam_i or
+    lambdas (psi0 = lam^-2 itself leaves the float range with lambda
+    beyond 1e+-154), the factor as 2 log lam0 + mean log lam_i or
     log prod c_i.  So the normal form is refused only where psi itself is
     out of the float range.
     """
@@ -517,47 +508,27 @@ def _weight_data_of(eta):
     return WeightData._from_canonical(_linear_weights(chi), eta.metric, chi.size)
 
 
-def weights_equation_residual(w):
-    """Max deviation of the off-diagonal dual pairings from the constant
-    -varpi (the defining equation of realizable weight data), or -varpi
-    itself when varpi is negative, since realizable data has varpi >= 0."""
-    return w._scaled_back(_equation_residual(*w.unit_gram[1:]), "weights equation residual")
-
-
 def _equation_residual(off, varpi):
-    """weights_equation_residual from the pairings and varpi."""
+    """The weights-equation residual from the pairings and varpi: the max
+    deviation of the off-diagonal dual pairings from the constant -varpi
+    (the defining equation of realizable weight data), or -varpi itself
+    when varpi is negative, since realizable data has varpi >= 0."""
     resid = float(np.abs(off + varpi).max(initial=0.0))
     if varpi < 0:
         resid = max(resid, -varpi)
     return resid
 
 
-def varpi_closed_form(cusp):
-    """varpi of a marked cusp: (s lam0)^2 * ((1+|kappa|^2)^(1/(n-1)))^(2-n),
-    where s = |det M|^(1/(n-1)) of its effective marking M.  s is 1 but for
-    the orthonormalized variant, whose effective marking S^-1 B rescales the
-    effective lambda (and hence varpi): there |det M| = |det B| / r, r =
-    det S = sqrt(1 + |kappa|^2), with log|det B| the marking's own."""
-    n, lam0, kap = cusp.n, cusp.params.lam[0], cusp.params.kappa
-    log_vk = math.log1p(float(np.dot(kap, kap)))
-    log_det = cusp.log_det - (0.5 * log_vk if cusp.orthonormalized else 0.0)
-    return lam0 ** 2 * math.exp((2.0 * log_det + (2 - n) * log_vk) / (n - 1))
-
-
-def _complete_orthonormal(rows, dim):
-    """Orthonormal matrix whose trailing rows are the given orthonormal rows."""
-    k = len(rows)
-    basis = np.zeros((dim, dim))
-    if k:
-        basis[dim - k:] = rows
-    # fill leading rows from the orthogonal complement
-    proj = np.eye(dim)
-    for r in rows:
-        proj -= np.outer(r, r)
-    u, s, _ = np.linalg.svd(proj)
-    comp = u[:, : dim - k].T
-    basis[: dim - k] = comp
-    return basis
+def _complete_orthonormal(rows):
+    """Orthonormal matrix whose trailing rows are the k orthonormal ``rows``
+    (k, dim) and whose leading rows are Q[:, k:dim] of the Householder QR
+    of [rows^T | I]: the coordinate axes orthogonalized against the rows in
+    a fixed order.  Any orthonormal basis of the complement would do, but
+    this one is a fixed function of the rows, so rows moved by roundoff move
+    the rebuilt marking by roundoff."""
+    k, dim = rows.shape
+    q = np.linalg.qr(np.hstack([rows.T, np.eye(dim)]))[0]
+    return np.vstack([q[:, k:].T, rows])
 
 
 def realize_weight_data(w, tol=REALIZE_TOL):
@@ -606,32 +577,9 @@ def realize_weight_data(w, tol=REALIZE_TOL):
     # rows q_j = beta^(-1/2) xi_j / lam_j are orthonormal; complete and pull back
     sqrt_beta, inv_sqrt, _ = sqrt_forms(beta)
     qrows = [(inv_sqrt @ ws[n - t + j]) / lam[n - t + j] for j in range(t)]
-    omat = _complete_orthonormal(np.array(qrows).reshape(t, dim) if t else [], dim)
+    omat = _complete_orthonormal(np.reshape(qrows, (t, dim)))
     marking = omat @ sqrt_beta
     return build_marked_cusp(p, marking)
-
-
-def frame_to_weight_data(a, vs):
-    """Weight data from an upper-unipotent frame change and n vectors with
-    constant pairwise inner product -varpi: weights xi_i = (A^T v_i)^T and
-    metric A^T A.  Both conditions hold to _FRAME_TOL max |v_i|^2."""
-    a = np.asarray(a, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    dim = a.shape[0]
-    if a.shape != (dim, dim) or np.max(np.abs(np.tril(a, -1))) > 0 or maxerr(
-        np.diag(a), np.ones(dim)
-    ) > _FRAME_TOL:
-        raise ValueError("frame matrix must be upper unipotent")
-    if vs.shape != (dim + 1, dim):
-        raise ValueError("need n = dim+1 vectors of length dim")
-    norms, off, varpi = dual_gram(vs, _identity(dim))
-    slack = _FRAME_TOL * norms.max()
-    if np.max(np.abs(off + varpi)) > slack:
-        raise ValueError("pairwise inner products are not constant")
-    if -varpi > slack:
-        raise ValueError("pairwise inner products must be -varpi <= 0")
-    weights = vs @ a
-    return WeightData(weights, unimodular(a.T @ a))
 
 
 def stratum_dim(n, t):

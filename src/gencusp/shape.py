@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
-from .cusp_groups import PsiParameter, orbit_point
+from .cusp_groups import orbit_point
 from .invariants import (
     REALIZE_TOL,
     NotRealizable,
@@ -43,7 +43,6 @@ __all__ = [
     "height_at",
     "fit_height_jet",
     "shape_invariant",
-    "restricted_diag_calibration",
     "cubic_from_weights",
     "radial_projection",
     "is_affine_sphere",
@@ -316,23 +315,6 @@ def shape_invariant(cusp, method):
         return ShapeInvariant(q, CubicPoly.from_covector_cubes(
             frame.T, (s / 3.0) * cusp.params.coefficients))
     raise ValueError("unknown method %r" % (method,))
-
-
-def restricted_diag_calibration(psi):
-    """The diagonal-model calibration restricted to the kernel hyperplane:
-    returns (q, c, basis) with q the psi-Gram of the basis columns and c the
-    restricted cubic (including its 1/6)."""
-    if not isinstance(psi, PsiParameter):
-        raise TypeError("expected a PsiParameter")
-    n = psi.n
-    w = psi.psi
-    if psi.type_t != n:
-        raise ValueError("restriction needs all psi positive")
-    # null space of the covector (psi_1, ..., psi_n)
-    _, _, vt = np.linalg.svd(w[None, :])
-    basis = vt[1:].T  # n x (n-1), orthonormal columns spanning ker psi
-    q = basis.T @ np.diag(w) @ basis
-    return q, CubicPoly.from_covector_cubes(basis, w / 6.0), basis
 
 
 def cubic_from_weights(wd):

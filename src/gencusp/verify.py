@@ -8,8 +8,15 @@ when the threshold is zero.  The registered entry runs it over the samples
 and combines the values from 0.0 by max (residuals) or by sum (counts).
 Detection checks (which assert that a *discrepancy* is present) pass when the
 measured deviation exceeds a floor instead.
+
+The independent references that only the checks read live here, each next to
+the checks that compare against it: varpi's closed form, the
+weights-equation residual, the frame-bundle parametrization of weight data,
+the diagonal-model calibration of the sphere search and the derived and
+printed n = 3 surface tables.
 """
 
+import math
 import operator
 import zlib
 from functools import reduce
@@ -29,25 +36,33 @@ from .cusp_groups import (
     rho,
 )
 from .invariants import (
+    WeightData,
     complete_invariant,
     eta_distance,
-    frame_to_weight_data,
     are_conjugate,
     horosphere_metric,
     marked_psi_normal_form,
     realize_weight_data,
     recover_psi_from_invariant,
     stratum_dim,
-    varpi_closed_form,
     weight_data,
-    weights_equation_residual,
     weights_of,
     limit_demo_rows,
+    _equation_residual,
     _live_rows,
     _match_multisets,
     dual_gram,
 )
-from .linalg import SLACK, expm, f_k, maxerr, newton_to_elementary, unimodular
+from .linalg import (
+    SLACK,
+    expm,
+    f_k,
+    g_surface,
+    maxerr,
+    newton_to_elementary,
+    nonzero,
+    unimodular,
+)
 from .sampling import random_blownup_point, random_cusp, random_marking
 
 __all__ = ["run_battery", "CHECKS"]
@@ -338,6 +353,24 @@ def _stabilizer_sample(rng, p):
     return np.linalg.solve(s, r @ s)
 
 
+def weights_equation_residual(w):
+    """The weights-equation residual (``_equation_residual``) of w's
+    pairings and varpi, scaled back to the size of its weights."""
+    return w._scaled_back(_equation_residual(*w.unit_gram[1:]), "weights equation residual")
+
+
+def varpi_closed_form(cusp):
+    """varpi of a marked cusp: (s lam0)^2 * ((1+|kappa|^2)^(1/(n-1)))^(2-n),
+    where s = |det M|^(1/(n-1)) of its effective marking M.  s is 1 but for
+    the orthonormalized variant, whose effective marking S^-1 B rescales the
+    effective lambda (and hence varpi): there |det M| = |det B| / r, r =
+    det S = sqrt(1 + |kappa|^2), with log|det B| the marking's own."""
+    n, lam0, kap = cusp.n, cusp.params.lam[0], cusp.params.kappa
+    log_vk = math.log1p(float(np.dot(kap, kap)))
+    log_det = cusp.log_det - (0.5 * log_vk if cusp.orthonormalized else 0.0)
+    return lam0 ** 2 * math.exp((2.0 * log_det + (2 - n) * log_vk) / (n - 1))
+
+
 @_register("weights-equation", "pairwise-dual-pairing-constant", 1e-8)
 def _check_weights_equation(rng, i, dims):
     n = int(rng.choice(dims))
@@ -360,6 +393,31 @@ def _check_realize(rng, i, dims):
         wd = _random_weight_data(rng, n)
     back = weight_data(realize_weight_data(wd))
     return max(_match_multisets(back.weights, wd.weights), maxerr(back.metric, wd.metric))
+
+
+# frame_to_weight_data's slack on the unit diagonal and on the weights
+# equation, relative to the largest dual norm.
+_FRAME_TOL = 1e-8
+
+
+def frame_to_weight_data(a, vs):
+    """Weight data from an upper-unipotent frame change and n vectors with
+    constant pairwise inner product -varpi <= 0: weights xi_i = (A^T v_i)^T
+    and metric A^T A.  The unit diagonal holds to _FRAME_TOL, and so does
+    the weights equation of the data built (``WeightData.residual_ratio``)."""
+    a = np.asarray(a, dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    dim = a.shape[0]
+    if a.shape != (dim, dim) or np.max(np.abs(np.tril(a, -1))) > 0 or maxerr(
+        np.diag(a), np.ones(dim)
+    ) > _FRAME_TOL:
+        raise ValueError("frame matrix must be upper unipotent")
+    if vs.shape != (dim + 1, dim):
+        raise ValueError("need n = dim+1 vectors of length dim")
+    wd = WeightData(vs @ a, unimodular(a.T @ a))
+    if wd.residual_ratio > _FRAME_TOL:
+        raise ValueError("pairwise inner products are not one constant -varpi <= 0")
+    return wd
 
 
 def _random_weight_data(rng, n):
@@ -501,12 +559,29 @@ def _check_jet_fd(rng, i, dims):
     return maxerr(hess, fd) / max(1.0, maxerr(fd, np.zeros_like(fd)))
 
 
+def restricted_diag_calibration(psi):
+    """The diagonal-model calibration restricted to the kernel hyperplane:
+    returns (q, c, basis) with q the psi-Gram of the basis columns and c the
+    restricted cubic (including its 1/6)."""
+    if not isinstance(psi, PsiParameter):
+        raise TypeError("expected a PsiParameter")
+    n = psi.n
+    w = psi.psi
+    if psi.type_t != n:
+        raise ValueError("restriction needs all psi positive")
+    # null space of the covector (psi_1, ..., psi_n)
+    _, _, vt = np.linalg.svd(w[None, :])
+    basis = vt[1:].T  # n x (n-1), orthonormal columns spanning ker psi
+    q = basis.T @ np.diag(w) @ basis
+    return q, shape_mod.CubicPoly.from_covector_cubes(basis, w / 6.0), basis
+
+
 @_register("sphere-maxima-closed-form", "local-maxima-closed-forms", 1e-6)
 def _check_maxima(rng, i, dims):
     n = int(rng.choice(dims))
     if i % 2 == 0:
         psi = rng.uniform(0.4, 2.0, n)
-        q, c, _ = shape_mod.restricted_diag_calibration(PsiParameter(n, psi, ordered=False))
+        q, c, _ = restricted_diag_calibration(PsiParameter(n, psi, ordered=False))
         found = shape_mod.sphere_local_maxima(q, c, seed=int(rng.integers(1 << 30)))
         if len(found.points) != n:
             return 1.0
@@ -663,6 +738,56 @@ def _surface_point(seed, t):
     return p
 
 
+def surface_height_3d(lam, x1, x2):
+    """Closed-form boundary height y = f_lambda(x1, x2) of the canonical
+    3-dimensional cusp with kappa = 0 for types < 3.
+
+    The rows are the algebraic reductions of the general surface function:
+      t=0: (x1^2+x2^2)/2
+      t=1: x1^2/2 + g(lam2, x2)
+      t=2: g(lam1, x1) + g(lam2, x2)
+      t=3: x1/lam1 + x2/lam2 + lam0^-2 (-1 + prod_i (1+lam_i x_i)^(-(lam0/lam_i)^2))
+    """
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (3,):
+        raise ValueError("lambda must have 3 entries")
+    t = int(np.sum(nonzero(lam)))
+    if t == 0:
+        return 0.5 * (x1 * x1 + x2 * x2)
+    if t == 1:
+        return 0.5 * x1 * x1 + g_surface(lam[2], x2)
+    if t == 2:
+        return g_surface(lam[1], x1) + g_surface(lam[2], x2)
+    for ell, x in ((lam[1], x1), (lam[2], x2)):
+        if 1.0 + ell * x <= 0:
+            raise ValueError("surface domain violation: 1 + lambda*x <= 0")
+    # prod - 1 as expm1 of log(prod): no cancellation as lam0 -> 0
+    r1, r2 = (lam[0] / lam[1]) ** 2, (lam[0] / lam[2]) ** 2
+    z = -r1 * np.log1p(lam[1] * x1) - r2 * np.log1p(lam[2] * x2)
+    return x1 / lam[1] + x2 / lam[2] + np.expm1(z) / lam[0] ** 2
+
+
+def surface_height_printed_row(t, lam, x1, x2):
+    """The t in {1,2,3} closed forms as printed in the source table (kept for
+    the discrepancy report; they disagree with the derived surface function,
+    see ``surface-printed-rows-differ``)."""
+    lam = np.asarray(lam, dtype=float)
+    if t == 1:
+        return 0.5 * x1 * x1 + np.log1p(lam[2] * x2) / lam[2] ** 2
+    if t == 2:
+        return (
+            0.5 * (x1 + x2)
+            - np.log1p(lam[1] * x1) / lam[1] ** 2
+            + np.log1p(lam[2] * x2) / lam[2] ** 2
+        )
+    if t == 3:
+        ssum = (1.0 + lam[1] * x1) ** (-((lam[0] / lam[1]) ** 2)) + (
+            1.0 + lam[2] * x2
+        ) ** (-((lam[0] / lam[2]) ** 2))
+        return x1 / lam[1] + x2 / lam[2] + (ssum - 2.0) / lam[0] ** 2
+    raise ValueError("printed rows exist for t in {1,2,3}")
+
+
 @_register("surface-rows-match-F", "closed-form-surface-heights", 1e-8, whole=True)
 def _check_surface_rows(rng, samples, dims):
     worst = 0.0
@@ -671,13 +796,13 @@ def _check_surface_rows(rng, samples, dims):
         xs, ys = dim3._grid_points(p, (20, 20))
         for x1, heights in zip(xs, dim3._grid_heights(p, xs, ys)):
             for x2, f_true in zip(ys, heights):
-                f_row = dim3.surface_height_3d(p.lam, x1, x2)
+                f_row = surface_height_3d(p.lam, x1, x2)
                 worst = max(worst, maxerr(f_row, f_true))
         # orbit oracle for the same row
         c = build_marked_cusp(p)
         for v in np.random.default_rng(55 + t).uniform(-1, 1, (20, 2)):
             pt = orbit_point(c, v)
-            worst = max(worst, maxerr(dim3.surface_height_3d(p.lam, pt[1], pt[2]), pt[0]))
+            worst = max(worst, maxerr(surface_height_3d(p.lam, pt[1], pt[2]), pt[0]))
     return worst, 4 * 400
 
 
@@ -691,7 +816,7 @@ def _check_surface_printed(rng, samples, dims):
         dev = 0.0
         for x1, heights in zip(xs, dim3._grid_heights(p, xs, ys)):
             for x2, f_true in zip(ys, heights):
-                printed = dim3.surface_height_printed_row(t, p.lam, x1, x2)
+                printed = surface_height_printed_row(t, p.lam, x1, x2)
                 dev = max(dev, abs(printed - f_true))
         deviations.append(dev)
     # detection: every printed row deviates from the derived surface

@@ -24,14 +24,19 @@ from gencusp.invariants import (
     realize_weight_data,
     recover_psi_from_invariant,
     stratum_dim,
-    varpi_closed_form,
     weight_data,
-    weights_equation_residual,
 )
 from gencusp.linalg import maxerr, unimodular
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
 from gencusp import dim3
 from gencusp import shape as shape_mod
+from gencusp.verify import (
+    restricted_diag_calibration,
+    surface_height_3d,
+    surface_height_printed_row,
+    varpi_closed_form,
+    weights_equation_residual,
+)
 
 DIMS = (3, 4, 5)
 
@@ -153,7 +158,7 @@ def test_criterion_05_shape_triple_route():
 
 
 def test_criterion_06_local_maxima_anchors():
-    q, c, _ = shape_mod.restricted_diag_calibration(PsiParameter(3, np.ones(3)))
+    q, c, _ = restricted_diag_calibration(PsiParameter(3, np.ones(3)))
     found = shape_mod.sphere_local_maxima(q, c)
     ok = len(found.points) == 3
     gram = found.points @ q @ found.points.T
@@ -225,18 +230,18 @@ def test_criterion_09_surface_table():
         xs, ys = dim3._grid_points(p, (20, 20))
         for x1 in xs:
             for x2 in ys:
-                worst = max(worst, abs(dim3.surface_height_3d(p.lam, x1, x2)
+                worst = max(worst, abs(surface_height_3d(p.lam, x1, x2)
                                        - hypersurface_F(p, np.array([x1, x2]))))
         c = build_marked_cusp(p)
         for v in rng.uniform(-1, 1, (20, 2)):
             pt = orbit_point(c, v)
-            worst = max(worst, abs(pt[0] - dim3.surface_height_3d(p.lam, pt[1], pt[2])))
+            worst = max(worst, abs(pt[0] - surface_height_3d(p.lam, pt[1], pt[2])))
     # the printed type-2 row is expected to deviate; detection is the contract
     p2 = random_blownup_point(rng, 3, t=2)
     p2 = BlownUpWeylPoint(3, p2.lam, np.zeros(2))
     xs, ys = dim3._grid_points(p2, (20, 20))
     printed_dev = max(
-        abs(dim3.surface_height_printed_row(2, p2.lam, x1, x2)
+        abs(surface_height_printed_row(2, p2.lam, x1, x2)
             - hypersurface_F(p2, np.array([x1, x2])))
         for x1 in xs for x2 in ys)
     _report(9, "surface-rows", worst <= 1e-8 and printed_dev > 1e-4,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gencusp
-from gencusp.cli import main, make_parser
+from gencusp.cli import cusp_to_dict, main, make_parser
 from gencusp.cusp_groups import BlownUpWeylPoint, build_marked_cusp
 from gencusp.invariants import are_conjugate, complete_invariant
 from gencusp.sampling import random_cusp
@@ -203,6 +203,33 @@ def test_recover_roundtrip_at_any_scale(tmp_path, s):
         else:
             rec = parse_cusp_params(rec)
             assert rec.params.type_t == 4 and are_conjugate(rec, c)
+
+
+def test_recover_marking_is_stable_in_the_last_bits(tmp_path):
+    # below type n - 2 the rebuilt marking completes the live weights' rows
+    # with n - 1 - t >= 2 rows of their complement, where any orthonormal
+    # basis would do: the completion must be one fixed function of the
+    # rows, so that input moved by one ulp gives the same marking
+    rng = np.random.default_rng(2)
+    for n in (3, 4, 5):
+        for t in range(n - 2):
+            c = random_cusp(rng, n, t=t)
+            inv = str(tmp_path / "inv.json")
+            assert main(["invariants", _write(tmp_path, "c.json", cusp_to_dict(c)),
+                         "--out", inv]) == 0
+            data = json.loads(open(inv).read())
+            w = np.array(data["nu"]["weights"])
+            data["nu"]["weights"] = np.where(w != 0, np.nextafter(w, np.inf), w).tolist()
+            data["shape"]["c"] = {k: float(np.nextafter(v, np.inf))
+                                  for k, v in data["shape"]["c"].items()}
+            moved = _write(tmp_path, "moved.json", data)
+            for kind in ("weights", "shape"):
+                markings = []
+                for src in (inv, moved):
+                    out = str(tmp_path / "rec.json")
+                    assert main(["recover", kind, src, "--out", out]) == 0
+                    markings.append(np.array(json.loads(open(out).read())["B"]))
+                assert np.abs(markings[0] - markings[1]).max() <= 1e-9, (kind, n, t)
 
 
 def test_recover_unrealizable_input_is_validation_error(tmp_path, capsys):

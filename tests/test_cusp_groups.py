@@ -18,18 +18,16 @@ from gencusp.cusp_groups import (
     _marking_log_det,
     build_marked_cusp,
     hypersurface_F,
-    lambda_to_psi,
     lie_algebra_phi,
     lie_algebra_zeta,
     orbit_point,
     preferred_sqrt,
-    psi_to_lambda,
     rho,
 )
 from gencusp.invariants import complete_invariant, eta_distance
-from gencusp.shape import restricted_diag_calibration
 from gencusp.linalg import DET_TOL, ZERO, expm, maxerr
 from gencusp.sampling import random_blownup_point, random_cusp, random_marking
+from gencusp.verify import restricted_diag_calibration
 
 
 def test_zeta_block_unipotent():
@@ -111,34 +109,15 @@ def test_preferred_sqrt():
         assert maxerr(_inverse_sqrt(kap) @ preferred_sqrt(kap), np.eye(3)) < 1e-15
 
 
-def test_lambda_psi_dictionary():
-    p = BlownUpWeylPoint(3, np.array([0.0, 0, 2]), np.array([0.7, 0.0]))
-    assert maxerr(lambda_to_psi(p).psi, [0.25, 0, 0]) < 1e-15
-    p = BlownUpWeylPoint(3, np.ones(3), np.ones(2))
-    assert maxerr(lambda_to_psi(p).psi, [1.0, 1, 1]) < 1e-15
-    p = BlownUpWeylPoint(3, np.array([1.0, 2, 2]), np.array([0.5, 0.5]))
-    assert maxerr(lambda_to_psi(p).psi, [0.25, 0.25, 1.0]) < 1e-15
-
-
 @pytest.mark.parametrize("fn", [
     lambda psi: lie_algebra_zeta(psi, np.ones(2)),
-    psi_to_lambda,
     restricted_diag_calibration,
-], ids=["zeta", "psi_to_lambda", "restricted_diag_calibration"])
+], ids=["zeta", "restricted_diag_calibration"])
 def test_psi_functions_take_a_psi_parameter_only(fn):
     # the PsiParameter is the one form of psi: a raw array is not read as one
     with pytest.raises(TypeError, match="expected a PsiParameter"):
         fn(np.array([3.0, 2.0, 1.0]))
     fn(PsiParameter(3, np.array([3.0, 2.0, 1.0])))
-
-
-def test_lambda_psi_roundtrip():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        n = int(rng.integers(3, 6))
-        p = random_blownup_point(rng, n)
-        back = psi_to_lambda(lambda_to_psi(p))
-        assert maxerr(np.sort(back.lam), np.sort(p.lam)) < 1e-12
 
 
 def test_blownup_validation():

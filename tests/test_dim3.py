@@ -18,13 +18,12 @@ from gencusp.dim3 import (
     export_mesh_obj,
     _grid_points,
     shape_from_coords,
-    surface_height_3d,
-    surface_height_printed_row,
     w_to_matrix,
 )
 from gencusp.linalg import maxerr, unimodular
 from gencusp.sampling import random_blownup_point, random_cusp
 from gencusp.shape import CubicPoly, ShapeInvariant, is_affine_sphere, shape_invariant
+from gencusp.verify import surface_height_3d, surface_height_printed_row
 
 
 def test_decompose_examples():

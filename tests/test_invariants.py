@@ -8,14 +8,11 @@ import scipy.optimize
 
 from gencusp.cusp_groups import (
     BlownUpWeylPoint,
-    PsiParameter,
     _calibration_frame,
     _marking_log_det,
     build_marked_cusp,
-    lambda_to_psi,
     lie_algebra_phi,
     preferred_sqrt,
-    psi_to_lambda,
 )
 from gencusp.invariants import (
     CONJUGATE_TOL,
@@ -28,7 +25,6 @@ from gencusp.invariants import (
     complete_invariant,
     dual_gram,
     eta_distance,
-    frame_to_weight_data,
     horosphere_metric,
     limit_demo_rows,
     metric_and_scale,
@@ -37,9 +33,7 @@ from gencusp.invariants import (
     realize_weight_data,
     recover_psi_from_invariant,
     stratum_dim,
-    varpi_closed_form,
     weight_data,
-    weights_equation_residual,
     weights_of,
     _canonical_rows,
     _linear_weights,
@@ -62,6 +56,7 @@ from gencusp.shape import (
     fit_height_jet,
     shape_invariant,
 )
+from gencusp.verify import frame_to_weight_data, varpi_closed_form, weights_equation_residual
 
 
 def _cusp(lam, kap, marking=None, **kw):
@@ -884,6 +879,12 @@ def test_frame_to_weight_data():
     assert weights_equation_residual(wd) < 1e-10
     with pytest.raises(ValueError, match="unipotent"):
         frame_to_weight_data(np.array([[2.0, 0], [0, 0.5]]), vs)
+    # pairings that are not one constant, or one constant -varpi > 0, are
+    # off the weights equation: one refusal for both
+    for bad in (np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 0.0]]),
+                np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0]])):
+        with pytest.raises(ValueError, match="not one constant -varpi <= 0"):
+            frame_to_weight_data(np.eye(2), bad)
 
 
 def test_psi_recovery_all_types():
@@ -907,7 +908,6 @@ def test_psi_normal_form_keeps_type_n_as_lambda0_shrinks():
             lam = np.concatenate(([lam0], np.sort(rng.uniform(0.3, 2.5, n - 1))))
             p = BlownUpWeylPoint(n, lam, lam0 / lam[1:])
             assert p.type_t == n
-            assert lambda_to_psi(p).type_t == n
             assert marked_psi_normal_form(p).type_t == n
 
 
@@ -985,8 +985,8 @@ def test_psi_recovery_across_the_float_range(lam, refusals):
 
 def test_psi_recovery_direct_diagonal_model():
     # a diagonal model marked with the identity recovers its own psi
-    psi = PsiParameter(3, np.array([4.0, 1.0, 0.0]), ordered=True)
-    p = psi_to_lambda(psi)
+    # psi (4, 1, 0) is lambda^-2 on the live lambdas (0, 0.5, 1)
+    p = BlownUpWeylPoint(3, np.array([0.0, 0.5, 1.0]), np.zeros(2))
     norm = marked_psi_normal_form(p)
     # the marked class of the canonical build carries the det-folded scale
     assert maxerr(norm.psi, np.array([4.0, 1.0, 0.0]) / np.sqrt(2)) < 1e-12

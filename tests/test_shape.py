@@ -9,7 +9,6 @@ from gencusp.cusp_groups import (
     PsiParameter,
     _calibration_frame,
     build_marked_cusp,
-    psi_to_lambda,
 )
 from gencusp.invariants import (
     are_conjugate,
@@ -32,10 +31,10 @@ from gencusp.shape import (
     is_affine_sphere,
     radial_projection,
     recover_cusp_from_shape,
-    restricted_diag_calibration,
     shape_invariant,
     sphere_local_maxima,
 )
+from gencusp.verify import restricted_diag_calibration
 
 
 def _cusp(lam, kap, marking=None, **kw):
@@ -515,8 +514,10 @@ def test_recover_nondiag_anchor():
 
 
 def test_recover_diag_roundtrip():
-    psi = PsiParameter(3, np.array([3.0, 2.0, 1.0]), ordered=True)
-    src = build_marked_cusp(psi_to_lambda(psi), random_marking(np.random.default_rng(1), 2))
+    # the type-3 point of psi = lambda^-2 = (3, 2, 1), kappa = lambda0 / lambda_i
+    lam = np.array([3.0, 2.0, 1.0]) ** -0.5
+    p = BlownUpWeylPoint(3, lam, lam[0] / lam[1:])
+    src = build_marked_cusp(p, random_marking(np.random.default_rng(1), 2))
     rec = recover_cusp_from_shape(shape_invariant(src, "closed"))
     assert are_conjugate(rec, src, tol=1e-6)
 

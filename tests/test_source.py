@@ -83,13 +83,6 @@ def test_no_unit_floor_under_a_size():
 
 _PERFBENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
 
-# lambda_to_psi and its inverse psi_to_lambda are the paper's maps between
-# the two parameter spaces: no library route needs them (the psi normal form
-# takes log psi0 from lambda, since psi0 = lambda^-2 leaves the float range
-# first), and tests build and check psi with them
-_UNREACHED_EXPORTS = {"lambda_to_psi", "psi_to_lambda"}
-
-
 def _references(path):
     """(identifier, names of the enclosing functions and classes) for each
     name a module reads, attribute it takes or name it imports."""
@@ -129,9 +122,35 @@ def test_every_export_is_reached():
     }
     unreached = sorted(
         "%s.%s" % (path.stem, name) for path in _MODULES for name in _exports(path)
-        if name not in reached and name not in _UNREACHED_EXPORTS
+        if name not in reached
     )
     assert unreached == [], "exported but reached by no library or perfbench code: %s" % unreached
+
+
+# the battery's independent references: verify.py owns them, so no module a
+# command loads carries a route that only the battery checks against
+_BATTERY_ORACLES = {
+    "restricted_diag_calibration", "surface_height_3d", "surface_height_printed_row",
+    "varpi_closed_form", "weights_equation_residual", "frame_to_weight_data", "_FRAME_TOL",
+}
+
+
+def test_battery_oracles_live_in_verify_alone():
+    offenders = []
+    for path in _MODULES:
+        if path.name == "verify.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined = {
+            node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else node.id
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+        }
+        read = {name for name, _ in _references(path)}
+        offenders += ["%s: %s" % (path.name, name)
+                      for name in sorted((defined | read) & _BATTERY_ORACLES)]
+    assert offenders == [], "battery oracles outside verify.py: %s" % offenders
 
 
 def test_only_cli_imports_cli():
@@ -238,10 +257,10 @@ def test_one_owner_of_the_calibration_frame():
     # the frame C = [kappa^T; I] M is built by cusp_groups._calibration_frame
     # alone: the generators, the weights, the metric and the closed cubic
     # read it, so none of them forms <v, kappa> or I + kappa kappa^T itself.
-    # Only the closed-form oracles read kappa in invariants and shape.
+    # Only the psi normal form reads kappa in invariants and shape.
     dots = _attribute_reads("cusp_groups.py", "vecdot")
     assert dots == ["_calibration_frame"], "np.vecdot outside _calibration_frame: %s" % dots
-    oracles = {"marked_psi_normal_form", "varpi_closed_form"}
+    oracles = {"marked_psi_normal_form"}
     readers = sorted(
         (name, fn) for name in ("invariants.py", "shape.py")
         for fn in _attribute_reads(name, "kappa") if fn not in oracles
@@ -271,7 +290,7 @@ def test_one_owner_of_the_unit_size_reading():
                         if ident == "dual_gram" or "unit_scal" in ident})
         assert found == [], "%s forms the weights' unit-size reading: %s" % (name, found)
     path = next(p for p in _MODULES if p.name == "invariants.py")
-    owners = {"WeightData", "dual_gram", "frame_to_weight_data"}
+    owners = {"WeightData", "dual_gram"}
     readers = sorted({tuple(sorted(scopes)) for ident, scopes in _references(path)
                       if ident == "dual_gram" and not scopes & owners})
     assert readers == [], "dual_gram read outside its owners: %s" % readers
