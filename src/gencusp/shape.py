@@ -12,7 +12,7 @@ lifted weights; varpi itself comes from the commutators of c's slices.
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -71,66 +71,54 @@ SHAPE_TOL = 1e-5
 # as harmonic.
 _HARMONIC_TOL = 1e-8
 
-
-def _multiplicity(idx):
-    """Number of distinct permutations of a sorted index triple."""
-    i, j, k = idx
-    if i == j == k:
-        return 1
-    if i == j or j == k:
-        return 3
-    return 6
-
-
-@lru_cache(maxsize=None)
-def _transpose_gather(dim):
-    """Flat indices of the six index transposes of a (dim, dim, dim) tensor,
-    one row each, in lexicographic order of the permutations (the identity
-    first), read-only: row p of ``t.ravel()[g]`` is ``t.transpose(p).ravel()``.
-    """
-    flat = np.arange(dim**3).reshape((dim,) * 3)
-    gather = np.stack([flat.transpose(p).ravel() for p in permutations(range(3))])
-    gather.setflags(write=False)
-    return gather
+_Triples = namedtuple("_Triples", ["slots", "scatter", "orbits", "multiplicity"])
 
 
 @lru_cache(maxsize=None)
 def _triple_table(dim):
-    """(slots, scatter) for a (dim, dim, dim) tensor, read-only: slots is
-    (3, U), the U index triples i <= j <= k in lexicographic order, one row
-    per slot; scatter is (dim^3,), the column of slots that holds each flat
-    position's indices sorted, so every transpose of a position reads the
-    same column."""
-    triples = list(combinations_with_replacement(range(dim), 3))
-    column = {idx: u for u, idx in enumerate(triples)}
-    slots = np.array(triples, dtype=np.intp).reshape(-1, 3).T
-    scatter = np.array([column[tuple(sorted(idx))] for idx in product(range(dim), repeat=3)],
-                       dtype=np.intp)
-    for a in (slots, scatter):
+    """The one index table of a (dim, dim, dim) cubic, read-only.  slots is
+    (3, U), the U index triples i <= j <= k in lexicographic order, one
+    column per slot; orbits is (6, U), the flat positions of each slot's six
+    index transposes in ``permutations`` order, the identity (the slot's
+    own position) first; scatter is (dim^3,), the slot of each flat
+    position, so every transpose of a position reads the same slot;
+    multiplicity is (U,), how many distinct positions share each slot."""
+    slots = np.array(list(combinations_with_replacement(range(dim), 3)), dtype=np.intp).T
+    flat = np.arange(dim**3).reshape((dim,) * 3)
+    orbits = np.stack([flat.transpose(p)[tuple(slots)] for p in permutations(range(3))])
+    scatter = np.empty(dim**3, dtype=np.intp)
+    scatter[orbits] = np.arange(slots.shape[1])
+    multiplicity = np.array([len(set(orbit)) for orbit in orbits.T.tolist()])
+    table = _Triples(slots, scatter, orbits, multiplicity)
+    for a in table:
         a.setflags(write=False)
-    return slots, scatter
+    return table
 
 
 @dataclass(frozen=True, eq=False)
 class CubicPoly:
-    """Homogeneous cubic on R^dim stored as a symmetric, finite 3-tensor."""
+    """Homogeneous cubic on R^dim stored as a finite 3-tensor that is
+    symmetric bit for bit: every route makes the U values of its slots
+    i <= j <= k (``_triple_table``) and scatters each to all its
+    transposes."""
 
     dim: int
     tensor: np.ndarray
 
     def __post_init__(self):
-        shape = (self.dim,) * 3
         t = np.asarray(self.tensor, dtype=float)
-        if t.shape != shape:
+        if t.shape != (self.dim,) * 3:
             raise ValueError("tensor must be (dim,dim,dim)")
-        # the mean of the six transposes, summed one after another in the
-        # gather's row order; -0.0 is the exact identity of addition, so a
-        # sum of zeros keeps its sign, as t + t^(021) + ... + t^(210) does
-        t = np.add.reduce(t.reshape(-1)[_transpose_gather(self.dim)], axis=0, initial=-0.0)
-        self._keep((t / 6.0).reshape(shape))
+        # each slot's mean of its six transposes, summed one after another in
+        # ``permutations`` order; -0.0 is the exact identity of addition, so
+        # a sum of zeros keeps its sign, as t + t^(021) + ... + t^(210) does
+        orbits = _triple_table(self.dim).orbits
+        self._keep(np.add.reduce(t.reshape(-1)[orbits], axis=0, initial=-0.0) / 6.0)
 
-    def _keep(self, t):
-        """Store t, a symmetric tensor of our own, read-only."""
+    def _keep(self, entries):
+        """Store the cubic whose slots hold ``entries``, scattered to every
+        position, checked finite and read-only."""
+        t = entries.take(_triple_table(self.dim).scatter).reshape((self.dim,) * 3)
         # as check_symmetric refuses a form, so NaN cannot hide in a distance
         if not np.isfinite(t).all():
             raise ValueError("cubic entries must be finite")
@@ -138,51 +126,54 @@ class CubicPoly:
         object.__setattr__(self, "tensor", t)
 
     @classmethod
+    def _of_slots(cls, dim, entries):
+        cubic = object.__new__(cls)
+        object.__setattr__(cubic, "dim", dim)
+        cubic._keep(entries)
+        return cubic
+
+    @classmethod
     def zero(cls, dim):
-        return cls(dim, np.zeros((dim,) * 3))
+        return cls._of_slots(dim, np.zeros(_triple_table(dim).slots.shape[1]))
 
     @classmethod
     def from_covector_cubes(cls, covectors, coefficients):
         """sum_a coeff_a * (xi_a)^3 as a cubic polynomial.
 
-        Each entry is summed once per index triple i <= j <= k, as the
-        coefficient row times the covectors' products xi_ai xi_aj xi_ak
-        (``_triple_table``), and scattered to all its transposes, so the
-        tensor is symmetric bit for bit and skips the constructor's mean."""
+        Each slot i <= j <= k is summed once, as the coefficient row times
+        the covectors' products xi_ai xi_aj xi_ak, with no mean."""
         x = np.asarray(covectors, dtype=float)
         dim = x.shape[1]
-        slots, scatter = _triple_table(dim)
-        g = x.T.take(slots, axis=0)  # g[s, u, a] = x[a, slots[s, u]]
-        entries = (g[0] * g[1] * g[2]) @ np.asarray(coefficients, dtype=float)
-        cubic = object.__new__(cls)
-        object.__setattr__(cubic, "dim", dim)
-        cubic._keep(entries.take(scatter).reshape((dim,) * 3))
-        return cubic
+        g = x.T.take(_triple_table(dim).slots, axis=0)  # g[s, u, a] = x[a, slots[s, u]]
+        return cls._of_slots(dim, (g[0] * g[1] * g[2]) @ np.asarray(coefficients, dtype=float))
 
     @classmethod
     def from_monomials(cls, dim, mono):
         """sum coeff * x^exps over ``mono``, whose keys are tuples of dim
-        non-negative exponents summing to 3."""
-        t = np.zeros((dim,) * 3)
+        non-negative exponents summing to 3: coeff / multiplicity in the
+        monomial's slot."""
+        table = _triple_table(dim)
+        entries = np.zeros(table.slots.shape[1])
         for exps, coeff in mono.items():
             # tested before the index is built: a key from a file may hold
             # an exponent of any size
             if len(exps) != dim or sum(exps) != 3 or min(exps) < 0:
                 raise ValueError("monomial %r is not of degree 3 in %d variables" % (exps, dim))
-            # one entry per monomial; the constructor's symmetrization spreads
-            # it over the index orbit, leaving coeff/multiplicity in each slot
-            t[tuple(var for var, e in enumerate(exps) for _ in range(e))] = coeff
-        return cls(dim, t)
+            idx = [var for var, e in enumerate(exps) for _ in range(e)]
+            u = table.scatter[np.ravel_multi_index(idx, (dim,) * 3)]
+            entries[u] = coeff / table.multiplicity[u]
+        return cls._of_slots(dim, entries)
 
     def monomials(self):
         """Coefficient of each monomial prod v^e, keyed by exponent tuple."""
+        table = _triple_table(self.dim)
+        coeffs = self.tensor.take(table.orbits[0]) * table.multiplicity
         out = {}
-        for idx in combinations_with_replacement(range(self.dim), 3):
-            coeff = self.tensor[idx] * _multiplicity(idx)
+        for idx, coeff in zip(table.slots.T.tolist(), coeffs.tolist()):
             exps = [0] * self.dim
             for i in idx:
                 exps[i] += 1
-            out[tuple(exps)] = float(coeff)
+            out[tuple(exps)] = coeff
         return out
 
     def __call__(self, v):
@@ -200,7 +191,8 @@ class CubicPoly:
         return CubicPoly(d, t)
 
     def scaled(self, s):
-        return CubicPoly(self.dim, float(s) * self.tensor)
+        """s times the cubic, slot by slot: already symmetric, so no mean."""
+        return CubicPoly._of_slots(self.dim, float(s) * self.tensor.take(_triple_table(self.dim).orbits[0]))
 
     def coeff_norm(self):
         return float(np.abs(self.tensor).max()) * 6.0

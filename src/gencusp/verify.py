@@ -48,7 +48,6 @@ from .invariants import (
     weight_data,
     weights_of,
     limit_demo_rows,
-    _equation_residual,
     _live_rows,
     _match_multisets,
     dual_gram,
@@ -354,9 +353,17 @@ def _stabilizer_sample(rng, p):
 
 
 def weights_equation_residual(w):
-    """The weights-equation residual (``_equation_residual``) of w's
-    pairings and varpi, scaled back to the size of its weights."""
-    return w._scaled_back(_equation_residual(*w.unit_gram[1:]), "weights equation residual")
+    """The weights-equation residual of w by a route of its own, not the
+    data's ``unit_gram``: the pairings of its rows at unit size by one solve
+    against the metric, their largest deviation from the constant -varpi,
+    varpi their negated mean (or -varpi itself when varpi is negative),
+    scaled back to the size of the weights."""
+    unit = w.unit_weights
+    gram = unit @ np.linalg.solve(w.metric, unit.T)
+    off = gram[~np.eye(len(gram), dtype=bool)]
+    varpi = -float(off.mean()) if off.size else 0.0
+    resid = max(float(np.abs(off + varpi).max(initial=0.0)), -varpi)
+    return w._scaled_back(resid, "weights equation residual")
 
 
 def varpi_closed_form(cusp):
@@ -858,6 +865,16 @@ def _check_limit_decay(rng, samples, dims):
     return worst, samples
 
 
+def _margin(residual, threshold, detection):
+    """How much of its gate a check uses: residual / threshold, or
+    threshold / residual for a detection check, so a passing check reads at
+    most 1.  None where that is no number: a count check (threshold 0), or
+    a detection check that found nothing (residual 0)."""
+    if not threshold or (detection and not residual):
+        return None
+    return threshold / residual if detection else residual / threshold
+
+
 def run_battery(seed=0, samples=50, dims=(3, 4, 5)):
     """Run every registered check; returns the report dictionary."""
     results = []
@@ -870,17 +887,19 @@ def run_battery(seed=0, samples=50, dims=(3, 4, 5)):
         except Exception as exc:  # a failing identity may surface as an error
             residual, count = 9e99, 0
             note = "%s: %s" % (type(exc).__name__, exc)
-        if check["detection"]:
-            passed = residual >= check["threshold"]
-        else:
-            passed = residual <= check["threshold"]
+        residual, threshold = float(residual), check["threshold"]
+        margin = None if note else _margin(residual, threshold, check["detection"])
+        # a check that raised fails, a detection check too: its 9e99 is no
+        # discrepancy found
+        passed = not note and (residual >= threshold if check["detection"] else residual <= threshold)
         passed_all &= passed
         entry = {
             "name": check["name"],
             "anchor": check["anchor"],
             "samples": int(count),
-            "max_residual": float(residual),
-            "threshold": check["threshold"],
+            "max_residual": residual,
+            "threshold": threshold,
+            "margin": margin,
             "detection": check["detection"],
             "passed": bool(passed),
         }

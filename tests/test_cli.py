@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gencusp
-from gencusp.cli import cusp_to_dict, main, make_parser
+from gencusp.cli import canonical_json, cusp_to_dict, main, make_parser
 from gencusp.cusp_groups import BlownUpWeylPoint, build_marked_cusp
 from gencusp.invariants import are_conjugate, complete_invariant
 from gencusp.sampling import random_cusp
@@ -548,9 +548,43 @@ def test_run_battery_reports_a_check_that_raises_and_runs_the_rest(monkeypatch):
     assert len(by_name) == len(verify_mod.CHECKS)
     bad = by_name.pop("varpi-closed-form")
     assert (bad["max_residual"], bad["samples"], bad["passed"]) == (9e99, 0, False)
-    assert bad["note"] == "RuntimeError: planted"
+    assert bad["margin"] is None and bad["note"] == "RuntimeError: planted"
     assert report["passed"] is False
     assert all(c["passed"] and "note" not in c for c in by_name.values())
+
+
+def test_battery_entries_report_their_margin():
+    # how much of its gate each check uses: residual / threshold, threshold
+    # / residual for a detection check, null for a count check (threshold
+    # 0); a passing check reads at most 1, and the report, margins too,
+    # stays byte-identical at a fixed seed
+    from gencusp.verify import run_battery
+
+    report = run_battery(seed=0, samples=2, dims=(3,))
+    for c in report["checks"]:
+        if not c["threshold"]:
+            assert c["margin"] is None
+        elif c["detection"]:
+            assert c["margin"] == c["threshold"] / c["max_residual"] <= 1.0
+        else:
+            assert c["margin"] == c["max_residual"] / c["threshold"] <= 1.0
+    assert canonical_json(report) == canonical_json(run_battery(seed=0, samples=2, dims=(3,)))
+
+
+def test_a_detection_check_that_raises_fails(monkeypatch):
+    # its 9e99 stands for no residual, not for a discrepancy found above the
+    # detection floor: the check and the battery fail, with no margin
+    import gencusp.verify as verify_mod
+
+    def raises(*args):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(verify_mod, "surface_height_printed_row", raises)
+    report = verify_mod.run_battery(seed=0, samples=1, dims=(3,))
+    bad = next(c for c in report["checks"] if c["name"] == "surface-printed-rows-differ")
+    assert bad["detection"] and bad["note"] == "RuntimeError: planted"
+    assert (bad["max_residual"], bad["margin"], bad["passed"]) == (9e99, None, False)
+    assert report["passed"] is False
 
 
 def test_verify_exit_code_on_failure(monkeypatch, tmp_path):

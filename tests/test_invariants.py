@@ -36,6 +36,7 @@ from gencusp.invariants import (
     weight_data,
     weights_of,
     _canonical_rows,
+    _equation_residual,
     _linear_weights,
     _match_multisets,
 )
@@ -734,6 +735,24 @@ def test_realize_rejects_bad_data():
         realize_weight_data(broken)
 
 
+def test_battery_weights_equation_does_not_read_the_library_residual(monkeypatch):
+    # the battery's weights-equation check is an independent reference: with
+    # the library's residual helper broken wherever it is bound, the data's
+    # residual_ratio reads the break and the check does not
+    import gencusp.invariants as inv_mod
+    import gencusp.verify as verify_mod
+
+    for module in (inv_mod, verify_mod):
+        if hasattr(module, "_equation_residual"):
+            monkeypatch.setattr(module, "_equation_residual", lambda off, varpi: 1.0)
+    wd = weight_data(_cusp([1, 1, 1], [1, 1]))
+    assert wd.residual_ratio == 1.0 / float(wd.unit_gram[0].max())
+    assert weights_equation_residual(wd) < 1e-12
+    check = next(c for c in verify_mod.CHECKS if c["name"] == "weights-equation")
+    residual, count = check["fn"](verify_mod._rng_for(0, check["name"]), 20, (3, 4, 5, 6, 7))
+    assert count == 20 and residual <= check["threshold"]
+
+
 def test_realize_honours_tol_for_negative_varpi():
     # pairings all -5e-9(1 - 5e-9) ~ 5e-9 = -varpi: the pairings agree with
     # each other to 1e-24, but no cusp has varpi < 0, so at tol = 1e-10 the
@@ -752,7 +771,10 @@ def test_residual_ratio_is_what_realization_gates_on():
     # a type-n cusp's weights moved by ~1e-9 of their size miss the weights
     # equation by that much: the ratio is the residual over the largest dual
     # norm, and realize_weight_data refuses the data exactly when the ratio
-    # exceeds its tol
+    # exceeds its tol.  The battery's residual pairs the rows by a solve of
+    # its own, so it agrees with the ratio to the roundoff of the pairings
+    # relative to the largest dual norm, n eps cond(metric)
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(36)
     for n in range(3, 8):
         for scale in (1e-100, 1.0, 1e100):
@@ -761,8 +783,11 @@ def test_residual_ratio_is_what_realization_gates_on():
             moved = WeightData(scale * w, wd.metric)
             ratio = moved.residual_ratio
             top = moved._scaled_back(float(moved.unit_gram[0].max()), "top")
+            resid = moved._scaled_back(_equation_residual(*moved.unit_gram[1:]), "residual")
             assert 0.0 < ratio < REALIZE_TOL
-            assert ratio == pytest.approx(weights_equation_residual(moved) / top, rel=1e-12)
+            assert ratio == pytest.approx(resid / top, rel=1e-12)
+            assert (abs(ratio - weights_equation_residual(moved) / top)
+                    <= n * eps * np.linalg.cond(wd.metric))
             with pytest.raises(NotRealizable, match="residual %g exceeds" % ratio):
                 realize_weight_data(moved, tol=0.5 * ratio)
             realize_weight_data(moved, tol=2.0 * ratio)

@@ -267,22 +267,69 @@ def _six_transpose_mean(t):
     ) / 6.0
 
 
-@pytest.mark.parametrize("d", range(1, 7))
-def test_cubic_symmetrization_matches_the_transpose_chain_bit_for_bit(d):
-    # entries over 300 decades, so that the order of the five additions
-    # shows in the rounding, and zeros of either sign, whose sum's sign
-    # depends on where the sum starts
-    rng = np.random.default_rng(60 + d)
+def _wide_tensors(rng, d):
+    """Zeros of either sign, then tensors with entries over 300 decades, so
+    that the order of a sum shows in the rounding, a third of them zeros of
+    either sign, whose sum's sign depends on where the sum starts."""
     tensors = [np.full((d,) * 3, -0.0), np.zeros((d,) * 3)]
     for _ in range(60):
         t = rng.standard_normal((d,) * 3) * 10.0 ** rng.uniform(-150.0, 150.0, (d,) * 3)
         zeros = rng.random(t.shape) < 0.3
         t[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
         tensors += [t, t.transpose(2, 0, 1)]
-    for t in tensors:
+    return tensors
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_cubic_symmetrization_matches_the_transpose_chain_bit_for_bit(d):
+    # the chain's bits at each sorted position i <= j <= k, and every entry
+    # those of its sorted position: the chain itself sums the six transposes
+    # in another order at each position of one orbit
+    sort = tuple(np.sort(np.indices((d,) * 3).reshape(3, -1), axis=0))
+    for t in _wide_tensors(np.random.default_rng(60 + d), d):
         got = CubicPoly(d, t).tensor
         assert got.shape == (d,) * 3 and not got.flags.writeable
-        assert got.tobytes() == _six_transpose_mean(t).tobytes()
+        assert got.reshape(-1).tobytes() == _six_transpose_mean(t)[sort].tobytes()
+
+
+def _bitwise_symmetric(t):
+    return all(t.tobytes() == t.transpose(p).tobytes() for p in permutations(range(3)))
+
+
+def test_every_cubic_route_is_symmetric_bit_for_bit():
+    # each route fills the slots i <= j <= k and scatters them, so every
+    # tensor equals its six transposes bit for bit (tobytes: a signed zero
+    # counts); the constructor's mean did not before, at most inputs
+    rng = np.random.default_rng(38)
+    cubics = []
+    for d in range(1, 7):
+        for t in _wide_tensors(rng, d):
+            c = CubicPoly(d, t)
+            x = rng.standard_normal((d + 1, d))
+            cubics += [c, c.scaled(rng.uniform(-1e3, 1e3)), c.compose_linear(x[:d]),
+                       CubicPoly.from_monomials(d, c.monomials()),
+                       CubicPoly.from_covector_cubes(x, rng.standard_normal(d + 1))]
+        cubics.append(CubicPoly.zero(d))
+    for n in range(3, 8):
+        for t in range(n + 1):
+            cubics.append(fit_height_jet(random_cusp(rng, n, t=t))[1])
+    assert [c.dim for c in cubics if not _bitwise_symmetric(c.tensor)] == []
+    # a cube x_i^3 has a slot of its own, so its coefficient reads back with
+    # its bits through from_monomials and monomials; a shared slot holds
+    # coeff / multiplicity, two roundings off
+    eps = np.finfo(float).eps
+    for d in range(2, 5):
+        keys = list(CubicPoly.zero(d).monomials())
+        for _ in range(300):
+            coeffs = rng.standard_normal(len(keys)) * 10.0 ** rng.uniform(-100.0, 100.0, len(keys))
+            mono = dict(zip(keys, coeffs.tolist()))
+            back = CubicPoly.from_monomials(d, mono).monomials()
+            assert back.keys() == mono.keys()
+            for exps, coeff in mono.items():
+                if 3 in exps:
+                    assert back[exps] == coeff
+                else:
+                    assert abs(back[exps] - coeff) <= eps * abs(coeff)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -331,7 +378,7 @@ def test_covector_cubes_are_symmetric_and_near_the_einsum():
                 coeffs = np.ldexp(1.0 / (3.0 * (norms[live] + max(varpi, 0.0))), wd.exponent)
                 cases.append((wd.unit_weights[live], coeffs, cubic_from_weights(wd).c.tensor))
     for x, c, t in cases:
-        assert all(t.tobytes() == t.transpose(p).tobytes() for p in permutations(range(3)))
+        assert _bitwise_symmetric(t)
         ref = np.einsum("a,ai,aj,ak->ijk", c, x, x, x)
         size = np.abs(c) @ (np.abs(x).max(axis=1) ** 3)
         assert np.all(np.abs(t - ref) <= (len(x) + 3) * eps * size)

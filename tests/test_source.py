@@ -370,3 +370,24 @@ def test_blownup_point_holds_no_array_but_lambda_and_kappa():
         values = {name: getattr(p, name) for name in BlownUpWeylPoint.__slots__}
         assert [k for k, v in values.items() if isinstance(v, np.ndarray)] == ["lam", "kappa"]
         assert all(type(v) is int for k, v in values.items() if k not in ("lam", "kappa"))
+
+
+def test_one_index_table_makes_every_cubic():
+    # a cubic is made symmetric one way: shape._triple_table alone reads the
+    # six index permutations, and the dense transpose gather and the
+    # multiplicity helper that split that decision are gone
+    reads = [
+        (path.name, sorted(scopes)) for path in _MODULES
+        for name, scopes in _references(path) if name == "permutations"
+    ]
+    # the import itself is a module-level reference
+    assert reads == [("shape.py", []), ("shape.py", ["_triple_table"])], (
+        "permutations read outside shape._triple_table: %s" % reads)
+    gone = {"_transpose_gather", "_multiplicity"}
+    found = [
+        (path.name, name) for path in _MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for name in [getattr(node, "name", None), getattr(node, "id", None),
+                     getattr(node, "attr", None)] if name in gone
+    ]
+    assert found == [], "the old symmetrization helpers are back: %s" % found
