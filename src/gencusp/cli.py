@@ -165,6 +165,7 @@ def _block(data, key, path):
 
 
 def _shape_from_dict(data, path):
+    from .linalg import check_unimodular
     from .shape import CubicPoly, ShapeInvariant
 
     block = _block(data, "shape", path)
@@ -173,7 +174,8 @@ def _shape_from_dict(data, path):
     if not isinstance(c, dict) or not all(_is_real(v) for v in c.values()):
         raise ValidationError("%s: field 'c' must map monomial keys to finite reals" % path)
     with _invalid_input(path):
-        q = np.array(q, dtype=float)
+        # q first, so that the cubic's dimension is read off a checked form
+        q = check_unimodular(np.array(q, dtype=float), "q")
         mono = {tuple(int(t) for t in key.split(",")): float(val) for key, val in c.items()}
         return ShapeInvariant(q, CubicPoly.from_monomials(q.shape[0], mono))
 
@@ -371,61 +373,78 @@ def _dimension_list(text):
     return tuple(int(t) for t in parts)
 
 
+def _arg(*names, **options):
+    """One ``add_argument`` call of a command, as (names, options)."""
+    return names, options
+
+
+# command -> (what runs it, its one-line help, its arguments): the one table
+# that both ``gencusp --help`` and each command's own parser read
+_COMMANDS = {
+    "build": (cmd_build, "normalize cusp parameters to a canonical file",
+              [_arg("params"), _arg("--out")]),
+    "invariants": (cmd_invariants, "emit eta, nu, shape, and (w,h,r) blocks",
+                   [_arg("cusp"), _arg("--out")]),
+    "conjugate": (cmd_conjugate, "decide conjugacy of two cusp files", [
+        _arg("cusp1"), _arg("cusp2"),
+        # None reads invariants.CONJUGATE_TOL, which the parser does not import
+        _arg("--tol", type=_nonnegative_float, help="eta_distance threshold (default 1e-8)"),
+        _arg("--out")]),
+    "recover": (cmd_recover, "invert an invariant back to parameters", [
+        _arg("kind", choices=("psi", "weights", "shape")), _arg("source"), _arg("--out")]),
+    "verify": (cmd_verify, "run the verification battery", [
+        _arg("--seed", type=int, default=0, help="seed of the battery (default 0)"),
+        _arg("--samples", type=_positive_int, default=50),
+        _arg("--dims", type=_dimension_list, default="3,4,5"),
+        _arg("--out")]),
+    "mesh": (cmd_mesh, "export the boundary surface as CSV/OBJ", [
+        _arg("cusp"), _arg("--grid", default="20x20"), _arg("--out", required=True),
+        _arg("--obj")]),
+    "limit-demo": (cmd_limit_demo, "convergence of diagonalizable approximations", [
+        _arg("--kappa", required=True), _arg("--m-max", type=int, default=10000),
+        _arg("--out")]),
+}
+
+
 def make_parser():
-    parser = _Parser(prog="gencusp", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_build = sub.add_parser("build", help="normalize cusp parameters to a canonical file")
-    p_build.add_argument("params")
-    p_build.add_argument("--out")
-    p_build.set_defaults(fn=cmd_build)
-
-    p_inv = sub.add_parser("invariants", help="emit eta, nu, shape, and (w,h,r) blocks")
-    p_inv.add_argument("cusp")
-    p_inv.add_argument("--out")
-    p_inv.set_defaults(fn=cmd_invariants)
-
-    p_conj = sub.add_parser("conjugate", help="decide conjugacy of two cusp files")
-    p_conj.add_argument("cusp1")
-    p_conj.add_argument("cusp2")
-    # None reads invariants.CONJUGATE_TOL, which the parser does not import
-    p_conj.add_argument("--tol", type=_nonnegative_float,
-                        help="eta_distance threshold (default 1e-8)")
-    p_conj.add_argument("--out")
-    p_conj.set_defaults(fn=cmd_conjugate)
-
-    p_rec = sub.add_parser("recover", help="invert an invariant back to parameters")
-    p_rec.add_argument("kind", choices=("psi", "weights", "shape"))
-    p_rec.add_argument("source")
-    p_rec.add_argument("--out")
-    p_rec.set_defaults(fn=cmd_recover)
-
-    p_ver = sub.add_parser("verify", help="run the verification battery")
-    p_ver.add_argument("--seed", type=int, default=0, help="seed of the battery (default 0)")
-    p_ver.add_argument("--samples", type=_positive_int, default=50)
-    p_ver.add_argument("--dims", type=_dimension_list, default="3,4,5")
-    p_ver.add_argument("--out")
-    p_ver.set_defaults(fn=cmd_verify)
-
-    p_mesh = sub.add_parser("mesh", help="export the boundary surface as CSV/OBJ")
-    p_mesh.add_argument("cusp")
-    p_mesh.add_argument("--grid", default="20x20")
-    p_mesh.add_argument("--out", required=True)
-    p_mesh.add_argument("--obj")
-    p_mesh.set_defaults(fn=cmd_mesh)
-
-    p_lim = sub.add_parser("limit-demo", help="convergence of diagonalizable approximations")
-    p_lim.add_argument("--kappa", required=True)
-    p_lim.add_argument("--m-max", type=int, default=10000)
-    p_lim.add_argument("--out")
-    p_lim.set_defaults(fn=cmd_limit_demo)
+    """The top-level parser: it reads the command name, one of
+    ``_COMMANDS``, and hands the rest of the line to that command's parser
+    (``command_parser``) unread; it takes no flag but --help."""
+    parser = _Parser(
+        prog="gencusp", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="commands:\n" + "".join(
+            "  %-12s %s\n" % (name, entry[1]) for name, entry in _COMMANDS.items()),
+    )
+    # argparse.PARSER, as a subcommand reads it: the name, checked against
+    # the choices, then every string after it
+    parser.add_argument("command", nargs=argparse.PARSER, choices=_COMMANDS, metavar="command",
+                        help="one of the commands below; 'gencusp <command> --help' "
+                             "shows its arguments")
     return parser
 
 
+def command_parser(name):
+    """The parser of command ``name`` alone, from its ``_COMMANDS`` entry;
+    it sets ``fn``, the function that runs the command."""
+    fn, help_text, arguments = _COMMANDS[name]
+    parser = _Parser(prog="gencusp " + name, description=help_text)
+    for names, options in arguments:
+        parser.add_argument(*names, **options)
+    parser.set_defaults(fn=fn)
+    return parser
+
+
+def parse_args(argv=None):
+    """``argv`` (default the process's) in two stages: the command name by
+    ``make_parser``, then the rest by that command's parser alone."""
+    name, *rest = make_parser().parse_args(argv).command
+    return command_parser(name).parse_args(rest)
+
+
 def main(argv=None):
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
         return args.fn(args)
     except ValidationError as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -16,11 +16,10 @@ Conventions used throughout the package:
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DET_TOL, SLACK, ZERO, _identity, expm, f_k, g_surface, h_log
+from .linalg import DET_TOL, SLACK, ZERO, Frozen, _identity, expm, f_k, g_surface, h_log
 
 __all__ = [
     "PsiParameter",
@@ -36,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class PsiParameter:
+class PsiParameter(Frozen):
     """Diagonal-model parameter: n non-negative reals.
 
     ``ordered=True`` means non-increasing; ``ordered=False`` is the unordered
@@ -48,26 +46,26 @@ class PsiParameter:
     lambda's range, and next to psi = 1e10 a relative test reads 0.16 as 0.
     """
 
-    n: int
-    psi: np.ndarray
-    ordered: bool = True
+    __slots__ = _fields = ("n", "psi", "ordered")
 
-    def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=float)
-        if psi.shape != (self.n,):
-            raise ValueError("psi must have length n=%d, got %r" % (self.n, psi.shape))
+    def __init__(self, n, psi, ordered=True):
+        psi = np.asarray(psi, dtype=float)
+        if psi.shape != (n,):
+            raise ValueError("psi must have length n=%d, got %r" % (n, psi.shape))
         if np.any(psi < 0):
             raise ValueError("psi entries must be non-negative")
         pos = psi > 0
         t = int(np.count_nonzero(pos))
-        if self.ordered:
+        if ordered:
             if np.any(np.diff(psi) > SLACK * np.max(psi, initial=0.0)):
                 raise ValueError("ordered psi must be non-increasing")
-        elif not np.array_equal(pos, np.arange(self.n) < t):
+        elif not np.array_equal(pos, np.arange(n) < t):
             raise ValueError("unordered psi must have its positive entries first")
         psi = psi.copy()
         psi.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "ordered", ordered)
 
     @property
     def type_t(self):
@@ -82,8 +80,7 @@ class PsiParameter:
         return self.n - 1 - self.rank_r
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class BlownUpWeylPoint:
+class BlownUpWeylPoint(Frozen):
     """The pair (lambda, kappa) with lambda[0] = lambda[i] * kappa[i],
     0 <= lam[0] <= ... <= lam[n-1] and kappa in [0,1]^(n-1).
 
@@ -93,20 +90,18 @@ class BlownUpWeylPoint:
     validated; what is read per cusp lives on the ``MarkedCusp``.
     """
 
-    n: int
-    lam: np.ndarray
-    kappa: np.ndarray
-    _type: int = field(init=False, repr=False)
+    _fields = ("n", "lam", "kappa")
+    __slots__ = _fields + ("_type",)
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("a blown-up Weyl point needs n >= 2, got n = %r" % (self.n,))
-        lam = np.asarray(self.lam, dtype=float)
-        kap = np.asarray(self.kappa, dtype=float)
-        if lam.shape != (self.n,):
-            raise ValueError("lambda must have length n=%d, got %r" % (self.n, lam.shape))
-        if kap.shape != (self.n - 1,):
-            raise ValueError("kappa must have length n-1=%d, got %r" % (self.n - 1, kap.shape))
+    def __init__(self, n, lam, kappa):
+        if n < 2:
+            raise ValueError("a blown-up Weyl point needs n >= 2, got n = %r" % (n,))
+        lam = np.asarray(lam, dtype=float)
+        kap = np.asarray(kappa, dtype=float)
+        if lam.shape != (n,):
+            raise ValueError("lambda must have length n=%d, got %r" % (n, lam.shape))
+        if kap.shape != (n - 1,):
+            raise ValueError("kappa must have length n-1=%d, got %r" % (n - 1, kap.shape))
         # the checks run over Python floats: the vectors are short, and
         # numpy's per-call overhead would dominate
         ls, ks = lam.tolist(), kap.tolist()
@@ -130,6 +125,7 @@ class BlownUpWeylPoint:
         kap = kap.copy()
         lam.setflags(write=False)
         kap.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "kappa", kap)
 
@@ -280,8 +276,7 @@ def _checked_marking(n, marking):
     return b, _marking_log_det(b)
 
 
-@dataclass(frozen=True, eq=False)
-class MarkedCusp:
+class MarkedCusp(Frozen):
     """A marked cusp representation: parameters, a nonsingular (see
     ``_marking_log_det``) |det| = 1 marking, and what every invariant reads
     from them, each computed once here and read-only:
@@ -299,40 +294,37 @@ class MarkedCusp:
       the marked holonomy, ``lie_algebra_phi`` at the effective marking's
       columns, built on first read from the same frame: the complete
       invariant does not read it.
+
+    ``log_det``, log|det B|, is given by build_marked_cusp, which has already
+    checked the marking (``_checked_marking``), so that its LU is not taken
+    twice.
     """
 
-    params: BlownUpWeylPoint
-    marking: np.ndarray
-    orthonormalized: bool = False
-    rescaled: bool = False
-    # log|det B|, given by build_marked_cusp, which has already checked the
-    # marking (``_checked_marking``), so that its LU is not taken twice
-    log_det: float = field(default=None, repr=False)
-    effective_marking: np.ndarray = field(init=False, repr=False)
+    _fields = ("params", "marking", "orthonormalized", "rescaled")
     # the calibration frame, the generator stack, the unimodular metric and
     # its scale, and the complete invariant, each filled on first use
     # (``calibration_frame``, ``generators``, invariants.metric_and_scale,
     # invariants.complete_invariant); they live and die with this instance
-    _frame: object = field(init=False, repr=False, default=None)
-    _generators: object = field(init=False, repr=False, default=None)
-    _metric: object = field(init=False, repr=False, default=None)
-    _invariant: object = field(init=False, repr=False, default=None)
+    __slots__ = _fields + ("log_det", "effective_marking",
+                           "_frame", "_generators", "_metric", "_invariant")
 
-    def __post_init__(self):
-        b, log_det = self.marking, self.log_det
+    def __init__(self, params, marking, orthonormalized=False, rescaled=False, log_det=None):
+        b = marking
         if log_det is None:
-            b, (log_det, _, _) = _checked_marking(self.params.n, b)
-            object.__setattr__(self, "log_det", log_det)
+            b, (log_det, _, _) = _checked_marking(params.n, b)
         if abs(log_det) > DET_TOL:
             raise ValueError("marking must have |det| = 1, got log|det| = %g" % log_det)
         b = b.copy()
         b.setflags(write=False)
-        object.__setattr__(self, "marking", b)
         eff = b
-        if self.orthonormalized:
-            eff = _inverse_sqrt(self.params.kappa) @ b
+        if orthonormalized:
+            eff = _inverse_sqrt(params.kappa) @ b
             eff.setflags(write=False)
-        object.__setattr__(self, "effective_marking", eff)
+        for name, value in (("params", params), ("marking", b),
+                            ("orthonormalized", orthonormalized), ("rescaled", rescaled),
+                            ("log_det", log_det), ("effective_marking", eff), ("_frame", None),
+                            ("_generators", None), ("_metric", None), ("_invariant", None)):
+            object.__setattr__(self, name, value)
 
     @property
     def calibration_frame(self):

@@ -2,12 +2,12 @@
 harmonic/radial splitting of binary cubics, boundary strata, and mesh
 export."""
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .cusp_groups import hypersurface_F
+from .linalg import Frozen
 
 __all__ = [
     "Cubic2D",
@@ -34,13 +34,32 @@ _BOUNDARY_TOL = 1e-8
 _MESH_SPAN = 2.0
 
 
-@dataclass(frozen=True)
-class Cubic2D:
+class _Record(Frozen):
+    """A value compared and hashed by its fields, as a tuple of them."""
+
+    __slots__ = ()
+
+    def _key(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Cubic2D(_Record):
     """Binary cubic Re(h z^3 + r z |z|^2) through its harmonic and radial
     complex components."""
 
-    h: complex
-    r: complex
+    __slots__ = _fields = ("h", "r")
+
+    def __init__(self, h, r):
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "r", r)
 
 
 def _check_cone(h, r, what):
@@ -50,19 +69,18 @@ def _check_cone(h, r, what):
         raise ValueError("%s: |r|=%g, 3|h|=%g" % (what, abs(r), 3.0 * abs(h)))
 
 
-@dataclass(frozen=True)
-class CuspCoords3D:
+class CuspCoords3D(_Record):
     """(w, h, r): conformal torus shape w (Im w > 0) plus the cubic split,
     constrained by |r| <= 3|h|."""
 
-    w: complex
-    h: complex
-    r: complex
+    __slots__ = _fields = ("w", "h", "r")
 
-    def __post_init__(self):
-        if self.w.imag <= 1e-12:
+    def __init__(self, w, h, r):
+        if w.imag <= 1e-12:
             raise ValueError("w must lie in the upper half plane")
-        _check_cone(self.h, self.r, "|r| <= 3|h| violated")
+        _check_cone(h, r, "|r| <= 3|h| violated")
+        for name, value in zip(self._fields, (w, h, r)):
+            object.__setattr__(self, name, value)
 
 
 def decompose_cubic_2d(c):

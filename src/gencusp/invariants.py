@@ -7,7 +7,6 @@ never by pointwise sampling (exp blowup makes pointwise comparison fragile).
 
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -19,6 +18,7 @@ from .cusp_groups import (
     build_marked_cusp,
 )
 from .linalg import (
+    Frozen,
     check_unimodular,
     expm,
     maxerr,
@@ -70,8 +70,11 @@ def _canonical_rows(w):
 
     The canonical order is lexicographic by coordinates rounded to 12
     decimals of w / 2^e, 2^e the power of 2 just above max|w| (exact, so
-    free of the weights' size).  Non-finite weights raise ValueError."""
+    free of the weights' size).  Weights that are not a matrix of rows, or
+    not finite, raise ValueError."""
     w = np.asarray(w, dtype=float)
+    if w.ndim != 2:
+        raise ValueError("weights must be a matrix of rows, got shape %r" % (w.shape,))
     sizes = np.abs(w).max(axis=1, initial=0.0)
     size = float(sizes.max(initial=0.0))  # NaN or inf if any entry is
     if not math.isfinite(size):
@@ -84,8 +87,7 @@ def _canonical_rows(w):
     return w[order], sizes[order], size
 
 
-@dataclass(frozen=True, eq=False)
-class CharacterData:
+class CharacterData(Frozen):
     """Multiset of the n+1 Lie-algebra weight covectors (rows) of the affine
     character, stored in canonical order.  The translation line contributes
     a zero covector, so a multiset without one is rejected.
@@ -95,12 +97,11 @@ class CharacterData:
     ``eta_distance`` and the weight data.
     """
 
-    weights: np.ndarray
-    sizes: np.ndarray = field(init=False, repr=False)
-    size: float = field(init=False, repr=False)
+    _fields = ("weights",)
+    __slots__ = _fields + ("sizes", "size")
 
-    def __post_init__(self):
-        w, sizes, size = _canonical_rows(self.weights)
+    def __init__(self, weights):
+        w, sizes, size = _canonical_rows(weights)
         if _live_rows(w, sizes, size).all():
             raise ValueError("affine character data must contain a zero covector")
         for name, a in (("weights", w), ("sizes", sizes)):
@@ -112,27 +113,31 @@ class CharacterData:
         return float(np.sum(np.exp(self.weights @ np.asarray(v, dtype=float))))
 
 
-@dataclass(frozen=True, eq=False)
-class CompleteInvariant:
-    character: CharacterData
-    metric: np.ndarray
+class CompleteInvariant(Frozen):
+    __slots__ = _fields = ("character", "metric")
 
-    def __post_init__(self):
-        object.__setattr__(self, "metric", _metric_of(self.character.weights, self.metric))
+    def __init__(self, character, metric):
+        object.__setattr__(self, "metric", _metric_of(character.weights, metric, 2))
+        object.__setattr__(self, "character", character)
 
 
-def _metric_of(weights, metric):
+def _metric_of(weights, metric, extra):
     """The metric checked (``check_unimodular``) for weight rows of as many
-    coordinates as it has rows."""
+    coordinates as it has rows, and ``extra`` more rows than coordinates:
+    the n + 1 weights of a character (2) or the n of weight data (1), each
+    of n - 1 coordinates."""
     metric = check_unimodular(metric, "metric")
-    if weights.shape[1] != metric.shape[0]:
+    rows, coords = weights.shape
+    if coords != metric.shape[0]:
         raise ValueError("weights have %d coordinates, the metric is %d x %d"
-                         % (weights.shape[1], *metric.shape))
+                         % (coords, *metric.shape))
+    if rows != coords + extra:
+        raise ValueError("expected %s weights of n - 1 coordinates, got %d of %d"
+                         % ("n + 1" if extra == 2 else "n", rows, coords))
     return metric
 
 
-@dataclass(frozen=True, eq=False)
-class WeightData:
+class WeightData(Frozen):
     """The n linear-part weight covectors plus the unimodular metric, read
     once at unit size: the rows w' = w / 2^e (``unit_weights``), 2^e the
     power of 2 just above max|w| (``exponent``, ``_canonical_rows``' own), and
@@ -140,15 +145,12 @@ class WeightData:
     Gram data reads these and scales back by a power of 2, exactly, so none
     under- or overflows at any size of the weights."""
 
-    weights: np.ndarray
-    metric: np.ndarray
-    unit_weights: np.ndarray = field(init=False, repr=False)
-    exponent: int = field(init=False, repr=False)
-    unit_gram: tuple = field(init=False, repr=False)
+    _fields = ("weights", "metric")
+    __slots__ = _fields + ("unit_weights", "exponent", "unit_gram")
 
-    def __post_init__(self):
-        w, _, size = _canonical_rows(self.weights)
-        self._read(w, self.metric, size)
+    def __init__(self, weights, metric):
+        w, _, size = _canonical_rows(weights)
+        self._read(w, metric, size)
 
     @classmethod
     def _from_canonical(cls, weights, metric, size):
@@ -161,7 +163,7 @@ class WeightData:
         return data
 
     def _read(self, weights, metric, size):
-        metric = _metric_of(weights, metric)
+        metric = _metric_of(weights, metric, 1)
         e = math.frexp(size)[1]
         unit = np.ldexp(weights, -e)
         gram = dual_gram(unit, metric)

@@ -22,6 +22,8 @@ other modules reads one of these names:
   (``check_unimodular``) and a marking has |det| = 1 (|log|det|| at most
   ``DET_TOL``); ``ROUNDOFF`` also sets the noise floor of tests whose
   roundoff grows with cond(q).
+
+``Frozen`` is the base of the library's value classes.
 """
 
 import math
@@ -31,6 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "Frozen",
     "ZERO",
     "ROUNDOFF",
     "DET_TOL",
@@ -79,6 +82,33 @@ _EXPM_ORDER = 14
 # Switch f_1, f_2, h, g to their Taylor branch below this |s*t|; the closed
 # forms lose every digit to cancellation as s -> 0.
 _SERIES_CUT = 1e-4
+
+
+class Frozen:
+    """Base of the library's value classes: plain slotted classes, so that
+    importing one generates and compiles no code.  A subclass lists its
+    ``__slots__`` and, in ``_fields``, the constructor fields its repr
+    shows; its ``__init__`` validates its arguments and stores each slot
+    with ``object.__setattr__``.  Afterwards assignment and deletion raise
+    AttributeError.  Equality is identity unless the subclass defines it."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of %s" % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of %s" % (name, type(self).__name__))
+
+    def __setstate__(self, state):
+        # copy and pickle hand back the slots as (None, {name: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__,
+                           ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields))
 
 
 def _series_or_closed(z, series, closed):
@@ -303,8 +333,8 @@ def _symmetrized(q):
     """(check_symmetric(q), max|q|): the form's largest magnitude is taken
     once, for the finiteness and symmetry tests and for the caller."""
     q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError("expected a square matrix, got shape %r" % (q.shape,))
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or not q.size:
+        raise ValueError("expected a non-empty square matrix, got shape %r" % (q.shape,))
     # the largest magnitude is non-finite exactly when some entry is
     largest = float(np.abs(q).max())
     if not math.isfinite(largest):

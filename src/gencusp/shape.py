@@ -9,8 +9,6 @@ is an orthogonally decomposable tensor whose orthogonal vectors are the
 lifted weights; varpi itself comes from the commutators of c's slices.
 """
 
-from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
@@ -28,6 +26,7 @@ from .invariants import (
 from .linalg import (
     ROUNDOFF,
     ZERO,
+    Frozen,
     check_symmetric,
     check_unimodular,
     maxerr_symmetric,
@@ -71,7 +70,16 @@ SHAPE_TOL = 1e-5
 # as harmonic.
 _HARMONIC_TOL = 1e-8
 
-_Triples = namedtuple("_Triples", ["slots", "scatter", "orbits", "multiplicity"])
+
+class _Triples(Frozen):
+    """``_triple_table``'s arrays, each read-only."""
+
+    __slots__ = _fields = ("slots", "scatter", "orbits", "multiplicity")
+
+    def __init__(self, slots, scatter, orbits, multiplicity):
+        for name, a in zip(self._fields, (slots, scatter, orbits, multiplicity)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 @lru_cache(maxsize=None)
@@ -82,37 +90,36 @@ def _triple_table(dim):
     index transposes in ``permutations`` order, the identity (the slot's
     own position) first; scatter is (dim^3,), the slot of each flat
     position, so every transpose of a position reads the same slot;
-    multiplicity is (U,), how many distinct positions share each slot."""
+    multiplicity is (U,), how many distinct positions share each slot.
+    A cubic has at least one variable: dim < 1 raises ValueError."""
+    if dim < 1:
+        raise ValueError("a cubic needs dim >= 1, got dim = %r" % (dim,))
     slots = np.array(list(combinations_with_replacement(range(dim), 3)), dtype=np.intp).T
     flat = np.arange(dim**3).reshape((dim,) * 3)
     orbits = np.stack([flat.transpose(p)[tuple(slots)] for p in permutations(range(3))])
     scatter = np.empty(dim**3, dtype=np.intp)
     scatter[orbits] = np.arange(slots.shape[1])
     multiplicity = np.array([len(set(orbit)) for orbit in orbits.T.tolist()])
-    table = _Triples(slots, scatter, orbits, multiplicity)
-    for a in table:
-        a.setflags(write=False)
-    return table
+    return _Triples(slots, scatter, orbits, multiplicity)
 
 
-@dataclass(frozen=True, eq=False)
-class CubicPoly:
+class CubicPoly(Frozen):
     """Homogeneous cubic on R^dim stored as a finite 3-tensor that is
     symmetric bit for bit: every route makes the U values of its slots
     i <= j <= k (``_triple_table``) and scatters each to all its
     transposes."""
 
-    dim: int
-    tensor: np.ndarray
+    __slots__ = _fields = ("dim", "tensor")
 
-    def __post_init__(self):
-        t = np.asarray(self.tensor, dtype=float)
-        if t.shape != (self.dim,) * 3:
+    def __init__(self, dim, tensor):
+        t = np.asarray(tensor, dtype=float)
+        if t.shape != (dim,) * 3:
             raise ValueError("tensor must be (dim,dim,dim)")
         # each slot's mean of its six transposes, summed one after another in
         # ``permutations`` order; -0.0 is the exact identity of addition, so
         # a sum of zeros keeps its sign, as t + t^(021) + ... + t^(210) does
-        orbits = _triple_table(self.dim).orbits
+        orbits = _triple_table(dim).orbits
+        object.__setattr__(self, "dim", dim)
         self._keep(np.add.reduce(t.reshape(-1)[orbits], axis=0, initial=-0.0) / 6.0)
 
     def _keep(self, entries):
@@ -198,19 +205,18 @@ class CubicPoly:
         return float(np.abs(self.tensor).max()) * 6.0
 
 
-@dataclass(frozen=True, eq=False)
-class ShapeInvariant:
+class ShapeInvariant(Frozen):
     """Canonical representative of [q + c]: q unimodular positive definite,
     the cubic carried along with the same scalar."""
 
-    q: np.ndarray
-    c: CubicPoly
+    __slots__ = _fields = ("q", "c")
 
-    def __post_init__(self):
-        q = check_unimodular(self.q, "q")
-        if self.c.dim != q.shape[0]:
+    def __init__(self, q, c):
+        q = check_unimodular(q, "q")
+        if c.dim != q.shape[0]:
             raise ValueError("q and c dimensions differ")
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "c", c)
 
     @classmethod
     def canonical(cls, q_raw, c_raw):
@@ -361,7 +367,18 @@ def _frame_noise(evals):
     return ROUNDOFF * np.finfo(float).eps * (evals[-1] / evals[0]) ** 1.5
 
 
-SphereMaxima = namedtuple("SphereMaxima", ["points", "values"])
+class SphereMaxima(Frozen):
+    """The local maxima of a cubic on the q-unit sphere: their ``points``
+    (rows) and ``values``; unpacks as (points, values)."""
+
+    __slots__ = _fields = ("points", "values")
+
+    def __init__(self, points, values):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "values", values)
+
+    def __iter__(self):
+        return iter((self.points, self.values))
 
 
 def _cubic_and_gradient(t2, y):

@@ -1,4 +1,3 @@
-import argparse
 import gc
 import importlib
 import json
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 import gencusp
-from gencusp.cli import canonical_json, cusp_to_dict, main, make_parser
+from gencusp.cli import _COMMANDS, canonical_json, command_parser, cusp_to_dict, main, make_parser
 from gencusp.cusp_groups import BlownUpWeylPoint, build_marked_cusp
 from gencusp.invariants import are_conjugate, complete_invariant
 from gencusp.sampling import random_cusp
@@ -326,9 +325,33 @@ def test_recover_psi_refuses_weights_of_another_dimension(tmp_path, capsys):
     assert "eta.json" in err and "weights have 2 coordinates, the metric is 3 x 3" in err
 
 
-def test_recover_rejects_ragged_matrix(tmp_path):
-    nu = {"weights": [[1.0, 0.0], [0.0]], "beta": [[1.0, 0.0], [0.0, 1.0]]}
-    assert main(["recover", "weights", _write(tmp_path, "nu.json", {"nu": nu})]) == 1
+def test_recover_rejects_ragged_matrix(tmp_path, capsys):
+    # a ragged matrix, empty arrays and weights of the wrong count, which the
+    # library refuses by their shape: a validation error in process and as a
+    # process, with no traceback
+    cases = [
+        ("weights", {"nu": {"weights": [[1.0, 0.0], [0.0]], "beta": [[1.0, 0.0], [0.0, 1.0]]}},
+         "inhomogeneous shape"),
+        ("shape", {"shape": {"q": [], "c": {}}},
+         "expected a non-empty square matrix, got shape (0,)"),
+        ("weights", {"nu": {"weights": [], "beta": [[1.0]]}},
+         "weights must be a matrix of rows, got shape (0,)"),
+        ("psi", {"eta": {"weights": [], "beta": [[1.0]]}},
+         "weights must be a matrix of rows, got shape (0,)"),
+        # n rows of n coordinates, not n - 1
+        ("weights", {"nu": {"weights": np.eye(3).tolist(), "beta": np.eye(3).tolist()}},
+         "expected n weights of n - 1 coordinates, got 3 of 3"),
+        ("psi", {"eta": {"weights": np.eye(4, 3).tolist(), "beta": np.eye(3).tolist()}},
+         "expected n + 1 weights of n - 1 coordinates, got 4 of 3"),
+    ]
+    for i, (kind, data, message) in enumerate(cases):
+        src = _write(tmp_path, "bad%d.json" % i, data)
+        assert main(["recover", kind, src]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: " % src) and message in err, err
+        proc = subprocess.run([sys.executable, "-m", "gencusp.cli", "recover", kind, src],
+                              env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (1, err)
 
 
 # json parses NaN and Infinity; an integer past the float range is no real
@@ -419,10 +442,12 @@ def test_global_flag_is_refused_by_a_command_that_does_not_read_it(
 
 
 def test_each_flag_lives_on_the_command_that_reads_it():
+    # the top-level parser reads the command name alone; each command's
+    # parser is built from its entry in the one command table
     parser = make_parser()
     assert sorted(parser._option_string_actions) == ["--help", "-h"]
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    table = {name: sorted(p._option_string_actions) for name, p in sub.choices.items()}
+    assert [a.dest for a in parser._actions] == ["help", "command"]
+    table = {name: sorted(command_parser(name)._option_string_actions) for name in _COMMANDS}
     common = ["--help", "--out", "-h"]
     assert table == {
         "build": common,
@@ -433,6 +458,34 @@ def test_each_flag_lives_on_the_command_that_reads_it():
         "mesh": sorted(common + ["--grid", "--obj"]),
         "limit-demo": sorted(common + ["--kappa", "--m-max"]),
     }
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: gencusp ")
+    listed = out[out.index("\ncommands:\n"):].splitlines()[2:]
+    assert listed == ["  %-12s %s" % (name, entry[1]) for name, entry in _COMMANDS.items()]
+    assert [line.split()[0] for line in listed] == [
+        "build", "invariants", "conjugate", "recover", "verify", "mesh", "limit-demo"]
+    assert all(len(line.split()) > 1 for line in listed)
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_each_command_has_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: gencusp %s " % command)
+    assert _COMMANDS[command][1] in out
+
+
+def test_missing_command_is_refused(capsys):
+    assert main([]) == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
 
 
 @pytest.mark.parametrize("flag", [
@@ -677,13 +730,14 @@ def _subprocess_env():
 
 def _loaded_modules(argv):
     """Run ``gencusp.cli.main(argv)`` in a fresh interpreter; returns its exit
-    code and the gencusp, numpy.random and scipy modules it loaded."""
+    code and the gencusp, numpy.random, scipy and dataclasses modules it
+    loaded."""
     code = (
         "import json, sys\n"
         "from gencusp.cli import main\n"
         "code = main(json.loads(sys.argv[1]))\n"
         "mods = [m for m in sys.modules if m.startswith('gencusp')"
-        " or m in ('numpy.random', 'scipy')]\n"
+        " or m in ('numpy.random', 'scipy', 'dataclasses')]\n"
         "print(json.dumps([code, sorted(mods)]))\n"
     )
     out = subprocess.run(
@@ -717,8 +771,9 @@ def cli_files(tmp_path_factory):
     return files
 
 
-# each command loads only its own modules, and none loads numpy.random or
-# scipy
+# each command loads only its own modules, and none loads numpy.random,
+# scipy or dataclasses: the value classes are plain, so importing them
+# generates no code
 @pytest.mark.parametrize("argv, expected", [
     ("build p3", _BASE),
     ("conjugate p3 p3", _INVARIANTS),

@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import inspect
 import math
 import re
 import sys
@@ -138,11 +139,76 @@ def test_blownup_point_is_slotted_and_frozen():
     with pytest.raises(AttributeError):
         p.lam = np.zeros(3)
     assert not p.lam.flags.writeable and not p.kappa.flags.writeable
-    # one chart: lambda is always ascending, and no field picks another;
-    # the one field past the three it is built from is its type, an int
-    assert [f.name for f in dataclasses.fields(p) if f.init] == ["n", "lam", "kappa"]
-    assert [f.name for f in dataclasses.fields(p) if not f.init] == ["_type"]
+    # one chart: lambda is always ascending, and no argument picks another;
+    # the one slot past the three it is built from is its type, an int
+    assert str(inspect.signature(BlownUpWeylPoint)) == "(n, lam, kappa)"
+    assert BlownUpWeylPoint.__slots__ == ("n", "lam", "kappa", "_type")
     assert type(p.type_t) is int and p.type_t == 3
+
+
+def _value_objects():
+    """One instance of each value class of the library, by class name."""
+    from gencusp import dim3, shape
+    from gencusp.invariants import weight_data
+
+    p = BlownUpWeylPoint(3, np.array([0.5, 1.0, 2.0]), np.array([0.5, 0.25]))
+    cusp = build_marked_cusp(p, np.array([[1.0, 0.3], [0.0, 1.0]]))
+    eta = complete_invariant(cusp)
+    s = shape.shape_invariant(cusp, "closed")
+    objs = [PsiParameter(3, np.array([3.0, 2.0, 1.0])), p, cusp, eta.character, eta,
+            weight_data(cusp), s.c, s, dim3.decompose_cubic_2d(s.c), dim3.coords_from_shape(s),
+            shape.sphere_local_maxima(s.q, s.c), shape._triple_table(2)]
+    return {type(obj).__name__: obj for obj in objs}
+
+
+# class -> (its constructor's signature, its slots); equality is identity
+# but for the two dim3 records
+_VALUE_CLASSES = {
+    "PsiParameter": ("(n, psi, ordered=True)", ("n", "psi", "ordered")),
+    "BlownUpWeylPoint": ("(n, lam, kappa)", ("n", "lam", "kappa", "_type")),
+    "MarkedCusp": ("(params, marking, orthonormalized=False, rescaled=False, log_det=None)",
+                   ("params", "marking", "orthonormalized", "rescaled", "log_det",
+                    "effective_marking", "_frame", "_generators", "_metric", "_invariant")),
+    "CharacterData": ("(weights)", ("weights", "sizes", "size")),
+    "CompleteInvariant": ("(character, metric)", ("character", "metric")),
+    "WeightData": ("(weights, metric)",
+                   ("weights", "metric", "unit_weights", "exponent", "unit_gram")),
+    "CubicPoly": ("(dim, tensor)", ("dim", "tensor")),
+    "ShapeInvariant": ("(q, c)", ("q", "c")),
+    "Cubic2D": ("(h, r)", ("h", "r")),
+    "CuspCoords3D": ("(w, h, r)", ("w", "h", "r")),
+    "SphereMaxima": ("(points, values)", ("points", "values")),
+    "_Triples": ("(slots, scatter, orbits, multiplicity)",
+                 ("slots", "scatter", "orbits", "multiplicity")),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALUE_CLASSES))
+def test_value_class_is_slotted_and_read_only(name):
+    # plain classes: slotted, no instance dict, every slot read-only once
+    # built, and a repr of the constructor's arguments
+    obj = _value_objects()[name]
+    cls = type(obj)
+    signature, slots = _VALUE_CLASSES[name]
+    assert str(inspect.signature(cls)) == signature
+    assert cls.__slots__ == slots and not hasattr(obj, "__dict__")
+    params = list(inspect.signature(cls).parameters)
+    assert repr(obj).startswith("%s(%s=" % (name, params[0]))
+    for slot in slots + ("other",):
+        before = getattr(obj, slot, None)
+        with pytest.raises(AttributeError):
+            setattr(obj, slot, 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, slot)
+        assert getattr(obj, slot, None) is before
+    # copy (and pickle) restore every slot
+    dup = copy.copy(obj)
+    assert type(dup) is cls and all(getattr(dup, slot) is getattr(obj, slot) for slot in slots)
+    if name in ("Cubic2D", "CuspCoords3D"):
+        twin = cls(*(getattr(obj, f) for f in slots))
+        assert twin is not obj and twin == obj and hash(twin) == hash(obj)
+    else:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
 
 
 @pytest.mark.parametrize("lam, kap, order_error", [

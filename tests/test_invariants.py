@@ -229,16 +229,16 @@ def test_forward_case_work_budget(monkeypatch):
             super().__setitem__(key, value)
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(la_mod, "_VALIDATED", CountingMemo())
     monkeypatch.setattr(la_mod, "_symmetrized", counted("symmetric", la_mod._symmetrized))
     monkeypatch.setattr(cg_mod, "_phi_stack", counted("phi", cg_mod._phi_stack))
-    monkeypatch.setattr(cg_mod.MarkedCusp, "__post_init__",
-                        counted("cusps", cg_mod.MarkedCusp.__post_init__))
+    monkeypatch.setattr(cg_mod.MarkedCusp, "__init__",
+                        counted("cusps", cg_mod.MarkedCusp.__init__))
     monkeypatch.setattr(inv_mod, "weights_of", counted("weights_of", inv_mod.weights_of))
     monkeypatch.setattr(inv_mod, "_canonical_rows", counted("sort", inv_mod._canonical_rows))
     monkeypatch.setattr(inv_mod, "expm", counted("expm", inv_mod.expm))

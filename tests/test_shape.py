@@ -83,6 +83,16 @@ def test_from_monomials_refuses_a_key_that_is_no_cubic_monomial(exps):
         CubicPoly.from_monomials(2, {exps: 1.0})
 
 
+def test_a_cubic_of_no_variables_is_refused_by_every_route():
+    # the index table of dim 0 has no slot: each route refuses by name, not
+    # with the table's IndexError
+    for make in (lambda: CubicPoly.from_monomials(0, {}), lambda: CubicPoly.zero(0),
+                 lambda: CubicPoly(0, np.zeros((0, 0, 0))),
+                 lambda: CubicPoly.from_covector_cubes(np.zeros((2, 0)), np.ones(2))):
+        with pytest.raises(ValueError, match="a cubic needs dim >= 1, got dim = 0"):
+            make()
+
+
 def _canonical_reference(q_raw, c_raw):
     """``ShapeInvariant.canonical``'s own scaling, before it called
     ``linalg.unimodular_scale``: symmetrize, then det^(-1/dim)."""

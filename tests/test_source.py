@@ -355,21 +355,30 @@ def test_blownup_point_holds_no_array_but_lambda_and_kappa():
     # MarkedCusp, and a point holds lambda, kappa and ints only
     from gencusp.cusp_groups import BlownUpWeylPoint
 
-    path = next(p for p in _MODULES if p.name == "cusp_groups.py")
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    cls = next(node for node in tree.body
-               if isinstance(node, ast.ClassDef) and node.name == "BlownUpWeylPoint")
-    fields = {stmt.target.id: ast.unparse(stmt.annotation) for stmt in cls.body
-              if isinstance(stmt, ast.AnnAssign)}
-    assert {k: v for k, v in fields.items() if v != "int"} == {
-        "lam": "np.ndarray", "kappa": "np.ndarray"}
-    assert sorted(BlownUpWeylPoint.__slots__) == sorted(fields)
+    # the slots, its base's included: lambda, kappa and two ints
+    slots = [name for cls in BlownUpWeylPoint.__mro__ for name in cls.__dict__.get("__slots__", ())]
+    assert slots == ["n", "lam", "kappa", "_type"]
     for lam in ([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 1.0, 2.0]):
         p = BlownUpWeylPoint(3, np.array(lam), np.array([lam[0] / v if v else 0.0
                                                          for v in lam[1:]]))
         values = {name: getattr(p, name) for name in BlownUpWeylPoint.__slots__}
         assert [k for k, v in values.items() if isinstance(v, np.ndarray)] == ["lam", "kappa"]
         assert all(type(v) is int for k, v in values.items() if k not in ("lam", "kappa"))
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_code_is_generated_at_import(path):
+    # the value classes are plain slotted classes: no module imports
+    # dataclasses or makes a namedtuple, whose classes are generated and
+    # compiled on every import whether or not bytecode is cached
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+    modules = [(node.lineno, alias.name) for node in nodes if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [(node.lineno, node.module) for node in nodes if isinstance(node, ast.ImportFrom)]
+    found = [(line, name) for line, name in modules if (name or "").split(".")[0] == "dataclasses"]
+    found += [(node.lineno, "namedtuple") for node in nodes if isinstance(node, ast.Call)
+              and "namedtuple" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert found == [], "%s generates code at import: %s" % (path.name, found)
 
 
 def test_one_index_table_makes_every_cubic():
